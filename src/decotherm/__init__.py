@@ -6,7 +6,6 @@ for baths without a temperature, and the reciprocal linear-response
 relations between decoherence and transport.
 """
 
-from ._kernels import backend_name
 from .baths import (
     Bath,
     GibbsClosedForm,

@@ -30,10 +30,10 @@ from .errors import (
     NotOrthonormal,
 )
 from .operators import (
+    SuperOperator,
     hermitize,
     matrix_exp_hermitian,
     require_square,
-    superop_from_action,
     unvectorize,
     vectorize,
 )
@@ -71,7 +71,7 @@ class LindbladGenerator:
         object.__setattr__(self, "_jjs", jjs)
         object.__setattr__(self, "_rates", rates)
 
-    # pre-stacked views used by the propagation kernels
+    # pre-stacked views of the terms
     @property
     def jump_stack(self) -> np.ndarray:
         return self._jumps
@@ -110,9 +110,20 @@ def apply_generator_heisenberg(gen: LindbladGenerator, x: np.ndarray) -> np.ndar
     return out
 
 
-def generator_superop(gen: LindbladGenerator):
-    """Vectorized matrix of the generator's Schrodinger action."""
-    return superop_from_action(gen.dim, lambda m: apply_generator(gen, m))
+def generator_superop(gen: LindbladGenerator) -> SuperOperator:
+    """Vectorized matrix of the generator's Schrodinger action, in closed form:
+
+        sum_k r_k (2 conj(A_k) ⊗ A_k - I ⊗ A_k†A_k - (A_k†A_k)ᵀ ⊗ I)
+
+    Terms are accumulated in the order apply_generator uses, so for jumps
+    that are matrix units (the device baths) the matrix equals, bit for bit,
+    apply_generator applied to every matrix unit.
+    """
+    eye = np.eye(gen.dim)
+    mat = np.zeros((gen.dim * gen.dim,) * 2, dtype=complex)
+    for a, jj, rate in zip(gen.jump_stack, gen.jj_stack, gen.rate_stack):
+        mat += rate * (2.0 * np.kron(a.conj(), a) - np.kron(eye, jj) - np.kron(jj.T, eye))
+    return SuperOperator(gen.dim, mat)
 
 
 # ---------------------------------------------------------------------------

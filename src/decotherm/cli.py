@@ -14,7 +14,9 @@ Config layout (one scenario per file, unknown keys are a hard error):
 Scenarios: two-level-decoherence (instant heat rate; with an "integrator"
 block it emits the dephasing trajectory instead), device-steady,
 device-trajectory, gamma-sweep. Exit codes: 0 ok, 1 I/O error, 2 config
-error, 3 numerical failure (degenerate kernel / no convergence).
+error, 3 numerical failure (degenerate or non-positive steady state, no
+convergence, support violation, trace drift in propagation); the message
+names the failing stage.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from typing import Any
 import numpy as np
 
 from .dynamics import EvolutionSpec, Trajectory, propagate
-from .errors import ConfigError, DecothermError, DegenerateKernel, NoConvergence
+from .errors import (
+    ConfigError,
+    DecothermError,
+    DegenerateKernel,
+    NoConvergence,
+    NonPositiveSolution,
+    StateInvariantViolated,
+    SupportViolation,
+)
 from .scenarios import (
     DeviceParams,
     TwoLevelDecoherenceParams,
@@ -46,6 +56,15 @@ SCENARIOS = ("two-level-decoherence", "device-steady", "device-trajectory", "gam
 FORMATS = ("csv", "json")
 
 _DEVICE_KEYS = ("e_l", "e_r", "v", "n_l", "n_r")
+
+#: numerical failures (exit 3) and the stage that raises each
+_NUMERICAL_STAGES = {
+    DegenerateKernel: "steady_state",
+    NonPositiveSolution: "steady_state",
+    NoConvergence: "stationary_map/steady_state",
+    SupportViolation: "force (support of the stationary image)",
+    StateInvariantViolated: "propagate",
+}
 
 
 def _fmt(x: float) -> str:
@@ -365,9 +384,8 @@ def run(
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateKernel, NoConvergence) as exc:
-        op = "steady_state" if isinstance(exc, DegenerateKernel) else "stationary_map/steady_state"
-        print(f"numerical failure in {op}: {exc}", file=sys.stderr)
+    except tuple(_NUMERICAL_STAGES) as exc:
+        print(f"numerical failure in {_NUMERICAL_STAGES[type(exc)]}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

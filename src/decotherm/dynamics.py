@@ -2,10 +2,14 @@
 
     drho/dt = -i [H, rho] + sum_b L_b(rho)
 
-Propagation is classical fixed-step RK4 with the state hermitized after
-every step; positivity is checked but never projected back. Steady states
-come from the dense eigendecomposition of the vectorized Liouvillian;
-long-time propagation is kept only as a cross-check in the test suite.
+The Hamiltonian is piecewise constant, so propagation is exact: on each
+segment the step map is P = expm(L dt) of the vectorized Liouvillian
+(Moler & Van Loan, SIAM Rev. 45, 2003), one matrix-vector product per
+output step, with no step-size restriction. A switch time between grid
+points is reached by partial steps expm(L tau) on either side of it.
+Steady states come from the dense eigendecomposition of the vectorized
+Liouvillian; long-time propagation is kept only as a cross-check in the
+test suite.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+import scipy.linalg
 
-from . import _kernels
-from .baths import Bath, apply_generator
+from .baths import Bath, generator_superop
 from .errors import (
     DegenerateKernel,
     DimensionMismatch,
@@ -29,10 +33,8 @@ from .errors import (
 from .operators import (
     SuperOperator,
     assert_density_matrix,
-    commutator,
     hermitize,
     require_square,
-    superop_from_action,
     unvectorize,
     vectorize,
 )
@@ -42,9 +44,6 @@ from .operators import (
 #: trajectory (the binding constraint is finite-difference truncation, not
 #: integrator stability).
 DT_SAFETY = 0.0025
-
-#: Propagation flags states whose smallest eigenvalue falls below -POS_TOL.
-POS_TOL = 1e-6
 
 Schedule = Sequence[tuple[float, np.ndarray]]
 
@@ -84,17 +83,6 @@ class EvolutionSpec:
             raise InvalidParams("Hamiltonian schedule must start at t = 0")
         return segs
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        """Right-continuous lookup: H(t) = H_j for t in [t_j, t_{j+1})."""
-        segs = self.segments()
-        current = segs[0][1]
-        for t_start, h in segs:
-            if t_start <= t + 1e-15:
-                current = h
-            else:
-                break
-        return current
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -127,22 +115,9 @@ def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[B
     return DT_SAFETY / scale
 
 
-def _stack_baths(baths: Sequence[Bath], dim: int):
-    jumps = [b.generator.jump_stack for b in baths]
-    jjs = [b.generator.jj_stack for b in baths]
-    rates = [b.generator.rate_stack for b in baths]
-    if jumps:
-        return (
-            np.ascontiguousarray(np.concatenate(jumps)),
-            np.ascontiguousarray(np.concatenate(jjs)),
-            np.concatenate(rates),
-        )
-    empty = np.zeros((0, dim, dim), dtype=np.complex128)
-    return empty, empty.copy(), np.zeros(0)
-
-
 def liouvillian(spec: EvolutionSpec) -> SuperOperator:
-    """Vectorized matrix of the full right-hand side (static H only)."""
+    """Vectorized matrix of the full right-hand side (static H only):
+    -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop."""
     if spec.is_schedule:
         raise TimeDependentHamiltonian(
             "liouvillian needs a static Hamiltonian; propagate the schedule instead"
@@ -152,21 +127,19 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     for b in spec.baths:
         if b.dim != d:
             raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match H dim {d}")
-
-    def action(a: np.ndarray) -> np.ndarray:
-        out = -1j * commutator(h, a)
-        for b in spec.baths:
-            out = out + apply_generator(b.generator, a)
-        return out
-
-    return superop_from_action(d, action)
+    eye = np.eye(d)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for b in spec.baths:
+        mat += generator_superop(b.generator).matrix
+    return SuperOperator(d, mat)
 
 
 def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
-    """Fixed-step RK4 trajectory, recording every step.
+    """Exact trajectory on the grid t_k = k dt, k = 0..ceil(t_max / dt).
 
-    Raises StateInvariantViolated if positivity drifts below -1e-6
-    (the signature of a step too large for the stiffness).
+    Each Hamiltonian segment gets one step map expm(L dt); a switch time
+    off the grid is reached by partial steps expm(L tau) on either side.
+    Raises StateInvariantViolated if the trace drifts by more than 1e-8.
     """
     d = spec.dim
     if rho0.shape != (d, d):
@@ -180,34 +153,39 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     if dt >= spec.t_max:
         raise InvalidParams(f"dt = {dt} must be smaller than t_max = {spec.t_max}")
     n_total = int(np.ceil(spec.t_max / dt - 1e-9))
+    times = np.arange(n_total + 1) * dt
 
     segs = spec.segments()
-    boundaries = [min(int(round(t / dt)), n_total) for t, _ in segs] + [n_total]
-
-    jumps, jjs, rates = _stack_baths(spec.baths, d)
     states = np.empty((n_total + 1, d, d), dtype=np.complex128)
     states[0] = rho0
-    rho = np.ascontiguousarray(rho0, dtype=np.complex128)
+    # Row-major storage: states[k].reshape(-1) is vec(rho_kᵀ), which evolves
+    # under conj(L) because the generator commutes with taking adjoints.
+    flat = states.reshape(n_total + 1, d * d)
+    v = flat[0]
+    k, t_now = 0, 0.0  # v is the state at t_now; times[k] is the last grid point <= t_now
     for i, (_, h) in enumerate(segs):
-        k0, k1 = boundaries[i], boundaries[i + 1]
-        if k1 <= k0:
-            continue
-        seg_states, bad = _kernels.rk4_segment(
-            np.ascontiguousarray(h, dtype=np.complex128),
-            jumps, jjs, rates, rho, dt, k1 - k0, POS_TOL,
-        )
-        if bad >= 0:
-            raise StateInvariantViolated(
-                f"positivity fell below -{POS_TOL:g} at t = {(k0 + bad + 1) * dt:.6g}; "
-                f"dt = {dt:g} is too large"
-            )
-        states[k0 : k1 + 1] = seg_states
-        rho = np.ascontiguousarray(seg_states[-1])
+        if t_now >= times[-1]:
+            break
+        t_next = segs[i + 1][0] if i + 1 < len(segs) else np.inf
+        lc = np.conj(liouvillian(EvolutionSpec(h, spec.baths)).matrix)
+        k_last = int(np.searchsorted(times, t_next, side="right")) - 1
+        if k_last > k:
+            if t_now > times[k]:  # resume off the grid, just after a switch
+                k += 1
+                flat[k] = scipy.linalg.expm(lc * (times[k] - t_now)) @ v
+            if k_last > k:
+                p = scipy.linalg.expm(lc * dt)
+                for j in range(k + 1, k_last + 1):
+                    flat[j] = p @ flat[j - 1]
+            k, t_now = k_last, times[k_last]
+            v = flat[k]
+        if t_now < t_next < times[-1]:  # partial step up to the switch
+            v = scipy.linalg.expm(lc * (t_next - t_now)) @ v
+            t_now = t_next
 
     drift = abs(float(np.trace(states[-1]).real) - 1.0)
     if drift > 1e-8:
         raise StateInvariantViolated(f"trace drifted by {drift:.3e} over the trajectory")
-    times = np.arange(n_total + 1) * dt
     return Trajectory(times, states)
 
 

@@ -60,10 +60,6 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
     return da
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def matrix_log_on_support(a: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> np.ndarray:
     """Natural log of a Hermitian PSD matrix, restricted to its support.
 

@@ -150,25 +150,24 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> list[ThermoS
     """One ThermoSample per trajectory point.
 
     The work rate reflects the piecewise-constant schedule: zero except at
-    a switch step, where the impulsive energy jump Tr[(H+ - H-) rho] is
-    spread over one step. A SupportViolation at a point flags the sample
-    (support_ok=False, nan entries) instead of aborting the sweep.
+    the first grid point at or after a switch, where the impulsive energy
+    jump Tr[(H+ - H-) rho] is spread over one step. A SupportViolation at a
+    point flags the sample (support_ok=False, nan entries) instead of
+    aborting the sweep.
     """
     segs = spec.segments()
     dt = traj.dt
-    switch_steps = {int(round(t / dt)) for t, _ in segs[1:]}
     samples: list[ThermoSample] = []
-    h_prev = segs[0][1]
     seg_idx = 0
     for k, t in enumerate(traj.times):
         rho = traj.states[k]
+        prev_idx = seg_idx
         while seg_idx + 1 < len(segs) and segs[seg_idx + 1][0] <= float(t) + 1e-15:
             seg_idx += 1
         h = segs[seg_idx][1]
         w = 0.0
-        if k in switch_steps:
-            w = float(np.trace((h - h_prev) @ rho).real) / dt
-        h_prev = h
+        if seg_idx != prev_idx:
+            w = float(np.trace((h - segs[prev_idx][1]) @ rho).real) / dt
         own = _Spectral(rho, DEFAULT_EIG_CUT)
         heats: dict[str, float] = {}
         fluxes: dict[str, float] = {}

@@ -12,6 +12,7 @@ from decotherm.baths import (
     apply_generator,
     apply_generator_heisenberg,
     dephasing_bath,
+    generator_superop,
     left_pump_bath,
     left_pump_bath_from_beta,
     right_pump_bath,
@@ -26,7 +27,8 @@ from decotherm.errors import (
     NonPositiveOccupation,
     NotOrthonormal,
 )
-from decotherm.operators import assert_density_matrix, hs_inner
+from decotherm.operators import assert_density_matrix, hs_inner, superop_from_action
+from decotherm.scenarios import device_dephasing_bath
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -96,6 +98,31 @@ class TestApplyGenerator:
             lhs = hs_inner(apply_generator(gen, a), b)
             rhs = hs_inner(a, apply_generator_heisenberg(gen, b))
             assert abs(lhs - rhs) < 1e-11 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+class TestGeneratorSuperop:
+    """The closed-form matrix against apply_generator on every matrix unit."""
+
+    @staticmethod
+    def oracle(gen):
+        return superop_from_action(gen.dim, lambda m: apply_generator(gen, m)).matrix
+
+    def test_device_baths_bit_identical(self, rng):
+        # occupations and dephasing rates over the steady_sweep benchmark ranges
+        for _ in range(100):
+            n_l, n_r = 10.0 ** rng.uniform(-12.0, 6.0, 2)
+            gamma = 10.0 ** rng.uniform(-2.0, 2.0)
+            for bath in (left_pump_bath(n_l), right_pump_bath(n_r), device_dephasing_bath(gamma)):
+                closed = generator_superop(bath.generator).matrix
+                assert np.array_equal(closed, self.oracle(bath.generator))
+
+    def test_random_d16(self, rng):
+        gen = LindbladGenerator(
+            16, tuple(JumpTerm(r, random_complex(rng, 16)) for r in rng.uniform(0.1, 2.0, 6))
+        )
+        ref = self.oracle(gen)
+        err = np.linalg.norm(generator_superop(gen).matrix - ref) / np.linalg.norm(ref)
+        assert err <= 1e-14
 
 
 class TestDephasingBath:

@@ -8,7 +8,12 @@ import sys
 import pytest
 
 from decotherm import cli
-from decotherm.errors import DegenerateKernel
+from decotherm.errors import (
+    DegenerateKernel,
+    NonPositiveSolution,
+    StateInvariantViolated,
+    SupportViolation,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -196,13 +201,20 @@ class TestNumericalFailureExit:
             scenario="device-steady",
             params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 0.3},
         )
+        cases = [
+            (DegenerateKernel("stationary set is not unique"), "steady_state"),
+            (NonPositiveSolution("kernel vector is traceless"), "steady_state"),
+            (SupportViolation("state has weight outside supp(B(nu))"), "force"),
+            (StateInvariantViolated("trace drifted"), "propagate"),
+        ]
+        for exc, stage in cases:
 
-        def boom(*a, **k):
-            raise DegenerateKernel("stationary set is not unique")
+            def boom(*a, **k):
+                raise exc
 
-        monkeypatch.setattr(cli, "device_report", boom)
-        assert cli.run(str(path)) == 3
-        assert "steady_state" in capsys.readouterr().err
+            monkeypatch.setattr(cli, "device_report", boom)
+            assert cli.run(str(path)) == 3, type(exc).__name__
+            assert f"numerical failure in {stage}" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

@@ -9,7 +9,12 @@ from conftest import SX, SZ, ginibre_state
 from decotherm.baths import dephasing_bath, stationary_map, thermal_two_level_bath
 from decotherm.dynamics import EvolutionSpec, propagate
 from decotherm.errors import NotHermitian, SupportViolation
-from decotherm.scenarios import bloch_state, two_level_hamiltonian
+from decotherm.scenarios import (
+    TwoLevelDecoherenceParams,
+    bloch_state,
+    two_level_dephasing_assembly,
+    two_level_hamiltonian,
+)
 from decotherm.thermo import (
     energy,
     entropy_flux,
@@ -267,6 +272,17 @@ class TestSampleThermodynamics:
         assert samples[k].work_rate == pytest.approx(expected, rel=1e-12)
         interior = [s.work_rate for i, s in enumerate(samples) if i != k]
         assert all(w == 0.0 for w in interior)
+
+    def test_first_law_across_off_grid_switch(self):
+        # the switch rounds down to the grid (500.04 steps); the work impulse
+        # belongs at the first grid point after it, where H changes
+        h, bath, rho0 = two_level_dephasing_assembly(
+            TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=0.5, z=0.2)
+        )
+        spec = EvolutionSpec([(0.0, h), (0.50004, 2.0 * h)], (bath,), t_max=1.0, dt=1e-3)
+        samples = sample_thermodynamics(propagate(rho0, spec), spec)
+        assert [k for k, s in enumerate(samples) if s.work_rate != 0.0] == [501]
+        assert np.nanmax(first_law_residuals(samples)) <= 1e-6
 
 
 def test_sample_invariant_bounds(rng):
