@@ -52,7 +52,6 @@ from .operators import (
     assert_density_matrix,
     hermitize,
     hs_inner,
-    is_density_matrix,
     is_hermitian,
     matrix_exp_hermitian,
     matrix_log_on_support,
@@ -77,6 +76,7 @@ from .scenarios import (
 )
 from .thermo import (
     ThermoSample,
+    ThermoSamples,
     energy,
     entropy_flux,
     entropy_production,

@@ -31,11 +31,12 @@ from .errors import (
 )
 from .operators import (
     SuperOperator,
+    dagger,
     hermitize,
     matrix_exp_hermitian,
+    mul_left,
+    mul_right,
     require_square,
-    unvectorize,
-    vectorize,
 )
 
 
@@ -85,15 +86,23 @@ class LindbladGenerator:
         return self._rates
 
 
+def _require_operands(dim: int, a: np.ndarray, what: str) -> None:
+    """a must be one (dim, dim) operator or a stack (n, dim, dim) of them."""
+    if a.ndim not in (2, 3) or a.shape[-2:] != (dim, dim):
+        raise DimensionMismatch(f"{what} shape {a.shape} does not match dim {dim}")
+
+
 def apply_generator(gen: LindbladGenerator, a: np.ndarray) -> np.ndarray:
-    """Schrodinger-picture action: sum_k r_k (2 A a A† - A†A a - a A†A)."""
-    if a.shape != (gen.dim, gen.dim):
-        raise DimensionMismatch(f"operator shape {a.shape} does not match dim {gen.dim}")
-    out = np.zeros_like(a, dtype=complex)
+    """Schrodinger-picture action: sum_k r_k (2 A a A† - A†A a - a A†A),
+    on one operator or on each operator of a stack."""
+    _require_operands(gen.dim, a, "operator")
+    out = np.zeros(a.shape, dtype=complex)
     jumps, jjs, rates = gen.jump_stack, gen.jj_stack, gen.rate_stack
     for k in range(rates.shape[0]):
         aa = jumps[k]
-        out += rates[k] * (2.0 * (aa @ a @ aa.conj().T) - jjs[k] @ a - a @ jjs[k])
+        out += rates[k] * (
+            2.0 * mul_right(mul_left(aa, a), aa.conj().T) - mul_left(jjs[k], a) - mul_right(a, jjs[k])
+        )
     return out
 
 
@@ -187,23 +196,26 @@ def _fixed_point_map(bath: Bath) -> np.ndarray:
 
 
 def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
-    """Evaluate B(rho), the infinite-time limit of the bath's dynamical map."""
-    if rho.shape != (bath.dim, bath.dim):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match bath dim {bath.dim}")
+    """Evaluate B(rho), the infinite-time limit of the bath's dynamical map,
+    for one state (d, d) or for each state of a stack (n, d, d)."""
+    _require_operands(bath.dim, rho, "state")
     strat = bath.stationary_strategy
     if isinstance(strat, GibbsClosedForm):
-        return gibbs_state(strat.hamiltonian, strat.beta)
+        g = gibbs_state(strat.hamiltonian, strat.beta)
+        return g if rho.ndim == 2 else np.broadcast_to(g, rho.shape).copy()
     if isinstance(strat, PinchingClosedForm):
         u = strat.basis
-        probs = np.diag(u.conj().T @ rho @ u).copy()
-        return (u * probs) @ u.conj().T
-    out = unvectorize(_fixed_point_map(bath) @ vectorize(rho), bath.dim)
-    out = hermitize(out)
-    out /= np.trace(out).real
-    resid = float(np.linalg.norm(apply_generator(bath.generator, out)))
-    if resid >= strat.tol:
+        probs = np.diagonal(dagger(u) @ rho @ u, axis1=-2, axis2=-1)
+        return (u * probs[..., None, :]) @ dagger(u)
+    # vec() stacks columns, so vec(rho) is the row-major flattening of rho.T
+    images = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], bath.dim**2) @ _fixed_point_map(bath).T
+    out = hermitize(images.reshape(rho.shape).swapaxes(-1, -2))
+    del images  # as large as the stack; free it before the residual check
+    out /= np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+    resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))
+    if (resid >= strat.tol).any():
         raise NoConvergence(
-            f"stationary_map({bath.name}): residual {resid:.3e} >= tol {strat.tol:.1e} "
+            f"stationary_map({bath.name}): residual {np.max(resid):.3e} >= tol {strat.tol:.1e} "
             f"after propagating to t_max"
         )
     return out

@@ -15,8 +15,8 @@ Scenarios: two-level-decoherence (instant heat rate; with an "integrator"
 block it emits the dephasing trajectory instead), device-steady,
 device-trajectory, gamma-sweep. Exit codes: 0 ok, 1 I/O error, 2 config
 error, 3 numerical failure (degenerate or non-positive steady state, no
-convergence, support violation, trace drift in propagation); the message
-names the failing stage.
+convergence, support violation, trace drift in propagation, log of a
+non-PSD matrix); the message names the failing stage.
 """
 
 from __future__ import annotations
@@ -35,22 +35,25 @@ from .errors import (
     ConfigError,
     DecothermError,
     DegenerateKernel,
+    NegativeEigenvalue,
     NoConvergence,
     NonPositiveSolution,
     StateInvariantViolated,
     SupportViolation,
 )
 from .scenarios import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DeviceParams,
     TwoLevelDecoherenceParams,
-    bloch_coordinates,
     build_device,
     device_report,
     gamma_sweep,
     two_level_decoherence_heat,
     two_level_dephasing_assembly,
 )
-from .thermo import ThermoSample, sample_thermodynamics
+from .thermo import ThermoSamples, sample_thermodynamics
 
 SCENARIOS = ("two-level-decoherence", "device-steady", "device-trajectory", "gamma-sweep")
 FORMATS = ("csv", "json")
@@ -64,12 +67,12 @@ _NUMERICAL_STAGES = {
     NoConvergence: "stationary_map/steady_state",
     SupportViolation: "force (support of the stationary image)",
     StateInvariantViolated: "propagate",
+    NegativeEigenvalue: "spectral (log of a non-PSD matrix)",
 }
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits; lossless for 64-bit floats."""
-    return f"{x:.17g}"
+#: 17 significant digits; lossless for 64-bit floats
+_FLOAT = "%.17g"
 
 
 def _require_keys(table: dict, allowed: dict[str, bool], where: str) -> None:
@@ -190,22 +193,19 @@ def _validate_params(scenario: str, params: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _write_table(columns: list[str], rows: list[list[float]], path: str, fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if fmt == "csv":
+            line = ",".join([_FLOAT] * len(columns)) + "\n"
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(line % tuple(row) for row in rows)
+        else:
+            payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
             json.dump(payload, fh, indent=1)
             fh.write("\n")
 
 
 def trajectory_table(
-    traj: Trajectory, samples: list[ThermoSample], bath_names: list[str]
+    traj: Trajectory, samples: ThermoSamples, bath_names: list[str]
 ) -> tuple[list[str], list[list[float]]]:
     """Column order contract: t, energy, work_rate, heat_<bath>..., entropy,
     flux_<bath>..., entropy_production, rel_entropy_<bath>..., and Bloch
@@ -219,24 +219,22 @@ def trajectory_table(
     columns += [f"flux_{n}" for n in bath_names]
     columns += ["entropy_production"]
     columns += [f"rel_entropy_{n}" for n in bath_names]
+    values = [samples.t, samples.energy, samples.work_rate]
+    values += [samples.heat_rates[n] for n in bath_names]
+    values += [samples.entropy]
+    values += [samples.entropy_flux[n] for n in bath_names]
+    values += [samples.entropy_production]
+    values += [samples.relative_entropies[n] for n in bath_names]
     if d == 2:
         columns += ["bloch_x", "bloch_y", "bloch_z"]
-    rows = []
-    for k, s in enumerate(samples):
-        row = [s.t, s.energy, s.work_rate]
-        row += [s.heat_rates[n] for n in bath_names]
-        row += [s.entropy]
-        row += [s.entropy_flux[n] for n in bath_names]
-        row += [s.entropy_production]
-        row += [s.relative_entropies[n] for n in bath_names]
-        if d == 2:
-            row += list(bloch_coordinates(traj.states[k]))
-        rows.append(row)
-    return columns, rows
+        values += [
+            np.trace(traj.states @ s, axis1=1, axis2=2).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        ]
+    return columns, np.column_stack(values).tolist()
 
 
 def emit_trajectory(
-    traj: Trajectory, samples: list[ThermoSample], bath_names: list[str], path: str, fmt: str
+    traj: Trajectory, samples: ThermoSamples, bath_names: list[str], path: str, fmt: str
 ) -> None:
     columns, rows = trajectory_table(traj, samples, bath_names)
     _write_table(columns, rows, path, fmt)
@@ -276,7 +274,7 @@ def _run_two_level(cfg: RunConfig) -> str:
         traj = propagate(rho0, spec)
         samples = sample_thermodynamics(traj, spec)
         emit_trajectory(traj, samples, [bath.name], cfg.output_path, cfg.output_format)
-        q0 = samples[0].heat_rates[bath.name]
+        q0 = samples.heat_rates[bath.name][0]
         return (
             f"two-level-decoherence trajectory: {len(traj)} points, "
             f"initial heat_rate={q0:.6g}"
@@ -324,8 +322,8 @@ def _run_device_trajectory(cfg: RunConfig) -> str:
     names = [b.name for b in assembly.baths]
     emit_trajectory(traj, samples, names, cfg.output_path, cfg.output_format)
     return (
-        f"device-trajectory: {len(traj)} points, final entropy={samples[-1].entropy:.6g}, "
-        f"final P={samples[-1].entropy_production:.6g}"
+        f"device-trajectory: {len(traj)} points, final entropy={samples.entropy[-1]:.6g}, "
+        f"final P={samples.entropy_production[-1]:.6g}"
     )
 
 

@@ -22,17 +22,16 @@ from .baths import (
     apply_generator,
     apply_generator_heisenberg,
     generator_superop,
-    stationary_map,
 )
-from .errors import DimensionMismatch, MissingPair, SupportViolation, ZeroCoherence
+from .errors import DimensionMismatch, MissingPair, ZeroCoherence
 from .operators import (
     DEFAULT_EIG_CUT,
+    Spectrum,
     SuperOperator,
     hermitize,
     hs_inner,
-    matrix_log_on_support,
 )
-from .thermo import SUPPORT_TOL, _Spectral
+from .thermo import _supported_log
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +52,7 @@ def force(bath: Bath, nu: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> np.nd
     """X_b = log B_b(nu) - log nu, logs taken on the support."""
     if nu.shape != (bath.dim, bath.dim):
         raise DimensionMismatch(f"state shape {nu.shape} does not match bath dim {bath.dim}")
-    b = _Spectral(stationary_map(bath, nu), eig_cut)
-    leak = b.leak_of(nu)
-    if leak > SUPPORT_TOL:
-        raise SupportViolation(
-            f"state has weight {leak:.3e} outside supp(B(nu)) for bath {bath.name}"
-        )
-    return b.log - matrix_log_on_support(hermitize(nu), eig_cut)
+    return _supported_log(bath, nu, eig_cut) - Spectrum.of(hermitize(nu), eig_cut).log
 
 
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
@@ -129,7 +122,7 @@ def force_parameters(nu: np.ndarray, coherence_tol: float = 1e-12) -> ForceParam
         raise DimensionMismatch(f"force parameters need a 3x3 device state, got {nu.shape}")
     if abs(nu[1, 2]) <= coherence_tol:
         raise ZeroCoherence("state has no L-R coherence; x_d is undefined")
-    log_nu = matrix_log_on_support(hermitize(nu))
+    log_nu = Spectrum.of(hermitize(nu)).log
     x_l = float((log_nu[1, 2] + log_nu[2, 1]).real)
     return ForceParameters(x_d=-x_l, x_l=x_l)
 

@@ -13,6 +13,10 @@ All entropic quantities are in nats. Sign conventions:
 Relative entropy to a bath's stationary set returns +inf when the state
 has support outside the support of its stationary image; that is a
 legitimate thermodynamic answer, not an error.
+
+The scalar functions take one state. `sample_thermodynamics` evaluates the
+same quantities along a whole trajectory, a block of states at a time,
+with the stacked forms of the same helpers.
 """
 
 from __future__ import annotations
@@ -22,13 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import Bath, apply_generator, stationary_map
+from .baths import (
+    Bath,
+    GibbsClosedForm,
+    PinchingClosedForm,
+    apply_generator,
+    gibbs_state,
+    stationary_map,
+)
 from .dynamics import EvolutionSpec, Trajectory
-from .errors import NegativeEigenvalue, SupportViolation
+from .errors import SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
+    Spectrum,
     hermitize,
-    matrix_log_on_support,
+    mul_right,
     require_hermitian,
     require_same_dim,
 )
@@ -36,6 +48,11 @@ from .operators import (
 #: Max weight a state may carry on the numerical kernel of a reference
 #: state before the support condition is declared violated.
 SUPPORT_TOL = 1e-10
+
+#: Matrix entries per stacked block of the sampler: 2**14 complex entries
+#: are 256 KiB per stacked array, which keeps the sampler's working set
+#: small next to the trajectory it reads (64 points at d = 16).
+_BLOCK_ENTRIES = 2**14
 
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:
@@ -59,39 +76,38 @@ def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     return float(np.trace(h @ apply_generator(bath.generator, rho)).real)
 
 
-class _Spectral:
-    """Support-restricted log, kernel projector, and entropy of one
-    Hermitian PSD matrix, from a single eigendecomposition."""
+def _stationary_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> tuple[np.ndarray, np.ndarray]:
+    """log B(rho) on the support of B(rho), and the weight rho carries off
+    that support, for one state or a stack of states.
 
-    def __init__(self, m: np.ndarray, eig_cut: float):
-        lam, u = np.linalg.eigh(hermitize(m))
-        cut = eig_cut * max(float(lam[-1]), 0.0)
-        if float(lam[0]) < -cut:
-            raise NegativeEigenvalue(f"matrix has eigenvalue {lam[0]:.3e} below -{cut:.1e}")
-        keep = lam > cut
-        self.support = u[:, keep]
-        self.kernel = u[:, ~keep]
-        self.eigs = lam[keep]
-        if keep.any():
-            self.log = (self.support * np.log(self.eigs)) @ self.support.conj().T
-        else:
-            self.log = np.zeros_like(np.asarray(m), dtype=complex)
+    The Gibbs image is the same for every state and the pinched image is
+    diagonal in the bath's basis, so neither needs an eigensolve per state.
+    """
+    strat = bath.stationary_strategy
+    if isinstance(strat, PinchingClosedForm):
+        u = strat.basis
+        probs = np.einsum("ij,...ij->...j", u.conj(), mul_right(rho, u)).real
+        spec = Spectrum.from_eig(probs, u, eig_cut)
+    elif isinstance(strat, GibbsClosedForm):
+        spec = Spectrum.of(hermitize(gibbs_state(strat.hamiltonian, strat.beta)), eig_cut)
+    else:
+        spec = Spectrum.of(stationary_map(bath, rho), eig_cut)
+    return spec.log, spec.leak_of(rho)
 
-    def entropy(self) -> float:
-        if self.eigs.size == 0:
-            return 0.0
-        return float(-(self.eigs * np.log(self.eigs)).sum())
 
-    def leak_of(self, rho: np.ndarray) -> float:
-        """Weight of rho on this matrix's numerical kernel."""
-        if self.kernel.shape[1] == 0:
-            return 0.0
-        return float(np.einsum("ik,ij,jk->", self.kernel.conj(), rho, self.kernel).real)
+def _supported_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> np.ndarray:
+    """log B(rho) of one state; SupportViolation if rho leaks off its support."""
+    log_b, leak = _stationary_log(bath, rho, eig_cut)
+    if leak > SUPPORT_TOL:
+        raise SupportViolation(
+            f"state has weight {leak:.3e} outside supp(B(rho)) for bath {bath.name}"
+        )
+    return log_b
 
 
 def von_neumann_entropy(rho: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> float:
     """S = -sum lambda ln lambda over the spectrum above the support cut."""
-    return _Spectral(rho, eig_cut).entropy()
+    return float(Spectrum.of(hermitize(rho), eig_cut).entropy())
 
 
 def relative_entropy_to_bath(rho: np.ndarray, bath: Bath, eig_cut: float = DEFAULT_EIG_CUT) -> float:
@@ -99,37 +115,27 @@ def relative_entropy_to_bath(rho: np.ndarray, bath: Bath, eig_cut: float = DEFAU
 
     Returns +inf when supp(rho) is not contained in supp(B(rho)).
     """
-    b = _Spectral(stationary_map(bath, rho), eig_cut)
-    if b.leak_of(rho) > SUPPORT_TOL:
+    log_b, leak = _stationary_log(bath, rho, eig_cut)
+    if leak > SUPPORT_TOL:
         return math.inf
-    log_rho = matrix_log_on_support(hermitize(rho), eig_cut)
-    return float(np.trace(rho @ (log_rho - b.log)).real)
+    log_rho = Spectrum.of(hermitize(rho), eig_cut).log
+    return float(np.trace(rho @ (log_rho - log_b)).real)
 
 
 def entropy_flux(bath: Bath, rho: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> float:
     """Phi_b = -Tr[L_b(rho) log B_b(rho)], positive into the system."""
-    b = _Spectral(stationary_map(bath, rho), eig_cut)
-    leak = b.leak_of(rho)
-    if leak > SUPPORT_TOL:
-        raise SupportViolation(
-            f"state has weight {leak:.3e} outside supp(B(rho)) for bath {bath.name}"
-        )
-    return float(-np.trace(apply_generator(bath.generator, rho) @ b.log).real)
+    log_b = _supported_log(bath, rho, eig_cut)
+    return float(-np.trace(apply_generator(bath.generator, rho) @ log_b).real)
 
 
 def entropy_production(rho: np.ndarray, baths, eig_cut: float = DEFAULT_EIG_CUT) -> float:
     """P = sum_b Tr[L_b(rho) (log B_b(rho) - log rho)] >= 0."""
-    log_rho = matrix_log_on_support(hermitize(rho), eig_cut)
+    log_rho = Spectrum.of(hermitize(rho), eig_cut).log
     total = 0.0
     for bath in baths:
-        b = _Spectral(stationary_map(bath, rho), eig_cut)
-        leak = b.leak_of(rho)
-        if leak > SUPPORT_TOL:
-            raise SupportViolation(
-                f"state has weight {leak:.3e} outside supp(B(rho)) for bath {bath.name}"
-            )
+        log_b = _supported_log(bath, rho, eig_cut)
         flow = apply_generator(bath.generator, rho)
-        total += float(np.trace(flow @ (b.log - log_rho)).real)
+        total += float(np.trace(flow @ (log_b - log_rho)).real)
     return total
 
 
@@ -146,65 +152,133 @@ class ThermoSample:
     support_ok: bool = True
 
 
-def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> list[ThermoSample]:
-    """One ThermoSample per trajectory point.
+@dataclass(frozen=True, eq=False)
+class ThermoSamples:
+    """The observables of every trajectory point, one array per column
+    (per-bath columns keyed by bath name). Indexing and iteration give a
+    ThermoSample view of one point."""
+
+    t: np.ndarray
+    energy: np.ndarray
+    work_rate: np.ndarray
+    heat_rates: dict[str, np.ndarray]
+    entropy: np.ndarray
+    entropy_flux: dict[str, np.ndarray]
+    entropy_production: np.ndarray
+    relative_entropies: dict[str, np.ndarray]
+    support_ok: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return self.t.shape[0]
+
+    def __getitem__(self, k: int) -> ThermoSample:
+        k = range(len(self))[k]
+        return ThermoSample(
+            t=float(self.t[k]),
+            energy=float(self.energy[k]),
+            work_rate=float(self.work_rate[k]),
+            heat_rates={n: float(v[k]) for n, v in self.heat_rates.items()},
+            entropy=float(self.entropy[k]),
+            entropy_flux={n: float(v[k]) for n, v in self.entropy_flux.items()},
+            entropy_production=float(self.entropy_production[k]),
+            relative_entropies={n: float(v[k]) for n, v in self.relative_entropies.items()},
+            support_ok=bool(self.support_ok[k]),
+        )
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr[a b] for each pair of a stack."""
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
+# The two helpers below return only per-point values and the log, so the
+# block-sized eigenvectors, flows and images they make are freed on return:
+# these temporaries set the sampler's memory peak at d = 16.
+
+def _entropy_and_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and support logs of a block of states."""
+    own = Spectrum.of(hermitize(rho), DEFAULT_EIG_CUT)
+    return own.entropy(), own.log
+
+
+def _bath_terms(bath: Bath, rho: np.ndarray, h: np.ndarray, log_rho: np.ndarray):
+    """Heat, entropy flux, relative entropy, entropy-production term and
+    support leak of one bath over a block of states."""
+    flow = apply_generator(bath.generator, rho)
+    log_b, leak = _stationary_log(bath, rho, DEFAULT_EIG_CUT)
+    return (
+        _traces(h, flow),
+        -_traces(flow, log_b),
+        _traces(rho, log_rho - log_b),
+        _traces(flow, log_b - log_rho),
+        leak,
+    )
+
+
+def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSamples:
+    """The thermodynamic observables at every trajectory point.
+
+    The states are processed in blocks of _BLOCK_ENTRIES // d² points:
+    one stacked eigensolve of the states, one stacked stationary image
+    and one stacked flow per bath, and traces as einsums.
 
     The work rate reflects the piecewise-constant schedule: zero except at
     the first grid point at or after a switch, where the impulsive energy
-    jump Tr[(H+ - H-) rho] is spread over one step. A SupportViolation at a
-    point flags the sample (support_ok=False, nan entries) instead of
+    jump Tr[(H+ - H-) rho] is spread over one step. A point whose state
+    leaks off the support of a stationary image is flagged (support_ok
+    False, nan flux and production, infinite relative entropy) instead of
     aborting the sweep.
     """
     segs = spec.segments()
-    dt = traj.dt
-    samples: list[ThermoSample] = []
-    seg_idx = 0
-    for k, t in enumerate(traj.times):
-        rho = traj.states[k]
-        prev_idx = seg_idx
-        while seg_idx + 1 < len(segs) and segs[seg_idx + 1][0] <= float(t) + 1e-15:
-            seg_idx += 1
-        h = segs[seg_idx][1]
-        w = 0.0
-        if seg_idx != prev_idx:
-            w = float(np.trace((h - segs[prev_idx][1]) @ rho).real) / dt
-        own = _Spectral(rho, DEFAULT_EIG_CUT)
-        heats: dict[str, float] = {}
-        fluxes: dict[str, float] = {}
-        rel: dict[str, float] = {}
-        prod = 0.0
-        ok = True
+    hams = np.stack([h for _, h in segs])
+    times, states = traj.times, traj.states
+    n, d = states.shape[0], states.shape[1]
+    seg = np.searchsorted([t for t, _ in segs], times + 1e-15, side="right") - 1
+    prev = np.concatenate(([0], seg[:-1]))
+    work = np.zeros(n)
+    switch = np.flatnonzero(seg != prev)
+    work[switch] = _traces(hams[seg[switch]] - hams[prev[switch]], states[switch]) / traj.dt
+
+    names = [b.name for b in spec.baths]
+    energy_, entropy = np.empty(n), np.empty(n)
+    production = np.zeros(n)
+    ok = np.ones(n, dtype=bool)
+    heats = {name: np.empty(n) for name in names}
+    fluxes = {name: np.empty(n) for name in names}
+    rel = {name: np.empty(n) for name in names}
+    block = max(1, _BLOCK_ENTRIES // (d * d))
+    for lo in range(0, n, block):
+        sl = slice(lo, lo + block)
+        rho, h = states[sl], hams[seg[sl]]
+        energy_[sl] = _traces(h, rho)
+        entropy[sl], log_rho = _entropy_and_log(rho)
         for bath in spec.baths:
-            flow = apply_generator(bath.generator, rho)
-            heats[bath.name] = float(np.trace(h @ flow).real)
-            b = _Spectral(stationary_map(bath, rho), DEFAULT_EIG_CUT)
-            if b.leak_of(rho) > SUPPORT_TOL:
-                rel[bath.name] = math.inf
-                fluxes[bath.name] = math.nan
-                prod = math.nan
-                ok = False
-                continue
-            rel[bath.name] = float(np.trace(rho @ (own.log - b.log)).real)
-            fluxes[bath.name] = float(-np.trace(flow @ b.log).real)
-            if not math.isnan(prod):
-                prod += float(np.trace(flow @ (b.log - own.log)).real)
-        samples.append(
-            ThermoSample(
-                t=float(t),
-                energy=float(np.trace(h @ rho).real),
-                work_rate=w,
-                heat_rates=heats,
-                entropy=own.entropy(),
-                entropy_flux=fluxes,
-                entropy_production=prod,
-                relative_entropies=rel,
-                support_ok=ok,
+            heats[bath.name][sl], fluxes[bath.name][sl], rel[bath.name][sl], prod, leak = (
+                _bath_terms(bath, rho, h, log_rho)
             )
-        )
-    return samples
+            production[sl] += prod
+            off = leak > SUPPORT_TOL
+            ok[sl] &= ~off
+            fluxes[bath.name][sl][off] = math.nan
+            rel[bath.name][sl][off] = math.inf
+    production[~ok] = math.nan
+    return ThermoSamples(
+        t=times.astype(float),
+        energy=energy_,
+        work_rate=work,
+        heat_rates=heats,
+        entropy=entropy,
+        entropy_flux=fluxes,
+        entropy_production=production,
+        relative_entropies=rel,
+        support_ok=ok,
+    )
 
 
-def first_law_residuals(samples: list[ThermoSample]) -> np.ndarray:
+def first_law_residuals(samples: ThermoSamples) -> np.ndarray:
     """|dE/dt - W' - sum_b Q_b| by centered differences at interior points.
 
     Endpoints and points adjacent to a Hamiltonian switch (where the work
@@ -214,12 +288,13 @@ def first_law_residuals(samples: list[ThermoSample]) -> np.ndarray:
     out = np.full(n, np.nan)
     if n < 3:
         return out
-    dt = samples[1].t - samples[0].t
-    e = np.array([s.energy for s in samples])
-    switchy = {k for k, s in enumerate(samples) if s.work_rate != 0.0}
-    for k in range(1, n - 1):
-        if {k - 1, k, k + 1} & switchy:
-            continue
-        de = (e[k + 1] - e[k - 1]) / (2.0 * dt)
-        out[k] = abs(de - samples[k].work_rate - sum(samples[k].heat_rates.values()))
+    dt = samples.t[1] - samples.t[0]
+    e, w = samples.energy, samples.work_rate
+    q = 0.0
+    for col in samples.heat_rates.values():
+        q = q + col
+    resid = np.abs((e[2:] - e[:-2]) / (2.0 * dt) - w[1:-1] - np.broadcast_to(q, (n,))[1:-1])
+    switchy = w != 0.0
+    near = switchy[:-2] | switchy[1:-1] | switchy[2:]
+    out[1:-1] = np.where(near, np.nan, resid)
     return out

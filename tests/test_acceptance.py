@@ -251,7 +251,7 @@ def test_05_relative_entropy_monotonicity():
 
 
 def test_06_first_law():
-    with criterion("06 first law along scenario trajectories"):
+    with criterion("06 first law along scenario trajectories", budget=3.0):
         # two-level decoherence scenario
         p = TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=0.5, z=0.2)
         h, bath, rho0 = two_level_dephasing_assembly(p)

@@ -86,10 +86,19 @@ class TestApplyGenerator:
         rho = ginibre_state(rng, 3)
         assert np.max(np.abs(apply_generator(gen, rho) - dissipator_oracle(rho, terms))) < 1e-13
 
+    def test_stack_matches_each_operator(self, rng):
+        gen = LindbladGenerator(4, tuple(JumpTerm(r, random_complex(rng, 4)) for r in (0.3, 1.1)))
+        stack = np.stack([random_complex(rng, 4) for _ in range(5)])
+        out = apply_generator(gen, stack)
+        for a, b in zip(stack, out):
+            assert np.max(np.abs(b - apply_generator(gen, a))) < 1e-13
+
     def test_dimension_mismatch(self):
         bath = dephasing_bath(Z_BASIS, gamma=1.0)
         with pytest.raises(DimensionMismatch):
             apply_generator(bath.generator, np.eye(3, dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            apply_generator(bath.generator, np.zeros((2, 2, 2, 2), dtype=complex))
 
     def test_heisenberg_is_hs_adjoint(self, rng):
         gen = LindbladGenerator(3, (JumpTerm(0.8, random_complex(rng, 3)),))
@@ -259,6 +268,18 @@ class TestStationaryMapGeneral:
         again = stationary_map(bath, out)
         assert np.max(np.abs(again - out)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "bath",
+        [thermal_two_level_bath(1.0, 1.0, 1.0), dephasing_bath(Z_BASIS, 0.7), left_pump_bath(0.6)],
+        ids=["thermal", "dephasing", "left-pump"],
+    )
+    def test_stack_matches_each_state(self, bath, rng):
+        stack = np.stack([ginibre_state(rng, bath.dim) for _ in range(4)])
+        out = stationary_map(bath, stack)
+        assert out.shape == stack.shape
+        for rho, b in zip(stack, out):
+            assert np.max(np.abs(b - stationary_map(bath, rho))) < 1e-14
+
     def test_no_convergence_when_t_max_too_small(self, rng):
         base = left_pump_bath(0.6)
         strangled = Bath(
@@ -266,3 +287,5 @@ class TestStationaryMapGeneral:
         )
         with pytest.raises(NoConvergence):
             stationary_map(strangled, ginibre_state(rng, 3))
+        with pytest.raises(NoConvergence):
+            stationary_map(strangled, np.stack([ginibre_state(rng, 3) for _ in range(3)]))

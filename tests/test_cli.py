@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from decotherm import cli
 from decotherm.errors import (
     DegenerateKernel,
+    NegativeEigenvalue,
     NonPositiveSolution,
     StateInvariantViolated,
     SupportViolation,
@@ -206,6 +208,7 @@ class TestNumericalFailureExit:
             (NonPositiveSolution("kernel vector is traceless"), "steady_state"),
             (SupportViolation("state has weight outside supp(B(nu))"), "force"),
             (StateInvariantViolated("trace drifted"), "propagate"),
+            (NegativeEigenvalue("matrix has eigenvalue -1e-3; not PSD"), "spectral"),
         ]
         for exc, stage in cases:
 
@@ -219,10 +222,14 @@ class TestNumericalFailureExit:
 
 def test_console_entry_point(tmp_path):
     path = write_config(tmp_path)
+    # the child imports the same package this process imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "decotherm.cli", "run", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "heat_rate" in proc.stdout

@@ -6,6 +6,7 @@ from conftest import SX, SZ, ginibre_state, random_complex, random_hermitian
 
 from decotherm.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 from decotherm.operators import (
+    Spectrum,
     SuperOperator,
     hermitize,
     hs_inner,
@@ -70,6 +71,29 @@ class TestMatrixLogOnSupport:
         rho = ginibre_state(rng, 3, mix=0.3)
         ref = scipy.linalg.logm(rho)
         assert np.max(np.abs(matrix_log_on_support(rho) - ref)) < 1e-10
+
+
+class TestSpectrum:
+    def test_stack_matches_each_matrix(self, rng):
+        states = [ginibre_state(rng, 4, mix=0.1) for _ in range(3)]
+        stack = np.stack(states + [np.diag([0.5, 0.5, 0.0, 0.0])])
+        spec = Spectrum.of(stack)
+        logs, entropies = spec.log, spec.entropy()
+        for rho, log_m, s in zip(stack, logs, entropies):
+            assert np.max(np.abs(log_m - matrix_log_on_support(rho))) < 1e-13
+            lam = np.linalg.eigvalsh(rho)
+            lam = lam[lam > 1e-12]
+            assert s == pytest.approx(-np.sum(lam * np.log(lam)), rel=1e-13)
+
+    def test_leak_onto_kernel(self):
+        spec = Spectrum.of(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        states = np.stack([np.diag([0.5, 0.3, 0.2]), np.diag([1.0, 0.0, 0.0])]).astype(complex)
+        assert np.allclose(spec.leak_of(states), [0.5, 0.0], atol=1e-15)
+
+    def test_negative_eigenvalue_anywhere_in_stack(self):
+        stack = np.stack([np.eye(2) / 2, np.diag([1.0, -0.2])]).astype(complex)
+        with pytest.raises(NegativeEigenvalue):
+            Spectrum.of(stack)
 
 
 class TestMatrixExpHermitian:

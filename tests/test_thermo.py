@@ -4,11 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from conftest import SX, SZ, ginibre_state
+from conftest import SX, SZ, ginibre_state, random_complex
 
-from decotherm.baths import dephasing_bath, stationary_map, thermal_two_level_bath
+from decotherm import thermo
+from decotherm.baths import (
+    Bath,
+    JumpTerm,
+    LindbladGenerator,
+    PropagateToFixedPoint,
+    dephasing_bath,
+    left_pump_bath,
+    stationary_map,
+    thermal_two_level_bath,
+)
 from decotherm.dynamics import EvolutionSpec, propagate
-from decotherm.errors import NotHermitian, SupportViolation
+from decotherm.errors import NoConvergence, NotHermitian, SupportViolation
 from decotherm.scenarios import (
     TwoLevelDecoherenceParams,
     bloch_state,
@@ -16,6 +26,7 @@ from decotherm.scenarios import (
     two_level_hamiltonian,
 )
 from decotherm.thermo import (
+    ThermoSample,
     energy,
     entropy_flux,
     entropy_production,
@@ -283,6 +294,145 @@ class TestSampleThermodynamics:
         samples = sample_thermodynamics(propagate(rho0, spec), spec)
         assert [k for k, s in enumerate(samples) if s.work_rate != 0.0] == [501]
         assert np.nanmax(first_law_residuals(samples)) <= 1e-6
+
+
+def _random_d16_run(seed=16):
+    """Random d = 16 model with switches off the grid, sampled over several
+    blocks of the sampler."""
+    rng = np.random.default_rng(seed)
+    d = 16
+
+    def hamiltonian():
+        a = random_complex(rng, d)
+        h = 0.5 * (a + a.conj().T)
+        return h / np.linalg.norm(h, 2)
+
+    baths = [
+        Bath(name, LindbladGenerator(d, tuple(
+            JumpTerm(r, random_complex(rng, d) / d) for r in rng.uniform(0.1, 1.0, 3))),
+            PropagateToFixedPoint())
+        for name in ("hot", "cold")
+    ]
+    basis, _ = np.linalg.qr(random_complex(rng, d))
+    baths.append(dephasing_bath([basis[:, j] for j in range(d)], 0.05))
+    dt = 1e-3
+    schedule = [(0.0, hamiltonian()), (70.4 * dt, hamiltonian()), (151.7 * dt, hamiltonian())]
+    spec = EvolutionSpec(schedule, tuple(baths), t_max=200 * dt, dt=dt)
+    return propagate(ginibre_state(rng, d, mix=0.1), spec), spec
+
+
+def _device_run():
+    from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
+
+    assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
+    spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.1)
+    return propagate(np.eye(3, dtype=complex) / 3.0, spec), spec
+
+
+def _two_level_run():
+    h, bath, rho0 = two_level_dephasing_assembly(
+        TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=0.5, z=0.2)
+    )
+    spec = EvolutionSpec(h, (bath,), t_max=0.3)
+    return propagate(rho0, spec), spec
+
+
+class TestSamplerColumns:
+    """The columns of the blocked sampler against the scalar observables."""
+
+    @pytest.mark.parametrize("run", [_device_run, _two_level_run, _random_d16_run],
+                             ids=["device", "two-level", "random-d16"])
+    def test_columns_match_scalar_functions(self, run):
+        traj, spec = run()
+        samples = sample_thermodynamics(traj, spec)
+        segs = spec.segments()
+        starts = [t for t, _ in segs]
+        ref = {"energy": [], "entropy": [], "entropy_production": []}
+        for b in spec.baths:
+            ref[f"heat_{b.name}"], ref[f"flux_{b.name}"], ref[f"rel_{b.name}"] = [], [], []
+        for t, rho in zip(traj.times, traj.states):
+            h = segs[np.searchsorted(starts, t + 1e-15, side="right") - 1][1]
+            ref["energy"].append(energy(h, rho))
+            ref["entropy"].append(von_neumann_entropy(rho))
+            ref["entropy_production"].append(entropy_production(rho, spec.baths))
+            for b in spec.baths:
+                ref[f"heat_{b.name}"].append(heat_rate(h, b, rho))
+                ref[f"flux_{b.name}"].append(entropy_flux(b, rho))
+                ref[f"rel_{b.name}"].append(relative_entropy_to_bath(rho, b))
+        got = {"energy": samples.energy, "entropy": samples.entropy,
+               "entropy_production": samples.entropy_production}
+        for b in spec.baths:
+            got[f"heat_{b.name}"] = samples.heat_rates[b.name]
+            got[f"flux_{b.name}"] = samples.entropy_flux[b.name]
+            got[f"rel_{b.name}"] = samples.relative_entropies[b.name]
+        if spec.dim == 16:
+            assert len(traj) > 3 * (thermo._BLOCK_ENTRIES // 16**2)
+        assert samples.support_ok.all()
+        # relative to the scale of the observables along the run
+        scale = max(np.max(np.abs(v)) for v in ref.values())
+        for name, values in ref.items():
+            dev = np.max(np.abs(got[name] - np.array(values)))
+            assert dev <= 1e-12 * scale, f"{name}: {dev:.3e}"
+
+    def test_switch_at_block_start_gets_one_impulse(self):
+        h0 = np.diag([0.0, 1.0]).astype(complex)
+        h1 = two_level_hamiltonian(1.0)
+        h2 = 2.0 * h0
+        dt = 1e-3
+        block = thermo._BLOCK_ENTRIES // 4
+        # off the grid, rounding up to the first point of block 1; on the
+        # grid at the first point of block 2
+        schedule = [(0.0, h0), ((block - 0.4) * dt, h1), (2 * block * dt, h2)]
+        spec = EvolutionSpec(schedule, (), t_max=(2 * block + 10) * dt, dt=dt)
+        traj = propagate(bloch_state(0.3, 0.0, 0.5), spec)
+        samples = sample_thermodynamics(traj, spec)
+        assert list(np.flatnonzero(samples.work_rate)) == [block, 2 * block]
+        for k, (h_new, h_old) in ((block, (h1, h0)), (2 * block, (h2, h1))):
+            expected = np.trace((h_new - h_old) @ traj.states[k]).real / dt
+            assert samples.work_rate[k] == pytest.approx(expected, rel=1e-12)
+
+    def test_support_mask_is_per_point(self):
+        # a cold bath whose Gibbs image is the ground projector: clean while
+        # the state sits in the ground state, off the support once a drive
+        # switched on at t = 0.05 lifts some population
+        bath = thermal_two_level_bath(1.0, 900.0, 0.1)
+        schedule = [(0.0, np.diag([0.0, 1.0]).astype(complex)), (0.05, SX.copy())]
+        spec = EvolutionSpec(schedule, (bath,), t_max=0.1, dt=0.01)
+        traj = propagate(np.diag([1.0, 0.0]).astype(complex), spec)
+        samples = sample_thermodynamics(traj, spec)
+        expected = [relative_entropy_to_bath(rho, bath) != math.inf for rho in traj.states]
+        assert list(samples.support_ok) == expected
+        assert any(expected) and not all(expected)
+        bad = ~samples.support_ok
+        assert np.all(np.isnan(samples.entropy_flux[bath.name][bad]))
+        assert np.all(np.isnan(samples.entropy_production[bad]))
+        assert np.all(samples.relative_entropies[bath.name][bad] == math.inf)
+        good = samples.support_ok
+        assert np.all(np.isfinite(samples.entropy_flux[bath.name][good]))
+        assert np.all(np.isfinite(samples.entropy_production[good]))
+
+    def test_fixed_point_residual_failure_raises(self, rng):
+        base = left_pump_bath(0.6)
+        strangled = Bath("left", base.generator, PropagateToFixedPoint(tol=1e-11, t_max=0.01))
+        spec = EvolutionSpec(np.zeros((3, 3), dtype=complex), (strangled,), t_max=0.05, dt=0.01)
+        traj = propagate(ginibre_state(rng, 3), spec)
+        with pytest.raises(NoConvergence):
+            sample_thermodynamics(traj, spec)
+
+    def test_point_views(self):
+        traj, spec = _two_level_run()
+        samples = sample_thermodynamics(traj, spec)
+        n = len(samples)
+        assert n == len(traj)
+        last = samples[-1]
+        assert isinstance(last, ThermoSample)
+        assert last.t == traj.times[-1] and last.support_ok
+        assert last.heat_rates == {"dephasing": samples.heat_rates["dephasing"][n - 1]}
+        views = list(samples)
+        assert len(views) == n
+        assert [v.energy for v in views] == list(samples.energy)
+        with pytest.raises(IndexError):
+            samples[n]
 
 
 def test_sample_invariant_bounds(rng):
