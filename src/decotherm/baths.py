@@ -2,9 +2,11 @@
 
 A bath is a generator plus a strategy for evaluating its stationary map
 B(rho) = lim_{t->inf} exp(t L)(rho): closed-form Gibbs projection for
-relaxation baths, pinching for decoherence baths, and exact exponential
-propagation for anything else (the three-level pump baths, whose stationary
-set depends on the initial state).
+relaxation baths, pinching for decoherence baths, and the spectral projector
+onto ker L for anything else (the three-level pump baths, whose stationary
+set depends on the initial state). Lindblad generators have a semisimple
+kernel (Baumgartner & Narnhofer, J. Phys. A 41, 395303 (2008)), so that
+projector is exactly the t -> inf limit.
 
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -152,8 +153,13 @@ class PinchingClosedForm:
 
 @dataclass(frozen=True, eq=False)
 class PropagateToFixedPoint:
+    """B(rho) as the spectral projector onto ker L applied to vec(rho).
+
+    tol bounds the Frobenius norm of L(B(rho)) for each state; a larger
+    residual raises NoConvergence.
+    """
+
     tol: float = 1e-11
-    t_max: float | None = None  # None: 1e3 / smallest nonzero rate
 
 
 StationaryStrategy = Union[GibbsClosedForm, PinchingClosedForm, PropagateToFixedPoint]
@@ -177,20 +183,21 @@ def gibbs_state(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _fixed_point_map(bath: Bath) -> np.ndarray:
-    """exp(L * t_eff) as a d²×d² matrix, cached on the bath."""
+    """The spectral projector onto ker L as a d²×d² matrix, cached on the bath.
+
+    With L = U S V†, the right and left null vectors R and N are the columns
+    of V and U whose singular values are at or below s[0]·d²·eps (numpy's
+    matrix_rank rule), and P = R (N†R)⁻¹ N†. L = 0 gives P = I.
+    """
     if bath._fp_map is not None:
         return bath._fp_map
-    strat = bath.stationary_strategy
-    rates = bath.generator.rate_stack
-    positive = rates[rates > 0]
-    if strat.t_max is not None:
-        t_eff = strat.t_max
-    elif positive.size:
-        t_eff = 1e3 / float(positive.min())
-    else:
-        t_eff = 0.0  # no dissipation: every state already stationary
     lmat = generator_superop(bath.generator).matrix
-    fp = scipy.linalg.expm(lmat * t_eff)
+    u, s, vh = np.linalg.svd(lmat)
+    n = lmat.shape[0]
+    k = int(np.count_nonzero(s <= s[0] * n * np.finfo(float).eps))
+    r = vh[n - k:].conj().T
+    nh = u[:, n - k:].conj().T
+    fp = r @ np.linalg.solve(nh @ r, nh)
     object.__setattr__(bath, "_fp_map", fp)
     return fp
 
@@ -215,8 +222,8 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))
     if (resid >= strat.tol).any():
         raise NoConvergence(
-            f"stationary_map({bath.name}): residual {np.max(resid):.3e} >= tol {strat.tol:.1e} "
-            f"after propagating to t_max"
+            f"stationary_map({bath.name}): kernel projector image has residual "
+            f"{np.max(resid):.3e} >= tol {strat.tol:.1e}"
         )
     return out
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .baths import Bath, generator_superop
 from .errors import (
@@ -141,6 +140,10 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     off the grid is reached by partial steps expm(L tau) on either side.
     Raises StateInvariantViolated if the trace drifts by more than 1e-8.
     """
+    # Imported here, its only user: loading scipy.linalg costs ~0.25 s, most of
+    # a run that never propagates.
+    import scipy.linalg
+
     d = spec.dim
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"initial state shape {rho0.shape} does not match dim {d}")

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 from conftest import SX, SZ, dissipator_oracle, ginibre_state, random_complex
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decotherm.baths import (
     Bath,
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
+    _fixed_point_map,
     apply_generator,
     apply_generator_heisenberg,
     dephasing_bath,
@@ -243,6 +246,17 @@ class TestPumpBaths:
         assert out[1, 1].real / out[0, 0].real == pytest.approx((1 + n) / n, rel=1e-9)
         assert abs(out[0, 1]) < 1e-11 and abs(out[0, 2]) < 1e-11 and abs(out[1, 2]) < 1e-11
 
+    @pytest.mark.parametrize("n", [1e-14, 1e-12, 1e-9, 0.6, 1e3])
+    def test_stationary_image_closed_form(self, n, rng):
+        # exact for cold baths too, where the residual shrinks with the rates
+        rho = ginibre_state(rng, 3)
+        _, p_l, p_r = np.diagonal(rho).real
+        hot, cold = (1.0 + n) / (1.0 + 2.0 * n), n / (1.0 + 2.0 * n)
+        left = np.diag([(1.0 - p_r) * cold, (1.0 - p_r) * hot, p_r])
+        right = np.diag([(1.0 - p_l) * hot, p_l, (1.0 - p_l) * cold])
+        assert np.max(np.abs(stationary_map(left_pump_bath(n), rho) - left)) <= 1e-14
+        assert np.max(np.abs(stationary_map(right_pump_bath(n), rho) - right)) <= 1e-14
+
 
 class TestStationaryMapGeneral:
     def test_gibbs_closed_form_value(self):
@@ -280,12 +294,46 @@ class TestStationaryMapGeneral:
         for rho, b in zip(stack, out):
             assert np.max(np.abs(b - stationary_map(bath, rho))) < 1e-14
 
-    def test_no_convergence_when_t_max_too_small(self, rng):
+    def test_no_convergence_when_residual_reaches_tol(self, rng):
         base = left_pump_bath(0.6)
-        strangled = Bath(
-            "left", base.generator, PropagateToFixedPoint(tol=1e-11, t_max=0.01)
-        )
+        strangled = Bath("left", base.generator, PropagateToFixedPoint(tol=0.0))
         with pytest.raises(NoConvergence):
             stationary_map(strangled, ginibre_state(rng, 3))
         with pytest.raises(NoConvergence):
             stationary_map(strangled, np.stack([ginibre_state(rng, 3) for _ in range(3)]))
+
+    def test_empty_generator_keeps_every_state(self, rng):
+        empty = Bath("null", LindbladGenerator(3, ()), PropagateToFixedPoint())
+        rho = ginibre_state(rng, 3)
+        assert np.array_equal(_fixed_point_map(empty), np.eye(9))
+        assert np.max(np.abs(stationary_map(empty, rho) - rho)) < 1e-15
+
+
+class TestKernelProjector:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 16),
+        n_jumps=st.integers(1, 4),
+        split=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projector_onto_kernel(self, d, n_jumps, split, seed):
+        # jumps confined to two diagonal blocks give a kernel of dimension 2
+        split %= d
+        rng = np.random.default_rng(seed)
+        terms = []
+        for _ in range(n_jumps):
+            a = random_complex(rng, d)
+            if split:
+                a[:split, split:] = 0.0
+                a[split:, :split] = 0.0
+            terms.append(JumpTerm(float(rng.uniform(0.1, 2.0)), a))
+        gen = LindbladGenerator(d, tuple(terms))
+        lmat = generator_superop(gen).matrix
+        p = _fixed_point_map(Bath("b", gen, PropagateToFixedPoint()))
+        scale = np.linalg.norm(lmat, 2)
+        assert np.linalg.norm(p @ p - p, 2) <= 1e-12 * scale
+        assert np.linalg.norm(lmat @ p, 2) <= 1e-12 * scale
+        assert np.linalg.norm(p @ lmat, 2) <= 1e-12 * scale
+        vec_eye = np.eye(d).reshape(-1)
+        assert np.max(np.abs(vec_eye @ p - vec_eye)) <= 1e-12 * scale

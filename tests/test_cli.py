@@ -235,6 +235,26 @@ def test_console_entry_point(tmp_path):
     assert "heat_rate" in proc.stdout
 
 
+def test_runs_without_propagation_never_import_scipy(tmp_path):
+    # scipy.linalg costs ~0.25 s to import; only propagate needs it
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    runs = [
+        (os.path.join(configs, f"{name}.json"), str(tmp_path / f"{name}.out"))
+        for name in ("device_steady", "gamma_sweep", "two_level_heat")
+    ]
+    child = (
+        "import sys\n"
+        "from decotherm import cli\n"
+        f"for cfg, out in {runs!r}:\n"
+        "    assert cli.main(['run', cfg, '--output', out]) == 0, cfg\n"
+        "    assert 'scipy' not in sys.modules, cfg\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     path = write_config(tmp_path, output={"format": "csv", "path": str(tmp_path / "no" / "dir" / "x.csv")})
     assert cli.run(str(path)) == 1

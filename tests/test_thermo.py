@@ -413,7 +413,7 @@ class TestSamplerColumns:
 
     def test_fixed_point_residual_failure_raises(self, rng):
         base = left_pump_bath(0.6)
-        strangled = Bath("left", base.generator, PropagateToFixedPoint(tol=1e-11, t_max=0.01))
+        strangled = Bath("left", base.generator, PropagateToFixedPoint(tol=0.0))
         spec = EvolutionSpec(np.zeros((3, 3), dtype=complex), (strangled,), t_max=0.05, dt=0.01)
         traj = propagate(ginibre_state(rng, 3), spec)
         with pytest.raises(NoConvergence):
