@@ -8,16 +8,13 @@ relations between decoherence and transport.
 
 from .baths import (
     Bath,
-    GibbsClosedForm,
     JumpTerm,
     LindbladGenerator,
     PinchingClosedForm,
     PropagateToFixedPoint,
     apply_generator,
-    apply_generator_heisenberg,
     dephasing_bath,
     generator_superop,
-    gibbs_state,
     left_pump_bath,
     left_pump_bath_from_beta,
     right_pump_bath,

@@ -1,12 +1,13 @@
 """Lindblad generators and their stationary maps.
 
 A bath is a generator plus a strategy for evaluating its stationary map
-B(rho) = lim_{t->inf} exp(t L)(rho): closed-form Gibbs projection for
-relaxation baths, pinching for decoherence baths, and the spectral projector
-onto ker L for anything else (the three-level pump baths, whose stationary
-set depends on the initial state). Lindblad generators have a semisimple
-kernel (Baumgartner & Narnhofer, J. Phys. A 41, 395303 (2008)), so that
-projector is exactly the t -> inf limit.
+B(rho) = lim_{t->inf} exp(t L)(rho): pinching for decoherence baths, and
+the spectral projector onto ker L for every other bath (thermal relaxation,
+whose kernel is spanned by the Gibbs state, and the three-level pump baths,
+whose stationary set depends on the initial state). Lindblad generators
+have a semisimple kernel (Baumgartner & Narnhofer, J. Phys. A 41, 395303
+(2008)), so that projector is exactly the t -> inf limit. The same SVD
+null space (`_kernel_basis`) gives the steady state of a full Liouvillian.
 
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
@@ -34,7 +35,6 @@ from .operators import (
     SuperOperator,
     dagger,
     hermitize,
-    matrix_exp_hermitian,
     mul_left,
     mul_right,
     require_square,
@@ -107,19 +107,6 @@ def apply_generator(gen: LindbladGenerator, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_generator_heisenberg(gen: LindbladGenerator, x: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture (Hilbert-Schmidt adjoint) action on observables:
-    sum_k r_k (2 A† x A - A†A x - x A†A)."""
-    if x.shape != (gen.dim, gen.dim):
-        raise DimensionMismatch(f"operator shape {x.shape} does not match dim {gen.dim}")
-    out = np.zeros_like(x, dtype=complex)
-    jumps, jjs, rates = gen.jump_stack, gen.jj_stack, gen.rate_stack
-    for k in range(rates.shape[0]):
-        aa = jumps[k]
-        out += rates[k] * (2.0 * (aa.conj().T @ x @ aa) - jjs[k] @ x - x @ jjs[k])
-    return out
-
-
 def generator_superop(gen: LindbladGenerator) -> SuperOperator:
     """Vectorized matrix of the generator's Schrodinger action, in closed form:
 
@@ -141,12 +128,6 @@ def generator_superop(gen: LindbladGenerator) -> SuperOperator:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class GibbsClosedForm:
-    hamiltonian: np.ndarray
-    beta: float
-
-
-@dataclass(frozen=True, eq=False)
 class PinchingClosedForm:
     basis: np.ndarray  # unitary matrix whose columns are the preferred basis
 
@@ -155,14 +136,15 @@ class PinchingClosedForm:
 class PropagateToFixedPoint:
     """B(rho) as the spectral projector onto ker L applied to vec(rho).
 
-    tol bounds the Frobenius norm of L(B(rho)) for each state; a larger
-    residual raises NoConvergence.
+    tol bounds the Frobenius norm of L(B(rho)) for each state, relative to
+    ||L||_2; a larger residual raises NoConvergence (with tol = 0, any
+    nonzero residual does).
     """
 
-    tol: float = 1e-11
+    tol: float = 1e-12
 
 
-StationaryStrategy = Union[GibbsClosedForm, PinchingClosedForm, PropagateToFixedPoint]
+StationaryStrategy = Union[PinchingClosedForm, PropagateToFixedPoint]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,36 +152,34 @@ class Bath:
     name: str
     generator: LindbladGenerator
     stationary_strategy: StationaryStrategy
-    _fp_map: np.ndarray | None = field(default=None, repr=False)
+    _fp_map: tuple[np.ndarray, float] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.generator.dim
 
 
-def gibbs_state(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
-    g = matrix_exp_hermitian(-beta * hamiltonian)
-    return g / np.trace(g).real
+def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Null space of a square super-operator matrix L, from one SVD.
 
-
-def _fixed_point_map(bath: Bath) -> np.ndarray:
-    """The spectral projector onto ker L as a d²×d² matrix, cached on the bath.
-
-    With L = U S V†, the right and left null vectors R and N are the columns
-    of V and U whose singular values are at or below s[0]·d²·eps (numpy's
-    matrix_rank rule), and P = R (N†R)⁻¹ N†. L = 0 gives P = I.
+    With L = U S V†, returns (R, N†, ||L||_2): R holds the right and N the
+    left null vectors, the columns of V and U whose singular values are at
+    or below s[0]·n·eps (numpy's matrix_rank rule), and s[0] = ||L||_2.
+    L = 0 has every vector in its kernel.
     """
-    if bath._fp_map is not None:
-        return bath._fp_map
-    lmat = generator_superop(bath.generator).matrix
     u, s, vh = np.linalg.svd(lmat)
     n = lmat.shape[0]
     k = int(np.count_nonzero(s <= s[0] * n * np.finfo(float).eps))
-    r = vh[n - k:].conj().T
-    nh = u[:, n - k:].conj().T
-    fp = r @ np.linalg.solve(nh @ r, nh)
-    object.__setattr__(bath, "_fp_map", fp)
-    return fp
+    return vh[n - k:].conj().T, u[:, n - k:].conj().T, float(s[0])
+
+
+def _fixed_point_map(bath: Bath) -> tuple[np.ndarray, float]:
+    """The spectral projector P = R (N†R)⁻¹ N† onto ker L as a d²×d²
+    matrix, and ||L||_2, both cached on the bath. L = 0 gives P = I."""
+    if bath._fp_map is None:
+        r, nh, scale = _kernel_basis(generator_superop(bath.generator).matrix)
+        object.__setattr__(bath, "_fp_map", (r @ np.linalg.solve(nh @ r, nh), scale))
+    return bath._fp_map
 
 
 def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
@@ -207,23 +187,21 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     for one state (d, d) or for each state of a stack (n, d, d)."""
     _require_operands(bath.dim, rho, "state")
     strat = bath.stationary_strategy
-    if isinstance(strat, GibbsClosedForm):
-        g = gibbs_state(strat.hamiltonian, strat.beta)
-        return g if rho.ndim == 2 else np.broadcast_to(g, rho.shape).copy()
     if isinstance(strat, PinchingClosedForm):
         u = strat.basis
         probs = np.diagonal(dagger(u) @ rho @ u, axis1=-2, axis2=-1)
         return (u * probs[..., None, :]) @ dagger(u)
+    fp, scale = _fixed_point_map(bath)
     # vec() stacks columns, so vec(rho) is the row-major flattening of rho.T
-    images = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], bath.dim**2) @ _fixed_point_map(bath).T
+    images = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], bath.dim**2) @ fp.T
     out = hermitize(images.reshape(rho.shape).swapaxes(-1, -2))
     del images  # as large as the stack; free it before the residual check
     out /= np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
     resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))
-    if (resid >= strat.tol).any():
+    if (resid > strat.tol * scale).any():
         raise NoConvergence(
             f"stationary_map({bath.name}): kernel projector image has residual "
-            f"{np.max(resid):.3e} >= tol {strat.tol:.1e}"
+            f"{np.max(resid):.3e} > tol {strat.tol:.1e} * ||L||_2 {scale:.3e}"
         )
     return out
 
@@ -264,10 +242,13 @@ def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "depha
 def thermal_two_level_bath(
     e_excited: float, beta: float, rate_scale: float, name: str = "thermal"
 ) -> Bath:
-    """Two-level relaxation bath with Gibbs stationary state.
+    """Two-level relaxation bath whose stationary state is the Gibbs state
+    of H = diag(0, E).
 
     Decay |g><e| at rate_scale*(1+n), excitation |e><g| at rate_scale*n, with
-    n = 1/(exp(beta*e_excited) - 1). Basis order (|g>, |e>), H = diag(0, E).
+    n = 1/(exp(beta*e_excited) - 1). Basis order (|g>, |e>). The generator's
+    kernel is one-dimensional and spanned by diag(1+n, n) ∝ diag(1, e^{-beta E}),
+    so the kernel projector maps every state to that Gibbs state.
     """
     if beta <= 0:
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
@@ -279,8 +260,7 @@ def thermal_two_level_bath(
     gen = LindbladGenerator(
         2, (JumpTerm(rate_scale * (1.0 + n), decay), JumpTerm(rate_scale * n, excite))
     )
-    h = np.diag([0.0, e_excited]).astype(complex)
-    return Bath(name, gen, GibbsClosedForm(h, beta))
+    return Bath(name, gen, PropagateToFixedPoint())
 
 
 def _three_level_unit(i: int, j: int) -> np.ndarray:

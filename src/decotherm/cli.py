@@ -7,8 +7,7 @@ Config layout (one scenario per file, unknown keys are a hard error):
       "params": {"gamma": 1.0, "e_level": 1.0, "x": 0.5, "z": 0.0},
       "integrator": {"dt": 0.001, "t_max": 3.0},
       "output": {"format": "csv", "path": "out.csv"},
-      "onsager_c": 1.0,
-      "seed": 0
+      "onsager_c": 1.0
     }
 
 Scenarios: two-level-decoherence (instant heat rate; with an "integrator"
@@ -25,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -100,7 +99,6 @@ class RunConfig:
     output_path: str
     integrator: dict[str, float] | None = None
     onsager_c: float = 1.0
-    seed: int = 0
 
 
 def load_config(path: str) -> RunConfig:
@@ -114,7 +112,7 @@ def load_config(path: str) -> RunConfig:
     _require_keys(
         raw,
         {"scenario": True, "params": True, "output": True,
-         "integrator": False, "onsager_c": False, "seed": False},
+         "integrator": False, "onsager_c": False},
         "config",
     )
     scenario = raw["scenario"]
@@ -139,9 +137,6 @@ def load_config(path: str) -> RunConfig:
     onsager_c = _number(raw, "onsager_c", "config") if "onsager_c" in raw else 1.0
     if onsager_c <= 0:
         raise ConfigError(f"onsager_c must be > 0, got {onsager_c}")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return RunConfig(
         scenario=scenario,
         params=dict(params),
@@ -149,7 +144,6 @@ def load_config(path: str) -> RunConfig:
         output_path=out["path"],
         integrator=integrator,
         onsager_c=onsager_c,
-        seed=seed,
     )
 
 
@@ -352,12 +346,7 @@ _RUNNERS = {
 }
 
 
-def run(
-    config_path: str,
-    output: str | None = None,
-    output_format: str | None = None,
-    seed: int | None = None,
-) -> int:
+def run(config_path: str, output: str | None = None, output_format: str | None = None) -> int:
     """Execute one config; returns the process exit code."""
     try:
         cfg = load_config(config_path)
@@ -367,16 +356,9 @@ def run(
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    if output is not None or output_format is not None or seed is not None:
-        cfg = RunConfig(
-            scenario=cfg.scenario,
-            params=cfg.params,
-            output_format=output_format or cfg.output_format,
-            output_path=output or cfg.output_path,
-            integrator=cfg.integrator,
-            onsager_c=cfg.onsager_c,
-            seed=seed if seed is not None else cfg.seed,
-        )
+    cfg = replace(
+        cfg, output_format=output_format or cfg.output_format, output_path=output or cfg.output_path
+    )
     try:
         summary = _RUNNERS[cfg.scenario](cfg)
     except ConfigError as exc:
@@ -402,9 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("config", help="path to a JSON run config")
     runp.add_argument("--output", help="override the output path")
     runp.add_argument("--format", choices=FORMATS, help="override the output format")
-    runp.add_argument("--seed", type=int, help="override the RNG seed")
     args = parser.parse_args(argv)
-    return run(args.config, output=args.output, output_format=args.format, seed=args.seed)
+    return run(args.config, output=args.output, output_format=args.format)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ segment the step map is P = expm(L dt) of the vectorized Liouvillian
 (Moler & Van Loan, SIAM Rev. 45, 2003), one matrix-vector product per
 output step, with no step-size restriction. A switch time between grid
 points is reached by partial steps expm(L tau) on either side of it.
-Steady states come from the dense eigendecomposition of the vectorized
-Liouvillian; long-time propagation is kept only as a cross-check in the
-test suite.
+Steady states are the null vector of the vectorized Liouvillian, from the
+same SVD null-space helper that gives each bath's kernel projector;
+long-time propagation is kept only as a cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .baths import Bath, generator_superop
+from .baths import Bath, _kernel_basis, generator_superop
 from .errors import (
     DegenerateKernel,
     DimensionMismatch,
@@ -195,33 +195,29 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
 def steady_state(liouv: SuperOperator) -> np.ndarray:
     """Kernel vector of the Liouvillian as a density matrix.
 
-    Uses the eigenvector with eigenvalue of smallest magnitude; raises
-    DegenerateKernel when the kernel is not one-dimensional (e.g. pure
-    dephasing, whose stationary set is a manifold) and NonPositiveSolution
-    when the kernel vector cannot be normalized to a state.
+    The kernel comes from one SVD (baths._kernel_basis). Raises
+    DegenerateKernel when it is not one-dimensional (e.g. L = 0, or pure
+    dephasing, whose stationary set is a manifold), NonPositiveSolution when
+    the kernel vector cannot be normalized to a state, and NoConvergence
+    when the residual ||L(nu)|| exceeds 1e-12 ||L||_2.
     """
-    d = liouv.dim
-    ev, vecs = np.linalg.eig(liouv.matrix)
-    order = np.argsort(np.abs(ev))
-    radius = float(np.abs(ev[order[-1]]))
-    if radius == 0.0:
-        raise DegenerateKernel("Liouvillian is identically zero")
-    if float(np.abs(ev[order[1]])) < 1e-8 * radius:
+    r, _, scale = _kernel_basis(liouv.matrix)
+    if r.shape[1] != 1:
         raise DegenerateKernel(
-            f"second eigenvalue |{ev[order[1]]:.3e}| < 1e-8 * spectral radius {radius:.3e}; "
-            "stationary set is not unique"
+            f"Liouvillian kernel has dimension {r.shape[1]}; stationary set is not unique"
         )
-    m = unvectorize(vecs[:, order[0]], d)
+    m = unvectorize(r[:, 0], liouv.dim)
     tr = complex(np.trace(m))
     if abs(tr) < 1e-10 * float(np.linalg.norm(m)):
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")
-    m = m * (tr.conjugate() / abs(tr))  # rotate phase so the trace is real positive
-    nu = hermitize(m)
+    nu = hermitize(m / tr)
     nu /= np.trace(nu).real
     lam_min = float(np.linalg.eigvalsh(nu)[0])
     if lam_min < -1e-10:
         raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -1e-10")
     resid = float(np.linalg.norm(liouv.matrix @ vectorize(nu)))
-    if resid > 1e-9:
-        raise NoConvergence(f"steady-state residual {resid:.3e} exceeds 1e-9")
+    if resid > 1e-12 * scale:
+        raise NoConvergence(
+            f"steady-state residual {resid:.3e} exceeds 1e-12 * ||L||_2 {scale:.3e}"
+        )
     return nu

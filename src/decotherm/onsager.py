@@ -17,12 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baths import (
-    Bath,
-    apply_generator,
-    apply_generator_heisenberg,
-    generator_superop,
-)
+from .baths import Bath, apply_generator, generator_superop
 from .errors import DimensionMismatch, MissingPair, ZeroCoherence
 from .operators import (
     DEFAULT_EIG_CUT,
@@ -142,16 +137,14 @@ def reciprocal_coefficients(
     cross compositions L_d†(L_l(H)) and L_l†(L_d(H)).
 
     Both equal c * gamma * n_L * V; their equality is the reciprocity of
-    decoherence and transport.
+    decoherence and transport. Each is taken in the Schrodinger picture,
+    <coh, L_a†(L_b(H))> = <L_a(coh), L_b(H)>.
     """
     coh = np.zeros((3, 3), dtype=complex)
     coh[1, 2] = coh[2, 1] = 1.0
-    y_ld = apply_generator_heisenberg(
-        dephasing_bath.generator, apply_generator(left_bath.generator, hamiltonian)
-    )
-    y_dl = apply_generator_heisenberg(
-        left_bath.generator, apply_generator(dephasing_bath.generator, hamiltonian)
-    )
-    m_ld = c * float(hs_inner(coh, y_ld).real) / 2.0
-    m_dl = c * float(hs_inner(coh, y_dl).real) / 2.0
+    pair = np.stack([coh, hamiltonian])
+    l_coh, l_h = apply_generator(left_bath.generator, pair)
+    d_coh, d_h = apply_generator(dephasing_bath.generator, pair)
+    m_ld = c * float(hs_inner(d_coh, l_h).real) / 2.0
+    m_dl = c * float(hs_inner(l_coh, d_h).real) / 2.0
     return ReciprocalCoefficients(m_ld=m_ld, m_dl=m_dl)

@@ -33,7 +33,12 @@ from .baths import (
 )
 from .dynamics import EvolutionSpec, liouvillian, steady_state
 from .errors import DegenerateKernel, InvalidBlochVector, InvalidParams, ZeroCoherence
-from .onsager import force_parameters, ness_entropy_production, reciprocal_coefficients
+from .onsager import (
+    ReciprocalCoefficients,
+    force_parameters,
+    ness_entropy_production,
+    reciprocal_coefficients,
+)
 from .thermo import heat_rate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -189,7 +194,8 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
     """Solve the steady state and compute all device observables.
 
     x_l and x_d are nan when the steady coherence vanishes (V = 0), where
-    the force parameters are undefined.
+    the force parameters are undefined. Without a dephasing bath (gamma = 0)
+    m_ld = m_dl = c * gamma * n_L * V = 0.
     """
     assembly = build_device(p)
     spec = EvolutionSpec(assembly.hamiltonian, assembly.baths)
@@ -200,17 +206,10 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
         x_d, x_l = fp.x_d, fp.x_l
     except ZeroCoherence:
         x_d = x_l = math.nan
-    deph = assembly.dephasing
-    if deph is None:
-        # rate-0 jumps make the cross compositions vanish identically
-        deph = Bath(
-            "dephasing",
-            LindbladGenerator(
-                3, tuple(JumpTerm(0.0, t.jump) for t in device_dephasing_bath(1.0).generator.terms)
-            ),
-            PinchingClosedForm(np.eye(3, dtype=complex)),
-        )
-    coeffs = reciprocal_coefficients(assembly.hamiltonian, assembly.left, deph, c)
+    if assembly.dephasing is None:
+        coeffs = ReciprocalCoefficients(0.0, 0.0)
+    else:
+        coeffs = reciprocal_coefficients(assembly.hamiltonian, assembly.left, assembly.dephasing, c)
     return DeviceReport(
         nu=nu,
         coherence=complex(nu[1, 2]),

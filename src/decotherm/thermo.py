@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import (
-    Bath,
-    GibbsClosedForm,
-    PinchingClosedForm,
-    apply_generator,
-    gibbs_state,
-    stationary_map,
-)
+from .baths import Bath, PinchingClosedForm, apply_generator, stationary_map
 from .dynamics import EvolutionSpec, Trajectory
 from .errors import SupportViolation
 from .operators import (
@@ -80,16 +73,14 @@ def _stationary_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> tuple[np.nda
     """log B(rho) on the support of B(rho), and the weight rho carries off
     that support, for one state or a stack of states.
 
-    The Gibbs image is the same for every state and the pinched image is
-    diagonal in the bath's basis, so neither needs an eigensolve per state.
+    The pinched image is diagonal in the bath's basis, so it needs no
+    eigensolve per state.
     """
     strat = bath.stationary_strategy
     if isinstance(strat, PinchingClosedForm):
         u = strat.basis
         probs = np.einsum("ij,...ij->...j", u.conj(), mul_right(rho, u)).real
         spec = Spectrum.from_eig(probs, u, eig_cut)
-    elif isinstance(strat, GibbsClosedForm):
-        spec = Spectrum.of(hermitize(gibbs_state(strat.hamiltonian, strat.beta)), eig_cut)
     else:
         spec = Spectrum.of(stationary_map(bath, rho), eig_cut)
     return spec.log, spec.leak_of(rho)

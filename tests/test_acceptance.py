@@ -16,6 +16,7 @@ from conftest import ginibre_state, random_hermitian, trace_distance
 
 from decotherm import cli
 from decotherm.baths import (
+    PinchingClosedForm,
     apply_generator,
     dephasing_bath,
     stationary_map,
@@ -87,10 +88,10 @@ def _batched_generator(states, bath):
 
 
 def _batched_log_stationary(states, bath):
-    """log B(rho_t) for a Gibbs or pinching bath, batched over time."""
-    from decotherm.baths import GibbsClosedForm
-
-    if isinstance(bath.stationary_strategy, GibbsClosedForm):
+    """log B(rho_t) for a thermal or pinching bath, batched over time."""
+    if not isinstance(bath.stationary_strategy, PinchingClosedForm):
+        # a thermal bath's kernel is one-dimensional: the same Gibbs image
+        # for every state
         g = stationary_map(bath, states[0])
         _, log_g = _batched_spectral(g[None])
         return np.broadcast_to(log_g[0], states.shape)

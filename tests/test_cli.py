@@ -32,9 +32,11 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, extra_key=1)
-        assert cli.run(str(path)) == 2
-        assert "extra_key" in capsys.readouterr().err
+        # "seed" is no key: every scenario is deterministic
+        for key in ("extra_key", "seed"):
+            path = write_config(tmp_path, **{key: 1})
+            assert cli.run(str(path)) == 2
+            assert f"'{key}'" in capsys.readouterr().err
 
     def test_unknown_param_key_named(self, tmp_path, capsys):
         path = write_config(

@@ -12,6 +12,8 @@ from conftest import (
     trace_distance,
     unitary_evolution_oracle,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decotherm.baths import (
     Bath,
@@ -20,6 +22,8 @@ from decotherm.baths import (
     PropagateToFixedPoint,
     apply_generator,
     dephasing_bath,
+    generator_superop,
+    stationary_map,
     thermal_two_level_bath,
 )
 from decotherm.dynamics import (
@@ -233,16 +237,42 @@ class TestSteadyState:
             assert abs(heat_rate(spec.hamiltonian, b, nu)) < 1e-12
 
     def test_pure_dephasing_degenerate(self):
-        bath = dephasing_bath(Z_BASIS, 1.0)
-        spec = EvolutionSpec(np.zeros((2, 2), dtype=complex), (bath,))
-        with pytest.raises(DegenerateKernel):
-            steady_state(liouvillian(spec))
+        # pure dephasing, and L = 0 (no bath, no Hamiltonian)
+        for baths in ((dephasing_bath(Z_BASIS, 1.0),), ()):
+            spec = EvolutionSpec(np.zeros((2, 2), dtype=complex), baths)
+            with pytest.raises(DegenerateKernel):
+                steady_state(liouvillian(spec))
 
     def test_residual_and_invariants(self):
         lv = liouvillian(device_spec())
         nu = steady_state(lv)
         assert_density_matrix(nu, what="steady state")
         assert np.linalg.norm(lv.apply(nu)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n_l=st.floats(-14.0, 6.0),
+        log_n_r=st.floats(-14.0, 6.0),
+        log_gamma=st.one_of(st.none(), st.floats(-2.0, 6.0)),
+        e_r=st.floats(0.5, 1.5),
+        gap=st.floats(0.1, 1.0),
+        v=st.floats(-1.0, 1.0),
+    )
+    @example(log_n_l=6.0, log_n_r=6.0, log_gamma=6.0, e_r=1.0, gap=0.5, v=0.4)  # the hot corner
+    def test_device_kernels_relative_residuals(self, log_n_l, log_n_r, log_gamma, e_r, gap, v):
+        # cold to hot occupations and dephasing up to 1e6 (or none): the steady
+        # state and the pump-bath images are found, with residuals relative
+        # to the generator's scale
+        gamma = 0.0 if log_gamma is None else 10.0**log_gamma
+        p = DeviceParams(e_r + gap, e_r, v, 10.0**log_n_l, 10.0**log_n_r, gamma)
+        assembly = build_device(p)
+        lv = liouvillian(EvolutionSpec(assembly.hamiltonian, assembly.baths))
+        nu = steady_state(lv)
+        assert np.linalg.norm(lv.apply(nu)) <= 1e-12 * np.linalg.norm(lv.matrix, 2)
+        for bath in (assembly.left, assembly.right):
+            image = stationary_map(bath, nu)
+            scale = np.linalg.norm(generator_superop(bath.generator).matrix, 2)
+            assert np.linalg.norm(apply_generator(bath.generator, image)) <= 1e-12 * scale
 
     def test_agrees_with_long_propagation(self, rng):
         spec0 = device_spec()

@@ -172,6 +172,7 @@ class TestGammaSweep:
         slope = DEFAULT_DEVICE["n_l"] * DEFAULT_DEVICE["v"] * c
         for pt in points:
             assert pt.report.m_ld == pytest.approx(slope * pt.gamma, abs=1e-12)
+            assert pt.report.m_dl == pytest.approx(slope * pt.gamma, abs=1e-12)
 
     def test_unsorted_rejected(self):
         base = DeviceParams(**DEFAULT_DEVICE)
