@@ -10,15 +10,12 @@ from .baths import (
     Bath,
     JumpTerm,
     LindbladGenerator,
-    PinchingClosedForm,
     PropagateToFixedPoint,
     apply_generator,
     dephasing_bath,
     generator_superop,
     left_pump_bath,
-    left_pump_bath_from_beta,
     right_pump_bath,
-    right_pump_bath_from_beta,
     stationary_map,
     thermal_occupation,
     thermal_two_level_bath,
@@ -49,11 +46,8 @@ from .operators import (
     assert_density_matrix,
     hermitize,
     hs_inner,
-    is_hermitian,
-    matrix_exp_hermitian,
     matrix_log_on_support,
     superop_from_action,
-    superop_hs_adjoint,
     unvectorize,
     vectorize,
 )

@@ -1,13 +1,13 @@
 """Lindblad generators and their stationary maps.
 
-A bath is a generator plus a strategy for evaluating its stationary map
-B(rho) = lim_{t->inf} exp(t L)(rho): pinching for decoherence baths, and
-the spectral projector onto ker L for every other bath (thermal relaxation,
-whose kernel is spanned by the Gibbs state, and the three-level pump baths,
-whose stationary set depends on the initial state). Lindblad generators
-have a semisimple kernel (Baumgartner & Narnhofer, J. Phys. A 41, 395303
-(2008)), so that projector is exactly the t -> inf limit. The same SVD
-null space (`_kernel_basis`) gives the steady state of a full Liouvillian.
+A bath is a generator. Its stationary map B(rho) = lim_{t->inf} exp(t L)(rho)
+is the spectral projector onto ker L, exact because the kernel of a
+Lindblad generator is semisimple, and ker L = ⊕_k (M_{n_k} ⊗ omega_k) over
+blocks V_k with omega_k faithful (Baumgartner & Narnhofer, J. Phys. A 41,
+395303 (2008)). Every bath built here has n_k = 1, so
+B(rho) = sum_k Tr[J_k rho] omega_k with conserved J_k, and
+`stationary_structure` gives log B(rho) without an eigensolve per state.
+The same SVD null space (`_kernel_basis`) gives a Liouvillian's steady state.
 
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
@@ -19,7 +19,7 @@ so a dephasing bath at rate gamma kills off-diagonals at rate 2*gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class JumpTerm:
 class LindbladGenerator:
     dim: int
     terms: tuple[JumpTerm, ...]
+    # pre-stacked views of the terms
+    jump_stack: np.ndarray = field(init=False, repr=False)
+    jj_stack: np.ndarray = field(init=False, repr=False)
+    rate_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for t in self.terms:
@@ -63,28 +67,11 @@ class LindbladGenerator:
                 raise DimensionMismatch(
                     f"jump operator shape {t.jump.shape} does not match dim {self.dim}"
                 )
-        n = len(self.terms)
-        jumps = np.zeros((n, self.dim, self.dim), dtype=np.complex128)
-        for k, t in enumerate(self.terms):
-            jumps[k] = t.jump
-        jjs = np.einsum("kji,kjl->kil", jumps.conj(), jumps)
-        rates = np.array([t.rate for t in self.terms], dtype=float)
-        object.__setattr__(self, "_jumps", jumps)
-        object.__setattr__(self, "_jjs", jjs)
-        object.__setattr__(self, "_rates", rates)
-
-    # pre-stacked views of the terms
-    @property
-    def jump_stack(self) -> np.ndarray:
-        return self._jumps
-
-    @property
-    def jj_stack(self) -> np.ndarray:
-        return self._jjs
-
-    @property
-    def rate_stack(self) -> np.ndarray:
-        return self._rates
+        jumps = np.array([t.jump for t in self.terms], dtype=complex)
+        jumps = jumps.reshape(-1, self.dim, self.dim)
+        object.__setattr__(self, "jump_stack", jumps)
+        object.__setattr__(self, "jj_stack", np.einsum("kji,kjl->kil", jumps.conj(), jumps))
+        object.__setattr__(self, "rate_stack", np.array([t.rate for t in self.terms], dtype=float))
 
 
 def _require_operands(dim: int, a: np.ndarray, what: str) -> None:
@@ -110,53 +97,59 @@ def apply_generator(gen: LindbladGenerator, a: np.ndarray) -> np.ndarray:
 def generator_superop(gen: LindbladGenerator) -> SuperOperator:
     """Vectorized matrix of the generator's Schrodinger action, in closed form:
 
-        sum_k r_k (2 conj(A_k) ⊗ A_k - I ⊗ A_k†A_k - (A_k†A_k)ᵀ ⊗ I)
+        sum_k 2 r_k conj(A_k) ⊗ A_k - I ⊗ K - Kᵀ ⊗ I,  K = sum_k r_k A_k†A_k
 
-    Terms are accumulated in the order apply_generator uses, so for jumps
-    that are matrix units (the device baths) the matrix equals, bit for bit,
-    apply_generator applied to every matrix unit.
+    For jumps that are matrix units (the device baths) the matrix equals,
+    bit for bit, apply_generator applied to every matrix unit.
     """
-    eye = np.eye(gen.dim)
-    mat = np.zeros((gen.dim * gen.dim,) * 2, dtype=complex)
-    for a, jj, rate in zip(gen.jump_stack, gen.jj_stack, gen.rate_stack):
-        mat += rate * (2.0 * np.kron(a.conj(), a) - np.kron(eye, jj) - np.kron(jj.T, eye))
-    return SuperOperator(gen.dim, mat)
+    d = gen.dim
+    # K from the same products r_k conj(A_k) A_k as the kron term, so that a
+    # diagonal entry cancels exactly where it should (a diagonal jump)
+    rc = gen.rate_stack[:, None, None] * gen.jump_stack.conj()
+    mat = 2.0 * np.einsum("kil,kjm->ijlm", rc, gen.jump_stack)
+    k = np.einsum("kji,kjl->il", rc, gen.jump_stack)
+    diag = np.arange(d)
+    mat[diag, :, diag, :] -= k  # I ⊗ K
+    mat[:, diag, :, diag] -= k.T  # Kᵀ ⊗ I
+    return SuperOperator(d, mat.reshape(d * d, d * d))
 
 
 # ---------------------------------------------------------------------------
-# stationary-map strategies
+# stationary structure
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class PinchingClosedForm:
-    basis: np.ndarray  # unitary matrix whose columns are the preferred basis
-
 
 @dataclass(frozen=True, eq=False)
 class PropagateToFixedPoint:
-    """B(rho) as the spectral projector onto ker L applied to vec(rho).
-
-    tol bounds the Frobenius norm of L(B(rho)) for each state, relative to
-    ||L||_2; a larger residual raises NoConvergence (with tol = 0, any
-    nonzero residual does).
-    """
+    """tol bounds ||L(B(rho))||_F of each image stationary_map returns, and
+    ||L(omega_k)||_F of each block's state, relative to ||L||_2; a larger
+    residual raises NoConvergence (with tol = 0, any nonzero one does)."""
 
     tol: float = 1e-12
-
-
-StationaryStrategy = Union[PinchingClosedForm, PropagateToFixedPoint]
 
 
 @dataclass(frozen=True, eq=False)
 class Bath:
     name: str
     generator: LindbladGenerator
-    stationary_strategy: StationaryStrategy
-    _fp_map: tuple[np.ndarray, float] | None = field(default=None, repr=False)
+    fixed_point: PropagateToFixedPoint = PropagateToFixedPoint()
+    _structure: StationaryStructure | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.generator.dim
+
+
+@dataclass(frozen=True, eq=False)
+class StationaryStructure:
+    """The projector P = R (N†R)⁻¹ N† onto ker L (d²×d²) and ||L||_2, and,
+    when every n_k = 1, (m, d, d) stacks of the block projectors Pi_k, the
+    conserved J_k = P†(Pi_k) and log omega_k on V_k (else None)."""
+
+    projector: np.ndarray
+    scale: float
+    blocks: np.ndarray | None = None
+    conserved: np.ndarray | None = None
+    logs: np.ndarray | None = None
 
 
 def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -173,36 +166,72 @@ def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return vh[n - k:].conj().T, u[:, n - k:].conj().T, float(s[0])
 
 
-def _fixed_point_map(bath: Bath) -> tuple[np.ndarray, float]:
-    """The spectral projector P = R (N†R)⁻¹ N† onto ker L as a d²×d²
-    matrix, and ||L||_2, both cached on the bath. L = 0 gives P = I."""
-    if bath._fp_map is None:
-        r, nh, scale = _kernel_basis(generator_superop(bath.generator).matrix)
-        object.__setattr__(bath, "_fp_map", (r @ np.linalg.solve(nh @ r, nh), scale))
-    return bath._fp_map
+def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The d²×d² matrix mat applied to vec(a), for one operator or a stack."""
+    # vec() stacks columns, so vec(a) is the row-major flattening of a.T
+    images = a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1) @ mat.T
+    return images.reshape(a.shape).swapaxes(-1, -2)
+
+
+def stationary_structure(bath: Bath) -> StationaryStructure:
+    """The bath's stationary structure from one SVD of L, cached on it.
+
+    The recurrent space is the support of P(I) under _kernel_basis's rank
+    rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for one fixed probe G
+    its eigenspaces are the blocks V_k. If there are dim ker L of them, every
+    n_k = 1 and P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
+    if bath._structure is not None:
+        return bath._structure
+    d = bath.dim
+    lmat = generator_superop(bath.generator).matrix
+    r, nh, scale = _kernel_basis(lmat)
+    p = r @ np.linalg.solve(nh @ r, nh)
+    struct = StationaryStructure(p, scale)
+    cut = d * d * np.finfo(float).eps
+    p_eye = hermitize(_act(p, np.eye(d)))
+    lam, vecs = np.linalg.eigh(p_eye)
+    keep = lam > cut * lam[-1]
+    support = vecs[:, keep]
+    # distinct diagonal and neighbour couplings of phase 1 rad: no basis of
+    # rational phases gives two blocks the same expectation
+    probe = np.diag(np.arange(1.0, d + 1.0)) + np.diag(np.full(d - 1, np.exp(1j)), 1)
+    conserved_probe = hermitize(_act(p.conj().T, probe + dagger(probe)))
+    g, x = np.linalg.eigh(dagger(support) @ conserved_probe @ support)
+    label = np.concatenate(([0], np.cumsum(np.diff(g) > cut * np.max(np.abs(g)))))
+    if label[-1] + 1 == r.shape[1]:
+        w = support @ x
+        blocks = (w * (label == np.arange(r.shape[1])[:, None])[:, None, :]) @ dagger(w)
+        images = blocks @ p_eye @ blocks  # c_k(I) omega_k
+        weights = np.trace(images, axis1=-2, axis2=-1).real
+        resid = np.linalg.norm(_act(lmat, images / weights[:, None, None]), axis=(-2, -1))
+        _require_residual(bath, resid, scale, "stationary state of a block")
+        log_p_eye = (support * np.log(lam[keep])) @ dagger(support)
+        logs = blocks @ log_p_eye @ blocks - np.log(weights)[:, None, None] * blocks
+        struct = StationaryStructure(p, scale, blocks, hermitize(_act(p.conj().T, blocks)), logs)
+    object.__setattr__(bath, "_structure", struct)
+    return struct
+
+
+def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) -> None:
+    tol = bath.fixed_point.tol
+    if (resid > tol * scale).any():
+        raise NoConvergence(
+            f"{bath.name}: {what} has residual {np.max(resid):.3e} "
+            f"> tol {tol:.1e} * ||L||_2 {scale:.3e}"
+        )
 
 
 def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     """Evaluate B(rho), the infinite-time limit of the bath's dynamical map,
-    for one state (d, d) or for each state of a stack (n, d, d)."""
+    for one state (d, d) or for each state of a stack (n, d, d). B preserves
+    the trace, so each image is scaled to the trace of its state."""
     _require_operands(bath.dim, rho, "state")
-    strat = bath.stationary_strategy
-    if isinstance(strat, PinchingClosedForm):
-        u = strat.basis
-        probs = np.diagonal(dagger(u) @ rho @ u, axis1=-2, axis2=-1)
-        return (u * probs[..., None, :]) @ dagger(u)
-    fp, scale = _fixed_point_map(bath)
-    # vec() stacks columns, so vec(rho) is the row-major flattening of rho.T
-    images = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], bath.dim**2) @ fp.T
-    out = hermitize(images.reshape(rho.shape).swapaxes(-1, -2))
-    del images  # as large as the stack; free it before the residual check
-    out /= np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+    struct = stationary_structure(bath)
+    out = hermitize(_act(struct.projector, rho))
+    ratio = np.trace(rho, axis1=-2, axis2=-1) / np.trace(out, axis1=-2, axis2=-1)
+    out *= ratio.real[..., None, None]
     resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))
-    if (resid > strat.tol * scale).any():
-        raise NoConvergence(
-            f"stationary_map({bath.name}): kernel projector image has residual "
-            f"{np.max(resid):.3e} > tol {strat.tol:.1e} * ||L||_2 {scale:.3e}"
-        )
+    _require_residual(bath, resid, struct.scale, "kernel projector image")
     return out
 
 
@@ -235,8 +264,7 @@ def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "depha
     if np.max(np.abs(gram - np.eye(d))) > 1e-12:
         raise NotOrthonormal("basis is not orthonormal within 1e-12")
     terms = tuple(JumpTerm(gamma, np.outer(u[:, j], u[:, j].conj())) for j in range(d))
-    gen = LindbladGenerator(d, terms)
-    return Bath(name, gen, PinchingClosedForm(u))
+    return Bath(name, LindbladGenerator(d, terms))
 
 
 def thermal_two_level_bath(
@@ -257,10 +285,9 @@ def thermal_two_level_bath(
     n = thermal_occupation(beta, e_excited)
     decay = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|
     excite = np.array([[0, 0], [1, 0]], dtype=complex)  # |e><g|
-    gen = LindbladGenerator(
+    return Bath(name, LindbladGenerator(
         2, (JumpTerm(rate_scale * (1.0 + n), decay), JumpTerm(rate_scale * n, excite))
-    )
-    return Bath(name, gen, PropagateToFixedPoint())
+    ))
 
 
 def _three_level_unit(i: int, j: int) -> np.ndarray:
@@ -278,33 +305,24 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
     """
     if n_l <= 0:
         raise NonPositiveOccupation(f"n_l must be > 0, got {n_l}")
-    gen = LindbladGenerator(
+    return Bath(name, LindbladGenerator(
         3,
         (
             JumpTerm(1.0 + n_l, _three_level_unit(1, 0)),  # |L><0|
             JumpTerm(n_l, _three_level_unit(0, 1)),        # |0><L|
         ),
-    )
-    return Bath(name, gen, PropagateToFixedPoint())
+    ))
 
 
 def right_pump_bath(n_r: float, name: str = "right") -> Bath:
     """Right relaxation bath of the three-level device, basis (|0>, |L>, |R>)."""
     if n_r <= 0:
         raise NonPositiveOccupation(f"n_r must be > 0, got {n_r}")
-    gen = LindbladGenerator(
+    return Bath(name, LindbladGenerator(
         3,
         (
             JumpTerm(n_r, _three_level_unit(2, 0)),        # |R><0|
             JumpTerm(1.0 + n_r, _three_level_unit(0, 2)),  # |0><R|
         ),
-    )
-    return Bath(name, gen, PropagateToFixedPoint())
+    ))
 
-
-def left_pump_bath_from_beta(beta: float, e_l: float, name: str = "left") -> Bath:
-    return left_pump_bath(thermal_occupation(beta, e_l), name=name)
-
-
-def right_pump_bath_from_beta(beta: float, e_r: float, name: str = "right") -> Bath:
-    return right_pump_bath(thermal_occupation(beta, e_r), name=name)

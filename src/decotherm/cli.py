@@ -63,7 +63,7 @@ _DEVICE_KEYS = ("e_l", "e_r", "v", "n_l", "n_r")
 _NUMERICAL_STAGES = {
     DegenerateKernel: "steady_state",
     NonPositiveSolution: "steady_state",
-    NoConvergence: "stationary_map/steady_state",
+    NoConvergence: "stationary_structure/stationary_map/steady_state",
     SupportViolation: "force (support of the stationary image)",
     StateInvariantViolated: "propagate",
     NegativeEigenvalue: "spectral (log of a non-PSD matrix)",

@@ -3,9 +3,9 @@
 Operators are plain complex numpy arrays of shape (d, d); the helpers that
 say so also take stacks of shape (n, d, d). Super-operators
 act on column-stacked operators: vec(A) stacks the columns of A, so that
-vec(A X B) = kron(B.T, A) @ vec(X). All spectral calculus (log, exp) goes
-through the Hermitian eigendecomposition; nothing here needs a general
-matrix function.
+vec(A X B) = kron(B.T, A) @ vec(X). The matrix log goes through the
+Hermitian eigendecomposition; nothing here needs a general matrix
+function.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ def herm_defect(a: np.ndarray) -> float:
     """Max absolute entrywise deviation of A from A†."""
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return herm_defect(a) <= tol
-
 
 def require_hermitian(a: np.ndarray, tol: float = HERM_TOL, what: str = "operator") -> None:
     defect = herm_defect(a)
@@ -95,12 +92,12 @@ class Spectrum:
     log_eigs: np.ndarray  # (..., d)
 
     @classmethod
-    def from_eig(
-        cls, eigs: np.ndarray, vecs: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT
-    ) -> "Spectrum":
-        """From eigenvalues in any order and their eigenvector columns."""
-        cut = eig_cut * np.maximum(eigs.max(axis=-1), 0.0)
-        low = eigs.min(axis=-1)
+    def of(cls, m: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> "Spectrum":
+        """Spectrum of a Hermitian m; only its lower triangle is read, so
+        hermitize m first if it may not be exactly Hermitian."""
+        eigs, vecs = np.linalg.eigh(m)  # ascending
+        cut = eig_cut * np.maximum(eigs[..., -1], 0.0)
+        low = eigs[..., 0]
         bad = low < -cut
         if bad.any():
             raise NegativeEigenvalue(
@@ -108,12 +105,6 @@ class Spectrum:
             )
         keep = eigs > cut[..., None]
         return cls(eigs, vecs, keep, np.log(eigs, out=np.zeros(eigs.shape), where=keep))
-
-    @classmethod
-    def of(cls, m: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> "Spectrum":
-        """Spectrum of a Hermitian m; only its lower triangle is read, so
-        hermitize m first if it may not be exactly Hermitian."""
-        return cls.from_eig(*np.linalg.eigh(m), eig_cut)
 
     @property
     def log(self) -> np.ndarray:
@@ -141,13 +132,6 @@ def matrix_log_on_support(a: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> np
     """
     require_hermitian(a, what="log argument")
     return Spectrum.of(hermitize(a), eig_cut).log
-
-
-def matrix_exp_hermitian(a: np.ndarray) -> np.ndarray:
-    """exp(A) for Hermitian A via eigendecomposition."""
-    require_hermitian(a, what="exp argument")
-    lam, vecs = np.linalg.eigh(hermitize(a))
-    return (vecs * np.exp(lam)) @ vecs.conj().T
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -192,11 +176,6 @@ def superop_from_action(dim: int, action: Callable[[np.ndarray], np.ndarray]) ->
         e[k] = 1.0
         mat[:, k] = vectorize(action(unvectorize(e, dim)))
     return SuperOperator(dim, mat)
-
-
-def superop_hs_adjoint(s: SuperOperator) -> SuperOperator:
-    """Adjoint with respect to hs_inner; conjugate transpose of the matrix."""
-    return s.adjoint()
 
 
 def assert_density_matrix(

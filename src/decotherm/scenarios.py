@@ -26,7 +26,6 @@ from .baths import (
     Bath,
     JumpTerm,
     LindbladGenerator,
-    PinchingClosedForm,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
@@ -157,14 +156,15 @@ def device_dephasing_bath(gamma: float, name: str = "dephasing") -> Bath:
     """L-R dephasing of the device: projector jumps on |L> and |R> only.
 
     The |0> level carries no projector, yet every diagonal state is still
-    stationary, so the stationary map is the full device-basis pinching.
+    stationary, so the stationary map is the full device-basis pinching:
+    the bath's structure has three rank-1 blocks.
     """
     proj_l = np.zeros((3, 3), dtype=complex)
     proj_l[1, 1] = 1.0
     proj_r = np.zeros((3, 3), dtype=complex)
     proj_r[2, 2] = 1.0
     gen = LindbladGenerator(3, (JumpTerm(gamma, proj_l), JumpTerm(gamma, proj_r)))
-    return Bath(name, gen, PinchingClosedForm(np.eye(3, dtype=complex)))
+    return Bath(name, gen)
 
 
 def build_device(p: DeviceParams) -> DeviceAssembly:

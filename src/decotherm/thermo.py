@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import Bath, PinchingClosedForm, apply_generator, stationary_map
+from .baths import Bath, apply_generator, stationary_map, stationary_structure
 from .dynamics import EvolutionSpec, Trajectory
 from .errors import SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
     hermitize,
-    mul_right,
     require_hermitian,
     require_same_dim,
 )
@@ -73,17 +72,25 @@ def _stationary_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> tuple[np.nda
     """log B(rho) on the support of B(rho), and the weight rho carries off
     that support, for one state or a stack of states.
 
-    The pinched image is diagonal in the bath's basis, so it needs no
-    eigensolve per state.
+    With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
+    log B(rho) = sum over c_k > eig_cut * max c of (log c_k Pi_k + log omega_k)
+    with no eigensolve per state. Otherwise the image is eigensolved per state.
     """
-    strat = bath.stationary_strategy
-    if isinstance(strat, PinchingClosedForm):
-        u = strat.basis
-        probs = np.einsum("ij,...ij->...j", u.conj(), mul_right(rho, u)).real
-        spec = Spectrum.from_eig(probs, u, eig_cut)
-    else:
+    struct = stationary_structure(bath)
+    if struct.blocks is None:
         spec = Spectrum.of(stationary_map(bath, rho), eig_cut)
-    return spec.log, spec.leak_of(rho)
+        return spec.log, spec.leak_of(rho)
+    m, d2 = struct.blocks.shape[0], bath.dim**2
+    flat = rho.reshape(*rho.shape[:-2], d2)
+    blocks = struct.blocks.reshape(m, d2)
+    # Tr[X rho] = sum_ij conj(X)_ij rho_ij for Hermitian X
+    c = (flat @ struct.conserved.reshape(m, d2).conj().T).real
+    keep = c > eig_cut * c.max(axis=-1, keepdims=True)
+    log_c = np.log(c, out=np.zeros(c.shape), where=keep)
+    log_b = log_c @ blocks + keep.astype(float) @ struct.logs.reshape(m, d2)
+    kept = ((flat @ blocks.conj().T).real * keep).sum(axis=-1)
+    leak = np.trace(rho, axis1=-2, axis2=-1).real - kept
+    return log_b.reshape(rho.shape), leak
 
 
 def _supported_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> np.ndarray:

@@ -6,19 +6,19 @@ from conftest import SX, SZ, dissipator_oracle, ginibre_state, random_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decotherm import thermo
 from decotherm.baths import (
     Bath,
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
-    _fixed_point_map,
     apply_generator,
     dephasing_bath,
     generator_superop,
     left_pump_bath,
-    left_pump_bath_from_beta,
     right_pump_bath,
     stationary_map,
+    stationary_structure,
     thermal_occupation,
     thermal_two_level_bath,
 )
@@ -221,10 +221,9 @@ class TestPumpBaths:
 
     def test_from_beta_matches_direct(self):
         beta, e_l = 0.8, 1.5
-        n = thermal_occupation(beta, e_l)
-        a = left_pump_bath_from_beta(beta, e_l)
-        b = left_pump_bath(n)
-        assert np.array_equal(a.generator.rate_stack, b.generator.rate_stack)
+        n = 1.0 / np.expm1(beta * e_l)
+        bath = left_pump_bath(thermal_occupation(beta, e_l))
+        assert np.allclose(bath.generator.rate_stack, [1.0 + n, n], rtol=1e-14, atol=0.0)
 
     def test_fixed_point_population_ratio(self, rng):
         # left bath alone: p_L/p_0 -> (1+n)/n, p_R preserved, coherences die
@@ -245,8 +244,12 @@ class TestPumpBaths:
         hot, cold = (1.0 + n) / (1.0 + 2.0 * n), n / (1.0 + 2.0 * n)
         left = np.diag([(1.0 - p_r) * cold, (1.0 - p_r) * hot, p_r])
         right = np.diag([(1.0 - p_l) * hot, p_l, (1.0 - p_l) * cold])
-        assert np.max(np.abs(stationary_map(left_pump_bath(n), rho) - left)) <= 1e-14
-        assert np.max(np.abs(stationary_map(right_pump_bath(n), rho) - right)) <= 1e-14
+        for bath, image in ((left_pump_bath(n), left), (right_pump_bath(n), right)):
+            assert np.max(np.abs(stationary_map(bath, rho) - image)) <= 1e-14
+            # the log keeps the cold n/(1+2n) population on the support
+            log_b, leak = thermo._stationary_log(bath, rho, 1e-12)
+            assert np.max(np.abs(log_b - np.diag(np.log(np.diagonal(image))))) <= 1e-13
+            assert abs(leak) <= 1e-15
 
 
 class TestStationaryMapGeneral:
@@ -297,9 +300,9 @@ class TestStationaryMapGeneral:
             stationary_map(strangled, np.stack([ginibre_state(rng, 3) for _ in range(3)]))
 
     def test_empty_generator_keeps_every_state(self, rng):
-        empty = Bath("null", LindbladGenerator(3, ()), PropagateToFixedPoint())
+        empty = Bath("null", LindbladGenerator(3, ()))
         rho = ginibre_state(rng, 3)
-        assert np.array_equal(_fixed_point_map(empty)[0], np.eye(9))
+        assert np.array_equal(stationary_structure(empty).projector, np.eye(9))
         assert np.max(np.abs(stationary_map(empty, rho) - rho)) < 1e-15
 
 
@@ -324,7 +327,8 @@ class TestKernelProjector:
             terms.append(JumpTerm(float(rng.uniform(0.1, 2.0)), a))
         gen = LindbladGenerator(d, tuple(terms))
         lmat = generator_superop(gen).matrix
-        p, cached_scale = _fixed_point_map(Bath("b", gen, PropagateToFixedPoint()))
+        struct = stationary_structure(Bath("b", gen))
+        p, cached_scale = struct.projector, struct.scale
         scale = np.linalg.norm(lmat, 2)
         assert cached_scale == pytest.approx(scale, rel=1e-12)
         assert np.linalg.norm(p @ p - p, 2) <= 1e-12 * scale
@@ -332,3 +336,63 @@ class TestKernelProjector:
         assert np.linalg.norm(p @ lmat, 2) <= 1e-12 * scale
         vec_eye = np.eye(d).reshape(-1)
         assert np.max(np.abs(vec_eye @ p - vec_eye)) <= 1e-12 * scale
+
+
+def _log_on_support(m, cut=1e-12):
+    """Test-side log of a PSD matrix on its support, by one eigensolve."""
+    lam, u = np.linalg.eigh(m)
+    logs = np.where(lam > cut * lam[-1], np.log(np.maximum(lam, 1e-300)), 0.0)
+    return (u * logs) @ u.conj().T
+
+
+class TestStationaryStructure:
+    def test_dephasing_d16_random_basis(self, rng):
+        d = 16
+        basis, _ = np.linalg.qr(random_complex(rng, d))
+        bath = dephasing_bath([basis[:, j] for j in range(d)], 0.05)
+        struct = stationary_structure(bath)
+        assert struct.blocks.shape == (d, d, d)
+        # each block is one basis projector, and its stationary state is that
+        # projector, whose log is zero
+        overlaps = np.einsum("jk,mkl,lj->mj", basis.conj().T, struct.blocks, basis).real
+        assert np.allclose(np.sort(overlaps, axis=1)[:, -1], 1.0, atol=1e-12)
+        assert np.allclose(overlaps.sum(axis=0), 1.0, atol=1e-12)
+        assert np.max(np.abs(struct.logs)) <= 1e-12
+        rho = ginibre_state(rng, d, mix=0.1)
+        probs = np.einsum("jk,kl,lj->j", basis.conj().T, rho, basis).real
+        pinched_log = (basis * np.log(probs)) @ basis.conj().T
+        log_b, leak = thermo._stationary_log(bath, rho, 1e-12)
+        assert np.max(np.abs(log_b - pinched_log)) <= 1e-12
+        assert abs(leak) <= 1e-14
+
+    def test_rank_two_block_takes_per_state_path(self, rng):
+        # one rank-2 projector jump at d = 3: ker L = M_2 ⊕ C, so n_k = 2 for
+        # the first block and the image is eigensolved per state
+        proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        bath = Bath("block", LindbladGenerator(3, (JumpTerm(0.4, proj),)))
+        assert stationary_structure(bath).blocks is None
+        rest = np.eye(3) - proj
+        for _ in range(3):
+            rho = ginibre_state(rng, 3)
+            log_b = _log_on_support(proj @ rho @ proj + rest @ rho @ rest)
+            flux = -np.trace(apply_generator(bath.generator, rho) @ log_b).real
+            rel = np.trace(rho @ (_log_on_support(rho) - log_b)).real
+            assert thermo.entropy_flux(bath, rho) == pytest.approx(flux, rel=1e-12, abs=1e-14)
+            assert thermo.relative_entropy_to_bath(rho, bath) == pytest.approx(rel, rel=1e-12, abs=1e-14)
+
+    def test_positional_tolerance_holder(self, rng):
+        # Bath(name, generator, PropagateToFixedPoint()) keeps working
+        base = left_pump_bath(0.6)
+        bath = Bath("left", base.generator, PropagateToFixedPoint())
+        assert bath.fixed_point.tol == base.fixed_point.tol == 1e-12
+        rho = ginibre_state(rng, 3)
+        assert np.max(np.abs(stationary_map(bath, rho) - stationary_map(base, rho))) <= 1e-15
+
+    def test_images_keep_the_trace(self, rng):
+        # B preserves the trace, also of a state whose trace has drifted
+        rho = 1.01 * ginibre_state(rng, 3)
+        for bath in (left_pump_bath(1e-3), right_pump_bath(2.0), device_dephasing_bath(0.3)):
+            assert np.trace(stationary_map(bath, rho)).real == pytest.approx(1.01, rel=1e-14)
+            # relative entropy is homogeneous of degree one
+            r = thermo.relative_entropy_to_bath(rho / 1.01, bath)
+            assert thermo.relative_entropy_to_bath(rho, bath) == pytest.approx(1.01 * r, rel=1e-12)

@@ -19,7 +19,6 @@ from decotherm.baths import (
     Bath,
     JumpTerm,
     LindbladGenerator,
-    PropagateToFixedPoint,
     apply_generator,
     dephasing_bath,
     generator_superop,
@@ -35,7 +34,7 @@ from decotherm.dynamics import (
 )
 from decotherm.errors import DegenerateKernel, InvalidParams, TimeDependentHamiltonian
 from decotherm.operators import assert_density_matrix, superop_from_action
-from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device
+from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -85,7 +84,7 @@ class TestLiouvillian:
         gen = LindbladGenerator(
             d, tuple(JumpTerm(r, random_complex(rng, d)) for r in rng.uniform(0.1, 2.0, 6))
         )
-        spec = EvolutionSpec(random_hermitian(rng, d), (Bath("b", gen, PropagateToFixedPoint()),))
+        spec = EvolutionSpec(random_hermitian(rng, d), (Bath("b", gen),))
         ref = self.oracle(spec)
         err = np.linalg.norm(liouvillian(spec).matrix - ref) / np.linalg.norm(ref)
         assert err <= 1e-14
@@ -259,10 +258,12 @@ class TestSteadyState:
         v=st.floats(-1.0, 1.0),
     )
     @example(log_n_l=6.0, log_n_r=6.0, log_gamma=6.0, e_r=1.0, gap=0.5, v=0.4)  # the hot corner
+    @example(log_n_l=-14.0, log_n_r=-14.0, log_gamma=6.0, e_r=1.0, gap=0.5, v=0.4)  # cold and Zeno
+    @example(log_n_l=-7.745, log_n_r=-11.37, log_gamma=1.8, e_r=1.0, gap=0.5, v=0.4)
     def test_device_kernels_relative_residuals(self, log_n_l, log_n_r, log_gamma, e_r, gap, v):
         # cold to hot occupations and dephasing up to 1e6 (or none): the steady
         # state and the pump-bath images are found, with residuals relative
-        # to the generator's scale
+        # to the generator's scale, and the whole report raises nothing
         gamma = 0.0 if log_gamma is None else 10.0**log_gamma
         p = DeviceParams(e_r + gap, e_r, v, 10.0**log_n_l, 10.0**log_n_r, gamma)
         assembly = build_device(p)
@@ -273,6 +274,7 @@ class TestSteadyState:
             image = stationary_map(bath, nu)
             scale = np.linalg.norm(generator_superop(bath.generator).matrix, 2)
             assert np.linalg.norm(apply_generator(bath.generator, image)) <= 1e-12 * scale
+        assert np.isfinite(device_report(p).entropy_production)
 
     def test_agrees_with_long_propagation(self, rng):
         spec0 = device_spec()

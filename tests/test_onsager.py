@@ -23,7 +23,7 @@ from decotherm.onsager import (
     onsager_superop,
     reciprocal_coefficients,
 )
-from decotherm.operators import hs_inner, matrix_log_on_support, superop_hs_adjoint
+from decotherm.operators import hs_inner, matrix_log_on_support
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
@@ -120,7 +120,7 @@ class TestOnsagerSuperop:
         for b in assembly.baths:
             for a in assembly.baths:
                 m_ba = onsager_superop(b, a, c=0.7)
-                m_ab_dag = superop_hs_adjoint(onsager_superop(a, b, c=0.7))
+                m_ab_dag = onsager_superop(a, b, c=0.7).adjoint()
                 norm = np.linalg.norm(m_ba.matrix)
                 assert np.linalg.norm(m_ba.matrix - m_ab_dag.matrix) <= 1e-10 * max(norm, 1e-30)
 
@@ -130,16 +130,16 @@ class TestOnsagerSuperop:
         assembly, _ = device_steady()
         h = assembly.hamiltonian
         m_dl = onsager_superop(assembly.dephasing, assembly.left, c=1.0)
-        out = superop_hs_adjoint(m_dl).apply(h)
+        out = m_dl.adjoint().apply(h)
         g, n_l, v = DEFAULT_DEVICE["gamma"], DEFAULT_DEVICE["n_l"], DEFAULT_DEVICE["v"]
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = g * n_l * v
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_empty_generator_gives_zero(self):
-        from decotherm.baths import Bath, LindbladGenerator, PropagateToFixedPoint
+        from decotherm.baths import Bath, LindbladGenerator
 
-        empty = Bath("null", LindbladGenerator(3, ()), PropagateToFixedPoint())
+        empty = Bath("null", LindbladGenerator(3, ()))
         left = left_pump_bath(0.6)
         assert np.max(np.abs(onsager_superop(left, empty, 1.0).matrix)) == 0.0
         assert np.max(np.abs(onsager_superop(empty, left, 1.0).matrix)) == 0.0
@@ -170,7 +170,7 @@ class TestLinearFlowPrediction:
                 for a in names
             )
             s2 = sum(
-                hs_inner(superop_hs_adjoint(lr.pairs[(b, a)]).apply(xs[b]), xs[a]).real
+                hs_inner(lr.pairs[(b, a)].adjoint().apply(xs[b]), xs[a]).real
                 for b in names
                 for a in names
             )
@@ -219,13 +219,12 @@ class TestReciprocalCoefficients:
     def test_zero_gamma(self):
         left = left_pump_bath(0.6)
         assembly, _ = device_steady()
-        from decotherm.baths import Bath, JumpTerm, LindbladGenerator, PinchingClosedForm
+        from decotherm.baths import Bath, JumpTerm, LindbladGenerator
 
         deph0 = device_dephasing_bath(1.0)
         zero_deph = Bath(
             "dephasing",
             LindbladGenerator(3, tuple(JumpTerm(0.0, t.jump) for t in deph0.generator.terms)),
-            PinchingClosedForm(np.eye(3, dtype=complex)),
         )
         coeffs = reciprocal_coefficients(assembly.hamiltonian, left, zero_deph, c=1.0)
         assert coeffs.m_ld == 0.0 and coeffs.m_dl == 0.0

@@ -1,5 +1,6 @@
 """Two-level decoherence heat and the three-level device reproductions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -196,3 +197,18 @@ def test_gamma_sweep_flags_failures_and_continues(monkeypatch):
     points = sc.gamma_sweep(base, [0.0, 0.5, 1.0])
     assert points[1].report is None and "synthetic" in points[1].failure
     assert points[0].report is not None and points[2].report is not None
+
+
+#: cold to hot occupations (1e-14 is beta E ≈ 32) and no dephasing up to
+#: the Zeno regime
+GRID_OCCUPATIONS = (1e-14, 1.3e-14, 3e-14, 1e-13, 1e-12, 1e-9, 1e-3, 0.6, 1e3, 1e6)
+GRID_GAMMAS = (0.0, 1e-2, 0.3, 1e2, 1e4, 1e6)
+
+
+def test_device_report_across_cold_and_hot_baths():
+    # every point of the grid solves: the support of each stationary image
+    # comes from the bath's structure, not from a cut on the image's
+    # eigenvalues, so a cold bath's 1e-14 population stays on it
+    for n_l, n_r, gamma in itertools.product(GRID_OCCUPATIONS, GRID_OCCUPATIONS, GRID_GAMMAS):
+        report = device_report(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
+        assert np.isfinite(report.entropy_production), (n_l, n_r, gamma)

@@ -15,6 +15,7 @@ from decotherm.baths import (
     dephasing_bath,
     left_pump_bath,
     stationary_map,
+    stationary_structure,
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, propagate
@@ -309,8 +310,7 @@ def _random_d16_run(seed=16):
 
     baths = [
         Bath(name, LindbladGenerator(d, tuple(
-            JumpTerm(r, random_complex(rng, d) / d) for r in rng.uniform(0.1, 1.0, 3))),
-            PropagateToFixedPoint())
+            JumpTerm(r, random_complex(rng, d) / d) for r in rng.uniform(0.1, 1.0, 3))))
         for name in ("hot", "cold")
     ]
     basis, _ = np.linalg.qr(random_complex(rng, d))
@@ -319,6 +319,12 @@ def _random_d16_run(seed=16):
     schedule = [(0.0, hamiltonian()), (70.4 * dt, hamiltonian()), (151.7 * dt, hamiltonian())]
     spec = EvolutionSpec(schedule, tuple(baths), t_max=200 * dt, dt=dt)
     return propagate(ginibre_state(rng, d, mix=0.1), spec), spec
+
+
+def _thermal_run():
+    bath = thermal_two_level_bath(1.0, 1.0, 1.0)
+    spec = EvolutionSpec(np.diag([0.0, 1.0]).astype(complex), (bath,), t_max=10.0, dt=1e-3)
+    return propagate(bloch_state(0.3, 0.0, 0.5), spec), spec
 
 
 def _device_run():
@@ -412,12 +418,30 @@ class TestSamplerColumns:
         assert np.all(np.isfinite(samples.entropy_production[good]))
 
     def test_fixed_point_residual_failure_raises(self, rng):
-        base = left_pump_bath(0.6)
-        strangled = Bath("left", base.generator, PropagateToFixedPoint(tol=0.0))
-        spec = EvolutionSpec(np.zeros((3, 3), dtype=complex), (strangled,), t_max=0.05, dt=0.01)
-        traj = propagate(ginibre_state(rng, 3), spec)
+        # the sampler checks each stationary state of the bath's structure
+        # once; a generic bath's carries rounding, so tol = 0 rejects it
+        gen = LindbladGenerator(4, tuple(JumpTerm(1.0, random_complex(rng, 4)) for _ in range(2)))
+        strangled = Bath("generic", gen, PropagateToFixedPoint(tol=0.0))
+        spec = EvolutionSpec(np.zeros((4, 4), dtype=complex), (strangled,), t_max=0.05, dt=0.01)
+        traj = propagate(ginibre_state(rng, 4), spec)
         with pytest.raises(NoConvergence):
             sample_thermodynamics(traj, spec)
+
+    @pytest.mark.parametrize("run", [_thermal_run, _random_d16_run], ids=["thermal", "random-d16"])
+    def test_structured_baths_need_no_eigensolve_per_image(self, run, monkeypatch):
+        # one stacked eigh per block, of the states; the images' logs come
+        # from each bath's cached structure
+        traj, spec = run()
+        for bath in spec.baths:
+            assert stationary_structure(bath).blocks is not None
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        sample_thermodynamics(traj, spec)
+        d = spec.dim
+        block = thermo._BLOCK_ENTRIES // (d * d)
+        assert len(calls) == -(-len(traj) // block)
+        assert all(shape[-2:] == (d, d) for shape in calls)
 
     def test_point_views(self):
         traj, spec = _two_level_run()
