@@ -57,7 +57,6 @@ from .scenarios import (
     DeviceParams,
     DeviceReport,
     TwoLevelDecoherenceParams,
-    bloch_coordinates,
     bloch_state,
     build_device,
     device_dephasing_bath,

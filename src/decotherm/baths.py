@@ -40,6 +40,9 @@ from .operators import (
     require_square,
 )
 
+#: Max entrywise deviation of a dephasing basis' Gram matrix from I.
+ORTHONORMAL_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class JumpTerm:
@@ -261,8 +264,8 @@ def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "depha
     if u.shape != (d, d):
         raise NotOrthonormal(f"need {d} basis vectors of length {d}, got matrix shape {u.shape}")
     gram = u.conj().T @ u
-    if np.max(np.abs(gram - np.eye(d))) > 1e-12:
-        raise NotOrthonormal("basis is not orthonormal within 1e-12")
+    if np.max(np.abs(gram - np.eye(d))) > ORTHONORMAL_TOL:
+        raise NotOrthonormal(f"basis is not orthonormal within {ORTHONORMAL_TOL:.0e}")
     terms = tuple(JumpTerm(gamma, np.outer(u[:, j], u[:, j].conj())) for j in range(d))
     return Bath(name, LindbladGenerator(d, terms))
 

@@ -54,10 +54,17 @@ from .scenarios import (
 )
 from .thermo import ThermoSamples, sample_thermodynamics
 
-SCENARIOS = ("two-level-decoherence", "device-steady", "device-trajectory", "gamma-sweep")
-FORMATS = ("csv", "json")
+_DEVICE = {"e_l": True, "e_r": True, "v": True, "n_l": True, "n_r": True}
 
-_DEVICE_KEYS = ("e_l", "e_r", "v", "n_l", "n_r")
+#: scenario -> {param key: required?}
+_PARAMS = {
+    "two-level-decoherence": {"gamma": True, "e_level": True, "x": True, "z": False},
+    "device-steady": {**_DEVICE, "gamma": True},
+    "device-trajectory": {**_DEVICE, "gamma": True, "initial_state": False},
+    "gamma-sweep": {**_DEVICE, "gammas": True},
+}
+SCENARIOS = tuple(_PARAMS)
+FORMATS = ("csv", "json")
 
 #: numerical failures (exit 3) and the stage that raises each
 _NUMERICAL_STAGES = {
@@ -84,10 +91,11 @@ def _require_keys(table: dict, allowed: dict[str, bool], where: str) -> None:
             raise ConfigError(f"missing required key '{key}' in {where}")
 
 
-def _number(table: dict, key: str, where: str) -> float:
-    v = table[key]
+def _number(v: Any, key: str, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"key '{key}' in {where} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # also false for nan
+        raise ConfigError(f"key '{key}' in {where} must be finite, got {v!r}")
     return float(v)
 
 
@@ -121,7 +129,7 @@ def load_config(path: str) -> RunConfig:
     params = raw["params"]
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object")
-    _validate_params(scenario, params)
+    params = _params(scenario, params)
     out = raw["output"]
     if not isinstance(out, dict):
         raise ConfigError("'output' must be an object")
@@ -133,13 +141,13 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(integrator, dict):
             raise ConfigError("'integrator' must be an object")
         _require_keys(integrator, {"dt": False, "t_max": True}, "integrator")
-        integrator = {k: _number(integrator, k, "integrator") for k in integrator}
-    onsager_c = _number(raw, "onsager_c", "config") if "onsager_c" in raw else 1.0
+        integrator = {k: _number(v, k, "integrator") for k, v in integrator.items()}
+    onsager_c = _number(raw["onsager_c"], "onsager_c", "config") if "onsager_c" in raw else 1.0
     if onsager_c <= 0:
         raise ConfigError(f"onsager_c must be > 0, got {onsager_c}")
     return RunConfig(
         scenario=scenario,
-        params=dict(params),
+        params=params,
         output_format=out["format"],
         output_path=out["path"],
         integrator=integrator,
@@ -147,39 +155,23 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _validate_params(scenario: str, params: dict) -> None:
+def _params(scenario: str, params: dict) -> dict[str, Any]:
+    """Checked params, every number converted to float."""
     where = f"params ({scenario})"
-    if scenario == "two-level-decoherence":
-        _require_keys(params, {"gamma": True, "e_level": True, "x": True, "z": False}, where)
-        for k in params:
-            _number(params, k, where)
-    elif scenario in ("device-steady", "device-trajectory"):
-        allowed = {k: True for k in _DEVICE_KEYS}
-        allowed["gamma"] = True
-        if scenario == "device-trajectory":
-            allowed["initial_state"] = False
-        _require_keys(params, allowed, where)
-        for k in params:
-            if k == "initial_state":
-                if params[k] not in ("maximally-mixed", "ground"):
-                    raise ConfigError(
-                        f"initial_state must be 'maximally-mixed' or 'ground', got {params[k]!r}"
-                    )
-                continue
-            _number(params, k, where)
-    elif scenario == "gamma-sweep":
-        allowed = {k: True for k in _DEVICE_KEYS}
-        allowed["gammas"] = True
-        _require_keys(params, allowed, where)
-        for k in params:
-            if k == "gammas":
-                if not isinstance(params[k], list) or not params[k]:
-                    raise ConfigError("'gammas' must be a non-empty list of numbers")
-                for g in params[k]:
-                    if isinstance(g, bool) or not isinstance(g, (int, float)):
-                        raise ConfigError(f"'gammas' entries must be numbers, got {g!r}")
-                continue
-            _number(params, k, where)
+    _require_keys(params, _PARAMS[scenario], where)
+    out: dict[str, Any] = {}
+    for k, v in params.items():
+        if k == "initial_state":
+            if v not in ("maximally-mixed", "ground"):
+                raise ConfigError(f"initial_state must be 'maximally-mixed' or 'ground', got {v!r}")
+            out[k] = v
+        elif k == "gammas":
+            if not isinstance(v, list) or not v:
+                raise ConfigError("'gammas' must be a non-empty list of numbers")
+            out[k] = [_number(g, k, where) for g in v]
+        else:
+            out[k] = _number(v, k, where)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +245,24 @@ def _report_row(report) -> list[float]:
 # scenario runners
 # ---------------------------------------------------------------------------
 
+def _run_trajectory(cfg: RunConfig, h: np.ndarray, baths: tuple, rho0: np.ndarray) -> ThermoSamples:
+    """Propagate rho0 over the config's integrator grid, sample it and emit
+    the trajectory table."""
+    spec = EvolutionSpec(h, baths, t_max=cfg.integrator["t_max"], dt=cfg.integrator.get("dt"))
+    traj = propagate(rho0, spec)
+    samples = sample_thermodynamics(traj, spec)
+    emit_trajectory(traj, samples, [b.name for b in baths], cfg.output_path, cfg.output_format)
+    return samples
+
+
 def _run_two_level(cfg: RunConfig) -> str:
-    p = TwoLevelDecoherenceParams(
-        gamma=float(cfg.params["gamma"]),
-        e_level=float(cfg.params["e_level"]),
-        x=float(cfg.params["x"]),
-        z=float(cfg.params.get("z", 0.0)),
-    )
+    p = TwoLevelDecoherenceParams(**cfg.params)
     if cfg.integrator is not None:
         h, bath, rho0 = two_level_dephasing_assembly(p)
-        spec = EvolutionSpec(
-            h, (bath,), t_max=cfg.integrator["t_max"], dt=cfg.integrator.get("dt")
-        )
-        traj = propagate(rho0, spec)
-        samples = sample_thermodynamics(traj, spec)
-        emit_trajectory(traj, samples, [bath.name], cfg.output_path, cfg.output_format)
-        q0 = samples.heat_rates[bath.name][0]
+        samples = _run_trajectory(cfg, h, (bath,), rho0)
         return (
-            f"two-level-decoherence trajectory: {len(traj)} points, "
-            f"initial heat_rate={q0:.6g}"
+            f"two-level-decoherence trajectory: {len(samples)} points, "
+            f"initial heat_rate={samples.heat_rates[bath.name][0]:.6g}"
         )
     q = two_level_decoherence_heat(p)
     columns = ["gamma", "e_level", "x", "z", "heat_rate", "heat_rate_abs"]
@@ -283,9 +274,7 @@ def _run_two_level(cfg: RunConfig) -> str:
 def _device_params(cfg: RunConfig, gamma: float | None = None) -> DeviceParams:
     p = cfg.params
     return DeviceParams(
-        e_l=float(p["e_l"]), e_r=float(p["e_r"]), v=float(p["v"]),
-        n_l=float(p["n_l"]), n_r=float(p["n_r"]),
-        gamma=float(p["gamma"]) if gamma is None else gamma,
+        p["e_l"], p["e_r"], p["v"], p["n_l"], p["n_r"], p["gamma"] if gamma is None else gamma
     )
 
 
@@ -307,22 +296,15 @@ def _run_device_trajectory(cfg: RunConfig) -> str:
         rho0[0, 0] = 1.0
     else:
         rho0 = np.eye(3, dtype=complex) / 3.0
-    spec = EvolutionSpec(
-        assembly.hamiltonian, assembly.baths,
-        t_max=cfg.integrator["t_max"], dt=cfg.integrator.get("dt"),
-    )
-    traj = propagate(rho0, spec)
-    samples = sample_thermodynamics(traj, spec)
-    names = [b.name for b in assembly.baths]
-    emit_trajectory(traj, samples, names, cfg.output_path, cfg.output_format)
+    samples = _run_trajectory(cfg, assembly.hamiltonian, assembly.baths, rho0)
     return (
-        f"device-trajectory: {len(traj)} points, final entropy={samples.entropy[-1]:.6g}, "
+        f"device-trajectory: {len(samples)} points, final entropy={samples.entropy[-1]:.6g}, "
         f"final P={samples.entropy_production[-1]:.6g}"
     )
 
 
 def _run_gamma_sweep(cfg: RunConfig) -> str:
-    gammas = [float(g) for g in cfg.params["gammas"]]
+    gammas = cfg.params["gammas"]
     base = _device_params(cfg, gamma=gammas[0])
     points = gamma_sweep(base, gammas, cfg.onsager_c)
     columns = ["gamma", "status"] + _REPORT_COLUMNS

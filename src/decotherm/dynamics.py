@@ -30,6 +30,7 @@ from .errors import (
     TimeDependentHamiltonian,
 )
 from .operators import (
+    STATE_TOL,
     SuperOperator,
     assert_density_matrix,
     hermitize,
@@ -43,6 +44,15 @@ from .operators import (
 #: trajectory (the binding constraint is finite-difference truncation, not
 #: integrator stability).
 DT_SAFETY = 0.0025
+
+#: Max trace drift of a propagated trajectory.
+TRACE_DRIFT_TOL = 1e-8
+
+#: Max |Tr m| / ||m||_F at which a kernel vector m counts as traceless.
+TRACELESS_TOL = 1e-10
+
+#: Max steady-state residual ||L(nu)||, relative to ||L||_2.
+STEADY_RESID_TOL = 1e-12
 
 Schedule = Sequence[tuple[float, np.ndarray]]
 
@@ -138,7 +148,8 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
 
     Each Hamiltonian segment gets one step map expm(L dt); a switch time
     off the grid is reached by partial steps expm(L tau) on either side.
-    Raises StateInvariantViolated if the trace drifts by more than 1e-8.
+    Raises StateInvariantViolated if the trace drifts by more than
+    TRACE_DRIFT_TOL.
     """
     # Imported here, its only user: loading scipy.linalg costs ~0.25 s, most of
     # a run that never propagates.
@@ -187,7 +198,7 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
             t_now = t_next
 
     drift = abs(float(np.trace(states[-1]).real) - 1.0)
-    if drift > 1e-8:
+    if drift > TRACE_DRIFT_TOL:
         raise StateInvariantViolated(f"trace drifted by {drift:.3e} over the trajectory")
     return Trajectory(times, states)
 
@@ -199,7 +210,7 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     DegenerateKernel when it is not one-dimensional (e.g. L = 0, or pure
     dephasing, whose stationary set is a manifold), NonPositiveSolution when
     the kernel vector cannot be normalized to a state, and NoConvergence
-    when the residual ||L(nu)|| exceeds 1e-12 ||L||_2.
+    when the residual ||L(nu)|| exceeds STEADY_RESID_TOL ||L||_2.
     """
     r, _, scale = _kernel_basis(liouv.matrix)
     if r.shape[1] != 1:
@@ -208,16 +219,16 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
         )
     m = unvectorize(r[:, 0], liouv.dim)
     tr = complex(np.trace(m))
-    if abs(tr) < 1e-10 * float(np.linalg.norm(m)):
+    if abs(tr) < TRACELESS_TOL * float(np.linalg.norm(m)):
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")
     nu = hermitize(m / tr)
     nu /= np.trace(nu).real
     lam_min = float(np.linalg.eigvalsh(nu)[0])
-    if lam_min < -1e-10:
-        raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -1e-10")
+    if lam_min < -STATE_TOL:
+        raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -{STATE_TOL:.0e}")
     resid = float(np.linalg.norm(liouv.matrix @ vectorize(nu)))
-    if resid > 1e-12 * scale:
+    if resid > STEADY_RESID_TOL * scale:
         raise NoConvergence(
-            f"steady-state residual {resid:.3e} exceeds 1e-12 * ||L||_2 {scale:.3e}"
+            f"steady-state residual {resid:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {scale:.3e}"
         )
     return nu

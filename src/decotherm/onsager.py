@@ -19,14 +19,14 @@ import numpy as np
 
 from .baths import Bath, apply_generator, generator_superop
 from .errors import DimensionMismatch, MissingPair, ZeroCoherence
-from .operators import (
-    DEFAULT_EIG_CUT,
-    Spectrum,
-    SuperOperator,
-    hermitize,
-    hs_inner,
-)
+from .operators import Spectrum, SuperOperator, hermitize, hs_inner
 from .thermo import _supported_log
+
+#: Max |nu_LR| at which the device steady state counts as incoherent.
+COHERENCE_TOL = 1e-12
+
+#: Max imaginary part the entropy-production pairing may pick up.
+IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,23 +43,29 @@ def flow(bath: Bath, nu: np.ndarray) -> np.ndarray:
     return hermitize(apply_generator(bath.generator, nu))
 
 
-def force(bath: Bath, nu: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> np.ndarray:
+def _forces(baths: Sequence[Bath], nu: np.ndarray) -> list[np.ndarray]:
+    """X_b of each bath from one spectrum of nu; callers check nu's shape."""
+    log_nu = Spectrum.of(nu).log
+    return [_supported_log(b, nu) - log_nu for b in baths]
+
+
+def force(bath: Bath, nu: np.ndarray) -> np.ndarray:
     """X_b = log B_b(nu) - log nu, logs taken on the support."""
     if nu.shape != (bath.dim, bath.dim):
         raise DimensionMismatch(f"state shape {nu.shape} does not match bath dim {bath.dim}")
-    return _supported_log(bath, nu, eig_cut) - Spectrum.of(hermitize(nu), eig_cut).log
+    return _forces((bath,), nu)[0]
 
 
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
-    return [ForceFlowPair(b.name, flow(b, nu), force(b, nu)) for b in baths]
+    flows = [flow(b, nu) for b in baths]
+    return [ForceFlowPair(b.name, j, x) for b, j, x in zip(baths, flows, _forces(baths, nu))]
 
 
 def ness_entropy_production(baths: Sequence[Bath], nu: np.ndarray) -> float:
     """P = sum_b Tr[J_b X_b]; agrees with thermo.entropy_production."""
-    total = 0.0 + 0.0j
-    for b in baths:
-        total += hs_inner(flow(b, nu), force(b, nu))
-    if abs(total.imag) > 1e-10:
+    flows = [flow(b, nu) for b in baths]
+    total = sum(map(hs_inner, flows, _forces(baths, nu)), 0j)
+    if abs(total.imag) > IMAG_TOL:
         raise ValueError(f"entropy production picked up imaginary part {total.imag:.3e}")
     return float(total.real)
 
@@ -106,7 +112,7 @@ class ForceParameters(NamedTuple):
     x_l: float
 
 
-def force_parameters(nu: np.ndarray, coherence_tol: float = 1e-12) -> ForceParameters:
+def force_parameters(nu: np.ndarray) -> ForceParameters:
     """Scalar force parameters of the three-level device steady state.
 
     x_l = <L|log nu|R> + <R|log nu|L> (real for Hermitian nu). x_d is the
@@ -115,9 +121,9 @@ def force_parameters(nu: np.ndarray, coherence_tol: float = 1e-12) -> ForceParam
     """
     if nu.shape != (3, 3):
         raise DimensionMismatch(f"force parameters need a 3x3 device state, got {nu.shape}")
-    if abs(nu[1, 2]) <= coherence_tol:
+    if abs(nu[1, 2]) <= COHERENCE_TOL:
         raise ZeroCoherence("state has no L-R coherence; x_d is undefined")
-    log_nu = Spectrum.of(hermitize(nu)).log
+    log_nu = Spectrum.of(nu).log
     x_l = float((log_nu[1, 2] + log_nu[2, 1]).real)
     return ForceParameters(x_d=-x_l, x_l=x_l)
 

@@ -17,11 +17,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, StateInvariantViolated
 
-#: Relative eigenvalue cutoff separating true support from float noise.
+#: The one support cut: eigenvalues at or below DEFAULT_EIG_CUT times the
+#: largest one are float noise, not support.
 DEFAULT_EIG_CUT = 1e-12
 
-#: Default tolerance for Hermiticity checks (max entrywise deviation).
+#: Max entrywise deviation of a Hermitian operator from its adjoint.
 HERM_TOL = 1e-10
+
+#: Max trace deviation from 1 and max negative eigenvalue of a state.
+STATE_TOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -56,10 +60,10 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERM_TOL, what: str = "operator") -> None:
+def require_hermitian(a: np.ndarray, what: str = "operator") -> None:
     defect = herm_defect(a)
-    if defect > tol:
-        raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
+    if defect > HERM_TOL:
+        raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
 
 
 def require_square(a: np.ndarray, what: str = "operator") -> int:
@@ -81,7 +85,7 @@ class Spectrum:
     """Eigensystem of a Hermitian PSD matrix, shape (d, d), or of a stack of
     them, shape (n, d, d), split at the support cut.
 
-    Eigenvalues at or below eig_cut times the largest one form the
+    Eigenvalues at or below DEFAULT_EIG_CUT times the largest one form the
     numerical kernel; log_eigs is log(eigs) on the support and 0 on the
     kernel. Eigenvalues below minus the cut raise NegativeEigenvalue.
     """
@@ -92,11 +96,10 @@ class Spectrum:
     log_eigs: np.ndarray  # (..., d)
 
     @classmethod
-    def of(cls, m: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> "Spectrum":
-        """Spectrum of a Hermitian m; only its lower triangle is read, so
-        hermitize m first if it may not be exactly Hermitian."""
-        eigs, vecs = np.linalg.eigh(m)  # ascending
-        cut = eig_cut * np.maximum(eigs[..., -1], 0.0)
+    def of(cls, m: np.ndarray) -> "Spectrum":
+        """Spectrum of the Hermitian part of m, cut at DEFAULT_EIG_CUT."""
+        eigs, vecs = np.linalg.eigh(hermitize(m))  # ascending
+        cut = DEFAULT_EIG_CUT * np.maximum(eigs[..., -1], 0.0)
         low = eigs[..., 0]
         bad = low < -cut
         if bad.any():
@@ -124,14 +127,15 @@ class Spectrum:
         return np.where(self.keep, 0.0, w).sum(axis=-1)
 
 
-def matrix_log_on_support(a: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> np.ndarray:
+def matrix_log_on_support(a: np.ndarray) -> np.ndarray:
     """Natural log of a Hermitian PSD matrix, restricted to its support.
 
-    Eigenvalues below eig_cut (relative to the largest eigenvalue)
-    contribute zero. Eigenvalues below -eig_cut raise NegativeEigenvalue.
+    Eigenvalues at or below DEFAULT_EIG_CUT times the largest one
+    contribute zero; eigenvalues below minus that cut raise
+    NegativeEigenvalue.
     """
     require_hermitian(a, what="log argument")
-    return Spectrum.of(hermitize(a), eig_cut).log
+    return Spectrum.of(a).log
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -178,21 +182,16 @@ def superop_from_action(dim: int, action: Callable[[np.ndarray], np.ndarray]) ->
     return SuperOperator(dim, mat)
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    eig_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    what: str = "state",
-) -> None:
-    """Check Hermiticity, positivity and unit trace; raise on violation."""
+def assert_density_matrix(rho: np.ndarray, what: str = "state") -> None:
+    """Check Hermiticity (HERM_TOL), positivity and unit trace (STATE_TOL);
+    raise on violation."""
     require_square(rho, what)
     defect = herm_defect(rho)
-    if defect > herm_tol:
-        raise StateInvariantViolated(f"{what}: Hermiticity defect {defect:.3e} > {herm_tol:.1e}")
+    if defect > HERM_TOL:
+        raise StateInvariantViolated(f"{what}: Hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise StateInvariantViolated(f"{what}: trace {tr} deviates from 1 by more than {trace_tol:.1e}")
+    if abs(tr - 1.0) > STATE_TOL:
+        raise StateInvariantViolated(f"{what}: trace {tr} deviates from 1 by more than {STATE_TOL:.1e}")
     lam_min = float(np.linalg.eigvalsh(hermitize(rho))[0])
-    if lam_min < -eig_tol:
-        raise StateInvariantViolated(f"{what}: eigenvalue {lam_min:.3e} < -{eig_tol:.1e}")
+    if lam_min < -STATE_TOL:
+        raise StateInvariantViolated(f"{what}: eigenvalue {lam_min:.3e} < -{STATE_TOL:.1e}")

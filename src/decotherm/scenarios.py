@@ -44,20 +44,15 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+#: Max excess of a Bloch vector's squared length over 1.
+BLOCH_TOL = 1e-12
+
 
 def bloch_state(x: float, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     r2 = x * x + y * y + z * z
-    if r2 > 1.0 + 1e-12:
+    if r2 > 1.0 + BLOCH_TOL:
         raise InvalidBlochVector(f"Bloch vector length {math.sqrt(r2):.6f} exceeds 1")
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
-
-
-def bloch_coordinates(rho: np.ndarray) -> tuple[float, float, float]:
-    return (
-        float(np.trace(rho @ SIGMA_X).real),
-        float(np.trace(rho @ SIGMA_Y).real),
-        float(np.trace(rho @ SIGMA_Z).real),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +69,7 @@ class TwoLevelDecoherenceParams:
     def __post_init__(self):
         if self.gamma <= 0:
             raise InvalidParams(f"gamma must be > 0, got {self.gamma}")
-        if self.x * self.x + self.z * self.z > 1.0 + 1e-12:
+        if self.x * self.x + self.z * self.z > 1.0 + BLOCH_TOL:
             raise InvalidBlochVector(
                 f"(x, z) = ({self.x}, {self.z}) lies outside the Bloch ball"
             )

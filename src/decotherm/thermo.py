@@ -32,7 +32,6 @@ from .errors import SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
-    hermitize,
     require_hermitian,
     require_same_dim,
 )
@@ -68,24 +67,25 @@ def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     return float(np.trace(h @ apply_generator(bath.generator, rho)).real)
 
 
-def _stationary_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_log(bath: Bath, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log B(rho) on the support of B(rho), and the weight rho carries off
     that support, for one state or a stack of states.
 
     With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
-    log B(rho) = sum over c_k > eig_cut * max c of (log c_k Pi_k + log omega_k)
-    with no eigensolve per state. Otherwise the image is eigensolved per state.
+    log B(rho) = sum of (log c_k Pi_k + log omega_k) over the c_k above
+    DEFAULT_EIG_CUT * max c, with no eigensolve per state. Otherwise the
+    image is eigensolved per state.
     """
     struct = stationary_structure(bath)
     if struct.blocks is None:
-        spec = Spectrum.of(stationary_map(bath, rho), eig_cut)
+        spec = Spectrum.of(stationary_map(bath, rho))
         return spec.log, spec.leak_of(rho)
     m, d2 = struct.blocks.shape[0], bath.dim**2
     flat = rho.reshape(*rho.shape[:-2], d2)
     blocks = struct.blocks.reshape(m, d2)
     # Tr[X rho] = sum_ij conj(X)_ij rho_ij for Hermitian X
     c = (flat @ struct.conserved.reshape(m, d2).conj().T).real
-    keep = c > eig_cut * c.max(axis=-1, keepdims=True)
+    keep = c > DEFAULT_EIG_CUT * c.max(axis=-1, keepdims=True)
     log_c = np.log(c, out=np.zeros(c.shape), where=keep)
     log_b = log_c @ blocks + keep.astype(float) @ struct.logs.reshape(m, d2)
     kept = ((flat @ blocks.conj().T).real * keep).sum(axis=-1)
@@ -93,9 +93,9 @@ def _stationary_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> tuple[np.nda
     return log_b.reshape(rho.shape), leak
 
 
-def _supported_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> np.ndarray:
+def _supported_log(bath: Bath, rho: np.ndarray) -> np.ndarray:
     """log B(rho) of one state; SupportViolation if rho leaks off its support."""
-    log_b, leak = _stationary_log(bath, rho, eig_cut)
+    log_b, leak = _stationary_log(bath, rho)
     if leak > SUPPORT_TOL:
         raise SupportViolation(
             f"state has weight {leak:.3e} outside supp(B(rho)) for bath {bath.name}"
@@ -103,35 +103,35 @@ def _supported_log(bath: Bath, rho: np.ndarray, eig_cut: float) -> np.ndarray:
     return log_b
 
 
-def von_neumann_entropy(rho: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """S = -sum lambda ln lambda over the spectrum above the support cut."""
-    return float(Spectrum.of(hermitize(rho), eig_cut).entropy())
+    return float(Spectrum.of(rho).entropy())
 
 
-def relative_entropy_to_bath(rho: np.ndarray, bath: Bath, eig_cut: float = DEFAULT_EIG_CUT) -> float:
+def relative_entropy_to_bath(rho: np.ndarray, bath: Bath) -> float:
     """R = Tr[rho log rho] - Tr[rho log B(rho)]; zero exactly at equilibrium.
 
     Returns +inf when supp(rho) is not contained in supp(B(rho)).
     """
-    log_b, leak = _stationary_log(bath, rho, eig_cut)
+    log_b, leak = _stationary_log(bath, rho)
     if leak > SUPPORT_TOL:
         return math.inf
-    log_rho = Spectrum.of(hermitize(rho), eig_cut).log
+    log_rho = Spectrum.of(rho).log
     return float(np.trace(rho @ (log_rho - log_b)).real)
 
 
-def entropy_flux(bath: Bath, rho: np.ndarray, eig_cut: float = DEFAULT_EIG_CUT) -> float:
+def entropy_flux(bath: Bath, rho: np.ndarray) -> float:
     """Phi_b = -Tr[L_b(rho) log B_b(rho)], positive into the system."""
-    log_b = _supported_log(bath, rho, eig_cut)
+    log_b = _supported_log(bath, rho)
     return float(-np.trace(apply_generator(bath.generator, rho) @ log_b).real)
 
 
-def entropy_production(rho: np.ndarray, baths, eig_cut: float = DEFAULT_EIG_CUT) -> float:
+def entropy_production(rho: np.ndarray, baths) -> float:
     """P = sum_b Tr[L_b(rho) (log B_b(rho) - log rho)] >= 0."""
-    log_rho = Spectrum.of(hermitize(rho), eig_cut).log
+    log_rho = Spectrum.of(rho).log
     total = 0.0
     for bath in baths:
-        log_b = _supported_log(bath, rho, eig_cut)
+        log_b = _supported_log(bath, rho)
         flow = apply_generator(bath.generator, rho)
         total += float(np.trace(flow @ (log_b - log_rho)).real)
     return total
@@ -198,7 +198,7 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _entropy_and_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies and support logs of a block of states."""
-    own = Spectrum.of(hermitize(rho), DEFAULT_EIG_CUT)
+    own = Spectrum.of(rho)
     return own.entropy(), own.log
 
 
@@ -206,7 +206,7 @@ def _bath_terms(bath: Bath, rho: np.ndarray, h: np.ndarray, log_rho: np.ndarray)
     """Heat, entropy flux, relative entropy, entropy-production term and
     support leak of one bath over a block of states."""
     flow = apply_generator(bath.generator, rho)
-    log_b, leak = _stationary_log(bath, rho, DEFAULT_EIG_CUT)
+    log_b, leak = _stationary_log(bath, rho)
     return (
         _traces(h, flow),
         -_traces(flow, log_b),

@@ -247,7 +247,7 @@ class TestPumpBaths:
         for bath, image in ((left_pump_bath(n), left), (right_pump_bath(n), right)):
             assert np.max(np.abs(stationary_map(bath, rho) - image)) <= 1e-14
             # the log keeps the cold n/(1+2n) population on the support
-            log_b, leak = thermo._stationary_log(bath, rho, 1e-12)
+            log_b, leak = thermo._stationary_log(bath, rho)
             assert np.max(np.abs(log_b - np.diag(np.log(np.diagonal(image))))) <= 1e-13
             assert abs(leak) <= 1e-15
 
@@ -361,7 +361,7 @@ class TestStationaryStructure:
         rho = ginibre_state(rng, d, mix=0.1)
         probs = np.einsum("jk,kl,lj->j", basis.conj().T, rho, basis).real
         pinched_log = (basis * np.log(probs)) @ basis.conj().T
-        log_b, leak = thermo._stationary_log(bath, rho, 1e-12)
+        log_b, leak = thermo._stationary_log(bath, rho)
         assert np.max(np.abs(log_b - pinched_log)) <= 1e-12
         assert abs(leak) <= 1e-14
 

@@ -71,6 +71,26 @@ class TestConfigValidation:
         path = write_config(tmp_path, output={"format": "xml", "path": "x"})
         assert cli.run(str(path)) == 2
 
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys):
+        # json.load accepts NaN and Infinity; a number past the float range
+        # is as unusable
+        device = {"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2}
+        for bad in (math.nan, math.inf, -math.inf, 10**400):
+            cases = [
+                ("gamma", {"params": {"gamma": bad, "e_level": 1.0, "x": 0.5}}),
+                ("n_l", {"scenario": "device-steady", "params": {**device, "n_l": bad, "gamma": 0.3}}),
+                ("gammas", {"scenario": "gamma-sweep", "params": {**device, "gammas": [0.3, bad]}}),
+                ("t_max", {"integrator": {"t_max": bad}}),
+                ("dt", {"integrator": {"t_max": 1.0, "dt": bad}}),
+                ("onsager_c", {"scenario": "device-steady", "params": {**device, "gamma": 0.3}, "onsager_c": bad}),
+            ]
+            for key, overrides in cases:
+                path = write_config(tmp_path, **overrides)
+                assert cli.run(str(path)) == 2, (key, bad)
+                err = capsys.readouterr().err
+                assert f"'{key}'" in err and "finite" in err, (key, bad, err)
+                assert not (tmp_path / "out.csv").exists(), (key, bad)
+
 
 class TestTwoLevelRun:
     def test_heat_row(self, tmp_path, capsys):

@@ -292,7 +292,4 @@ def test_trajectory_states_satisfy_state_invariants(rng):
     spec = EvolutionSpec(spec0.hamiltonian, spec0.baths, t_max=3.0)
     traj = propagate(ginibre_state(rng, 3), spec)
     for k in range(0, len(traj), max(1, len(traj) // 25)):
-        assert_density_matrix(
-            traj.states[k], herm_tol=1e-8, eig_tol=1e-8, trace_tol=1e-8,
-            what=f"state at t={traj.times[k]:.3f}",
-        )
+        assert_density_matrix(traj.states[k], what=f"state at t={traj.times[k]:.3f}")

@@ -9,6 +9,7 @@ from decotherm.baths import (
     left_pump_bath,
     right_pump_bath,
     stationary_map,
+    stationary_structure,
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, liouvillian, steady_state
@@ -112,6 +113,26 @@ class TestNessEntropyProduction:
         assert ness_entropy_production(baths, nu) == pytest.approx(0.0, abs=1e-10)
         for b in baths:
             assert np.max(np.abs(flow(b, nu))) < 1e-11
+
+    def test_one_eigensolve_of_nu_per_call(self, monkeypatch):
+        # the device baths' cached structures carry the logs of their
+        # images, so log nu, shared by every bath's force, is the one eigh
+        from decotherm.onsager import force_flow_pairs
+
+        assembly, nu = device_steady()
+        for b in assembly.baths:
+            assert stationary_structure(b).blocks is not None
+        single = [force(b, nu) for b in assembly.baths]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        ness_entropy_production(assembly.baths, nu)
+        assert calls == [(3, 3)]
+        calls.clear()
+        pairs = force_flow_pairs(assembly.baths, nu)
+        assert calls == [(3, 3)]
+        for p, x in zip(pairs, single):
+            assert np.array_equal(p.force, x)
 
 
 class TestOnsagerSuperop:

@@ -94,6 +94,13 @@ class TestSpectrum:
         states = np.stack([np.diag([0.5, 0.3, 0.2]), np.diag([1.0, 0.0, 0.0])]).astype(complex)
         assert np.allclose(spec.leak_of(states), [0.5, 0.0], atol=1e-15)
 
+    def test_reads_the_hermitian_part(self, rng):
+        # the whole matrix is read, not one triangle: here only the upper
+        # triangle carries the off-diagonals
+        rho = hermitize(ginibre_state(rng, 4, mix=0.1))
+        upper = 2.0 * np.triu(rho, 1) + np.diag(np.diag(rho))
+        assert np.array_equal(Spectrum.of(upper).log, Spectrum.of(rho).log)
+
     def test_negative_eigenvalue_anywhere_in_stack(self):
         stack = np.stack([np.eye(2) / 2, np.diag([1.0, -0.2])]).astype(complex)
         with pytest.raises(NegativeEigenvalue):
