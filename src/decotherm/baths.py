@@ -9,6 +9,10 @@ B(rho) = sum_k Tr[J_k rho] omega_k with conserved J_k, and
 `stationary_structure` gives log B(rho) without an eigensolve per state.
 The same SVD null space (`_kernel_basis`) gives a Liouvillian's steady state.
 
+Each generator has one implementation, its closed-form d²×d² matrix
+(`generator_superop`); flows, stationary images and residuals all act
+through `SuperOperator.apply`.
+
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
     L(rho) = sum_k rate_k (2 A_k rho A_k† - A_k†A_k rho - rho A_k†A_k)
@@ -35,8 +39,6 @@ from .operators import (
     SuperOperator,
     dagger,
     hermitize,
-    mul_left,
-    mul_right,
     require_square,
 )
 
@@ -50,7 +52,7 @@ class JumpTerm:
     jump: np.ndarray
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise InvalidParams(f"jump rate must be >= 0, got {self.rate}")
         require_square(self.jump, "jump operator")
 
@@ -61,7 +63,6 @@ class LindbladGenerator:
     terms: tuple[JumpTerm, ...]
     # pre-stacked views of the terms
     jump_stack: np.ndarray = field(init=False, repr=False)
-    jj_stack: np.ndarray = field(init=False, repr=False)
     rate_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,37 +74,22 @@ class LindbladGenerator:
         jumps = np.array([t.jump for t in self.terms], dtype=complex)
         jumps = jumps.reshape(-1, self.dim, self.dim)
         object.__setattr__(self, "jump_stack", jumps)
-        object.__setattr__(self, "jj_stack", np.einsum("kji,kjl->kil", jumps.conj(), jumps))
         object.__setattr__(self, "rate_stack", np.array([t.rate for t in self.terms], dtype=float))
-
-
-def _require_operands(dim: int, a: np.ndarray, what: str) -> None:
-    """a must be one (dim, dim) operator or a stack (n, dim, dim) of them."""
-    if a.ndim not in (2, 3) or a.shape[-2:] != (dim, dim):
-        raise DimensionMismatch(f"{what} shape {a.shape} does not match dim {dim}")
 
 
 def apply_generator(gen: LindbladGenerator, a: np.ndarray) -> np.ndarray:
     """Schrodinger-picture action: sum_k r_k (2 A a A† - A†A a - a A†A),
     on one operator or on each operator of a stack."""
-    _require_operands(gen.dim, a, "operator")
-    out = np.zeros(a.shape, dtype=complex)
-    jumps, jjs, rates = gen.jump_stack, gen.jj_stack, gen.rate_stack
-    for k in range(rates.shape[0]):
-        aa = jumps[k]
-        out += rates[k] * (
-            2.0 * mul_right(mul_left(aa, a), aa.conj().T) - mul_left(jjs[k], a) - mul_right(a, jjs[k])
-        )
-    return out
+    return generator_superop(gen).apply(a)
 
 
 def generator_superop(gen: LindbladGenerator) -> SuperOperator:
-    """Vectorized matrix of the generator's Schrodinger action, in closed form:
+    """The generator as a super-operator, in closed form:
 
         sum_k 2 r_k conj(A_k) ⊗ A_k - I ⊗ K - Kᵀ ⊗ I,  K = sum_k r_k A_k†A_k
 
-    For jumps that are matrix units (the device baths) the matrix equals,
-    bit for bit, apply_generator applied to every matrix unit.
+    Built on each call and never stored: a caller that acts on many
+    operators builds it once and applies it to a stack.
     """
     d = gen.dim
     # K from the same products r_k conj(A_k) A_k as the kron term, so that a
@@ -144,11 +130,11 @@ class Bath:
 
 @dataclass(frozen=True, eq=False)
 class StationaryStructure:
-    """The projector P = R (N†R)⁻¹ N† onto ker L (d²×d²) and ||L||_2, and,
-    when every n_k = 1, (m, d, d) stacks of the block projectors Pi_k, the
+    """The projector P = R (N†R)⁻¹ N† onto ker L and ||L||_2, and, when
+    every n_k = 1, (m, d, d) stacks of the block projectors Pi_k, the
     conserved J_k = P†(Pi_k) and log omega_k on V_k (else None)."""
 
-    projector: np.ndarray
+    projector: SuperOperator
     scale: float
     blocks: np.ndarray | None = None
     conserved: np.ndarray | None = None
@@ -169,55 +155,55 @@ def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return vh[n - k:].conj().T, u[:, n - k:].conj().T, float(s[0])
 
 
-def _act(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The d²×d² matrix mat applied to vec(a), for one operator or a stack."""
-    # vec() stacks columns, so vec(a) is the row-major flattening of a.T
-    images = a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1) @ mat.T
-    return images.reshape(a.shape).swapaxes(-1, -2)
-
-
 def stationary_structure(bath: Bath) -> StationaryStructure:
     """The bath's stationary structure from one SVD of L, cached on it.
 
     The recurrent space is the support of P(I) under _kernel_basis's rank
-    rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for one fixed probe G
-    its eigenspaces are the blocks V_k. If there are dim ker L of them, every
-    n_k = 1 and P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
+    rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for a probe G whose
+    expectations differ between blocks its eigenspaces are the blocks V_k.
+    Blocks whose expectations lie close mix their eigenvectors, so a second
+    pass probes with sum_k k Pi_k from the first pass' labels, whose blocks
+    sit 1 apart. If there are dim ker L blocks, every n_k = 1 and
+    P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
     if bath._structure is not None:
         return bath._structure
     d = bath.dim
-    lmat = generator_superop(bath.generator).matrix
-    r, nh, scale = _kernel_basis(lmat)
-    p = r @ np.linalg.solve(nh @ r, nh)
+    gen = generator_superop(bath.generator)
+    r, nh, scale = _kernel_basis(gen.matrix)
+    p = SuperOperator(d, r @ np.linalg.solve(nh @ r, nh))
+    p_adj = p.adjoint()
     struct = StationaryStructure(p, scale)
     cut = d * d * np.finfo(float).eps
-    p_eye = hermitize(_act(p, np.eye(d)))
+    p_eye = hermitize(p.apply(np.eye(d)))
     lam, vecs = np.linalg.eigh(p_eye)
     keep = lam > cut * lam[-1]
     support = vecs[:, keep]
     # distinct diagonal and neighbour couplings of phase 1 rad: no basis of
     # rational phases gives two blocks the same expectation
     probe = np.diag(np.arange(1.0, d + 1.0)) + np.diag(np.full(d - 1, np.exp(1j)), 1)
-    conserved_probe = hermitize(_act(p.conj().T, probe + dagger(probe)))
-    g, x = np.linalg.eigh(dagger(support) @ conserved_probe @ support)
-    label = np.concatenate(([0], np.cumsum(np.diff(g) > cut * np.max(np.abs(g)))))
-    if label[-1] + 1 == r.shape[1]:
+    probe = probe + dagger(probe)
+    for _ in range(2):
+        g, x = np.linalg.eigh(dagger(support) @ hermitize(p_adj.apply(probe)) @ support)
+        label = np.concatenate(([0], np.cumsum(np.diff(g) > cut * np.max(np.abs(g)))))
         w = support @ x
+        probe = (w * label) @ dagger(w)  # sum_k k Pi_k
+    if label[-1] + 1 == r.shape[1]:
         blocks = (w * (label == np.arange(r.shape[1])[:, None])[:, None, :]) @ dagger(w)
         images = blocks @ p_eye @ blocks  # c_k(I) omega_k
         weights = np.trace(images, axis1=-2, axis2=-1).real
-        resid = np.linalg.norm(_act(lmat, images / weights[:, None, None]), axis=(-2, -1))
+        resid = np.linalg.norm(gen.apply(images / weights[:, None, None]), axis=(-2, -1))
         _require_residual(bath, resid, scale, "stationary state of a block")
         log_p_eye = (support * np.log(lam[keep])) @ dagger(support)
         logs = blocks @ log_p_eye @ blocks - np.log(weights)[:, None, None] * blocks
-        struct = StationaryStructure(p, scale, blocks, hermitize(_act(p.conj().T, blocks)), logs)
+        struct = StationaryStructure(p, scale, blocks, hermitize(p_adj.apply(blocks)), logs)
     object.__setattr__(bath, "_structure", struct)
     return struct
 
 
 def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) -> None:
+    """NoConvergence unless every residual is at most tol * scale (NaN fails)."""
     tol = bath.fixed_point.tol
-    if (resid > tol * scale).any():
+    if not (resid <= tol * scale).all():
         raise NoConvergence(
             f"{bath.name}: {what} has residual {np.max(resid):.3e} "
             f"> tol {tol:.1e} * ||L||_2 {scale:.3e}"
@@ -227,11 +213,12 @@ def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) ->
 def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     """Evaluate B(rho), the infinite-time limit of the bath's dynamical map,
     for one state (d, d) or for each state of a stack (n, d, d). B preserves
-    the trace, so each image is scaled to the trace of its state."""
-    _require_operands(bath.dim, rho, "state")
+    the trace, so each image of an operator with nonzero trace is scaled to
+    that trace."""
     struct = stationary_structure(bath)
-    out = hermitize(_act(struct.projector, rho))
-    ratio = np.trace(rho, axis1=-2, axis2=-1) / np.trace(out, axis1=-2, axis2=-1)
+    out = hermitize(struct.projector.apply(rho))
+    tr, tr_out = np.trace(rho, axis1=-2, axis2=-1), np.trace(out, axis1=-2, axis2=-1)
+    ratio = np.divide(tr, tr_out, out=np.ones(tr.shape, complex), where=tr != 0)
     out *= ratio.real[..., None, None]
     resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))
     _require_residual(bath, resid, struct.scale, "kernel projector image")
@@ -244,9 +231,9 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
 
 def thermal_occupation(beta: float, energy: float) -> float:
     """Bose factor 1/(exp(beta*energy) - 1), overflow-safe."""
-    if beta <= 0:
+    if not beta > 0:
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
-    if energy <= 0:
+    if not energy > 0:
         raise InvalidParams(f"occupation needs a positive level splitting, got {energy}")
     e = np.exp(-beta * energy)
     return float(e / (1.0 - e))
@@ -257,7 +244,7 @@ def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "depha
 
     One jump |j><j| per basis vector, all at the same rate.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise InvalidParams(f"dephasing rate must be > 0, got {gamma}")
     u = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
     d = u.shape[0]
@@ -281,9 +268,9 @@ def thermal_two_level_bath(
     kernel is one-dimensional and spanned by diag(1+n, n) ∝ diag(1, e^{-beta E}),
     so the kernel projector maps every state to that Gibbs state.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
-    if rate_scale <= 0:
+    if not rate_scale > 0:
         raise InvalidParams(f"rate_scale must be > 0, got {rate_scale}")
     n = thermal_occupation(beta, e_excited)
     decay = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|
@@ -306,7 +293,7 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
     this implements; the placement is opposite to the usual thermal
     convention and is intentional.
     """
-    if n_l <= 0:
+    if not n_l > 0:
         raise NonPositiveOccupation(f"n_l must be > 0, got {n_l}")
     return Bath(name, LindbladGenerator(
         3,
@@ -319,7 +306,7 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
 
 def right_pump_bath(n_r: float, name: str = "right") -> Bath:
     """Right relaxation bath of the three-level device, basis (|0>, |L>, |R>)."""
-    if n_r <= 0:
+    if not n_r > 0:
         raise NonPositiveOccupation(f"n_r must be > 0, got {n_r}")
     return Bath(name, LindbladGenerator(
         3,

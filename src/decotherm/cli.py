@@ -143,7 +143,7 @@ def load_config(path: str) -> RunConfig:
         _require_keys(integrator, {"dt": False, "t_max": True}, "integrator")
         integrator = {k: _number(v, k, "integrator") for k, v in integrator.items()}
     onsager_c = _number(raw["onsager_c"], "onsager_c", "config") if "onsager_c" in raw else 1.0
-    if onsager_c <= 0:
+    if not onsager_c > 0:
         raise ConfigError(f"onsager_c must be > 0, got {onsager_c}")
     return RunConfig(
         scenario=scenario,

@@ -36,7 +36,6 @@ from .operators import (
     hermitize,
     require_square,
     unvectorize,
-    vectorize,
 )
 
 #: Step-size safety factor; dt = DT_SAFETY / stiffness. Chosen so that the
@@ -159,11 +158,11 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"initial state shape {rho0.shape} does not match dim {d}")
     assert_density_matrix(rho0, what="initial state")
-    if spec.t_max is None or spec.t_max <= 0:
-        raise InvalidParams("propagate needs t_max > 0")
+    if spec.t_max is None or not 0 < spec.t_max < np.inf:
+        raise InvalidParams(f"propagate needs a finite t_max > 0, got {spec.t_max}")
     dt = spec.dt if spec.dt is not None else default_timestep(spec.hamiltonian, spec.baths)
-    if dt <= 0:
-        raise InvalidParams(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise InvalidParams(f"dt must be finite and > 0, got {dt}")
     if dt >= spec.t_max:
         raise InvalidParams(f"dt = {dt} must be smaller than t_max = {spec.t_max}")
     n_total = int(np.ceil(spec.t_max / dt - 1e-9))
@@ -226,8 +225,8 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     lam_min = float(np.linalg.eigvalsh(nu)[0])
     if lam_min < -STATE_TOL:
         raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -{STATE_TOL:.0e}")
-    resid = float(np.linalg.norm(liouv.matrix @ vectorize(nu)))
-    if resid > STEADY_RESID_TOL * scale:
+    resid = float(np.linalg.norm(liouv.apply(nu)))
+    if not resid <= STEADY_RESID_TOL * scale:
         raise NoConvergence(
             f"steady-state residual {resid:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {scale:.3e}"
         )

@@ -38,23 +38,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
-def mul_left(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """m @ a for one operator a, or for each operator of a stack as a
-    single matrix product (one BLAS call instead of one per operator)."""
-    if a.ndim == 2:
-        return m @ a
-    n, d, _ = a.shape
-    return (m @ a.transpose(1, 0, 2).reshape(d, n * d)).reshape(d, n, d).transpose(1, 0, 2)
-
-
-def mul_right(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a @ m for one operator a, or for each operator of a stack as a
-    single matrix product."""
-    if a.ndim == 2:
-        return a @ m
-    return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape)
-
-
 def herm_defect(a: np.ndarray) -> float:
     """Max absolute entrywise deviation of A from A†."""
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
@@ -161,11 +144,15 @@ class SuperOperator:
     matrix: np.ndarray
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        if a.shape != (self.dim, self.dim):
+        """The map on one operator (d, d), or on each operator of a stack
+        (n, d, d) as a single matrix product."""
+        if a.ndim not in (2, 3) or a.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"super-operator acts on {self.dim}x{self.dim}, got {a.shape}"
             )
-        return unvectorize(self.matrix @ vectorize(a), self.dim)
+        # vec() stacks columns, so vec(a) is the row-major flattening of a.T
+        images = a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1) @ self.matrix.T
+        return images.reshape(a.shape).swapaxes(-1, -2)
 
     def adjoint(self) -> "SuperOperator":
         return SuperOperator(self.dim, self.matrix.conj().T)

@@ -50,7 +50,7 @@ BLOCH_TOL = 1e-12
 
 def bloch_state(x: float, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     r2 = x * x + y * y + z * z
-    if r2 > 1.0 + BLOCH_TOL:
+    if not r2 <= 1.0 + BLOCH_TOL:
         raise InvalidBlochVector(f"Bloch vector length {math.sqrt(r2):.6f} exceeds 1")
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
@@ -67,9 +67,9 @@ class TwoLevelDecoherenceParams:
     z: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise InvalidParams(f"gamma must be > 0, got {self.gamma}")
-        if self.x * self.x + self.z * self.z > 1.0 + BLOCH_TOL:
+        if not self.x * self.x + self.z * self.z <= 1.0 + BLOCH_TOL:
             raise InvalidBlochVector(
                 f"(x, z) = ({self.x}, {self.z}) lies outside the Bloch ball"
             )
@@ -110,7 +110,7 @@ class DeviceParams:
     def __post_init__(self):
         if not self.e_l > self.e_r:
             raise InvalidParams(f"device requires e_l > e_r, got {self.e_l} <= {self.e_r}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise InvalidParams(f"gamma must be >= 0, got {self.gamma}")
         # occupations validated by the bath constructors
 
@@ -230,7 +230,7 @@ def gamma_sweep(p: DeviceParams, gammas, c: float = 1.0) -> list[SweepPoint]:
     """One device report per dephasing rate; a DegenerateKernel at a point
     is flagged and the sweep continues."""
     gammas = list(gammas)
-    if any(g < 0 for g in gammas):
+    if not all(g >= 0 for g in gammas):
         raise InvalidParams("sweep rates must be >= 0")
     if gammas != sorted(gammas):
         raise InvalidParams("sweep rates must be sorted ascending")

@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import Bath, apply_generator, stationary_map, stationary_structure
+from .baths import Bath, apply_generator, generator_superop, stationary_map, stationary_structure
 from .dynamics import EvolutionSpec, Trajectory
 from .errors import SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
+    SuperOperator,
     require_hermitian,
     require_same_dim,
 )
@@ -202,10 +203,12 @@ def _entropy_and_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return own.entropy(), own.log
 
 
-def _bath_terms(bath: Bath, rho: np.ndarray, h: np.ndarray, log_rho: np.ndarray):
+def _bath_terms(
+    bath: Bath, gen: SuperOperator, rho: np.ndarray, h: np.ndarray, log_rho: np.ndarray
+):
     """Heat, entropy flux, relative entropy, entropy-production term and
-    support leak of one bath over a block of states."""
-    flow = apply_generator(bath.generator, rho)
+    support leak of one bath, with generator gen, over a block of states."""
+    flow = gen.apply(rho)
     log_b, leak = _stationary_log(bath, rho)
     return (
         _traces(h, flow),
@@ -221,7 +224,8 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
 
     The states are processed in blocks of _BLOCK_ENTRIES // d² points:
     one stacked eigensolve of the states, one stacked stationary image
-    and one stacked flow per bath, and traces as einsums.
+    and one stacked flow per bath, and traces as einsums. Each bath's
+    generator matrix is built once per call.
 
     The work rate reflects the piecewise-constant schedule: zero except at
     the first grid point at or after a switch, where the impulsive energy
@@ -247,15 +251,16 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     heats = {name: np.empty(n) for name in names}
     fluxes = {name: np.empty(n) for name in names}
     rel = {name: np.empty(n) for name in names}
+    gens = [generator_superop(b.generator) for b in spec.baths]
     block = max(1, _BLOCK_ENTRIES // (d * d))
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
         rho, h = states[sl], hams[seg[sl]]
         energy_[sl] = _traces(h, rho)
         entropy[sl], log_rho = _entropy_and_log(rho)
-        for bath in spec.baths:
+        for bath, gen in zip(spec.baths, gens):
             heats[bath.name][sl], fluxes[bath.name][sl], rel[bath.name][sl], prod, leak = (
-                _bath_terms(bath, rho, h, log_rho)
+                _bath_terms(bath, gen, rho, h, log_rho)
             )
             production[sl] += prod
             off = leak > SUPPORT_TOL

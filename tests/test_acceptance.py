@@ -81,7 +81,7 @@ def _batched_generator(states, bath):
     gen = bath.generator
     for k in range(gen.rate_stack.shape[0]):
         a = gen.jump_stack[k]
-        jj = gen.jj_stack[k]
+        jj = a.conj().T @ a
         out += gen.rate_stack[k] * (2.0 * a @ states @ a.conj().T - jj @ states - states @ jj)
     return out
 

@@ -104,11 +104,12 @@ class TestApplyGenerator:
 
 
 class TestGeneratorSuperop:
-    """The closed-form matrix against apply_generator on every matrix unit."""
+    """The closed-form matrix against the per-term oracle on every matrix unit."""
 
     @staticmethod
     def oracle(gen):
-        return superop_from_action(gen.dim, lambda m: apply_generator(gen, m)).matrix
+        terms = [(t.rate, t.jump) for t in gen.terms]
+        return superop_from_action(gen.dim, lambda m: dissipator_oracle(m, terms)).matrix
 
     def test_device_baths_bit_identical(self, rng):
         # occupations and dephasing rates over the steady_sweep benchmark ranges
@@ -302,8 +303,20 @@ class TestStationaryMapGeneral:
     def test_empty_generator_keeps_every_state(self, rng):
         empty = Bath("null", LindbladGenerator(3, ()))
         rho = ginibre_state(rng, 3)
-        assert np.array_equal(stationary_structure(empty).projector, np.eye(9))
+        assert np.array_equal(stationary_structure(empty).projector.matrix, np.eye(9))
         assert np.max(np.abs(stationary_map(empty, rho) - rho)) < 1e-15
+
+    def test_traceless_operators_are_not_rescaled(self):
+        # Tr = 0 leaves nothing to rescale to: the image is the plain projection
+        bath = dephasing_bath(Z_BASIS, 0.7)
+        assert np.max(np.abs(stationary_map(bath, SX.copy()))) <= 1e-15
+        assert np.max(np.abs(stationary_map(bath, SZ.copy()) - SZ)) <= 1e-15
+
+    def test_nan_input_raises(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = np.nan
+        with pytest.raises(NoConvergence):
+            stationary_map(dephasing_bath(Z_BASIS, 0.7), rho)
 
 
 class TestKernelProjector:
@@ -328,7 +341,7 @@ class TestKernelProjector:
         gen = LindbladGenerator(d, tuple(terms))
         lmat = generator_superop(gen).matrix
         struct = stationary_structure(Bath("b", gen))
-        p, cached_scale = struct.projector, struct.scale
+        p, cached_scale = struct.projector.matrix, struct.scale
         scale = np.linalg.norm(lmat, 2)
         assert cached_scale == pytest.approx(scale, rel=1e-12)
         assert np.linalg.norm(p @ p - p, 2) <= 1e-12 * scale
@@ -346,7 +359,14 @@ def _log_on_support(m, cut=1e-12):
 
 
 class TestStationaryStructure:
-    def test_dephasing_d16_random_basis(self, rng):
+    # seeds 0, 2, 4 and 5 put two blocks' first-probe expectations close
+    # enough together to mix their eigenvectors
+    @pytest.mark.parametrize(
+        "seed", [None, *range(8)], ids=["fixture", *map("seed{}".format, range(8))]
+    )
+    def test_dephasing_d16_random_basis(self, rng, seed):
+        if seed is not None:
+            rng = np.random.default_rng(seed)
         d = 16
         basis, _ = np.linalg.qr(random_complex(rng, d))
         bath = dephasing_bath([basis[:, j] for j in range(d)], 0.05)

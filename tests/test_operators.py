@@ -181,6 +181,19 @@ class TestSuperopFromAction:
             a = random_complex(rng, 3)
             assert np.max(np.abs(s.apply(a) - (h @ a @ h - 2.0 * a))) < 1e-12
 
+    def test_apply_stack_matches_each_operator(self, rng):
+        s = SuperOperator(3, random_complex(rng, 9))
+        stack = np.stack([random_complex(rng, 3) for _ in range(4)])
+        out = s.apply(stack)
+        assert out.shape == stack.shape
+        for a, b in zip(stack, out):
+            assert np.max(np.abs(b - s.apply(a))) < 1e-13
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3), (4, 3, 3), (2, 3)])
+    def test_apply_rejects_other_shapes(self, shape):
+        with pytest.raises(DimensionMismatch):
+            SuperOperator(2, np.eye(4, dtype=complex)).apply(np.zeros(shape, dtype=complex))
+
     def test_linearity_of_apply(self, rng):
         s = SuperOperator(3, random_complex(rng, 9))
         a, b = random_complex(rng, 3), random_complex(rng, 3)

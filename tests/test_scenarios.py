@@ -7,9 +7,22 @@ import numpy as np
 import pytest
 from conftest import ginibre_state
 
-from decotherm.baths import apply_generator
-from decotherm.dynamics import EvolutionSpec, liouvillian
-from decotherm.errors import InvalidBlochVector, InvalidParams
+from decotherm.baths import (
+    JumpTerm,
+    apply_generator,
+    dephasing_bath,
+    left_pump_bath,
+    right_pump_bath,
+    thermal_occupation,
+    thermal_two_level_bath,
+)
+from decotherm.dynamics import EvolutionSpec, liouvillian, propagate
+from decotherm.errors import (
+    InvalidBlochVector,
+    InvalidParams,
+    NonPositiveBeta,
+    NonPositiveOccupation,
+)
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
@@ -212,3 +225,40 @@ def test_device_report_across_cold_and_hot_baths():
     for n_l, n_r, gamma in itertools.product(GRID_OCCUPATIONS, GRID_OCCUPATIONS, GRID_GAMMAS):
         report = device_report(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
         assert np.isfinite(report.entropy_production), (n_l, n_r, gamma)
+
+
+NAN = math.nan
+Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+NAN_CASES = {
+    "device_gamma": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "gamma": NAN}), InvalidParams),
+    "sweep_gamma": (lambda: gamma_sweep(DeviceParams(**DEFAULT_DEVICE), [NAN]), InvalidParams),
+    "device_n_l": (lambda: device_report(DeviceParams(**{**DEFAULT_DEVICE, "n_l": NAN})),
+                   NonPositiveOccupation),
+    "jump_rate": (lambda: JumpTerm(NAN, np.eye(2, dtype=complex)), InvalidParams),
+    "dephasing_rate": (lambda: dephasing_bath(Z_BASIS, NAN), InvalidParams),
+    "left_pump": (lambda: left_pump_bath(NAN), NonPositiveOccupation),
+    "right_pump": (lambda: right_pump_bath(NAN), NonPositiveOccupation),
+    "beta": (lambda: thermal_occupation(NAN, 1.0), NonPositiveBeta),
+    "splitting": (lambda: thermal_occupation(1.0, NAN), InvalidParams),
+    "thermal_rate": (lambda: thermal_two_level_bath(1.0, 1.0, NAN), InvalidParams),
+    "two_level_gamma": (lambda: TwoLevelDecoherenceParams(gamma=NAN, e_level=1.0, x=0.5),
+                        InvalidParams),
+    "two_level_x": (lambda: TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=NAN),
+                    InvalidBlochVector),
+    "bloch_state": (lambda: bloch_state(NAN), InvalidBlochVector),
+    "propagate_dt": (lambda: _propagate_two_level(t_max=1.0, dt=NAN), InvalidParams),
+    "propagate_t_max": (lambda: _propagate_two_level(t_max=NAN, dt=0.1), InvalidParams),
+    "propagate_t_max_inf": (lambda: _propagate_two_level(t_max=math.inf, dt=0.1), InvalidParams),
+}
+
+
+def _propagate_two_level(t_max, dt):
+    spec = EvolutionSpec(two_level_hamiltonian(1.0), (dephasing_bath(Z_BASIS, 1.0),), t_max, dt)
+    return propagate(bloch_state(0.5), spec)
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_non_finite_parameters_rejected(case):
+    make, error = NAN_CASES[case]
+    with pytest.raises(error):
+        make()

@@ -261,6 +261,28 @@ class TestSampleThermodynamics:
             samples = sample_thermodynamics(traj, spec)
             assert all(s.entropy_production >= -1e-9 for s in samples)
 
+    def test_generator_built_once_per_bath(self, monkeypatch):
+        from decotherm import baths
+        from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
+
+        assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
+        spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
+        traj = propagate(np.eye(3, dtype=complex) / 3, spec)
+        assert len(traj) > 2 * (thermo._BLOCK_ENTRIES // 9)  # three blocks
+        for bath in assembly.baths:
+            stationary_structure(bath)  # cached on the bath, built outside the count
+        built = []
+        real = baths.generator_superop
+
+        def counting(gen):
+            built.append(gen)
+            return real(gen)
+
+        monkeypatch.setattr(baths, "generator_superop", counting)
+        monkeypatch.setattr(thermo, "generator_superop", counting)
+        sample_thermodynamics(traj, spec)
+        assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
+
     def test_support_violation_flagged_not_fatal(self):
         bath = thermal_two_level_bath(1.0, 900.0, 1.0)
         spec = EvolutionSpec(np.diag([0.0, 1.0]).astype(complex), (bath,), t_max=0.05, dt=0.01)
