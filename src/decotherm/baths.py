@@ -52,8 +52,8 @@ class JumpTerm:
     jump: np.ndarray
 
     def __post_init__(self):
-        if not self.rate >= 0:
-            raise InvalidParams(f"jump rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < np.inf:
+            raise InvalidParams(f"jump rate must be finite and >= 0, got {self.rate}")
         require_square(self.jump, "jump operator")
 
 
@@ -73,6 +73,8 @@ class LindbladGenerator:
                 )
         jumps = np.array([t.jump for t in self.terms], dtype=complex)
         jumps = jumps.reshape(-1, self.dim, self.dim)
+        if not np.isfinite(jumps).all():
+            raise InvalidParams("jump operator has a non-finite entry")
         object.__setattr__(self, "jump_stack", jumps)
         object.__setattr__(self, "rate_stack", np.array([t.rate for t in self.terms], dtype=float))
 
@@ -142,21 +144,39 @@ class StationaryStructure:
 
 
 def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Null space of a square super-operator matrix L, from one SVD.
+    """Null space of a square super-operator matrix L, from one SVD of L
+    equilibrated on both sides, as LAPACK's xGEEQU scales a linear solve.
 
-    With L = U S V†, returns (R, N†, ||L||_2): R holds the right and N the
-    left null vectors, the columns of V and U whose singular values are at
-    or below s[0]·n·eps (numpy's matrix_rank rule), and s[0] = ||L||_2.
-    L = 0 has every vector in its kernel.
+    Each row of L is divided by its largest entry, then each column of the
+    result by its largest, D L C = U S V†; singular values at or below
+    s[0]·n·eps count as zero (numpy's matrix_rank rule). A row at or below
+    ||L||_2·n·eps, or a column at or below n·eps, keeps a scale that leaves
+    it that small, so what is zero stays zero. Returns (R, N†, ||L||_2):
+    R = C V and N† = U† D over the null columns, and ||L||_2 from the
+    singular values of L itself.
+
+    Unscaled, a null vector's entries are resolved only to eps·||L|| over
+    the gap to the next singular value: a pump bath at n = 1e-14 has
+    coherences decaying at rate n beside a 1e-14 population in its kernel,
+    and a device steady state can hold a 1e-12 population beside rates of
+    1e5. L = 0 has every vector in its kernel.
     """
-    u, s, vh = np.linalg.svd(lmat)
     n = lmat.shape[0]
-    k = int(np.count_nonzero(s <= s[0] * n * np.finfo(float).eps))
-    return vh[n - k:].conj().T, u[:, n - k:].conj().T, float(s[0])
+    eps = np.finfo(float).eps
+    scale = float(np.linalg.svd(lmat, compute_uv=False)[0])
+    mag = np.abs(lmat)
+    rows = mag.max(axis=1)
+    rows[rows <= scale * n * eps] = max(scale, 1.0)
+    cols = (mag / rows[:, None]).max(axis=0)
+    cols[cols <= n * eps] = 1.0
+    u, s, vh = np.linalg.svd(lmat / np.outer(rows, cols))
+    k = int(np.count_nonzero(s <= s[0] * n * eps))
+    return (vh[n - k:].conj() / cols).T, u[:, n - k:].conj().T / rows, scale
 
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
-    """The bath's stationary structure from one SVD of L, cached on it.
+    """The bath's stationary structure from the null space of L
+    (`_kernel_basis`), cached on it.
 
     The recurrent space is the support of P(I) under _kernel_basis's rank
     rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for a probe G whose

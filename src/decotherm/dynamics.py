@@ -7,6 +7,10 @@ segment the step map is P = expm(L dt) of the vectorized Liouvillian
 (Moler & Van Loan, SIAM Rev. 45, 2003), one matrix-vector product per
 output step, with no step-size restriction. A switch time between grid
 points is reached by partial steps expm(L tau) on either side of it.
+expm is numpy only: Higham's scaling and squaring with Pade degrees 3-13
+(SIAM J. Matrix Anal. Appl. 26, 1179, 2005), carried as I + E so that the
+identity is added once, after the squarings. The dissipator sum_b L_b is
+built once per propagate call; each segment adds only its commutator.
 Steady states are the null vector of the vectorized Liouvillian, from the
 same SVD null-space helper that gives each bath's kernel projector;
 long-time propagation is kept only as a cross-check in the test suite.
@@ -14,6 +18,7 @@ long-time propagation is kept only as a cross-check in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -132,34 +137,98 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
         )
     h = np.asarray(spec.hamiltonian, dtype=complex)
     d = require_square(h, "hamiltonian")
-    for b in spec.baths:
+    return SuperOperator(d, _add_dissipators(_commutator(h), spec.baths, d))
+
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """-i(I ⊗ H - Hᵀ ⊗ I), the vectorized -i[H, .]."""
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def _add_dissipators(mat: np.ndarray, baths: Sequence[Bath], d: int) -> np.ndarray:
+    """mat += sum_b L_b in place, one bath's generator_superop at a time."""
+    for b in baths:
         if b.dim != d:
             raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match H dim {d}")
-    eye = np.eye(d)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for b in spec.baths:
         mat += generator_superop(b.generator).matrix
-    return SuperOperator(d, mat)
+    return mat
+
+
+#: Higham (2005), Table 2.3: the largest ||A||_1 at which the [m/m] Pade
+#: approximant, applied without scaling, is exp(A) to double precision.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068e0, 13: 5.371920351148152e0}
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a finite square matrix by scaling and squaring (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179, 2005).
+
+    The [m/m] Pade approximant (V - U)⁻¹(V + U) is kept as I + E with
+    E = 2 (V - U)⁻¹ U, squared as E <- 2E + E·E, and I is added once at the
+    end: a step map is I plus a small E, and forming I + E before squaring
+    rounds E to the spacing of 1 every time.
+    """
+    n = a.shape[0]
+    norm = float(np.abs(a).sum(axis=0).max())
+    m = next((deg for deg in (3, 5, 7, 9) if norm <= _PADE_THETA[deg]), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    if s:
+        a = a * 2.0**-s
+    fact = math.factorial
+    b = [fact(2 * m - j) / (fact(j) * fact(m - j)) for j in range(m + 1)]  # Pade coefficients
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+        del a4, a6
+    else:
+        u, v, p = b[3] * a2, b[2] * a2, a2
+        for j in range(4, m + 1, 2):
+            p = p @ a2
+            u += b[j + 1] * p
+            v += b[j] * p
+        del p
+    del a2  # the powers are dead; free them before the solve's copies
+    diag = np.arange(n)
+    u[diag, diag] += b[1]
+    v[diag, diag] += b[0]
+    u = a @ u
+    v -= u
+    e = np.linalg.solve(v, u)
+    e *= 2.0
+    for _ in range(s):
+        sq = e @ e
+        e *= 2.0
+        e += sq
+    e[diag, diag] += 1.0
+    return e
 
 
 def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     """Exact trajectory on the grid t_k = k dt, k = 0..ceil(t_max / dt).
 
-    Each Hamiltonian segment gets one step map expm(L dt); a switch time
-    off the grid is reached by partial steps expm(L tau) on either side.
-    Raises StateInvariantViolated if the trace drifts by more than
-    TRACE_DRIFT_TOL.
+    The dissipator sum_b L_b is built once; each Hamiltonian segment adds
+    its commutator and gets one step map expm(L dt); a switch time off the
+    grid is reached by partial steps expm(L tau) on either side. Raises
+    InvalidParams for a non-finite Hamiltonian or generator, and
+    StateInvariantViolated if the trace drifts by more than TRACE_DRIFT_TOL.
     """
-    # Imported here, its only user: loading scipy.linalg costs ~0.25 s, most of
-    # a run that never propagates.
-    import scipy.linalg
-
     d = spec.dim
     if rho0.shape != (d, d):
         raise DimensionMismatch(f"initial state shape {rho0.shape} does not match dim {d}")
     assert_density_matrix(rho0, what="initial state")
     if spec.t_max is None or not 0 < spec.t_max < np.inf:
         raise InvalidParams(f"propagate needs a finite t_max > 0, got {spec.t_max}")
+    segs = spec.segments()
+    for _, h in segs:
+        if h.shape != (d, d):
+            raise DimensionMismatch(f"Hamiltonian shape {h.shape} does not match dim {d}")
+        if not np.isfinite(h).all():
+            raise InvalidParams("Hamiltonian has a non-finite entry")
     dt = spec.dt if spec.dt is not None else default_timestep(spec.hamiltonian, spec.baths)
     if not 0 < dt < np.inf:
         raise InvalidParams(f"dt must be finite and > 0, got {dt}")
@@ -168,11 +237,12 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     n_total = int(np.ceil(spec.t_max / dt - 1e-9))
     times = np.arange(n_total + 1) * dt
 
-    segs = spec.segments()
-    states = np.empty((n_total + 1, d, d), dtype=np.complex128)
-    states[0] = rho0
     # Row-major storage: states[k].reshape(-1) is vec(rho_kᵀ), which evolves
     # under conj(L) because the generator commutes with taking adjoints.
+    diss = _add_dissipators(np.zeros((d * d, d * d), dtype=complex), spec.baths, d)
+    np.conj(diss, out=diss)
+    states = np.empty((n_total + 1, d, d), dtype=np.complex128)
+    states[0] = rho0
     flat = states.reshape(n_total + 1, d * d)
     v = flat[0]
     k, t_now = 0, 0.0  # v is the state at t_now; times[k] is the last grid point <= t_now
@@ -180,20 +250,23 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
         if t_now >= times[-1]:
             break
         t_next = segs[i + 1][0] if i + 1 < len(segs) else np.inf
-        lc = np.conj(liouvillian(EvolutionSpec(h, spec.baths)).matrix)
+        lc = np.conj(_commutator(h))
+        lc += diss
+        if not np.isfinite(lc).all():
+            raise InvalidParams("Liouvillian has a non-finite entry")
         k_last = int(np.searchsorted(times, t_next, side="right")) - 1
         if k_last > k:
             if t_now > times[k]:  # resume off the grid, just after a switch
                 k += 1
-                flat[k] = scipy.linalg.expm(lc * (times[k] - t_now)) @ v
+                flat[k] = _expm(lc * (times[k] - t_now)) @ v
             if k_last > k:
-                p = scipy.linalg.expm(lc * dt)
+                p = _expm(lc * dt)
                 for j in range(k + 1, k_last + 1):
                     flat[j] = p @ flat[j - 1]
             k, t_now = k_last, times[k_last]
             v = flat[k]
         if t_now < t_next < times[-1]:  # partial step up to the switch
-            v = scipy.linalg.expm(lc * (t_next - t_now)) @ v
+            v = _expm(lc * (t_next - t_now)) @ v
             t_now = t_next
 
     drift = abs(float(np.trace(states[-1]).real) - 1.0)

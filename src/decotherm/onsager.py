@@ -86,7 +86,17 @@ class LinearResponse:
 
 
 def linear_response(baths: Sequence[Bath], c: float = 1.0) -> LinearResponse:
-    pairs = {(b.name, a.name): onsager_superop(b, a, c) for b in baths for a in baths}
+    """M_{b,a} of every ordered pair, from one generator_superop per bath;
+    each pair equals onsager_superop(b, a, c)."""
+    dims = {b.dim for b in baths}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"bath dims differ: {sorted(dims)}")
+    mats = [generator_superop(b.generator).matrix for b in baths]
+    pairs = {
+        (b.name, a.name): SuperOperator(b.dim, c * (mb @ ma.conj().T))
+        for b, mb in zip(baths, mats)
+        for a, ma in zip(baths, mats)
+    }
     return LinearResponse(pairs, c)
 
 

@@ -69,6 +69,8 @@ class TwoLevelDecoherenceParams:
     def __post_init__(self):
         if not self.gamma > 0:
             raise InvalidParams(f"gamma must be > 0, got {self.gamma}")
+        if not math.isfinite(self.e_level):
+            raise InvalidParams(f"e_level must be finite, got {self.e_level}")
         if not self.x * self.x + self.z * self.z <= 1.0 + BLOCH_TOL:
             raise InvalidBlochVector(
                 f"(x, z) = ({self.x}, {self.z}) lies outside the Bloch ball"
@@ -108,6 +110,9 @@ class DeviceParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("e_l", "e_r", "v"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
         if not self.e_l > self.e_r:
             raise InvalidParams(f"device requires e_l > e_r, got {self.e_l} <= {self.e_r}")
         if not self.gamma >= 0:

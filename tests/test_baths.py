@@ -237,7 +237,7 @@ class TestPumpBaths:
         assert out[1, 1].real / out[0, 0].real == pytest.approx((1 + n) / n, rel=1e-9)
         assert abs(out[0, 1]) < 1e-11 and abs(out[0, 2]) < 1e-11 and abs(out[1, 2]) < 1e-11
 
-    @pytest.mark.parametrize("n", [1e-14, 1e-12, 1e-9, 0.6, 1e3, 1e6])
+    @pytest.mark.parametrize("n", [1e-14, 10.0**-13.96875, 1e-12, 1e-9, 0.6, 1e3, 1e6])
     def test_stationary_image_closed_form(self, n, rng):
         # exact for cold and hot baths, where the residual scales with the rates
         rho = ginibre_state(rng, 3)

@@ -257,13 +257,12 @@ def test_console_entry_point(tmp_path):
     assert "heat_rate" in proc.stdout
 
 
-def test_runs_without_propagation_never_import_scipy(tmp_path):
-    # scipy.linalg costs ~0.25 s to import; only propagate needs it
+def test_config_runs_never_import_scipy(tmp_path):
+    # scipy is a test-only dependency: no committed config may load it
     configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
-    runs = [
-        (os.path.join(configs, f"{name}.json"), str(tmp_path / f"{name}.out"))
-        for name in ("device_steady", "gamma_sweep", "two_level_heat")
-    ]
+    names = sorted(f[: -len(".json")] for f in os.listdir(configs) if f.endswith(".json"))
+    assert len(names) == 5
+    runs = [(os.path.join(configs, f"{name}.json"), str(tmp_path / f"{name}.out")) for name in names]
     child = (
         "import sys\n"
         "from decotherm import cli\n"

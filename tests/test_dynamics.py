@@ -15,6 +15,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decotherm import dynamics
 from decotherm.baths import (
     Bath,
     JumpTerm,
@@ -27,6 +28,7 @@ from decotherm.baths import (
 )
 from decotherm.dynamics import (
     EvolutionSpec,
+    _expm,
     default_timestep,
     liouvillian,
     propagate,
@@ -214,6 +216,76 @@ class TestPropagate:
             ])
             assert np.max(np.abs(traj.states - exact)) < 1e-12
 
+    @pytest.mark.parametrize("dt", [None, 0.1])
+    def test_non_finite_hamiltonian_rejected(self, dt):
+        h = SZ.copy()
+        h[0, 1] = np.nan
+        spec = EvolutionSpec(h, (dephasing_bath(Z_BASIS, 1.0),), t_max=1.0, dt=dt)
+        with pytest.raises(InvalidParams):
+            propagate(bloch_state(0.5), spec)
+
+    def test_generator_built_once_per_bath(self, monkeypatch):
+        spec = device_spec()
+        h = spec.hamiltonian
+        schedule = [(0.0, h), (0.10003, 2.0 * h), (0.2, h)]  # the first switch is off the grid
+        built = []
+        real = dynamics.generator_superop
+
+        def counting(gen):
+            built.append(gen)
+            return real(gen)
+
+        monkeypatch.setattr(dynamics, "generator_superop", counting)
+        rho0 = np.eye(3, dtype=complex) / 3
+        propagate(rho0, EvolutionSpec(schedule, spec.baths, t_max=0.3, dt=1e-3))
+        assert sorted(map(id, built)) == sorted(id(b.generator) for b in spec.baths)
+
+
+def random_generator(rng, d, n_jumps, rate_scale, h_norm):
+    """Liouvillian of a random Hamiltonian of norm h_norm and one bath of
+    n_jumps unit-norm jumps with rates log-uniform around rate_scale."""
+    h = random_hermitian(rng, d)
+    h *= h_norm / np.linalg.norm(h, 2)
+    terms = []
+    for _ in range(n_jumps):
+        a = random_complex(rng, d)
+        rate = rate_scale * 10.0 ** rng.uniform(-0.5, 0.5)
+        terms.append(JumpTerm(rate, a / np.linalg.norm(a, 2)))
+    bath = Bath("random", LindbladGenerator(d, tuple(terms)))
+    return liouvillian(EvolutionSpec(h, (bath,))).matrix, default_timestep(h, (bath,))
+
+
+class TestExpm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 16),
+        n_jumps=st.integers(1, 4),
+        log_rate=st.floats(-2.0, 2.0),
+        log_h=st.floats(-2.0, 2.0),
+        log_steps=st.floats(-3.0, 3.0),
+    )
+    def test_matches_scipy(self, seed, d, n_jumps, log_rate, log_h, log_steps):
+        # t log-uniform over 1e-3..1e3 default steps reaches every Pade degree
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        lmat, dt = random_generator(rng, d, n_jumps, 10.0**log_rate, 10.0**log_h)
+        a = lmat * (10.0**log_steps * dt)
+        ref = scipy_linalg.expm(a)
+        err = np.abs(_expm(a) - ref).sum(axis=0).max() / np.abs(ref).sum(axis=0).max()
+        assert err <= 1e-13
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(_expm(np.zeros((9, 9), dtype=complex)), np.eye(9))
+
+    @pytest.mark.parametrize("steps", [1.0, 1e3])
+    def test_device_step_map_preserves_trace(self, steps):
+        spec = device_spec()
+        lmat = liouvillian(spec).matrix
+        p = _expm(lmat * (steps * default_timestep(spec.hamiltonian, spec.baths)))
+        vec_i = np.eye(3).reshape(-1)
+        assert np.max(np.abs(vec_i @ p - vec_i)) <= 1e-15
+
 
 class TestSteadyState:
     def test_thermal_gibbs(self):
@@ -234,6 +306,18 @@ class TestSteadyState:
 
         for b in spec.baths:
             assert abs(heat_rate(spec.hamiltonian, b, nu)) < 1e-12
+
+    @pytest.mark.parametrize("log_n_l", [3.0, 4.875, 6.0])
+    def test_device_v0_cold_population_beside_fast_rates(self, log_n_l):
+        # v = 0: p_R = p_0 n_R/(1+n_R) ~ 1e-12 sits beside left rates up to
+        # 1e6 and stays accurate, so nu stays a state
+        n_l, n_r = 10.0**log_n_l, 1e-12
+        p = DeviceParams(2.0, 1.0, 0.0, n_l, n_r, 0.0)
+        assembly = build_device(p)
+        nu = steady_state(liouvillian(EvolutionSpec(assembly.hamiltonian, assembly.baths)))
+        p_0 = 1.0 / (1.0 + (1.0 + n_l) / n_l + n_r / (1.0 + n_r))
+        assert nu[2, 2].real == pytest.approx(p_0 * n_r / (1.0 + n_r), rel=1e-3)
+        assert np.isfinite(device_report(p).entropy_production)
 
     def test_pure_dephasing_degenerate(self):
         # pure dephasing, and L = 0 (no bath, no Hamiltonian)

@@ -166,6 +166,36 @@ class TestOnsagerSuperop:
         assert np.max(np.abs(onsager_superop(empty, left, 1.0).matrix)) == 0.0
 
 
+class TestLinearResponse:
+    def test_one_generator_build_per_bath(self, monkeypatch):
+        from decotherm import onsager
+
+        assembly, _ = device_steady()
+        built = []
+        real = onsager.generator_superop
+
+        def counting(gen):
+            built.append(gen)
+            return real(gen)
+
+        monkeypatch.setattr(onsager, "generator_superop", counting)
+        lr = linear_response(assembly.baths, c=0.7)
+        assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
+        monkeypatch.undo()
+        names = [b.name for b in assembly.baths]
+        assert list(lr.pairs) == [(b, a) for b in names for a in names]
+        for b in assembly.baths:
+            for a in assembly.baths:
+                expected = onsager_superop(b, a, c=0.7).matrix
+                assert np.array_equal(lr.pairs[(b.name, a.name)].matrix, expected)
+
+    def test_bath_dimension_mismatch(self):
+        from decotherm.errors import DimensionMismatch
+
+        with pytest.raises(DimensionMismatch):
+            linear_response([left_pump_bath(0.6), dephasing_bath(Z_BASIS, 1.0)])
+
+
 class TestLinearFlowPrediction:
     def test_zero_forces_zero_flows(self):
         assembly, _ = device_steady()

@@ -9,6 +9,7 @@ from conftest import ginibre_state
 
 from decotherm.baths import (
     JumpTerm,
+    LindbladGenerator,
     apply_generator,
     dephasing_bath,
     left_pump_bath,
@@ -249,6 +250,20 @@ NAN_CASES = {
     "propagate_dt": (lambda: _propagate_two_level(t_max=1.0, dt=NAN), InvalidParams),
     "propagate_t_max": (lambda: _propagate_two_level(t_max=NAN, dt=0.1), InvalidParams),
     "propagate_t_max_inf": (lambda: _propagate_two_level(t_max=math.inf, dt=0.1), InvalidParams),
+    "device_e_l_inf": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "e_l": math.inf}), InvalidParams),
+    "device_e_r_-inf": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "e_r": -math.inf}), InvalidParams),
+    "device_v": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "v": NAN}), InvalidParams),
+    "device_v_inf": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "v": math.inf}), InvalidParams),
+    "device_v_-inf": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "v": -math.inf}), InvalidParams),
+    "two_level_e_level": (lambda: TwoLevelDecoherenceParams(gamma=1.0, e_level=NAN, x=0.5),
+                          InvalidParams),
+    "two_level_e_level_inf": (lambda: TwoLevelDecoherenceParams(gamma=1.0, e_level=math.inf, x=0.5),
+                              InvalidParams),
+    "jump_operator": (lambda: LindbladGenerator(2, (JumpTerm(1.0, np.diag([NAN, 1.0])),)),
+                      InvalidParams),
+    "jump_rate_inf": (lambda: JumpTerm(math.inf, np.eye(2, dtype=complex)), InvalidParams),
+    "device_n_l_inf": (lambda: device_report(DeviceParams(**{**DEFAULT_DEVICE, "n_l": math.inf})),
+                       InvalidParams),
 }
 
 
