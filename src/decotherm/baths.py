@@ -187,8 +187,16 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
     P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
     if bath._structure is not None:
         return bath._structure
+    return _stationary_structure(bath, generator_superop(bath.generator))
+
+
+def _stationary_structure(bath: Bath, gen: SuperOperator) -> StationaryStructure:
+    """stationary_structure(bath) from gen, the caller's build of
+    generator_superop(bath.generator). Private, so that no other matrix can
+    end up cached on the bath."""
+    if bath._structure is not None:
+        return bath._structure
     d = bath.dim
-    gen = generator_superop(bath.generator)
     r, nh, scale = _kernel_basis(gen.matrix)
     p = SuperOperator(d, r @ np.linalg.solve(nh @ r, nh))
     p_adj = p.adjoint()

@@ -15,7 +15,8 @@ block it emits the dephasing trajectory instead), device-steady,
 device-trajectory, gamma-sweep. Exit codes: 0 ok, 1 I/O error, 2 config
 error, 3 numerical failure (degenerate or non-positive steady state, no
 convergence, support violation, trace drift in propagation, log of a
-non-PSD matrix); the message names the failing stage.
+non-PSD matrix, an imaginary entropy production); the message names the
+failing stage.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     NegativeEigenvalue,
     NoConvergence,
     NonPositiveSolution,
+    NonRealPairing,
     StateInvariantViolated,
     SupportViolation,
 )
@@ -74,6 +76,7 @@ _NUMERICAL_STAGES = {
     SupportViolation: "force (support of the stationary image)",
     StateInvariantViolated: "propagate",
     NegativeEigenvalue: "spectral (log of a non-PSD matrix)",
+    NonRealPairing: "entropy_production (imaginary part of sum_b Tr[J_b X_b])",
 }
 
 

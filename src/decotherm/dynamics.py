@@ -130,29 +130,46 @@ def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[B
 
 def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     """Vectorized matrix of the full right-hand side (static H only):
-    -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop."""
+    -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop. Raises
+    InvalidParams for a non-finite Hamiltonian."""
     if spec.is_schedule:
         raise TimeDependentHamiltonian(
             "liouvillian needs a static Hamiltonian; propagate the schedule instead"
         )
     h = np.asarray(spec.hamiltonian, dtype=complex)
-    d = require_square(h, "hamiltonian")
-    return SuperOperator(d, _add_dissipators(_commutator(h), spec.baths, d))
+    gens = _generators(spec.baths, require_square(h, "hamiltonian"))
+    if not np.isfinite(h).all():
+        raise InvalidParams("Hamiltonian has a non-finite entry")
+    return _liouvillian(h, gens)
+
+
+def _generators(baths: Sequence[Bath], d: int) -> list[SuperOperator]:
+    """Each bath's generator_superop, built once; DimensionMismatch unless
+    every bath has dimension d."""
+    for b in baths:
+        if b.dim != d:
+            raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match dim {d}")
+    return [generator_superop(b.generator) for b in baths]
+
+
+def _liouvillian(h: np.ndarray, gens: Sequence[SuperOperator]) -> SuperOperator:
+    """-i(I ⊗ H - Hᵀ ⊗ I) plus the built generator matrices gens."""
+    mat = _commutator(h)
+    for g in gens:
+        mat += g.matrix
+    return SuperOperator(h.shape[0], mat)
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
-    """-i(I ⊗ H - Hᵀ ⊗ I), the vectorized -i[H, .]."""
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-
-
-def _add_dissipators(mat: np.ndarray, baths: Sequence[Bath], d: int) -> np.ndarray:
-    """mat += sum_b L_b in place, one bath's generator_superop at a time."""
-    for b in baths:
-        if b.dim != d:
-            raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match H dim {d}")
-        mat += generator_superop(b.generator).matrix
-    return mat
+    """-i(I ⊗ H - Hᵀ ⊗ I), the vectorized -i[H, .], written into the
+    (d, d, d, d) index layout of generator_superop."""
+    d = h.shape[0]
+    mat = np.zeros((d, d, d, d), dtype=complex)
+    diag = np.arange(d)
+    mat[diag, :, diag, :] = h  # I ⊗ H
+    mat[:, diag, :, diag] -= h.T  # Hᵀ ⊗ I
+    mat *= -1j
+    return mat.reshape(d * d, d * d)
 
 
 #: Higham (2005), Table 2.3: the largest ||A||_1 at which the [m/m] Pade
@@ -239,7 +256,8 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
 
     # Row-major storage: states[k].reshape(-1) is vec(rho_kᵀ), which evolves
     # under conj(L) because the generator commutes with taking adjoints.
-    diss = _add_dissipators(np.zeros((d * d, d * d), dtype=complex), spec.baths, d)
+    # The dissipator sum_b L_b is the Liouvillian of H = 0.
+    diss = _liouvillian(np.zeros((d, d), dtype=complex), _generators(spec.baths, d)).matrix
     np.conj(diss, out=diss)
     states = np.empty((n_total + 1, d, d), dtype=np.complex128)
     states[0] = rho0
@@ -282,8 +300,11 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     DegenerateKernel when it is not one-dimensional (e.g. L = 0, or pure
     dephasing, whose stationary set is a manifold), NonPositiveSolution when
     the kernel vector cannot be normalized to a state, and NoConvergence
-    when the residual ||L(nu)|| exceeds STEADY_RESID_TOL ||L||_2.
+    when the residual ||L(nu)|| exceeds STEADY_RESID_TOL ||L||_2; InvalidParams
+    for a non-finite Liouvillian.
     """
+    if not np.isfinite(liouv.matrix).all():
+        raise InvalidParams("Liouvillian has a non-finite entry")
     r, _, scale = _kernel_basis(liouv.matrix)
     if r.shape[1] != 1:
         raise DegenerateKernel(

@@ -53,6 +53,10 @@ class SupportViolation(DecothermError):
     pass
 
 
+class NonRealPairing(DecothermError):
+    """A pairing Tr[A B] of Hermitian operators came out with an imaginary part."""
+
+
 class MissingPair(DecothermError):
     pass
 

@@ -19,14 +19,11 @@ import numpy as np
 
 from .baths import Bath, apply_generator, generator_superop
 from .errors import DimensionMismatch, MissingPair, ZeroCoherence
-from .operators import Spectrum, SuperOperator, hermitize, hs_inner
-from .thermo import _supported_log
+from .operators import Spectrum, SuperOperator, hermitize, hs_inner, require_square
+from .thermo import _flows_and_forces, _supported_log, entropy_production
 
 #: Max |nu_LR| at which the device steady state counts as incoherent.
 COHERENCE_TOL = 1e-12
-
-#: Max imaginary part the entropy-production pairing may pick up.
-IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,31 +40,24 @@ def flow(bath: Bath, nu: np.ndarray) -> np.ndarray:
     return hermitize(apply_generator(bath.generator, nu))
 
 
-def _forces(baths: Sequence[Bath], nu: np.ndarray) -> list[np.ndarray]:
-    """X_b of each bath from one spectrum of nu; callers check nu's shape."""
-    log_nu = Spectrum.of(nu).log
-    return [_supported_log(b, nu) - log_nu for b in baths]
-
-
 def force(bath: Bath, nu: np.ndarray) -> np.ndarray:
     """X_b = log B_b(nu) - log nu, logs taken on the support."""
     if nu.shape != (bath.dim, bath.dim):
         raise DimensionMismatch(f"state shape {nu.shape} does not match bath dim {bath.dim}")
-    return _forces((bath,), nu)[0]
+    log_nu = Spectrum.of(nu).log
+    return _supported_log(bath, nu) - log_nu
 
 
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
-    flows = [flow(b, nu) for b in baths]
-    return [ForceFlowPair(b.name, j, x) for b, j, x in zip(baths, flows, _forces(baths, nu))]
+    require_square(nu, "state")
+    gens = [generator_superop(b.generator) for b in baths]
+    terms = _flows_and_forces(baths, gens, nu, Spectrum.of(nu).log)
+    return [ForceFlowPair(b.name, j, x) for b, (_, j, x) in zip(baths, terms)]
 
 
 def ness_entropy_production(baths: Sequence[Bath], nu: np.ndarray) -> float:
-    """P = sum_b Tr[J_b X_b]; agrees with thermo.entropy_production."""
-    flows = [flow(b, nu) for b in baths]
-    total = sum(map(hs_inner, flows, _forces(baths, nu)), 0j)
-    if abs(total.imag) > IMAG_TOL:
-        raise ValueError(f"entropy production picked up imaginary part {total.imag:.3e}")
-    return float(total.real)
+    """P = sum_b Tr[J_b X_b]: thermo.entropy_production, with the baths first."""
+    return entropy_production(nu, baths)
 
 
 def onsager_superop(b: Bath, a: Bath, c: float = 1.0) -> SuperOperator:
@@ -133,7 +123,11 @@ def force_parameters(nu: np.ndarray) -> ForceParameters:
         raise DimensionMismatch(f"force parameters need a 3x3 device state, got {nu.shape}")
     if abs(nu[1, 2]) <= COHERENCE_TOL:
         raise ZeroCoherence("state has no L-R coherence; x_d is undefined")
-    log_nu = Spectrum.of(nu).log
+    return _force_parameters(Spectrum.of(nu).log)
+
+
+def _force_parameters(log_nu: np.ndarray) -> ForceParameters:
+    """force_parameters from log nu of a coherent device steady state."""
     x_l = float((log_nu[1, 2] + log_nu[2, 1]).real)
     return ForceParameters(x_d=-x_l, x_l=x_l)
 
@@ -156,11 +150,19 @@ def reciprocal_coefficients(
     decoherence and transport. Each is taken in the Schrodinger picture,
     <coh, L_a†(L_b(H))> = <L_a(coh), L_b(H)>.
     """
+    gens = [generator_superop(b.generator) for b in (left_bath, dephasing_bath)]
+    return _reciprocal_coefficients(hamiltonian, *gens, c)
+
+
+def _reciprocal_coefficients(
+    hamiltonian: np.ndarray, left: SuperOperator, dephasing: SuperOperator, c: float
+) -> ReciprocalCoefficients:
+    """reciprocal_coefficients from the two baths' built generator matrices."""
     coh = np.zeros((3, 3), dtype=complex)
     coh[1, 2] = coh[2, 1] = 1.0
     pair = np.stack([coh, hamiltonian])
-    l_coh, l_h = apply_generator(left_bath.generator, pair)
-    d_coh, d_h = apply_generator(dephasing_bath.generator, pair)
+    l_coh, l_h = left.apply(pair)
+    d_coh, d_h = dephasing.apply(pair)
     m_ld = c * float(hs_inner(d_coh, l_h).real) / 2.0
     m_dl = c * float(hs_inner(l_coh, d_h).real) / 2.0
     return ReciprocalCoefficients(m_ld=m_ld, m_dl=m_dl)

@@ -30,15 +30,16 @@ from .baths import (
     left_pump_bath,
     right_pump_bath,
 )
-from .dynamics import EvolutionSpec, liouvillian, steady_state
-from .errors import DegenerateKernel, InvalidBlochVector, InvalidParams, ZeroCoherence
+from .dynamics import _generators, _liouvillian, steady_state
+from .errors import DegenerateKernel, InvalidBlochVector, InvalidParams
 from .onsager import (
+    COHERENCE_TOL,
     ReciprocalCoefficients,
-    force_parameters,
-    ness_entropy_production,
-    reciprocal_coefficients,
+    _force_parameters,
+    _reciprocal_coefficients,
 )
-from .thermo import heat_rate
+from .operators import Spectrum
+from .thermo import _flows_and_forces, _production, heat_rate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -193,23 +194,29 @@ class DeviceReport:
 def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
     """Solve the steady state and compute all device observables.
 
+    One pass over the baths: each generator matrix is built once, each flow
+    L_b(nu) gives both the heat and the entropy-production term, and one
+    log nu serves every force; the values are those of the public functions.
+
     x_l and x_d are nan when the steady coherence vanishes (V = 0), where
     the force parameters are undefined. Without a dephasing bath (gamma = 0)
     m_ld = m_dl = c * gamma * n_L * V = 0.
     """
     assembly = build_device(p)
-    spec = EvolutionSpec(assembly.hamiltonian, assembly.baths)
-    nu = steady_state(liouvillian(spec))
-    heats = {b.name: heat_rate(assembly.hamiltonian, b, nu) for b in assembly.baths}
-    try:
-        fp = force_parameters(nu)
-        x_d, x_l = fp.x_d, fp.x_l
-    except ZeroCoherence:
+    h, baths = assembly.hamiltonian, assembly.baths
+    gens = _generators(baths, 3)
+    nu = steady_state(_liouvillian(h, gens))
+    log_nu = Spectrum.of(nu).log
+    terms = _flows_and_forces(baths, gens, nu, log_nu)
+    heats = {b.name: float(np.trace(h @ image).real) for b, (image, _, _) in zip(baths, terms)}
+    if abs(nu[1, 2]) <= COHERENCE_TOL:
         x_d = x_l = math.nan
+    else:
+        x_d, x_l = _force_parameters(log_nu)
     if assembly.dephasing is None:
         coeffs = ReciprocalCoefficients(0.0, 0.0)
     else:
-        coeffs = reciprocal_coefficients(assembly.hamiltonian, assembly.left, assembly.dephasing, c)
+        coeffs = _reciprocal_coefficients(h, gens[0], gens[2], c)
     return DeviceReport(
         nu=nu,
         coherence=complex(nu[1, 2]),
@@ -220,7 +227,7 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
         x_d=x_d,
         m_ld=coeffs.m_ld,
         m_dl=coeffs.m_dl,
-        entropy_production=ness_entropy_production(assembly.baths, nu),
+        entropy_production=_production(terms),
     )
 
 

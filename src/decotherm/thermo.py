@@ -26,20 +26,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import Bath, apply_generator, generator_superop, stationary_map, stationary_structure
+from .baths import (
+    Bath,
+    _stationary_structure,
+    apply_generator,
+    generator_superop,
+    stationary_map,
+    stationary_structure,
+)
 from .dynamics import EvolutionSpec, Trajectory
-from .errors import SupportViolation
+from .errors import NonRealPairing, SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
     SuperOperator,
+    hermitize,
+    hs_inner,
     require_hermitian,
     require_same_dim,
+    require_square,
 )
 
 #: Max weight a state may carry on the numerical kernel of a reference
 #: state before the support condition is declared violated.
 SUPPORT_TOL = 1e-10
+
+#: Max imaginary part the entropy-production pairing may pick up.
+IMAG_TOL = 1e-10
 
 #: Matrix entries per stacked block of the sampler: 2**14 complex entries
 #: are 256 KiB per stacked array, which keeps the sampler's working set
@@ -128,14 +141,33 @@ def entropy_flux(bath: Bath, rho: np.ndarray) -> float:
 
 
 def entropy_production(rho: np.ndarray, baths) -> float:
-    """P = sum_b Tr[L_b(rho) (log B_b(rho) - log rho)] >= 0."""
-    log_rho = Spectrum.of(rho).log
-    total = 0.0
-    for bath in baths:
-        log_b = _supported_log(bath, rho)
-        flow = apply_generator(bath.generator, rho)
-        total += float(np.trace(flow @ (log_b - log_rho)).real)
-    return total
+    """P = sum_b Tr[J_b X_b] >= 0, with the flow J_b the Hermitian part of
+    L_b(rho) and the force X_b = log B_b(rho) - log rho."""
+    require_square(rho, "state")
+    gens = [generator_superop(b.generator) for b in baths]
+    return _production(_flows_and_forces(baths, gens, rho, Spectrum.of(rho).log))
+
+
+def _flows_and_forces(
+    baths, gens: list[SuperOperator], rho: np.ndarray, log_rho: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(L_b(rho), J_b, X_b) of each bath from its built generator matrix,
+    which also gives the bath's stationary structure."""
+    out = []
+    for bath, gen in zip(baths, gens):
+        image = gen.apply(rho)
+        _stationary_structure(bath, gen)
+        out.append((image, hermitize(image), _supported_log(bath, rho) - log_rho))
+    return out
+
+
+def _production(terms) -> float:
+    """sum_b Tr[J_b X_b] over _flows_and_forces terms; NonRealPairing if the
+    sum picks up an imaginary part above IMAG_TOL."""
+    total = sum((hs_inner(j, x) for _, j, x in terms), 0j)
+    if abs(total.imag) > IMAG_TOL:
+        raise NonRealPairing(f"entropy production picked up imaginary part {total.imag:.3e}")
+    return float(total.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +241,7 @@ def _bath_terms(
     """Heat, entropy flux, relative entropy, entropy-production term and
     support leak of one bath, with generator gen, over a block of states."""
     flow = gen.apply(rho)
+    _stationary_structure(bath, gen)
     log_b, leak = _stationary_log(bath, rho)
     return (
         _traces(h, flow),

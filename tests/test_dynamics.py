@@ -35,7 +35,7 @@ from decotherm.dynamics import (
     steady_state,
 )
 from decotherm.errors import DegenerateKernel, InvalidParams, TimeDependentHamiltonian
-from decotherm.operators import assert_density_matrix, superop_from_action
+from decotherm.operators import SuperOperator, assert_density_matrix, superop_from_action
 from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -109,6 +109,14 @@ class TestLiouvillian:
         spec = EvolutionSpec([(0.0, SZ), (1.0, SX)], (), t_max=2.0)
         with pytest.raises(TimeDependentHamiltonian):
             liouvillian(spec)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_commutator_equals_kron_form(self, rng, d):
+        eye = np.eye(d)
+        for _ in range(50):
+            h = random_hermitian(rng, d)
+            kron_form = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            assert np.array_equal(dynamics._commutator(h), kron_form)
 
 
 class TestPropagate:
@@ -359,6 +367,18 @@ class TestSteadyState:
             scale = np.linalg.norm(generator_superop(bath.generator).matrix, 2)
             assert np.linalg.norm(apply_generator(bath.generator, image)) <= 1e-12 * scale
         assert np.isfinite(device_report(p).entropy_production)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        spec = device_spec()
+        h = spec.hamiltonian.copy()
+        h[1, 2] = bad
+        with pytest.raises(InvalidParams):
+            steady_state(liouvillian(EvolutionSpec(h, spec.baths)))
+        lmat = liouvillian(spec).matrix.copy()
+        lmat[4, 5] = bad
+        with pytest.raises(InvalidParams):
+            steady_state(SuperOperator(3, lmat))
 
     def test_agrees_with_long_propagation(self, rng):
         spec0 = device_spec()

@@ -1,5 +1,7 @@
 """Flows, forces, linear-response super-operators, reciprocity."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import ginibre_state, random_hermitian
@@ -13,7 +15,7 @@ from decotherm.baths import (
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, liouvillian, steady_state
-from decotherm.errors import MissingPair, ZeroCoherence
+from decotherm.errors import DecothermError, MissingPair, NonRealPairing, ZeroCoherence
 from decotherm.onsager import (
     flow,
     force,
@@ -97,11 +99,42 @@ class TestNessEntropyProduction:
         assert ness_entropy_production([bath], g) == pytest.approx(0.0, abs=1e-12)
 
     def test_device_preset_positive_and_consistent(self):
+        # one implementation under two names: equal bit for bit
         assembly, nu = device_steady()
         p1 = ness_entropy_production(assembly.baths, nu)
         p2 = entropy_production(nu, assembly.baths)
         assert p1 > 0.0
-        assert p1 == pytest.approx(p2, abs=1e-10)
+        assert p1 == p2
+
+    def test_imaginary_part_is_a_numerical_failure(self, monkeypatch, tmp_path, capsys):
+        # a force carrying i*s*J_b adds i*s*||J_b||_F^2 to each pairing
+        # Tr[J_b X_b]; the sum may pick up at most 1e-10
+        from decotherm import cli, thermo
+
+        assembly, nu = device_steady()
+        flows = {b.name: flow(b, nu) for b in assembly.baths}
+        weight = sum(np.linalg.norm(j) ** 2 for j in flows.values())
+        real_log = thermo._supported_log
+        for ratio, raises in ((0.5, False), (2.0, True)):
+            s = ratio * 1e-10 / weight
+            monkeypatch.setattr(
+                thermo, "_supported_log",
+                lambda bath, rho, s=s: real_log(bath, rho) + 1j * s * flows[bath.name],
+            )
+            if raises:
+                with pytest.raises(NonRealPairing):
+                    ness_entropy_production(assembly.baths, nu)
+            else:
+                ness_entropy_production(assembly.baths, nu)
+        assert issubclass(NonRealPairing, DecothermError)
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps({
+            "scenario": "device-steady",
+            "params": DEFAULT_DEVICE,
+            "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+        }))
+        assert cli.run(str(path)) == 3
+        assert "numerical failure in entropy_production" in capsys.readouterr().err
 
     def test_symmetric_decoupled_case_is_equilibrium(self):
         # n_L = n_R, V = 0, gamma = 0: each bath equilibrates its own

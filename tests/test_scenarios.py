@@ -1,11 +1,14 @@
 """Two-level decoherence heat and the three-level device reproductions."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 from conftest import ginibre_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decotherm.baths import (
     JumpTerm,
@@ -17,16 +20,25 @@ from decotherm.baths import (
     thermal_occupation,
     thermal_two_level_bath,
 )
-from decotherm.dynamics import EvolutionSpec, liouvillian, propagate
+from decotherm.dynamics import EvolutionSpec, liouvillian, propagate, steady_state
 from decotherm.errors import (
+    DecothermError,
     InvalidBlochVector,
     InvalidParams,
     NonPositiveBeta,
     NonPositiveOccupation,
+    ZeroCoherence,
+)
+from decotherm.onsager import (
+    ReciprocalCoefficients,
+    force_parameters,
+    ness_entropy_production,
+    reciprocal_coefficients,
 )
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
+    DeviceReport,
     TwoLevelDecoherenceParams,
     bloch_state,
     build_device,
@@ -35,6 +47,7 @@ from decotherm.scenarios import (
     two_level_decoherence_heat,
     two_level_hamiltonian,
 )
+from decotherm.thermo import heat_rate
 
 
 def brute_force_heat(gamma, e, x, z):
@@ -164,6 +177,95 @@ class TestDeviceReport:
             scale = max(abs(rep.heat_l), abs(rep.heat_r), 1e-30)
             assert abs(total) <= 1e-9 * scale + 1e-12
             assert rep.entropy_production >= -1e-9
+
+
+class TestDeviceReportSinglePass:
+    """device_report makes one pass over the baths and returns exactly what
+    the public functions give when composed one by one."""
+
+    @staticmethod
+    def composed_report(p, c):
+        assembly = build_device(p)
+        h, baths = assembly.hamiltonian, assembly.baths
+        nu = steady_state(liouvillian(EvolutionSpec(h, baths)))
+        heats = {b.name: heat_rate(h, b, nu) for b in baths}
+        try:
+            fp = force_parameters(nu)
+            x_d, x_l = fp.x_d, fp.x_l
+        except ZeroCoherence:
+            x_d = x_l = math.nan
+        if assembly.dephasing is None:
+            coeffs = ReciprocalCoefficients(0.0, 0.0)
+        else:
+            coeffs = reciprocal_coefficients(h, assembly.left, assembly.dephasing, c)
+        return DeviceReport(
+            nu=nu,
+            coherence=complex(nu[1, 2]),
+            heat_l=heats["left"],
+            heat_r=heats["right"],
+            heat_d=heats.get("dephasing", 0.0),
+            x_l=x_l,
+            x_d=x_d,
+            m_ld=coeffs.m_ld,
+            m_dl=coeffs.m_dl,
+            entropy_production=ness_entropy_production(baths, nu),
+        )
+
+    def assert_same_as_composed(self, p, c=1.0):
+        try:
+            expected = self.composed_report(p, c)
+        except DecothermError as exc:
+            with pytest.raises(type(exc)):
+                device_report(p, c)
+            return
+        report = device_report(p, c)
+        for f in dataclasses.fields(DeviceReport):
+            got, want = getattr(report, f.name), getattr(expected, f.name)
+            assert np.array_equal(got, want, equal_nan=True), (f.name, got, want, p)
+
+    @pytest.mark.parametrize("gamma, builds", [(0.3, 3), (0.0, 2)])
+    def test_one_generator_build_per_bath(self, monkeypatch, gamma, builds):
+        import decotherm
+
+        built = []
+        real = decotherm.baths.generator_superop
+
+        def counting(gen):
+            built.append(gen)
+            return real(gen)
+
+        for name in ("baths", "dynamics", "thermo", "onsager", "scenarios"):
+            module = getattr(decotherm, name)
+            if hasattr(module, "generator_superop"):
+                monkeypatch.setattr(module, "generator_superop", counting)
+        device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
+        assert len(built) == builds
+        assert len(set(map(id, built))) == builds  # one build of each bath's generator
+
+    def test_default_device(self):
+        self.assert_same_as_composed(DeviceParams(**DEFAULT_DEVICE))
+        self.assert_same_as_composed(DeviceParams(**DEFAULT_DEVICE), c=0.7)
+        self.assert_same_as_composed(DeviceParams(**{**DEFAULT_DEVICE, "v": 0.0}))
+
+    def test_grid_corners(self):
+        for n_l, n_r, gamma in itertools.product((1e-14, 1.0, 1e6), (1e-14, 1e6), (0.0, 1e-2, 1e6)):
+            self.assert_same_as_composed(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n_l=st.floats(-14.0, 6.0),
+        log_n_r=st.floats(-14.0, 6.0),
+        log_gamma=st.one_of(st.none(), st.floats(-2.0, 6.0)),
+        e_r=st.floats(0.5, 1.5),
+        gap=st.floats(0.1, 1.0),
+        v=st.floats(-1.0, 1.0),
+        c=st.floats(0.1, 10.0),
+    )
+    def test_random_devices(self, log_n_l, log_n_r, log_gamma, e_r, gap, v, c):
+        gamma = 0.0 if log_gamma is None else 10.0**log_gamma
+        self.assert_same_as_composed(
+            DeviceParams(e_r + gap, e_r, v, 10.0**log_n_l, 10.0**log_n_r, gamma), c
+        )
 
 
 class TestGammaSweep:
