@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,25 @@ class TestEmitterDirect:
         assert max(energies) - min(energies) < 1e-10
         prods = [float(l.split(",")[4]) for l in lines[1:]]
         assert all(p == 0.0 for p in prods)
+
+
+def test_grid_over_the_cap_exits_2_before_allocating(tmp_path, capsys):
+    # gamma = 1e6 puts the default dt near 3e-10: 1.3e10 points, whose time grid
+    # alone would take 95 GiB
+    path = write_config(
+        tmp_path,
+        scenario="device-trajectory",
+        params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 1e6,
+                "initial_state": "maximally-mixed"},
+        integrator={"t_max": 4.0},
+    )
+    start = time.perf_counter()
+    assert cli.run(str(path)) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    for word in ("dt = ", "grid points", "integrator.dt", "t_max"):
+        assert word in err, word
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestNumericalFailureExit:

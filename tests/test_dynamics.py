@@ -29,6 +29,7 @@ from decotherm.baths import (
 from decotherm.dynamics import (
     EvolutionSpec,
     _expm,
+    _expm_action,
     default_timestep,
     liouvillian,
     propagate,
@@ -249,9 +250,9 @@ class TestPropagate:
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in spec.baths)
 
 
-def random_generator(rng, d, n_jumps, rate_scale, h_norm):
-    """Liouvillian of a random Hamiltonian of norm h_norm and one bath of
-    n_jumps unit-norm jumps with rates log-uniform around rate_scale."""
+def random_model(rng, d, n_jumps, rate_scale, h_norm):
+    """A random Hamiltonian of norm h_norm and one bath of n_jumps unit-norm
+    jumps with rates log-uniform around rate_scale."""
     h = random_hermitian(rng, d)
     h *= h_norm / np.linalg.norm(h, 2)
     terms = []
@@ -259,7 +260,12 @@ def random_generator(rng, d, n_jumps, rate_scale, h_norm):
         a = random_complex(rng, d)
         rate = rate_scale * 10.0 ** rng.uniform(-0.5, 0.5)
         terms.append(JumpTerm(rate, a / np.linalg.norm(a, 2)))
-    bath = Bath("random", LindbladGenerator(d, tuple(terms)))
+    return h, Bath("random", LindbladGenerator(d, tuple(terms)))
+
+
+def random_generator(rng, d, n_jumps, rate_scale, h_norm):
+    """Liouvillian of random_model, and its default step."""
+    h, bath = random_model(rng, d, n_jumps, rate_scale, h_norm)
     return liouvillian(EvolutionSpec(h, (bath,))).matrix, default_timestep(h, (bath,))
 
 
@@ -293,6 +299,92 @@ class TestExpm:
         p = _expm(lmat * (steps * default_timestep(spec.hamiltonian, spec.baths)))
         vec_i = np.eye(3).reshape(-1)
         assert np.max(np.abs(vec_i @ p - vec_i)) <= 1e-15
+
+
+class TestExpmAction:
+    """Partial steps: exp(t a) v against scipy's expm on Lindblad L."""
+
+    # zero, tiny, each theta of the Taylor table, just past the last one
+    # (the Pade fallback), and two norms far past it
+    NORMS = [0.0, 1e-6, *dynamics._TAYLOR_THETA.values(), 3.6, 9.9, 50.0]
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("log_rate, log_h", [(0, 0), (-2, 0), (0, -2), (1, 0), (0, 1)])
+    def test_matches_scipy(self, rng, d, log_rate, log_h):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        lmat, _ = random_generator(rng, d, 3, 10.0**log_rate, 10.0**log_h)
+        v = ginibre_state(rng, d).reshape(-1).astype(complex)
+        l1 = np.abs(lmat).sum(axis=0).max()
+        for norm in self.NORMS:
+            t = norm / l1
+            ref = scipy_linalg.expm(lmat * t) @ v
+            err = np.linalg.norm(_expm_action(lmat, t, v) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-13, norm
+
+    def test_pade_only_past_the_table(self, rng, monkeypatch):
+        lmat, _ = random_generator(rng, 3, 2, 1.0, 1.0)
+        l1 = np.abs(lmat).sum(axis=0).max()
+        v = ginibre_state(rng, 3).reshape(-1).astype(complex)
+        calls = []
+        real = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", lambda a: calls.append(a) or real(a))
+        last = max(dynamics._TAYLOR_THETA.values())
+        _expm_action(lmat, 0.99 * last / l1, v)
+        assert calls == []
+        _expm_action(lmat, 1.01 * last / l1, v)
+        assert len(calls) == 1
+
+    def test_switch_inside_a_stiff_step(self, rng):
+        # gamma = 50 puts ||L dt||_1 near 10 at dt = 0.1, so the partial steps
+        # take both the Taylor degrees and the Pade fallback; the third
+        # segment lies inside one step and holds no grid point
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        spec = device_spec(gamma=50.0)
+        h = spec.hamiltonian
+        schedule = [(0.0, h), (0.1003, 2.0 * h), (0.2071, 0.5 * h), (0.2094, h)]
+        rho0 = ginibre_state(rng, 3)
+        traj = propagate(rho0, EvolutionSpec(schedule, spec.baths, t_max=0.5, dt=0.1))
+        lmats = [liouvillian(EvolutionSpec(hs, spec.baths)).matrix for _, hs in schedule]
+        starts = [t for t, _ in schedule]
+
+        def evolve(i, rho, tau):
+            return SuperOperator(3, scipy_linalg.expm(lmats[i] * tau)).apply(rho)
+
+        at_start = [rho0]
+        for i in range(len(schedule) - 1):
+            at_start.append(evolve(i, at_start[i], starts[i + 1] - starts[i]))
+        for t, state in zip(traj.times, traj.states):
+            i = int(np.searchsorted(starts, t, side="right")) - 1
+            assert np.max(np.abs(state - evolve(i, at_start[i], t - starts[i]))) <= 1e-12, t
+
+    def test_one_pade_step_map_per_segment_with_a_full_step(self, rng, monkeypatch):
+        # a d = 16 model with its switch times off the dt grid; the segment
+        # (0.0453, 0.0458) holds no full step, so 4 of the 5 segments form
+        # an expm(L dt) and no partial step forms one
+        h0, bath = random_model(rng, 16, 4, 0.25, 1.0)
+        hs = [h0] + [random_hermitian(rng, 16) / 8.0 for _ in range(4)]
+        schedule = list(zip((0.0, 0.0123, 0.0453, 0.0458, 0.0787), hs))
+        calls = []
+        real = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", lambda a: calls.append(a) or real(a))
+        propagate(ginibre_state(rng, 16), EvolutionSpec(schedule, (bath,), t_max=0.1, dt=1e-3))
+        assert len(calls) == 4
+
+
+class TestGridCap:
+    def test_cap_on_points_times_d_squared(self, monkeypatch):
+        # t_max = 1, dt = 0.1: 11 points of d = 2, 44 entries
+        spec = EvolutionSpec(SZ.copy(), (dephasing_bath(Z_BASIS, 1.0),), t_max=1.0, dt=0.1)
+        monkeypatch.setattr(dynamics, "MAX_GRID_ENTRIES", 44)
+        assert len(propagate(bloch_state(0.5), spec)) == 11
+        monkeypatch.setattr(dynamics, "MAX_GRID_ENTRIES", 43)
+        with pytest.raises(InvalidParams, match="11 grid points"):
+            propagate(bloch_state(0.5), spec)
+
+    def test_overflowing_point_count_is_refused(self):
+        spec = EvolutionSpec(SZ.copy(), (), t_max=1.0, dt=5e-324)
+        with pytest.raises(InvalidParams, match="inf grid points"):
+            propagate(bloch_state(0.5), spec)
 
 
 class TestSteadyState:
