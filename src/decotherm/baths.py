@@ -8,6 +8,10 @@ blocks V_k with omega_k faithful (Baumgartner & Narnhofer, J. Phys. A 41,
 B(rho) = sum_k Tr[J_k rho] omega_k with conserved J_k, and
 `stationary_structure` gives log B(rho) without an eigensolve per state.
 The same SVD null space (`_kernel_basis`) gives a Liouvillian's steady state.
+Its SVDs run in real arithmetic, on the generator's real matrix in the
+orthonormal Hermitian basis of `operators`: a unitary change of basis, so
+||L||_2 and the rank rule are unchanged, and every null vector comes out as
+an exactly Hermitian operator.
 
 Each generator has one implementation, its closed-form d²×d² matrix
 (`generator_superop`); flows, stationary images and residuals all act
@@ -37,6 +41,8 @@ from .errors import (
 )
 from .operators import (
     SuperOperator,
+    _herm_operators,
+    _real_form,
     dagger,
     hermitize,
     require_square,
@@ -148,17 +154,23 @@ class StationaryStructure:
     logs: np.ndarray | None = None
 
 
-def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Null space of a square super-operator matrix L, from one SVD of L
-    equilibrated on both sides, as LAPACK's xGEEQU scales a linear solve.
+def _kernel_basis(lmats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Null space of each Hermiticity-preserving super-operator matrix L of
+    a stack (m, n, n), from one SVD of L equilibrated on both sides, as
+    LAPACK's xGEEQU scales a linear solve; each step is one call for the
+    whole stack.
 
-    Each row of L is divided by its largest entry, then each column of the
-    result by its largest, D L C = U S V†; singular values at or below
-    s[0]·n·eps count as zero (numpy's matrix_rank rule). A row at or below
-    ||L||_2·n·eps, or a column at or below n·eps, keeps a scale that leaves
-    it that small, so what is zero stays zero. Returns (R, N†, ||L||_2):
-    R = C V and N† = U† D over the null columns, and ||L||_2 from the
-    singular values of L itself.
+    Both SVDs run in real arithmetic, on the real form of L in the
+    Hermitian coordinates (`operators._real_form`): the basis change is
+    unitary, so it has the singular values of L, and ker L has a Hermitian
+    basis. Each row of that matrix is
+    divided by its largest entry, then each column of the result by its
+    largest, D L C = U S Vᵀ; singular values at or below s[0]·n·eps count as
+    zero (numpy's matrix_rank rule). A row at or below ||L||_2·n·eps, or a
+    column at or below n·eps, keeps a scale that leaves it that small, so
+    what is zero stays zero. Returns, per matrix, the right and left null
+    vectors, C V and D U over the null columns, as (k, d, d) stacks of
+    Hermitian operators, and ||L||_2 from the singular values of L itself.
 
     Unscaled, a null vector's entries are resolved only to eps·||L|| over
     the gap to the next singular value: a pump bath at n = 1e-14 has
@@ -166,17 +178,24 @@ def _kernel_basis(lmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     and a device steady state can hold a 1e-12 population beside rates of
     1e5. L = 0 has every vector in its kernel.
     """
-    n = lmat.shape[0]
+    real = _real_form(lmats)
+    n = real.shape[-1]
     eps = np.finfo(float).eps
-    scale = float(np.linalg.svd(lmat, compute_uv=False)[0])
-    mag = np.abs(lmat)
-    rows = mag.max(axis=1)
-    rows[rows <= scale * n * eps] = max(scale, 1.0)
-    cols = (mag / rows[:, None]).max(axis=0)
+    scale = np.linalg.svd(real, compute_uv=False)[:, 0]
+    mag = np.abs(real)
+    rows = mag.max(axis=2)
+    rows = np.where(rows <= (scale * n * eps)[:, None], np.maximum(scale, 1.0)[:, None], rows)
+    cols = (mag / rows[:, :, None]).max(axis=1)
     cols[cols <= n * eps] = 1.0
-    u, s, vh = np.linalg.svd(lmat / np.outer(rows, cols))
-    k = int(np.count_nonzero(s <= s[0] * n * eps))
-    return (vh[n - k:].conj() / cols).T, u[:, n - k:].conj().T / rows, scale
+    u, s, vh = np.linalg.svd(real / (rows[:, :, None] * cols[:, None, :]))
+    ks = np.count_nonzero(s <= s[:, :1] * n * eps, axis=1)
+    vh /= cols[:, None, :]
+    u /= rows[:, :, None]
+    null = _herm_operators(np.concatenate(
+        [part for i, k in enumerate(ks) for part in (vh[i, n - k:], u[i, :, n - k:].T)]))
+    starts = np.cumsum(np.concatenate(([0], 2 * ks)))
+    return [(null[at:at + k], null[at + k:at + 2 * k], float(sc))
+            for at, k, sc in zip(starts, ks, scale)]
 
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
@@ -195,14 +214,21 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
     return _stationary_structure(bath, generator_superop(bath.generator))
 
 
-def _stationary_structure(bath: Bath, gen: SuperOperator) -> StationaryStructure:
+def _stationary_structure(
+    bath: Bath, gen: SuperOperator, basis: tuple[np.ndarray, np.ndarray, float] | None = None
+) -> StationaryStructure:
     """stationary_structure(bath) from gen, the caller's build of
-    generator_superop(bath.generator). Private, so that no other matrix can
+    generator_superop(bath.generator), and from basis, its _kernel_basis
+    if the caller solved it already. Private, so that no other matrix can
     end up cached on the bath."""
     if bath._structure is not None:
         return bath._structure
     d = bath.dim
-    r, nh, scale = _kernel_basis(gen.matrix)
+    right, left, scale = basis if basis is not None else _kernel_basis(gen.matrix[None])[0]
+    k = len(right)
+    # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
+    # the row N† of a left null vector that of X
+    r, nh = right.conj().reshape(k, d * d).T, left.reshape(k, d * d)
     p = SuperOperator(d, r @ np.linalg.solve(nh @ r, nh))
     p_adj = p.adjoint()
     struct = StationaryStructure(p, scale)
@@ -220,8 +246,8 @@ def _stationary_structure(bath: Bath, gen: SuperOperator) -> StationaryStructure
         label = np.concatenate(([0], np.cumsum(np.diff(g) > cut * np.max(np.abs(g)))))
         w = support @ x
         probe = (w * label) @ dagger(w)  # sum_k k Pi_k
-    if label[-1] + 1 == r.shape[1]:
-        blocks = (w * (label == np.arange(r.shape[1])[:, None])[:, None, :]) @ dagger(w)
+    if label[-1] + 1 == k:
+        blocks = (w * (label == np.arange(k)[:, None])[:, None, :]) @ dagger(w)
         images = blocks @ p_eye @ blocks  # c_k(I) omega_k
         weights = np.trace(images, axis1=-2, axis2=-1).real
         resid = np.linalg.norm(gen.apply(images / weights[:, None, None]), axis=(-2, -1))

@@ -19,6 +19,14 @@ MAX_GRID_ENTRIES points × d² is refused.
 Steady states are the null vector of the vectorized Liouvillian, from the
 same SVD null-space helper that gives each bath's kernel projector;
 long-time propagation is kept only as a cross-check in the test suite.
+
+Both run in real arithmetic. A Lindblad map sends Hermitian operators to
+Hermitian ones, so in the orthonormal Hermitian basis of `operators` it is
+a real d²×d² matrix with the same singular values: the step maps, partial
+steps and per-step products of `propagate` act on real coordinate
+vectors, and the kernel SVDs run on the real matrix. Hamiltonians must be
+Hermitian (within HERM_TOL) for that to be the same dynamics; a
+non-Hermitian one raises NotHermitian.
 """
 
 from __future__ import annotations
@@ -36,16 +44,20 @@ from .errors import (
     InvalidParams,
     NoConvergence,
     NonPositiveSolution,
+    NotHermitian,
     StateInvariantViolated,
     TimeDependentHamiltonian,
 )
 from .operators import (
+    HERM_TOL,
     STATE_TOL,
     SuperOperator,
+    _herm_coords,
+    _herm_operators,
+    _real_form,
     assert_density_matrix,
-    hermitize,
+    require_hermitian,
     require_square,
-    unvectorize,
 )
 
 #: Step-size safety factor; dt = DT_SAFETY / stiffness. Chosen so that the
@@ -141,16 +153,24 @@ def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[B
 def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     """Vectorized matrix of the full right-hand side (static H only):
     -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop. Raises
-    InvalidParams for a non-finite Hamiltonian."""
+    InvalidParams for a non-finite Hamiltonian and NotHermitian for a
+    non-Hermitian one (defect over HERM_TOL), before building anything."""
     if spec.is_schedule:
         raise TimeDependentHamiltonian(
             "liouvillian needs a static Hamiltonian; propagate the schedule instead"
         )
     h = np.asarray(spec.hamiltonian, dtype=complex)
-    gens = _generators(spec.baths, require_square(h, "hamiltonian"))
+    d = require_square(h, "hamiltonian")
+    _require_hamiltonian(h)
+    return _liouvillian(h, _generators(spec.baths, d))
+
+
+def _require_hamiltonian(h: np.ndarray) -> None:
+    """InvalidParams for a non-finite H, NotHermitian for one that deviates
+    from H† by more than HERM_TOL."""
     if not np.isfinite(h).all():
         raise InvalidParams("Hamiltonian has a non-finite entry")
-    return _liouvillian(h, gens)
+    require_hermitian(h, "Hamiltonian")
 
 
 def _generators(baths: Sequence[Bath], d: int) -> list[SuperOperator]:
@@ -269,13 +289,19 @@ def _expm_action(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
 def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     """Exact trajectory on the grid t_k = k dt, k = 0..ceil(t_max / dt).
 
-    The dissipator sum_b L_b is built once; each Hamiltonian segment adds
-    its commutator and, if it holds a full step, gets one step map
-    expm(L dt); a switch time off the grid is reached by partial steps on
-    either side, each the action exp(L tau) v on the current state
-    (`_expm_action`), with no d²×d² expm.
-    Raises InvalidParams for a non-finite Hamiltonian or generator and, before
-    allocating anything, for a grid of more than MAX_GRID_ENTRIES points × d²;
+    The state is carried as its real coordinates in the orthonormal
+    Hermitian basis (`operators._herm_coords`), on which each Liouvillian
+    acts as a real d²×d² matrix (`operators._real_form`), and turned into
+    the complex (n, d, d) stack once, at the end: every state is exactly
+    Hermitian. The dissipator sum_b L_b is built once; each Hamiltonian
+    segment adds its commutator and, if it holds a full step, gets one
+    step map expm(L dt); a switch time off the grid is reached by partial
+    steps on either side, each the action exp(L tau) v on the current
+    state (`_expm_action`), with no d²×d² expm.
+    Raises InvalidParams for a non-finite Hamiltonian or generator,
+    NotHermitian for a Hamiltonian segment that deviates from its adjoint
+    by more than HERM_TOL and, before allocating anything, InvalidParams
+    for a grid of more than MAX_GRID_ENTRIES points × d²;
     StateInvariantViolated if the trace drifts by more than TRACE_DRIFT_TOL.
     """
     d = spec.dim
@@ -288,8 +314,7 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     for _, h in segs:
         if h.shape != (d, d):
             raise DimensionMismatch(f"Hamiltonian shape {h.shape} does not match dim {d}")
-        if not np.isfinite(h).all():
-            raise InvalidParams("Hamiltonian has a non-finite entry")
+        _require_hamiltonian(h)
     dt = spec.dt if spec.dt is not None else default_timestep(spec.hamiltonian, spec.baths)
     if not 0 < dt < np.inf:
         raise InvalidParams(f"dt must be finite and > 0, got {dt}")
@@ -305,39 +330,37 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     n_total = int(n_steps)
     times = np.arange(n_total + 1) * dt
 
-    # Row-major storage: states[k].reshape(-1) is vec(rho_kᵀ), which evolves
-    # under conj(L) because the generator commutes with taking adjoints.
     # The dissipator sum_b L_b is the Liouvillian of H = 0.
     diss = _liouvillian(np.zeros((d, d), dtype=complex), _generators(spec.baths, d)).matrix
-    np.conj(diss, out=diss)
-    states = np.empty((n_total + 1, d, d), dtype=np.complex128)
-    states[0] = rho0
-    flat = states.reshape(n_total + 1, d * d)
-    v = flat[0]
+    coords = np.empty((n_total + 1, d * d))
+    coords[0] = _herm_coords(rho0)
+    v = coords[0]
     k, t_now = 0, 0.0  # v is the state at t_now; times[k] is the last grid point <= t_now
     for i, (_, h) in enumerate(segs):
         if t_now >= times[-1]:
             break
         t_next = segs[i + 1][0] if i + 1 < len(segs) else np.inf
-        lc = np.conj(_commutator(h))
+        lc = _commutator(h)
         lc += diss
         if not np.isfinite(lc).all():
             raise InvalidParams("Liouvillian has a non-finite entry")
+        lr = _real_form(lc)
         k_last = int(np.searchsorted(times, t_next, side="right")) - 1
         if k_last > k:
             if t_now > times[k]:  # resume off the grid, just after a switch
                 k += 1
-                flat[k] = _expm_action(lc, times[k] - t_now, v)
+                coords[k] = _expm_action(lr, times[k] - t_now, v)
             if k_last > k:
-                p = _expm(lc * dt)
+                p = _expm(lr * dt)
                 for j in range(k + 1, k_last + 1):
-                    flat[j] = p @ flat[j - 1]
+                    coords[j] = p @ coords[j - 1]
             k, t_now = k_last, times[k_last]
-            v = flat[k]
+            v = coords[k]
         if t_now < t_next < times[-1]:  # partial step up to the switch
-            v = _expm_action(lc, t_next - t_now, v)
+            v = _expm_action(lr, t_next - t_now, v)
             t_now = t_next
 
+    states = _herm_operators(coords)
     drift = abs(float(np.trace(states[-1]).real) - 1.0)
     if drift > TRACE_DRIFT_TOL:
         raise StateInvariantViolated(f"trace drifted by {drift:.3e} over the trajectory")
@@ -347,25 +370,50 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
 def steady_state(liouv: SuperOperator) -> np.ndarray:
     """Kernel vector of the Liouvillian as a density matrix.
 
-    The kernel comes from one SVD (baths._kernel_basis). Raises
-    DegenerateKernel when it is not one-dimensional (e.g. L = 0, or pure
-    dephasing, whose stationary set is a manifold), NonPositiveSolution when
-    the kernel vector cannot be normalized to a state, and NoConvergence
-    when the residual ||L(nu)|| exceeds STEADY_RESID_TOL ||L||_2; InvalidParams
-    for a non-finite Liouvillian.
+    The kernel comes from one SVD of L's real matrix in the Hermitian
+    coordinates (baths._kernel_basis), so the kernel vector is an exactly
+    Hermitian operator. That matrix is L only if L preserves Hermiticity,
+    so L[(ij),(kl)] must equal conj(L[(ji),(lk)]) within HERM_TOL max|L|,
+    else NotHermitian. Raises DegenerateKernel when the kernel is not
+    one-dimensional (e.g. L = 0, or pure dephasing, whose stationary set is
+    a manifold), NonPositiveSolution when the kernel vector cannot be
+    normalized to a state, and NoConvergence when the residual ||L(nu)||
+    exceeds STEADY_RESID_TOL ||L||_2; InvalidParams for a non-finite
+    Liouvillian.
     """
-    if not np.isfinite(liouv.matrix).all():
+    _require_liouvillian(liouv)
+    return _steady_state(liouv, _kernel_basis(liouv.matrix[None])[0])
+
+
+def _require_liouvillian(liouv: SuperOperator) -> None:
+    """InvalidParams for a non-finite L, NotHermitian for one that does not
+    preserve Hermiticity within HERM_TOL max|L|."""
+    size = float(np.abs(liouv.matrix).max())
+    if not math.isfinite(size):
         raise InvalidParams("Liouvillian has a non-finite entry")
-    r, _, scale = _kernel_basis(liouv.matrix)
-    if r.shape[1] != 1:
-        raise DegenerateKernel(
-            f"Liouvillian kernel has dimension {r.shape[1]}; stationary set is not unique"
+    d = liouv.dim
+    m4 = liouv.matrix.reshape(d, d, d, d)  # m4[j, i, m, l] = L[(i, j), (l, m)]
+    defect = float(np.abs(m4 - m4.transpose(1, 0, 3, 2).conj()).max())
+    if defect > HERM_TOL * size:
+        raise NotHermitian(
+            f"Liouvillian does not preserve Hermiticity: L[(ij),(kl)] deviates from "
+            f"conj(L[(ji),(lk)]) by {defect:.3e}, over {HERM_TOL:.1e} * max|L|"
         )
-    m = unvectorize(r[:, 0], liouv.dim)
-    tr = complex(np.trace(m))
+
+
+def _steady_state(liouv: SuperOperator, basis: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
+    """steady_state(liouv) once _require_liouvillian(liouv) has passed, from
+    basis, the _kernel_basis of liouv."""
+    kernel, _, scale = basis
+    if len(kernel) != 1:
+        raise DegenerateKernel(
+            f"Liouvillian kernel has dimension {len(kernel)}; stationary set is not unique"
+        )
+    m = kernel[0]  # Hermitian, so its trace is real
+    tr = float(np.trace(m).real)
     if abs(tr) < TRACELESS_TOL * float(np.linalg.norm(m)):
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")
-    nu = hermitize(m / tr)
+    nu = m / tr
     nu /= np.trace(nu).real
     lam_min = float(np.linalg.eigvalsh(nu)[0])
     if lam_min < -STATE_TOL:

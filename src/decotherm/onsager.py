@@ -77,15 +77,19 @@ class LinearResponse:
 
 def linear_response(baths: Sequence[Bath], c: float = 1.0) -> LinearResponse:
     """M_{b,a} of every ordered pair, from one generator_superop per bath;
-    each pair equals onsager_superop(b, a, c)."""
+    each pair equals onsager_superop(b, a, c). Each unordered pair is one
+    product, and its mirror is the adjoint, so M_{a,b} = M_{b,a}† holds
+    exactly."""
     dims = {b.dim for b in baths}
     if len(dims) > 1:
         raise DimensionMismatch(f"bath dims differ: {sorted(dims)}")
     mats = [generator_superop(b.generator).matrix for b in baths]
+    prods = {(i, j): c * (mats[i] @ mats[j].conj().T)
+             for i in range(len(mats)) for j in range(i, len(mats))}
     pairs = {
-        (b.name, a.name): SuperOperator(b.dim, c * (mb @ ma.conj().T))
-        for b, mb in zip(baths, mats)
-        for a, ma in zip(baths, mats)
+        (b.name, a.name): SuperOperator(b.dim, prods[i, j] if i <= j else prods[j, i].conj().T)
+        for i, b in enumerate(baths)
+        for j, a in enumerate(baths)
     }
     return LinearResponse(pairs, c)
 

@@ -6,10 +6,18 @@ act on column-stacked operators: vec(A) stacks the columns of A, so that
 vec(A X B) = kron(B.T, A) @ vec(X). The matrix log goes through the
 Hermitian eigendecomposition; nothing here needs a general matrix
 function.
+
+Hermitian operators also have real coordinates in an orthonormal Hermitian
+basis (`_herm_coords`, `_herm_operators`), in which a map that preserves
+Hermiticity is a real d²×d² matrix (`_real_form`). The kernel solves and
+the propagation do their d²×d² LAPACK work on those real matrices; every
+public map stays a complex SuperOperator over vec().
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,6 +164,107 @@ class SuperOperator:
 
     def adjoint(self) -> "SuperOperator":
         return SuperOperator(self.dim, self.matrix.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# Hermitian coordinates
+# ---------------------------------------------------------------------------
+#
+# The orthonormal Hermitian basis F_p, one element per vec position
+# p = i + d j: E_ii on the diagonal, (E_ij + E_ji)/√2 above it and
+# i(E_ji - E_ij)/√2 below it. A Hermitian X = sum_p x_p F_p has real
+# coordinates x_p = Tr[F_p X]: X_ii, then √2 Re X_ij above the diagonal and
+# √2 Im X_ji below it. With T the unitary whose columns are vec(F_p), a map
+# M that sends Hermitian operators to Hermitian ones has the real matrix
+# T†MT (Alicki & Lendi, Lect. Notes Phys. 286, 1987), with the singular
+# values of M.
+
+_SQRT_HALF = float(np.sqrt(0.5))
+
+
+@functools.lru_cache(maxsize=None)
+def _herm_index(d: int) -> tuple[np.ndarray, ...]:
+    """Gather tables of the Hermitian coordinates of dimension d, ~1.5 MB
+    at d = 16: for `_real_form`, the two floats of M that make each entry,
+    and their signed weights; for `_herm_coords`, the two floats of X that
+    make each coordinate, and theirs; for `_herm_operators`, the coordinate
+    and the weight of each float of X."""
+    n = d * d
+    p = np.arange(n)
+    i, j = p % d, p // d  # vec position p = i + d j
+    mirror = j + d * i
+    lower, pair = i > j, i != j
+    # column p of T, vec(F_p), is i^turn[t, p] (over √2 for a pair) at
+    # pos[t, p], t = 0, 1; a diagonal column's one entry is read twice
+    pos = np.stack([np.where(lower, mirror, p), np.where(lower, p, mirror)])
+    turn = np.where(lower, [[1], [3]], 0)
+    # Entry (p, q) of T†MT sums conj(T[a, p]) M[a, b] T[b, q] over the
+    # entries of columns p and q. For M with M[(ij),(kl)] = conj(M[(ji),(lk)])
+    # the terms from a = pos[1, p] repeat those from a = pos[0, p], so each
+    # entry is two terms Re(i^e M[a, b]): the real (e even) or imaginary
+    # (e odd) float of M[a, b], negated for e = 1, 2.
+    # |conj(T[a, p]) T[b, q]| is 1, 1/√2 or 1/2 for none, one or both of p, q
+    # off the diagonal; doubled for a pair row, whose repeated terms fold
+    # in, and halved for a diagonal column, whose one entry is read twice
+    pairs = pair.astype(int)
+    weight = np.array([1.0, _SQRT_HALF, 0.5])[pairs[:, None] + pairs[None, :]]
+    weight *= np.where(pair, 2.0, 1.0)[:, None] * np.where(pair, 1.0, 0.5)
+    map_idx = np.empty((2, n, n), dtype=np.int32)
+    map_weight = np.empty((2, n, n))
+    for u in range(2):
+        e = (turn[u][None, :] - turn[0][:, None]) % 4
+        map_idx[u] = 2 * (pos[0][:, None] * n + pos[u][None, :]) + e % 2
+        map_weight[u] = np.where((e == 1) | (e == 2), -weight, weight)
+    # coordinates: x_p = Tr[F_p X] for the Hermitian part of X is the real
+    # (imaginary below the diagonal) floats of X at pos[0, p] and pos[1, p],
+    # weighted, the second negated below the diagonal
+    coord_idx = 2 * (i * d + j)[pos] + lower  # (i * d + j)[p]: row-major flat index
+    coord_weight = np.where(pair, _SQRT_HALF, 0.5) * np.stack([np.ones(n), np.where(lower, -1.0, 1.0)])
+    # inverse: the real float of X at row-major (i, j) is w times the
+    # coordinate above the diagonal (the larger vec position of (i, j) and
+    # (j, i)), the imaginary one ±w times the coordinate below it
+    r_i, r_j = np.divmod(p, d)  # row-major position -> (i, j)
+    at, mirror_at = r_i + d * r_j, r_j + d * r_i
+    op_idx = np.stack([np.maximum(at, mirror_at), np.minimum(at, mirror_at)], 1).reshape(-1)
+    op_weight = np.stack([np.where(r_i == r_j, 1.0, _SQRT_HALF),
+                          np.sign(r_j - r_i) * _SQRT_HALF], 1).reshape(-1)
+    tables = (map_idx, map_weight, coord_idx, coord_weight, op_idx, op_weight)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _real_form(mat: np.ndarray) -> np.ndarray:
+    """Re(T†MT): the real d²×d² matrix, in the Hermitian coordinates, of a
+    map M on vec(d×d) that preserves Hermiticity, read from the rows of M at
+    the diagonal and upper positions (the others are their mirror images);
+    of one matrix, or of each matrix of a stack."""
+    idx, weight = _herm_index(math.isqrt(mat.shape[-1]))[:2]
+    flat = np.ascontiguousarray(mat, dtype=complex).reshape(*mat.shape[:-2], -1)
+    terms = flat.view(float)[..., idx]
+    terms *= weight
+    return np.add(terms[..., 0, :, :], terms[..., 1, :, :])
+
+
+def _herm_coords(a: np.ndarray) -> np.ndarray:
+    """Coordinates (..., d²) of the Hermitian part of one operator (d, d)
+    or of each operator of a stack (n, d, d)."""
+    d = a.shape[-1]
+    idx, weight = _herm_index(d)[2:4]
+    af = np.ascontiguousarray(a, dtype=complex).reshape(*a.shape[:-2], d * d).view(float)
+    terms = af.take(idx, axis=-1)
+    terms *= weight
+    return np.add(terms[..., 0, :], terms[..., 1, :])
+
+
+def _herm_operators(x: np.ndarray) -> np.ndarray:
+    """The Hermitian operators (..., d, d) with coordinates x (..., d²):
+    the inverse of `_herm_coords`."""
+    d = math.isqrt(x.shape[-1])
+    idx, weight = _herm_index(d)[4:]
+    out = x.take(idx, axis=-1)
+    out *= weight
+    return out.view(complex).reshape(*x.shape[:-1], d, d)
 
 
 def superop_from_action(dim: int, action: Callable[[np.ndarray], np.ndarray]) -> SuperOperator:

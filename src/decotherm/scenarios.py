@@ -26,11 +26,13 @@ from .baths import (
     Bath,
     JumpTerm,
     LindbladGenerator,
+    _kernel_basis,
+    _stationary_structure,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
 )
-from .dynamics import _generators, _liouvillian, steady_state
+from .dynamics import _generators, _liouvillian, _require_liouvillian, _steady_state
 from .errors import DegenerateKernel, InvalidBlochVector, InvalidParams
 from .onsager import (
     COHERENCE_TOL,
@@ -194,9 +196,12 @@ class DeviceReport:
 def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
     """Solve the steady state and compute all device observables.
 
-    One pass over the baths: each generator matrix is built once, each flow
-    L_b(nu) gives both the heat and the entropy-production term, and one
-    log nu serves every force; the values are those of the public functions.
+    One pass over the baths: each generator matrix is built once, the
+    kernels of the Liouvillian and of each bath are solved as one stack
+    (each of _kernel_basis's steps is one numpy call for all of them), each
+    flow L_b(nu) gives both the heat and the entropy-production term, and
+    one log nu serves every force; the values are those of the public
+    functions.
 
     x_l and x_d are nan when the steady coherence vanishes (V = 0), where
     the force parameters are undefined. Without a dephasing bath (gamma = 0)
@@ -205,8 +210,13 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
     assembly = build_device(p)
     h, baths = assembly.hamiltonian, assembly.baths
     gens = _generators(baths, 3)
-    nu = steady_state(_liouvillian(h, gens))
+    liouv = _liouvillian(h, gens)
+    _require_liouvillian(liouv)
+    bases = _kernel_basis(np.stack([liouv.matrix] + [g.matrix for g in gens]))
+    nu = _steady_state(liouv, bases[0])
     log_nu = Spectrum.of(nu).log
+    for bath, gen, basis in zip(baths, gens, bases[1:]):
+        _stationary_structure(bath, gen, basis)
     terms = _flows_and_forces(baths, gens, nu, log_nu)
     heats = {b.name: float(np.trace(h @ image).real) for b, (image, _, _) in zip(baths, terms)}
     if abs(nu[1, 2]) <= COHERENCE_TOL:

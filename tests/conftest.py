@@ -7,6 +7,11 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+#: device grid: cold to hot occupations (1e-14 is beta E ≈ 32) and no
+#: dephasing up to the Zeno regime
+GRID_OCCUPATIONS = (1e-14, 1.3e-14, 3e-14, 1e-13, 1e-12, 1e-9, 1e-3, 0.6, 1e3, 1e6)
+GRID_GAMMAS = (0.0, 1e-2, 0.3, 1e2, 1e4, 1e6)
+
 
 def random_complex(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

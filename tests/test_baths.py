@@ -1,8 +1,18 @@
 """Lindblad generators, bath constructors, and stationary maps."""
 
+import itertools
+
 import numpy as np
 import pytest
-from conftest import SX, SZ, dissipator_oracle, ginibre_state, random_complex
+from conftest import (
+    GRID_GAMMAS,
+    GRID_OCCUPATIONS,
+    SX,
+    SZ,
+    dissipator_oracle,
+    ginibre_state,
+    random_complex,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +22,7 @@ from decotherm.baths import (
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
+    _kernel_basis,
     apply_generator,
     dephasing_bath,
     generator_superop,
@@ -29,8 +40,9 @@ from decotherm.errors import (
     NonPositiveOccupation,
     NotOrthonormal,
 )
+from decotherm.dynamics import EvolutionSpec, liouvillian
 from decotherm.operators import assert_density_matrix, superop_from_action
-from decotherm.scenarios import device_dephasing_bath
+from decotherm.scenarios import DeviceParams, build_device, device_dephasing_bath
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -416,3 +428,82 @@ class TestStationaryStructure:
             # relative entropy is homogeneous of degree one
             r = thermo.relative_entropy_to_bath(rho / 1.01, bath)
             assert thermo.relative_entropy_to_bath(rho, bath) == pytest.approx(1.01 * r, rel=1e-12)
+
+
+def complex_kernel_projector(lmat):
+    """Test-side oracle: the kernel projector, its rank and ||L||_2 from the
+    complex SVD of L, equilibrated on both sides as `_kernel_basis` does."""
+    n = lmat.shape[0]
+    eps = np.finfo(float).eps
+    scale = float(np.linalg.svd(lmat, compute_uv=False)[0])
+    mag = np.abs(lmat)
+    rows = mag.max(axis=1)
+    rows[rows <= scale * n * eps] = max(scale, 1.0)
+    cols = (mag / rows[:, None]).max(axis=0)
+    cols[cols <= n * eps] = 1.0
+    u, s, vh = np.linalg.svd(lmat / np.outer(rows, cols))
+    k = int(np.count_nonzero(s <= s[0] * n * eps))
+    r, nh = (vh[n - k:].conj() / cols).T, u[:, n - k:].conj().T / rows
+    return r @ np.linalg.solve(nh @ r, nh), k, scale
+
+
+def kernel_projector(lmat):
+    right, left, scale = _kernel_basis(lmat[None])[0]
+    k, n = len(right), lmat.shape[0]
+    r, nh = right.conj().reshape(k, n).T, left.reshape(k, n)
+    return r @ np.linalg.solve(nh @ r, nh), k, scale
+
+
+class TestKernelBasis:
+    """The real-arithmetic kernel solve against a complex-SVD oracle."""
+
+    def assert_matches_oracle(self, lmat):
+        # Both solves round the fast rates: with couplings of order 1, a
+        # hot bath's rates of 1e6 leave each projector ~1e-10 (relative)
+        # from a 60-digit one, so the bound widens to 8 eps ||L||_2.
+        p, k, scale = kernel_projector(lmat)
+        p_ref, k_ref, scale_ref = complex_kernel_projector(lmat)
+        assert k == k_ref
+        assert scale == pytest.approx(scale_ref, rel=1e-13)
+        tol = max(1e-12, 8 * np.finfo(float).eps * scale)
+        assert np.max(np.abs(p - p_ref)) <= tol * np.max(np.abs(p_ref))
+
+    def test_device_baths_and_liouvillians_across_the_grid(self):
+        for n in GRID_OCCUPATIONS:
+            for bath in (left_pump_bath(n), right_pump_bath(n)):
+                self.assert_matches_oracle(generator_superop(bath.generator).matrix)
+        for gamma in GRID_GAMMAS[1:]:
+            self.assert_matches_oracle(generator_superop(device_dephasing_bath(gamma).generator).matrix)
+        for n_l, n_r, gamma in itertools.product(GRID_OCCUPATIONS, GRID_OCCUPATIONS, GRID_GAMMAS):
+            assembly = build_device(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
+            self.assert_matches_oracle(liouvillian(EvolutionSpec(assembly.hamiltonian, assembly.baths)).matrix)
+
+    def test_random_d16_model(self, rng):
+        d = 16
+        h = random_complex(rng, d)
+        h = h + h.conj().T
+        terms = tuple(JumpTerm(float(rng.uniform(0.5, 1.5)), random_complex(rng, d)) for _ in range(4))
+        bath = Bath("random", LindbladGenerator(d, terms))
+        self.assert_matches_oracle(generator_superop(bath.generator).matrix)
+        self.assert_matches_oracle(liouvillian(EvolutionSpec(h, (bath,))).matrix)
+        basis = np.linalg.qr(random_complex(rng, d))[0]
+        deph = dephasing_bath([basis[:, j] for j in range(d)], 0.5)
+        self.assert_matches_oracle(generator_superop(deph.generator).matrix)
+
+    def test_null_vectors_are_hermitian(self):
+        right, left, _ = _kernel_basis(generator_superop(device_dephasing_bath(0.3).generator).matrix[None])[0]
+        assert right.shape == left.shape == (3, 3, 3)
+        for stack in (right, left):
+            assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+    def test_a_stack_solves_as_its_matrices_one_at_a_time(self):
+        # a device report solves its Liouvillian and three baths as one stack
+        assembly = build_device(DeviceParams(1.5, 1.0, 0.4, 1e-13, 1e3, 0.3))
+        mats = [liouvillian(EvolutionSpec(assembly.hamiltonian, assembly.baths)).matrix]
+        mats += [generator_superop(b.generator).matrix for b in assembly.baths]
+        stacked = _kernel_basis(np.stack(mats))
+        assert [len(right) for right, _, _ in stacked] == [1, 2, 2, 3]
+        for (right, left, scale), m in zip(stacked, mats):
+            one_right, one_left, one_scale = _kernel_basis(m[None])[0]
+            assert np.array_equal(right, one_right) and np.array_equal(left, one_left)
+            assert scale == one_scale

@@ -35,7 +35,7 @@ from decotherm.dynamics import (
     propagate,
     steady_state,
 )
-from decotherm.errors import DegenerateKernel, InvalidParams, TimeDependentHamiltonian
+from decotherm.errors import DegenerateKernel, InvalidParams, NotHermitian, TimeDependentHamiltonian
 from decotherm.operators import SuperOperator, assert_density_matrix, superop_from_action
 from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
 
@@ -489,3 +489,55 @@ def test_trajectory_states_satisfy_state_invariants(rng):
     traj = propagate(ginibre_state(rng, 3), spec)
     for k in range(0, len(traj), max(1, len(traj) // 25)):
         assert_density_matrix(traj.states[k], what=f"state at t={traj.times[k]:.3f}")
+
+
+class TestHermiticity:
+    """Liouvillians act on real Hermitian coordinates, which would drop an
+    anti-Hermitian part, so one is refused before any work."""
+
+    @staticmethod
+    def skewed(h, eps):
+        out = h.copy()
+        out[1, 2] += 1j * eps
+        return out
+
+    @pytest.fixture
+    def no_generator_builds(self, monkeypatch):
+        def refuse(gen):
+            raise AssertionError("generator built before the Hamiltonian check")
+
+        monkeypatch.setattr(dynamics, "generator_superop", refuse)
+
+    def test_liouvillian_refuses_a_non_hermitian_hamiltonian(self, no_generator_builds):
+        spec = device_spec()
+        with pytest.raises(NotHermitian):
+            liouvillian(EvolutionSpec(self.skewed(spec.hamiltonian, 1e-3), spec.baths))
+
+    def test_propagate_refuses_it_on_any_segment(self, no_generator_builds):
+        spec = device_spec()
+        h, bad = spec.hamiltonian, self.skewed(spec.hamiltonian, 1e-3)
+        for schedule in (bad, [(0.0, h), (0.5, bad)]):
+            with pytest.raises(NotHermitian):
+                propagate(np.eye(3, dtype=complex) / 3,
+                          EvolutionSpec(schedule, spec.baths, t_max=1.0, dt=0.01))
+
+    def test_rounding_level_skew_passes(self, rng):
+        spec = device_spec()
+        h = spec.hamiltonian
+        ok = self.skewed(h, 1e-12)
+        nu = steady_state(liouvillian(EvolutionSpec(ok, spec.baths)))
+        assert np.max(np.abs(nu - steady_state(liouvillian(spec)))) <= 1e-10
+        traj = propagate(ginibre_state(rng, 3), EvolutionSpec([(0.0, h), (0.5, ok)], spec.baths,
+                                                              t_max=1.0, dt=0.01))
+        assert np.array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
+
+    def test_steady_state_refuses_a_map_that_breaks_hermiticity(self):
+        lv = liouvillian(device_spec())
+        size = np.max(np.abs(lv.matrix))
+        skewed = lv.matrix.copy()
+        skewed[0, 4] += 1e-3j * size  # |1><1| -> |0><0| picks up an imaginary weight
+        with pytest.raises(NotHermitian):
+            steady_state(SuperOperator(3, skewed))
+        skewed[0, 4] = lv.matrix[0, 4] + 1e-12j * size
+        nu = steady_state(SuperOperator(3, skewed))
+        assert np.max(np.abs(nu - steady_state(lv))) <= 1e-10

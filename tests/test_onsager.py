@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import ginibre_state, random_hermitian
+from conftest import ginibre_state, random_complex, random_hermitian
 
 from decotherm.baths import (
+    Bath,
+    JumpTerm,
+    LindbladGenerator,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
@@ -221,6 +224,25 @@ class TestLinearResponse:
             for a in assembly.baths:
                 expected = onsager_superop(b, a, c=0.7).matrix
                 assert np.array_equal(lr.pairs[(b.name, a.name)].matrix, expected)
+
+    def test_mirror_pairs_are_exact_adjoints_at_d16(self, rng):
+        # M_{a,b} = M_{b,a}† by construction, not by the rounding of two
+        # separate products
+        d = 16
+        baths = [
+            Bath(name, LindbladGenerator(d, tuple(
+                JumpTerm(float(rng.uniform(0.5, 1.5)), random_complex(rng, d)) for _ in range(4))))
+            for name in ("hot", "cold")
+        ]
+        basis = np.linalg.qr(random_complex(rng, d))[0]
+        baths.append(dephasing_bath([basis[:, j] for j in range(d)], 0.5))
+        lr = linear_response(baths, c=0.7)
+        for b in baths:
+            for a in baths:
+                m = lr.pairs[(b.name, a.name)].matrix
+                assert np.array_equal(m, lr.pairs[(a.name, b.name)].matrix.conj().T)
+                expected = onsager_superop(b, a, c=0.7).matrix
+                assert np.max(np.abs(m - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_bath_dimension_mismatch(self):
         from decotherm.errors import DimensionMismatch

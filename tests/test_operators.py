@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from conftest import SX, SZ, ginibre_state, random_complex, random_hermitian
 
+from decotherm.baths import Bath, JumpTerm, LindbladGenerator
+from decotherm.dynamics import EvolutionSpec, liouvillian
 from decotherm.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
 from decotherm.operators import (
     Spectrum,
     SuperOperator,
+    _herm_coords,
+    _herm_index,
+    _herm_operators,
+    _real_form,
     hermitize,
     hs_inner,
     matrix_log_on_support,
@@ -15,6 +21,9 @@ from decotherm.operators import (
     unvectorize,
     vectorize,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def exp_hermitian(a):
@@ -255,3 +264,74 @@ def test_vec_roundtrip_and_column_stacking(rng):
     # vec(A X B) = kron(B.T, A) vec(X)
     b, x = random_complex(rng, 3), random_complex(rng, 3)
     assert np.max(np.abs(vectorize(a @ x @ b) - np.kron(b.T, a) @ vectorize(x))) < 1e-13
+
+
+def hermitian_basis_unitary(d):
+    """Test-side T: column p = i + d j is vec(F_p), with F_p = E_ii on the
+    diagonal, (E_ij + E_ji)/√2 above it and i(E_ji - E_ij)/√2 below it."""
+    t = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            f = np.zeros((d, d), dtype=complex)
+            if i == j:
+                f[i, i] = 1.0
+            elif i < j:
+                f[i, j] = f[j, i] = 1.0 / np.sqrt(2.0)
+            else:
+                f[j, i], f[i, j] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            t[:, i + d * j] = vectorize(f)
+    return t
+
+
+def random_lindblad_matrix(rng, d):
+    """Vectorized -i[H, .] plus a three-jump dissipator, both random."""
+    h = random_hermitian(rng, d)
+    terms = tuple(JumpTerm(float(rng.uniform(0.5, 1.5)), random_complex(rng, d)) for _ in range(3))
+    return liouvillian(EvolutionSpec(h, (Bath("random", LindbladGenerator(d, terms)),))).matrix
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_real_form_is_the_map_in_the_hermitian_basis(self, rng, d):
+        t = hermitian_basis_unitary(d)
+        assert np.max(np.abs(t.conj().T @ t - np.eye(d * d))) <= 1e-15
+        m = random_lindblad_matrix(rng, d)
+        ref = t.conj().T @ m @ t
+        size = np.max(np.abs(m))
+        real = _real_form(m)
+        assert real.dtype == np.float64
+        assert np.max(np.abs(real - ref.real)) <= 1e-14 * size
+        assert np.max(np.abs(ref.imag)) <= 1e-14 * size  # what the real form drops
+        s_m = np.linalg.svd(m, compute_uv=False)
+        assert np.max(np.abs(np.linalg.svd(real, compute_uv=False) - s_m)) <= 1e-13 * s_m[0]
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_real_form_acts_on_coordinates(self, rng, d):
+        m = random_lindblad_matrix(rng, d)
+        x = np.stack([random_hermitian(rng, d) for _ in range(4)])
+        images = SuperOperator(d, m).apply(x)
+        out = _herm_coords(x) @ _real_form(m).T
+        assert np.max(np.abs(out - _herm_coords(images))) <= 1e-13 * np.max(np.abs(images))
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_coordinates_round_trip(self, rng, d):
+        t = hermitian_basis_unitary(d)
+        x = np.stack([random_hermitian(rng, d) for _ in range(5)])
+        coords = _herm_coords(x)
+        ref = (x.swapaxes(-1, -2).reshape(5, -1) @ t.conj()).real  # Tr[F_p X]
+        assert np.max(np.abs(coords - ref)) <= 4 * EPS * np.max(np.abs(x))
+        back = _herm_operators(coords)
+        # exactly Hermitian, and X again to one rounding of the √2 scaling
+        assert np.array_equal(back, back.conj().swapaxes(-1, -2))
+        assert np.array_equal(np.diagonal(back, axis1=1, axis2=2).real, np.diagonal(x, axis1=1, axis2=2).real)
+        assert np.max(np.abs(back - x)) <= EPS * np.max(np.abs(x))
+        # one operator as a stack of one
+        assert np.array_equal(_herm_coords(x[0]), coords[0])
+        assert np.array_equal(_herm_operators(coords[0]), back[0])
+
+    def test_coordinates_of_the_hermitian_part(self, rng):
+        a = random_complex(rng, 4)
+        assert np.max(np.abs(_herm_coords(a) - _herm_coords(hermitize(a)))) <= 4 * EPS * np.max(np.abs(a))
+
+    def test_tables_stay_small_at_d16(self):
+        assert sum(t.nbytes for t in _herm_index(16)) <= 2 * 2**20

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ginibre_state
+from conftest import GRID_GAMMAS, GRID_OCCUPATIONS, ginibre_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,12 +313,6 @@ def test_gamma_sweep_flags_failures_and_continues(monkeypatch):
     points = sc.gamma_sweep(base, [0.0, 0.5, 1.0])
     assert points[1].report is None and "synthetic" in points[1].failure
     assert points[0].report is not None and points[2].report is not None
-
-
-#: cold to hot occupations (1e-14 is beta E ≈ 32) and no dephasing up to
-#: the Zeno regime
-GRID_OCCUPATIONS = (1e-14, 1.3e-14, 3e-14, 1e-13, 1e-12, 1e-9, 1e-3, 0.6, 1e3, 1e6)
-GRID_GAMMAS = (0.0, 1e-2, 0.3, 1e2, 1e4, 1e6)
 
 
 def test_device_report_across_cold_and_hot_baths():
