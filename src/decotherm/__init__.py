@@ -47,7 +47,6 @@ from .operators import (
     hermitize,
     hs_inner,
     matrix_log_on_support,
-    superop_from_action,
     unvectorize,
     vectorize,
 )

@@ -291,13 +291,15 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def thermal_occupation(beta: float, energy: float) -> float:
-    """Bose factor 1/(exp(beta*energy) - 1), overflow-safe."""
+    """Bose factor 1/(exp(beta*energy) - 1), as exp(-x) / (1 - exp(-x)):
+    overflow-safe, and with 1 - exp(-x) from expm1 it keeps full precision
+    for hot baths, where beta*energy is small."""
     if not beta > 0:
         raise NonPositiveBeta(f"beta must be > 0, got {beta}")
     if not energy > 0:
         raise InvalidParams(f"occupation needs a positive level splitting, got {energy}")
-    e = np.exp(-beta * energy)
-    return float(e / (1.0 - e))
+    x = beta * energy
+    return float(np.exp(-x) / -np.expm1(-x))
 
 
 def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "dephasing") -> Bath:

@@ -76,7 +76,7 @@ _NUMERICAL_STAGES = {
     SupportViolation: "force (support of the stationary image)",
     StateInvariantViolated: "propagate",
     NegativeEigenvalue: "spectral (log of a non-PSD matrix)",
-    NonRealPairing: "entropy_production (imaginary part of sum_b Tr[J_b X_b])",
+    NonRealPairing: "entropy_production (imaginary part of sum_b Tr[L_b(rho) X_b])",
 }
 
 

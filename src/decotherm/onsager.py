@@ -20,7 +20,7 @@ import numpy as np
 from .baths import Bath, apply_generator, generator_superop
 from .errors import DimensionMismatch, MissingPair, ZeroCoherence
 from .operators import Spectrum, SuperOperator, hermitize, hs_inner, require_square
-from .thermo import _flows_and_forces, _supported_log, entropy_production
+from .thermo import _state_terms, entropy_production
 
 #: Max |nu_LR| at which the device steady state counts as incoherent.
 COHERENCE_TOL = 1e-12
@@ -35,28 +35,24 @@ class ForceFlowPair:
 
 def flow(bath: Bath, nu: np.ndarray) -> np.ndarray:
     """J_b = L_b(nu), hermitized."""
-    if nu.shape != (bath.dim, bath.dim):
-        raise DimensionMismatch(f"state shape {nu.shape} does not match bath dim {bath.dim}")
     return hermitize(apply_generator(bath.generator, nu))
 
 
 def force(bath: Bath, nu: np.ndarray) -> np.ndarray:
     """X_b = log B_b(nu) - log nu, logs taken on the support."""
-    if nu.shape != (bath.dim, bath.dim):
-        raise DimensionMismatch(f"state shape {nu.shape} does not match bath dim {bath.dim}")
-    log_nu = Spectrum.of(nu).log
-    return _supported_log(bath, nu) - log_nu
+    return force_flow_pairs([bath], nu)[0].force
 
 
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
+    """(J_b, X_b) of each bath, with J_b the Hermitian part of L_b(nu)."""
     require_square(nu, "state")
     gens = [generator_superop(b.generator) for b in baths]
-    terms = _flows_and_forces(baths, gens, nu, Spectrum.of(nu).log)
-    return [ForceFlowPair(b.name, j, x) for b, (_, j, x) in zip(baths, terms)]
+    terms = _state_terms(baths, gens, nu, Spectrum.of(nu).log)
+    return [ForceFlowPair(b.name, hermitize(t.flow), t.force) for b, t in zip(baths, terms)]
 
 
 def ness_entropy_production(baths: Sequence[Bath], nu: np.ndarray) -> float:
-    """P = sum_b Tr[J_b X_b]: thermo.entropy_production, with the baths first."""
+    """P = sum_b Tr[L_b(nu) X_b]: thermo.entropy_production, with the baths first."""
     return entropy_production(nu, baths)
 
 

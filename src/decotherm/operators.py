@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -265,17 +264,6 @@ def _herm_operators(x: np.ndarray) -> np.ndarray:
     out = x.take(idx, axis=-1)
     out *= weight
     return out.view(complex).reshape(*x.shape[:-1], d, d)
-
-
-def superop_from_action(dim: int, action: Callable[[np.ndarray], np.ndarray]) -> SuperOperator:
-    """Materialize a linear operator map by applying it to all matrix units."""
-    d2 = dim * dim
-    mat = np.empty((d2, d2), dtype=complex)
-    for k in range(d2):
-        e = np.zeros(d2, dtype=complex)
-        e[k] = 1.0
-        mat[:, k] = vectorize(action(unvectorize(e, dim)))
-    return SuperOperator(dim, mat)
 
 
 def assert_density_matrix(rho: np.ndarray, what: str = "state") -> None:

@@ -41,7 +41,7 @@ from .onsager import (
     _reciprocal_coefficients,
 )
 from .operators import Spectrum
-from .thermo import _flows_and_forces, _production, heat_rate
+from .thermo import _production, _state_terms, _traces, heat_rate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -217,8 +217,8 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
     log_nu = Spectrum.of(nu).log
     for bath, gen, basis in zip(baths, gens, bases[1:]):
         _stationary_structure(bath, gen, basis)
-    terms = _flows_and_forces(baths, gens, nu, log_nu)
-    heats = {b.name: float(np.trace(h @ image).real) for b, (image, _, _) in zip(baths, terms)}
+    terms = _state_terms(baths, gens, nu, log_nu)
+    heats = {b.name: float(_traces(h, t.flow)) for b, t in zip(baths, terms)}
     if abs(nu[1, 2]) <= COHERENCE_TOL:
         x_d = x_l = math.nan
     else:
@@ -237,7 +237,7 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
         x_d=x_d,
         m_ld=coeffs.m_ld,
         m_dl=coeffs.m_dl,
-        entropy_production=_production(terms),
+        entropy_production=float(_production(sum(t.pairing for t in terms))),
     )
 
 

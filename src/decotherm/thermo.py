@@ -14,15 +14,16 @@ Relative entropy to a bath's stationary set returns +inf when the state
 has support outside the support of its stationary image; that is a
 legitimate thermodynamic answer, not an error.
 
-The scalar functions take one state. `sample_thermodynamics` evaluates the
-same quantities along a whole trajectory, a block of states at a time,
-with the stacked forms of the same helpers.
+One per-bath kernel, `_bath_terms`, gives the flux, relative entropy and P
+pairing of one state or a stack to the scalar functions, `onsager`,
+`device_report` and `sample_thermodynamics`; every heat is `_traces(H, flow)`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,6 @@ from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
     SuperOperator,
-    hermitize,
-    hs_inner,
     require_hermitian,
     require_same_dim,
     require_square,
@@ -74,11 +73,16 @@ def work_rate(h_dot: np.ndarray, rho: np.ndarray) -> float:
     return float(np.trace(h_dot @ rho).real)
 
 
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr[a b] for each pair of a stack."""
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
 def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     """Q_b = Tr[H L_b(rho)], positive into the system."""
     require_same_dim(h, rho)
     require_hermitian(h, what="hamiltonian")
-    return float(np.trace(h @ apply_generator(bath.generator, rho)).real)
+    return float(_traces(h, apply_generator(bath.generator, rho)))
 
 
 def _stationary_log(bath: Bath, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,14 +111,59 @@ def _stationary_log(bath: Bath, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return log_b.reshape(rho.shape), leak
 
 
-def _supported_log(bath: Bath, rho: np.ndarray) -> np.ndarray:
-    """log B(rho) of one state; SupportViolation if rho leaks off its support."""
+class _BathTerms(NamedTuple):
+    """One bath's terms over one state (scalars) or a stack (arrays)."""
+
+    flow: np.ndarray  # L_b(rho)
+    force: np.ndarray  # X_b = log B_b(rho) - log rho
+    flux: np.ndarray  # -Tr[L_b(rho) log B_b(rho)], where ok
+    relative_entropy: np.ndarray  # Tr[rho (log rho - log B_b(rho))], where ok
+    pairing: np.ndarray  # Tr[L_b(rho) X_b], complex: _production checks it
+    leak: np.ndarray  # weight of rho off supp(B_b(rho))
+    ok: np.ndarray  # leak <= SUPPORT_TOL
+
+
+def _bath_terms(
+    bath: Bath, gen: SuperOperator, rho: np.ndarray, log_rho: np.ndarray
+) -> _BathTerms:
+    """The per-bath kernel: one flow L_b(rho) from gen, the caller's build
+    of generator_superop(bath.generator) (which also gives the bath's
+    stationary structure), one log B_b(rho) and one support leak, over one
+    state or a stack of states with their support logs log_rho."""
+    flow = gen.apply(rho)
+    _stationary_structure(bath, gen)
     log_b, leak = _stationary_log(bath, rho)
-    if leak > SUPPORT_TOL:
-        raise SupportViolation(
-            f"state has weight {leak:.3e} outside supp(B(rho)) for bath {bath.name}"
-        )
-    return log_b
+    force = log_b - log_rho
+    flux = -_traces(flow, log_b)
+    relative_entropy = _traces(rho, log_rho - log_b)
+    pairing = np.einsum("...ij,...ji->...", flow, force)
+    return _BathTerms(flow, force, flux, relative_entropy, pairing, leak, leak <= SUPPORT_TOL)
+
+
+def _state_terms(
+    baths, gens: list[SuperOperator], rho: np.ndarray, log_rho: np.ndarray
+) -> list[_BathTerms]:
+    """_bath_terms of one state for each bath and its built generator
+    matrix; SupportViolation if the state leaks off a bath's support."""
+    out = []
+    for bath, gen in zip(baths, gens):
+        terms = _bath_terms(bath, gen, rho, log_rho)
+        if not terms.ok:
+            raise SupportViolation(
+                f"state has weight {terms.leak:.3e} outside supp(B(rho)) for bath {bath.name}"
+            )
+        out.append(terms)
+    return out
+
+
+def _production(pairing: np.ndarray) -> np.ndarray:
+    """P, the real part of the summed pairing sum_b Tr[L_b(rho) X_b] of one
+    state or of a stack; NonRealPairing if its imaginary part exceeds
+    IMAG_TOL at a point."""
+    imag = abs(pairing.imag)
+    if (imag > IMAG_TOL).any():
+        raise NonRealPairing(f"entropy production picked up imaginary part {np.max(imag):.3e}")
+    return pairing.real
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -127,47 +176,23 @@ def relative_entropy_to_bath(rho: np.ndarray, bath: Bath) -> float:
 
     Returns +inf when supp(rho) is not contained in supp(B(rho)).
     """
-    log_b, leak = _stationary_log(bath, rho)
-    if leak > SUPPORT_TOL:
-        return math.inf
-    log_rho = Spectrum.of(rho).log
-    return float(np.trace(rho @ (log_rho - log_b)).real)
+    terms = _bath_terms(bath, generator_superop(bath.generator), rho, Spectrum.of(rho).log)
+    return float(terms.relative_entropy) if terms.ok else math.inf
 
 
 def entropy_flux(bath: Bath, rho: np.ndarray) -> float:
     """Phi_b = -Tr[L_b(rho) log B_b(rho)], positive into the system."""
-    log_b = _supported_log(bath, rho)
-    return float(-np.trace(apply_generator(bath.generator, rho) @ log_b).real)
+    gens = [generator_superop(bath.generator)]
+    return float(_state_terms([bath], gens, rho, Spectrum.of(rho).log)[0].flux)
 
 
 def entropy_production(rho: np.ndarray, baths) -> float:
-    """P = sum_b Tr[J_b X_b] >= 0, with the flow J_b the Hermitian part of
-    L_b(rho) and the force X_b = log B_b(rho) - log rho."""
+    """P = sum_b Tr[L_b(rho) X_b] >= 0, with the force
+    X_b = log B_b(rho) - log rho."""
     require_square(rho, "state")
     gens = [generator_superop(b.generator) for b in baths]
-    return _production(_flows_and_forces(baths, gens, rho, Spectrum.of(rho).log))
-
-
-def _flows_and_forces(
-    baths, gens: list[SuperOperator], rho: np.ndarray, log_rho: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(L_b(rho), J_b, X_b) of each bath from its built generator matrix,
-    which also gives the bath's stationary structure."""
-    out = []
-    for bath, gen in zip(baths, gens):
-        image = gen.apply(rho)
-        _stationary_structure(bath, gen)
-        out.append((image, hermitize(image), _supported_log(bath, rho) - log_rho))
-    return out
-
-
-def _production(terms) -> float:
-    """sum_b Tr[J_b X_b] over _flows_and_forces terms; NonRealPairing if the
-    sum picks up an imaginary part above IMAG_TOL."""
-    total = sum((hs_inner(j, x) for _, j, x in terms), 0j)
-    if abs(total.imag) > IMAG_TOL:
-        raise NonRealPairing(f"entropy production picked up imaginary part {total.imag:.3e}")
-    return float(total.real)
+    terms = _state_terms(baths, gens, rho, Spectrum.of(rho).log)
+    return float(_production(sum(t.pairing for t in terms)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,36 +245,12 @@ class ThermoSamples:
         return (self[k] for k in range(len(self)))
 
 
-def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr[a b] for each pair of a stack."""
-    return np.einsum("...ij,...ji->...", a, b).real
-
-
-# The two helpers below return only per-point values and the log, so the
-# block-sized eigenvectors, flows and images they make are freed on return:
-# these temporaries set the sampler's memory peak at d = 16.
-
 def _entropy_and_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies and support logs of a block of states."""
+    """Entropies and support logs of a block of states. Only these leave
+    the call, so the block-sized eigenvectors are freed on return: with the
+    kernel's flows and images they set the sampler's memory peak at d = 16."""
     own = Spectrum.of(rho)
     return own.entropy(), own.log
-
-
-def _bath_terms(
-    bath: Bath, gen: SuperOperator, rho: np.ndarray, h: np.ndarray, log_rho: np.ndarray
-):
-    """Heat, entropy flux, relative entropy, entropy-production term and
-    support leak of one bath, with generator gen, over a block of states."""
-    flow = gen.apply(rho)
-    _stationary_structure(bath, gen)
-    log_b, leak = _stationary_log(bath, rho)
-    return (
-        _traces(h, flow),
-        -_traces(flow, log_b),
-        _traces(rho, log_rho - log_b),
-        _traces(flow, log_b - log_rho),
-        leak,
-    )
 
 
 def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSamples:
@@ -265,7 +266,8 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     jump Tr[(H+ - H-) rho] is spread over one step. A point whose state
     leaks off the support of a stationary image is flagged (support_ok
     False, nan flux and production, infinite relative entropy) instead of
-    aborting the sweep.
+    aborting the sweep; at the other points an entropy production whose
+    pairing is not real to IMAG_TOL raises NonRealPairing.
     """
     segs = spec.segments()
     hams = np.stack([h for _, h in segs])
@@ -279,7 +281,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
 
     names = [b.name for b in spec.baths]
     energy_, entropy = np.empty(n), np.empty(n)
-    production = np.zeros(n)
+    pairing = np.zeros(n, dtype=complex)
     ok = np.ones(n, dtype=bool)
     heats = {name: np.empty(n) for name in names}
     fluxes = {name: np.empty(n) for name in names}
@@ -292,15 +294,13 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
         energy_[sl] = _traces(h, rho)
         entropy[sl], log_rho = _entropy_and_log(rho)
         for bath, gen in zip(spec.baths, gens):
-            heats[bath.name][sl], fluxes[bath.name][sl], rel[bath.name][sl], prod, leak = (
-                _bath_terms(bath, gen, rho, h, log_rho)
-            )
-            production[sl] += prod
-            off = leak > SUPPORT_TOL
-            ok[sl] &= ~off
-            fluxes[bath.name][sl][off] = math.nan
-            rel[bath.name][sl][off] = math.inf
-    production[~ok] = math.nan
+            terms = _bath_terms(bath, gen, rho, log_rho)
+            heats[bath.name][sl] = _traces(h, terms.flow)
+            fluxes[bath.name][sl] = np.where(terms.ok, terms.flux, math.nan)
+            rel[bath.name][sl] = np.where(terms.ok, terms.relative_entropy, math.inf)
+            pairing[sl] += terms.pairing
+            ok[sl] &= terms.ok
+    production = _production(np.where(ok, pairing, math.nan))
     return ThermoSamples(
         t=times.astype(float),
         energy=energy_,

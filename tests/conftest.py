@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from decotherm.operators import SuperOperator, unvectorize, vectorize
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -31,6 +33,17 @@ def ginibre_state(rng, d, mix=0.0):
     if mix:
         rho = (1.0 - mix) * rho + mix * np.eye(d) / d
     return rho
+
+
+def superop_from_action(dim, action):
+    """Materialize a linear operator map by applying it to all matrix units."""
+    d2 = dim * dim
+    mat = np.empty((d2, d2), dtype=complex)
+    for k in range(d2):
+        e = np.zeros(d2, dtype=complex)
+        e[k] = 1.0
+        mat[:, k] = vectorize(action(unvectorize(e, dim)))
+    return SuperOperator(dim, mat)
 
 
 def dissipator_oracle(rho, terms):

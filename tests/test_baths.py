@@ -1,5 +1,6 @@
 """Lindblad generators, bath constructors, and stationary maps."""
 
+import decimal
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     dissipator_oracle,
     ginibre_state,
     random_complex,
+    superop_from_action,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +43,7 @@ from decotherm.errors import (
     NotOrthonormal,
 )
 from decotherm.dynamics import EvolutionSpec, liouvillian
-from decotherm.operators import assert_density_matrix, superop_from_action
+from decotherm.operators import assert_density_matrix
 from decotherm.scenarios import DeviceParams, build_device, device_dephasing_bath
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -173,11 +175,35 @@ class TestDephasingBath:
             assert np.max(np.abs(once @ p - p @ once)) < 1e-14
 
 
+def bose_oracle(x: float) -> float:
+    """1/(e^x - 1) at 60 digits, with e^x - 1 summed as its Taylor series
+    below x = 1, so that no digits cancel for a hot bath."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        dx = decimal.Decimal(x)
+        if x >= 1.0:
+            return float(1 / (dx.exp() - 1))
+        term = total = dx
+        k = 1
+        while term > total.scaleb(-65):
+            k += 1
+            term = term * dx / k
+            total += term
+        return float(1 / total)
+
+
 class TestThermalBath:
     def test_occupation_value(self):
         # 1/(e - 1) for beta = E = 1
         assert thermal_occupation(1.0, 1.0) == pytest.approx(1.0 / (np.e - 1.0), rel=1e-12)
         assert thermal_occupation(1.0, 1.0) == pytest.approx(0.58198, abs=5e-6)
+
+    def test_occupation_against_decimal_oracle(self):
+        # hot baths (small beta E) included: 1 - exp(-x) must not cancel
+        xs = np.concatenate([np.geomspace(1e-300, 700.0, 301), [1e-12, 1e-10, 1e-6, 1e-3]])
+        for x in xs:
+            want = bose_oracle(float(x))
+            assert abs(thermal_occupation(float(x), 1.0) - want) <= 4 * np.finfo(float).eps * want, x
 
     def test_gibbs_annihilated(self):
         bath = thermal_two_level_bath(e_excited=1.0, beta=1.0, rate_scale=1.0)

@@ -1,5 +1,6 @@
 """CLI: config validation, emitters, exit codes, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -294,6 +295,28 @@ def test_config_runs_never_import_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_imports_only_stdlib_numpy_and_itself():
+    # numpy is the only runtime dependency on every code path, not only on
+    # those the configs reach: scipy is test-only, and mpmath (installed as
+    # sympy's dependency) is not a dependency at all
+    allowed = set(sys.stdlib_module_names) | {"numpy", "decotherm"}
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    files = sorted(f for f in os.listdir(src) if f.endswith(".py"))
+    assert "thermo.py" in files
+    for name in files:
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, f"{name} imports {module}"
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):

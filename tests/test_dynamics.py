@@ -9,6 +9,7 @@ from conftest import (
     ginibre_state,
     random_complex,
     random_hermitian,
+    superop_from_action,
     trace_distance,
     unitary_evolution_oracle,
 )
@@ -36,7 +37,7 @@ from decotherm.dynamics import (
     steady_state,
 )
 from decotherm.errors import DegenerateKernel, InvalidParams, NotHermitian, TimeDependentHamiltonian
-from decotherm.operators import SuperOperator, assert_density_matrix, superop_from_action
+from decotherm.operators import SuperOperator, assert_density_matrix
 from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

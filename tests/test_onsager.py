@@ -110,19 +110,24 @@ class TestNessEntropyProduction:
         assert p1 == p2
 
     def test_imaginary_part_is_a_numerical_failure(self, monkeypatch, tmp_path, capsys):
-        # a force carrying i*s*J_b adds i*s*||J_b||_F^2 to each pairing
-        # Tr[J_b X_b]; the sum may pick up at most 1e-10
+        # a log B_b(nu), the kernel's input, carrying i*s*J_b adds about
+        # i*s*||J_b||_F^2 to each pairing Tr[L_b(nu) X_b]; the sum may pick
+        # up at most 1e-10
         from decotherm import cli, thermo
 
         assembly, nu = device_steady()
         flows = {b.name: flow(b, nu) for b in assembly.baths}
         weight = sum(np.linalg.norm(j) ** 2 for j in flows.values())
-        real_log = thermo._supported_log
+        real_log = thermo._stationary_log
+
+        def shifted_log(bath, rho, s):
+            log_b, leak = real_log(bath, rho)
+            return log_b + 1j * s * flows[bath.name], leak
+
         for ratio, raises in ((0.5, False), (2.0, True)):
             s = ratio * 1e-10 / weight
             monkeypatch.setattr(
-                thermo, "_supported_log",
-                lambda bath, rho, s=s: real_log(bath, rho) + 1j * s * flows[bath.name],
+                thermo, "_stationary_log", lambda bath, rho, s=s: shifted_log(bath, rho, s)
             )
             if raises:
                 with pytest.raises(NonRealPairing):

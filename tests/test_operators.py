@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import SX, SZ, ginibre_state, random_complex, random_hermitian
+from conftest import SX, SZ, ginibre_state, random_complex, random_hermitian, superop_from_action
 
 from decotherm.baths import Bath, JumpTerm, LindbladGenerator
 from decotherm.dynamics import EvolutionSpec, liouvillian
@@ -17,7 +17,6 @@ from decotherm.operators import (
     hermitize,
     hs_inner,
     matrix_log_on_support,
-    superop_from_action,
     unvectorize,
     vectorize,
 )

@@ -1,5 +1,6 @@
 """Energy/heat bookkeeping, entropies, fluxes, entropy production."""
 
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,14 @@ from decotherm.baths import (
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, propagate
-from decotherm.errors import NoConvergence, NotHermitian, SupportViolation
+from decotherm.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NonRealPairing,
+    NotHermitian,
+    SupportViolation,
+)
+from decotherm.onsager import flow, force
 from decotherm.scenarios import (
     TwoLevelDecoherenceParams,
     bloch_state,
@@ -210,6 +218,20 @@ class TestEntropyProduction:
             lhs = entropy_production(rho, [bath])
             rhs = sdot - entropy_flux(bath, rho)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bath, rho: heat_rate(np.zeros((2, 2), dtype=complex), bath, rho),
+    lambda bath, rho: flow(bath, rho),
+    lambda bath, rho: force(bath, rho),
+    lambda bath, rho: entropy_production(rho, [bath]),
+    lambda bath, rho: relative_entropy_to_bath(rho, bath),
+    lambda bath, rho: entropy_flux(bath, rho),
+], ids=["heat_rate", "flow", "force", "entropy_production", "relative_entropy_to_bath",
+        "entropy_flux"])
+def test_state_of_another_dimension_than_the_bath(call):
+    with pytest.raises(DimensionMismatch):
+        call(left_pump_bath(0.6), np.eye(2, dtype=complex) / 2)
 
 
 class TestSampleThermodynamics:
@@ -492,3 +514,46 @@ def test_sample_invariant_bounds(rng):
         assert -1e-12 <= s.entropy <= ln_d + 1e-12
         assert s.entropy_production >= -1e-9
         assert all(r >= -1e-10 for r in s.relative_entropies.values())
+
+
+class TestSamplerPairingCheck:
+    """The trajectory's P pairing passes the NonRealPairing check of the
+    scalar functions: an imaginary part above IMAG_TOL at a point raises."""
+
+    @staticmethod
+    def shift_pairing(monkeypatch, imag, n_baths):
+        # each bath's pairing picks up i*imag/n_baths, each point's sum i*imag
+        real = thermo._bath_terms
+
+        def shifted(bath, gen, rho, log_rho):
+            terms = real(bath, gen, rho, log_rho)
+            return terms._replace(pairing=terms.pairing + 1j * imag / n_baths)
+
+        monkeypatch.setattr(thermo, "_bath_terms", shifted)
+
+    @pytest.mark.parametrize("ratio, raises", [(0.5, False), (2.0, True)])
+    def test_sampler_bound(self, monkeypatch, ratio, raises):
+        traj, spec = _device_run()
+        expected = sample_thermodynamics(traj, spec).entropy_production
+        self.shift_pairing(monkeypatch, ratio * thermo.IMAG_TOL, len(spec.baths))
+        if raises:
+            with pytest.raises(NonRealPairing):
+                sample_thermodynamics(traj, spec)
+        else:
+            got = sample_thermodynamics(traj, spec).entropy_production
+            assert np.array_equal(got, expected)
+
+    def test_trajectory_run_exits_3(self, monkeypatch, tmp_path, capsys):
+        from decotherm import cli
+        from decotherm.scenarios import DEFAULT_DEVICE
+
+        self.shift_pairing(monkeypatch, 2.0 * thermo.IMAG_TOL, 3)
+        path = tmp_path / "trajectory.json"
+        path.write_text(json.dumps({
+            "scenario": "device-trajectory",
+            "params": {**DEFAULT_DEVICE, "initial_state": "maximally-mixed"},
+            "integrator": {"t_max": 0.1},
+            "output": {"format": "csv", "path": str(tmp_path / "out.csv")},
+        }))
+        assert cli.run(str(path)) == 3
+        assert "numerical failure in entropy_production" in capsys.readouterr().err
