@@ -67,6 +67,7 @@ from .thermo import (
     ThermoSample,
     ThermoSamples,
     energy,
+    entropy_balance_residuals,
     entropy_flux,
     entropy_production,
     first_law_residuals,

@@ -13,9 +13,21 @@ orthonormal Hermitian basis of `operators`: a unitary change of basis, so
 ||L||_2 and the rank rule are unchanged, and every null vector comes out as
 an exactly Hermitian operator.
 
+There is one structure solver, `_stationary_structures`, and it solves all
+the uncached baths of a call in one stacked pass: the projector, the
+eigensolve of P(I), both probe passes, the blocks, the residual check,
+log omega_k and J_k are each one numpy call for all of them (the products
+over the kernel and block indices, one per kernel dimension present),
+since at d = 3 a call costs more to dispatch than to compute. Large baths
+go one pass each (`_PASS_ENTRIES`), where the stacked work arrays would
+cost more than the calls they save. `stationary_structure` is its
+one-bath call, and a bath's structure is the same, bit for bit, alone or
+in a stack.
+
 Each generator has one implementation, its closed-form d²×d² matrix
 (`generator_superop`); flows, stationary images and residuals all act
-through `SuperOperator.apply`.
+through `SuperOperator.apply`, or, for a stack of baths' matrices, through
+its stacked form `_apply_each`.
 
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
@@ -50,6 +62,15 @@ from .operators import (
 
 #: Max entrywise deviation of a dephasing basis' Gram matrix from I.
 ORTHONORMAL_TOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
+
+#: d²×d² matrix entries per stationary-structure pass (2**14 complex
+#: entries are 256 KiB per stacked array). Below it a pass is bound by call
+#: overhead and stacking pays: three baths took 0.52× their one-by-one time
+#: at d = 3 and 0.93× at d = 8. Above it the stacked work arrays fall out
+#: of cache (1.09× at d = 10, 1.20× at d = 16), so those go one per pass.
+_PASS_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +201,7 @@ def _kernel_basis(lmats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float
     """
     real = _real_form(lmats)
     n = real.shape[-1]
-    eps = np.finfo(float).eps
+    eps = _EPS
     scale = np.linalg.svd(real, compute_uv=False)[:, 0]
     mag = np.abs(real)
     rows = mag.max(axis=2)
@@ -200,7 +221,8 @@ def _kernel_basis(lmats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
     """The bath's stationary structure from the null space of L
-    (`_kernel_basis`), cached on it.
+    (`_kernel_basis`), cached on it: the one-bath call of
+    `_stationary_structures`.
 
     The recurrent space is the support of P(I) under _kernel_basis's rank
     rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for a probe G whose
@@ -211,52 +233,139 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
     P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
     if bath._structure is not None:
         return bath._structure
-    return _stationary_structure(bath, generator_superop(bath.generator))
+    return _stationary_structures([bath], [generator_superop(bath.generator)])[0]
 
 
-def _stationary_structure(
-    bath: Bath, gen: SuperOperator, basis: tuple[np.ndarray, np.ndarray, float] | None = None
-) -> StationaryStructure:
-    """stationary_structure(bath) from gen, the caller's build of
-    generator_superop(bath.generator), and from basis, its _kernel_basis
-    if the caller solved it already. Private, so that no other matrix can
-    end up cached on the bath."""
-    if bath._structure is not None:
-        return bath._structure
-    d = bath.dim
-    right, left, scale = basis if basis is not None else _kernel_basis(gen.matrix[None])[0]
-    k = len(right)
-    # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
-    # the row N† of a left null vector that of X
-    r, nh = right.conj().reshape(k, d * d).T, left.reshape(k, d * d)
-    p = SuperOperator(d, r @ np.linalg.solve(nh @ r, nh))
-    p_adj = p.adjoint()
-    struct = StationaryStructure(p, scale)
-    cut = d * d * np.finfo(float).eps
-    p_eye = hermitize(p.apply(np.eye(d)))
+def _stationary_structures(
+    baths: Sequence[Bath],
+    gens: Sequence[SuperOperator],
+    bases: Sequence[tuple[np.ndarray, np.ndarray, float]] | None = None,
+) -> list[StationaryStructure]:
+    """stationary_structure of each bath, from gens, the caller's builds of
+    their generator_superop, and from bases, their _kernel_basis if the
+    caller solved them already. Private, so that no other matrix can end
+    up cached on a bath.
+
+    The baths with no cached structure are solved in one pass, each step one
+    numpy call for all of them: at d = 3 the call overhead, not the
+    arithmetic, is what a structure costs. A pass takes as many baths as fit
+    _PASS_ENTRIES (202 at d = 3, 4 at d = 8, one from d = 10 on), since
+    large stacked work arrays cost more than the calls they save, and the
+    passes run in list order. The products over the kernel and block indices
+    (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k), L(omega_k)) run once per kernel
+    dimension present (`_by_kernel_dim`); every other step is one call for
+    all the baths of the pass. The directions a support of lower rank drops
+    are shifted above the probe's spectrum, so they sort last and stay out
+    of every block, and blocks a bath does not have are masked. A bath's
+    structure is the same, bit for bit, alone or in a stack. NoConvergence
+    names the first failing bath in list order, and the baths before it keep
+    their structures."""
+    todo = list({id(b): i for i, b in enumerate(baths) if b._structure is None}.values())
+    if not todo:
+        return [b._structure for b in baths]
+    dims = {baths[i].dim for i in todo}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"bath dims differ: {sorted(dims)}")
+    d = dims.pop()
+    n, m = d * d, len(todo)
+    per_pass = max(1, _PASS_ENTRIES // (n * n))
+    if m > per_pass:
+        for lo in range(0, m, per_pass):
+            part = todo[lo:lo + per_pass]
+            _stationary_structures([baths[i] for i in part], [gens[i] for i in part],
+                                   None if bases is None else [bases[i] for i in part])
+        return [b._structure for b in baths]
+    mats = [gens[i].matrix for i in todo]
+    basis = _kernel_basis(np.stack(mats)) if bases is None else [bases[i] for i in todo]
+    ks = [len(right) for right, _, _ in basis]
+    proj = np.empty((m, n, n), dtype=complex)
+    for k, at in _by_kernel_dim(ks):
+        # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
+        # the row N† of a left null vector that of X
+        nh = np.stack([basis[i][1] for i in at]).reshape(len(at), k, n)
+        r = np.stack([basis[i][0] for i in at]).reshape(len(at), k, n).conj().swapaxes(-1, -2)
+        proj[at] = r @ np.linalg.solve(nh @ r, nh)
+    proj_conj = proj.conj()  # P† is its transpose
+    cut = n * _EPS
+    p_eye = hermitize(_apply_each(proj, np.eye(d)))
     lam, vecs = np.linalg.eigh(p_eye)
-    keep = lam > cut * lam[-1]
-    support = vecs[:, keep]
+    keep = lam > cut * lam[:, -1:]
+    # eigh sorts ascending: a support of rank r is the last r columns of
+    # vecs, and once the dropped ones are shifted above the probe's spectrum
+    # the first r eigenpairs of each compressed probe are the support's
+    ranked = np.arange(d) < keep.sum(axis=1)[:, None]
+    inside = keep[:, :, None] & keep[:, None, :]
     # distinct diagonal and neighbour couplings of phase 1 rad: no basis of
     # rational phases gives two blocks the same expectation
-    probe = np.diag(np.arange(1.0, d + 1.0)) + np.diag(np.full(d - 1, np.exp(1j)), 1)
-    probe = probe + dagger(probe)
+    probe = np.zeros((d, d), dtype=complex)
+    probe.flat[::d + 1] = np.arange(2.0, 2.0 * d + 1.0, 2.0)
+    probe.flat[1::d + 1], probe.flat[d::d + 1] = np.exp(1j), np.exp(1j).conjugate()
     for _ in range(2):
-        g, x = np.linalg.eigh(dagger(support) @ hermitize(p_adj.apply(probe)) @ support)
-        label = np.concatenate(([0], np.cumsum(np.diff(g) > cut * np.max(np.abs(g)))))
-        w = support @ x
-        probe = (w * label) @ dagger(w)  # sum_k k Pi_k
-    if label[-1] + 1 == k:
-        blocks = (w * (label == np.arange(k)[:, None])[:, None, :]) @ dagger(w)
-        images = blocks @ p_eye @ blocks  # c_k(I) omega_k
-        weights = np.trace(images, axis1=-2, axis2=-1).real
-        resid = np.linalg.norm(gen.apply(images / weights[:, None, None]), axis=(-2, -1))
-        _require_residual(bath, resid, scale, "stationary state of a block")
-        log_p_eye = (support * np.log(lam[keep])) @ dagger(support)
-        logs = blocks @ log_p_eye @ blocks - np.log(weights)[:, None, None] * blocks
-        struct = StationaryStructure(p, scale, blocks, hermitize(p_adj.apply(blocks)), logs)
-    object.__setattr__(bath, "_structure", struct)
-    return struct
+        comp = dagger(vecs) @ hermitize(_apply_each(proj_conj.swapaxes(-1, -2), probe)) @ vecs
+        if not inside.all():
+            shift = 2.0 * np.linalg.norm(comp, axis=(-2, -1)) + 1.0
+            comp = np.where(inside, comp, np.eye(d) * shift[:, None, None])
+        g, x = np.linalg.eigh(comp)
+        steps = g[:, 1:] - g[:, :-1] > cut * np.abs(g * ranked).max(axis=-1, keepdims=True)
+        label = np.zeros((m, d), dtype=int)
+        label[:, 1:] = steps.cumsum(axis=-1)
+        label *= ranked
+        w = vecs @ x
+        probe = (w * label[:, None, :]) @ dagger(w)  # sum_k k Pi_k
+    structured = label.max(axis=-1) + 1 == ks
+    kmax = max(ks)
+    member = (label[:, None, :] == np.arange(kmax)[:, None]) & ranked[:, None, :]
+    blocks = (w[:, None] * member[:, :, None, :]) @ dagger(w)[:, None]
+    images = blocks @ p_eye[:, None] @ blocks  # c_k(I) omega_k
+    exists = (np.arange(kmax) < np.array(ks)[:, None]) & structured[:, None]
+    weights = np.where(exists, np.trace(images, axis1=-2, axis2=-1).real, 1.0)
+    log_lam = np.log(lam, out=np.zeros(lam.shape), where=keep)
+    log_p_eye = (vecs * log_lam[:, None, :]) @ dagger(vecs)
+    logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
+    conserved = np.zeros(blocks.shape, dtype=complex)
+    resid = np.zeros(weights.shape)
+    for k, at in _by_kernel_dim(ks, structured):
+        adj = proj_conj[at].swapaxes(-1, -2)
+        conserved[at, :k] = hermitize(_apply_each(adj, blocks[at, :k]))
+        gen = np.stack([mats[i] for i in at])
+        states = _apply_each(gen, images[at, :k] / weights[at, :k, None, None])
+        resid[at, :k] = np.sqrt((states.conj() * states).real.sum(axis=(-2, -1)))
+    for i, k in enumerate(ks):
+        bath, scale, p = baths[todo[i]], basis[i][2], SuperOperator(d, proj[i])
+        if structured[i]:
+            _require_residual(bath, resid[i, :k], scale, "stationary state of a block")
+            struct = StationaryStructure(p, scale, blocks[i, :k], conserved[i, :k], logs[i, :k])
+        else:
+            struct = StationaryStructure(p, scale)
+        object.__setattr__(bath, "_structure", struct)
+    return [b._structure for b in baths]
+
+
+def _by_kernel_dim(ks: list[int], take=None) -> list[tuple[int, list[int]]]:
+    """(k, the indices i with ks[i] == k) for each k of ks, over the i with
+    take[i] if take is given.
+
+    A product over the kernel index runs on baths of one kernel dimension
+    at a time: BLAS picks its kernel by shape (a 1×1 N†R is a dot product,
+    a padded one a GEMM; one row of Pi_k times P̄ a GEMV, two rows a GEMM),
+    so padding to a common k would round a bath's projector and J_k one
+    way alone and another way in a stack."""
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(ks):
+        if take is None or take[i]:
+            groups.setdefault(k, []).append(i)
+    return sorted(groups.items())
+
+
+def _apply_each(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Each d²×d² matrix of a stack (m, n, n) acting as SuperOperator.apply
+    on one operator (d, d), on its own operator (m, d, d) or on its own
+    operator stack (m, j, d, d)."""
+    m, n, d = len(mats), mats.shape[-1], a.shape[-1]
+    # vec() stacks columns, so vec(a) is the row-major flattening of a.T
+    flat = a.swapaxes(-1, -2).reshape((1, 1, n) if a.ndim == 2 else (m, -1, n))
+    images = flat @ mats.swapaxes(-1, -2)
+    return images.reshape(m, *a.shape[1:-2], d, d).swapaxes(-1, -2)
 
 
 def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) -> None:

@@ -139,6 +139,9 @@ def load_config(path: str) -> RunConfig:
     _require_keys(out, {"format": True, "path": True}, "output")
     if out["format"] not in FORMATS:
         raise ConfigError(f"unknown output format '{out['format']}'; expected one of {FORMATS}")
+    # open() takes an int as a file descriptor: "path": 1 would write to stdout
+    if not isinstance(out["path"], str) or not out["path"]:
+        raise ConfigError(f"key 'path' in output must be a non-empty string, got {out['path']!r}")
     integrator = raw.get("integrator")
     if integrator is not None:
         if not isinstance(integrator, dict):

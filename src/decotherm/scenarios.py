@@ -27,7 +27,7 @@ from .baths import (
     JumpTerm,
     LindbladGenerator,
     _kernel_basis,
-    _stationary_structure,
+    _stationary_structures,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
@@ -198,10 +198,11 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
 
     One pass over the baths: each generator matrix is built once, the
     kernels of the Liouvillian and of each bath are solved as one stack
-    (each of _kernel_basis's steps is one numpy call for all of them), each
-    flow L_b(nu) gives both the heat and the entropy-production term, and
-    one log nu serves every force; the values are those of the public
-    functions.
+    (each of _kernel_basis's steps is one numpy call for all of them), the
+    baths' stationary structures follow from those kernels in one stacked
+    pass (baths._stationary_structures), each flow L_b(nu) gives both the
+    heat and the entropy-production term, and one log nu serves every
+    force; the values are those of the public functions.
 
     x_l and x_d are nan when the steady coherence vanishes (V = 0), where
     the force parameters are undefined. Without a dephasing bath (gamma = 0)
@@ -215,8 +216,7 @@ def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
     bases = _kernel_basis(np.stack([liouv.matrix] + [g.matrix for g in gens]))
     nu = _steady_state(liouv, bases[0])
     log_nu = Spectrum.of(nu).log
-    for bath, gen, basis in zip(baths, gens, bases[1:]):
-        _stationary_structure(bath, gen, basis)
+    _stationary_structures(baths, gens, bases[1:])
     terms = _state_terms(baths, gens, nu, log_nu)
     heats = {b.name: float(_traces(h, t.flow)) for b, t in zip(baths, terms)}
     if abs(nu[1, 2]) <= COHERENCE_TOL:

@@ -17,6 +17,9 @@ legitimate thermodynamic answer, not an error.
 One per-bath kernel, `_bath_terms`, gives the flux, relative entropy and P
 pairing of one state or a stack to the scalar functions, `onsager`,
 `device_report` and `sample_thermodynamics`; every heat is `_traces(H, flow)`.
+Each of those callers first solves all its baths' stationary structures in
+one stacked pass (`baths._stationary_structures`), so the kernel solves
+nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .baths import (
     Bath,
-    _stationary_structure,
+    _stationary_structures,
     apply_generator,
     generator_superop,
     stationary_map,
@@ -127,11 +130,11 @@ def _bath_terms(
     bath: Bath, gen: SuperOperator, rho: np.ndarray, log_rho: np.ndarray
 ) -> _BathTerms:
     """The per-bath kernel: one flow L_b(rho) from gen, the caller's build
-    of generator_superop(bath.generator) (which also gives the bath's
-    stationary structure), one log B_b(rho) and one support leak, over one
-    state or a stack of states with their support logs log_rho."""
+    of generator_superop(bath.generator), one log B_b(rho) from the bath's
+    stationary structure, which the caller has solved, and one support
+    leak, over one state or a stack of states with their support logs
+    log_rho."""
     flow = gen.apply(rho)
-    _stationary_structure(bath, gen)
     log_b, leak = _stationary_log(bath, rho)
     force = log_b - log_rho
     flux = -_traces(flow, log_b)
@@ -144,7 +147,9 @@ def _state_terms(
     baths, gens: list[SuperOperator], rho: np.ndarray, log_rho: np.ndarray
 ) -> list[_BathTerms]:
     """_bath_terms of one state for each bath and its built generator
-    matrix; SupportViolation if the state leaks off a bath's support."""
+    matrix, after one pass solves the baths' stationary structures;
+    SupportViolation if the state leaks off a bath's support."""
+    _stationary_structures(baths, gens)
     out = []
     for bath, gen in zip(baths, gens):
         terms = _bath_terms(bath, gen, rho, log_rho)
@@ -176,7 +181,9 @@ def relative_entropy_to_bath(rho: np.ndarray, bath: Bath) -> float:
 
     Returns +inf when supp(rho) is not contained in supp(B(rho)).
     """
-    terms = _bath_terms(bath, generator_superop(bath.generator), rho, Spectrum.of(rho).log)
+    gen, log_rho = generator_superop(bath.generator), Spectrum.of(rho).log
+    _stationary_structures([bath], [gen])
+    terms = _bath_terms(bath, gen, rho, log_rho)
     return float(terms.relative_entropy) if terms.ok else math.inf
 
 
@@ -259,7 +266,8 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     The states are processed in blocks of _BLOCK_ENTRIES // d² points:
     one stacked eigensolve of the states, one stacked stationary image
     and one stacked flow per bath, and traces as einsums. Each bath's
-    generator matrix is built once per call.
+    generator matrix is built once per call, and the baths' stationary
+    structures are solved in one pass before the first block.
 
     The work rate reflects the piecewise-constant schedule: zero except at
     the first grid point at or after a switch, where the impulsive energy
@@ -287,6 +295,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     fluxes = {name: np.empty(n) for name in names}
     rel = {name: np.empty(n) for name in names}
     gens = [generator_superop(b.generator) for b in spec.baths]
+    _stationary_structures(spec.baths, gens)
     block = max(1, _BLOCK_ENTRIES // (d * d))
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
@@ -320,17 +329,35 @@ def first_law_residuals(samples: ThermoSamples) -> np.ndarray:
     Endpoints and points adjacent to a Hamiltonian switch (where the work
     rate is distributional) are nan.
     """
+    heat = sum(samples.heat_rates.values(), 0.0)
+    return _centered_residuals(samples, samples.energy, samples.work_rate, heat)
+
+
+def entropy_balance_residuals(samples: ThermoSamples) -> np.ndarray:
+    """|dS/dt - sum_b Phi_b - P| by centered differences at interior points:
+    the entropy balance, as first_law_residuals is the energy balance.
+
+    The same points are nan: the endpoints and the points adjacent to a
+    Hamiltonian switch; so is any residual that reads a point whose flux
+    and production a support violation left nan.
+    """
+    flux = sum(samples.entropy_flux.values(), 0.0)
+    return _centered_residuals(samples, samples.entropy, flux, samples.entropy_production)
+
+
+def _centered_residuals(samples: ThermoSamples, y: np.ndarray, *rates) -> np.ndarray:
+    """|dy/dt - sum of rates| by centered differences at interior points,
+    each rate (a column, or 0.0) subtracted in turn; nan at the endpoints
+    and next to a switch."""
     n = len(samples)
     out = np.full(n, np.nan)
     if n < 3:
         return out
     dt = samples.t[1] - samples.t[0]
-    e, w = samples.energy, samples.work_rate
-    q = 0.0
-    for col in samples.heat_rates.values():
-        q = q + col
-    resid = np.abs((e[2:] - e[:-2]) / (2.0 * dt) - w[1:-1] - np.broadcast_to(q, (n,))[1:-1])
-    switchy = w != 0.0
+    resid = (y[2:] - y[:-2]) / (2.0 * dt)
+    for rate in rates:
+        resid = resid - np.broadcast_to(rate, (n,))[1:-1]
+    switchy = samples.work_rate != 0.0
     near = switchy[:-2] | switchy[1:-1] | switchy[2:]
-    out[1:-1] = np.where(near, np.nan, resid)
+    out[1:-1] = np.where(near, np.nan, np.abs(resid))
     return out

@@ -46,6 +46,30 @@ def superop_from_action(dim, action):
     return SuperOperator(dim, mat)
 
 
+def count_structure_passes(monkeypatch):
+    """Wrap every module's baths._stationary_structures; the returned list
+    gets, per call that found a bath without a cached structure, the number
+    of such baths, after checking that the call solved them all."""
+    import decotherm
+
+    passes = []
+    real = decotherm.baths._stationary_structures
+
+    def counting(baths, gens, bases=None):
+        fresh = {id(b) for b in baths if b._structure is None}
+        out = real(baths, gens, bases)
+        if fresh:
+            assert all(b._structure is not None for b in baths)
+            passes.append(len(fresh))
+        return out
+
+    for name in ("baths", "dynamics", "thermo", "onsager", "scenarios"):
+        module = getattr(decotherm, name)
+        if hasattr(module, "_stationary_structures"):
+            monkeypatch.setattr(module, "_stationary_structures", counting)
+    return passes
+
+
 def dissipator_oracle(rho, terms):
     """Direct per-term arithmetic: sum r (2 A rho A† - A†A rho - rho A†A)."""
     out = np.zeros_like(rho, dtype=complex)

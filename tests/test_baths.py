@@ -25,6 +25,7 @@ from decotherm.baths import (
     LindbladGenerator,
     PropagateToFixedPoint,
     _kernel_basis,
+    _stationary_structures,
     apply_generator,
     dephasing_bath,
     generator_superop,
@@ -454,6 +455,139 @@ class TestStationaryStructure:
             # relative entropy is homogeneous of degree one
             r = thermo.relative_entropy_to_bath(rho / 1.01, bath)
             assert thermo.relative_entropy_to_bath(rho, bath) == pytest.approx(1.01 * r, rel=1e-12)
+
+
+def _structure_arrays(struct):
+    return (struct.projector.matrix, np.array(struct.scale), struct.blocks, struct.conserved,
+            struct.logs)
+
+
+def assert_stacked_equals_one_bath(make_baths):
+    """One stacked pass over fresh baths from make_baths() gives each bath
+    the structure that its one-bath call gives, bit for bit."""
+    stacked = make_baths()
+    structs = _stationary_structures(stacked, [generator_superop(b.generator) for b in stacked])
+    for bath, struct, alone in zip(stacked, structs, make_baths()):
+        assert bath._structure is struct
+        want_all = _structure_arrays(stationary_structure(alone))
+        for got, want in zip(_structure_arrays(struct), want_all):
+            assert (got is None) == (want is None), bath.name
+            if want is not None:
+                assert got.shape == want.shape and np.array_equal(got, want), bath.name
+    return structs
+
+
+def rank_two_block_bath(name="block"):
+    # one rank-2 projector jump at d = 3: ker L = M_2 ⊕ C, so n_k = 2
+    proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    return Bath(name, LindbladGenerator(3, (JumpTerm(0.4, proj),)))
+
+
+def decay_bath(name="decay"):
+    # |1> and |2> decay to |0>: the one stationary state is |0><0|, so P(I)
+    # has rank 1 and the support drops two directions
+    return Bath(name, LindbladGenerator(3, (JumpTerm(0.5, unit(0, 1)), JumpTerm(1.3, unit(0, 2)))))
+
+
+def random_dense_baths(seed, d=16):
+    """Two random four-jump baths and a rotated dephasing bath, the baths
+    of perfbench's dense_d16 model."""
+    rng = np.random.default_rng(seed)
+    baths = [
+        Bath(name, LindbladGenerator(d, tuple(
+            JumpTerm(r, random_complex(rng, d) / d) for r in rng.uniform(0.1, 1.0, 4))))
+        for name in ("hot", "cold")
+    ]
+    basis, _ = np.linalg.qr(random_complex(rng, d))
+    baths.append(dephasing_bath([basis[:, j] for j in range(d)], 0.5 / 64))
+    return baths
+
+
+class TestStackedStructures:
+    """_stationary_structures solves a list of baths in one pass; each
+    bath's structure is the one its own call gives."""
+
+    def test_device_grid(self):
+        occupations = (1e-14, 1e-8, 1e-2, 1.0, 1e2, 1e4, 1e6)
+        gammas = (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6)
+        for n_l, n_r, gamma in itertools.product(occupations, occupations, gammas):
+            p = DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma)
+            structs = assert_stacked_equals_one_bath(lambda: list(build_device(p).baths))
+            assert all(s.blocks is not None for s in structs)
+
+    # at d = 8 the three share one pass; at d = 16 each has its own
+    @pytest.mark.parametrize("d, seed", [(8, 1), (8, 2), (16, 1), (16, 2), (16, 3)])
+    def test_dense(self, d, seed):
+        structs = assert_stacked_equals_one_bath(lambda: random_dense_baths(seed, d))
+        assert [len(s.blocks) for s in structs] == [1, 1, d]
+
+    def test_rank_two_block_beside_unit_blocks(self):
+        structs = assert_stacked_equals_one_bath(lambda: [
+            left_pump_bath(0.6), rank_two_block_bath(), device_dephasing_bath(0.3)])
+        assert [s.blocks is None for s in structs] == [False, True, False]
+
+    def test_support_of_lower_rank(self, rng):
+        structs = assert_stacked_equals_one_bath(lambda: [
+            device_dephasing_bath(0.3), decay_bath(), rank_two_block_bath(), right_pump_bath(2.0)])
+        decay = structs[1]
+        ground = unit(0, 0)
+        assert decay.blocks.shape == (1, 3, 3)
+        assert np.max(np.abs(decay.blocks[0] - ground)) <= 1e-15
+        assert np.max(np.abs(decay.conserved[0] - np.eye(3))) <= 1e-14
+        assert np.max(np.abs(decay.logs[0])) <= 1e-15
+        # B(rho) = |0><0| for every state: log B(rho) = 0, and rho leaks
+        # what it holds off |0>
+        rho = ginibre_state(rng, 3)
+        log_b, leak = thermo._stationary_log(decay_bath(), rho)
+        assert np.max(np.abs(log_b)) <= 1e-14
+        assert leak == pytest.approx(1.0 - rho[0, 0].real, abs=1e-14)
+
+    def test_cached_baths_are_not_solved_again(self):
+        baths = [left_pump_bath(0.6), device_dephasing_bath(0.3)]
+        first = [stationary_structure(baths[0])]
+        gens = [generator_superop(b.generator) for b in baths]
+        structs = _stationary_structures(baths + baths, gens + gens)
+        assert structs[0] is first[0] and structs[2] is first[0] and structs[3] is structs[1]
+
+    def test_first_failing_bath_is_named(self):
+        def strangled(base, name):
+            return Bath(name, base.generator, PropagateToFixedPoint(tol=0.0))
+
+        with pytest.raises(NoConvergence) as alone:
+            stationary_structure(strangled(left_pump_bath(0.6), "left"))
+        stack = [right_pump_bath(0.2), strangled(left_pump_bath(0.6), "left"),
+                 strangled(right_pump_bath(0.7), "right")]
+        with pytest.raises(NoConvergence) as stacked:
+            _stationary_structures(stack, [generator_superop(b.generator) for b in stack])
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith("left: stationary state of a block has residual")
+        # the baths before the failing one keep their structures, as one by one
+        assert [b._structure is not None for b in stack] == [True, False, False]
+
+    def test_passes_hold_at_most_pass_entries(self, monkeypatch):
+        # one pass for a device's baths; from d = 10 on, one bath per pass
+        from decotherm import baths
+
+        stacks = []
+        real = baths._kernel_basis
+        monkeypatch.setattr(baths, "_kernel_basis", lambda m: stacks.append(len(m)) or real(m))
+
+        def solve(stack):
+            stacks.clear()
+            _stationary_structures(stack, [generator_superop(b.generator) for b in stack])
+            return list(stacks)
+
+        assert solve(list(build_device(DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)).baths)) == [3]
+        rng = np.random.default_rng(8)
+        d8 = [Bath(f"b{j}", LindbladGenerator(8, (JumpTerm(0.5, random_complex(rng, 8)),)))
+              for j in range(5)]
+        assert solve(d8) == [4, 1]
+        assert solve(random_dense_baths(1)) == [1, 1, 1]
+
+    def test_baths_of_different_dimensions(self):
+        baths = [left_pump_bath(0.6), dephasing_bath(Z_BASIS, 0.5)]
+        with pytest.raises(DimensionMismatch):
+            _stationary_structures(baths, [generator_superop(b.generator) for b in baths])
 
 
 def complex_kernel_projector(lmat):

@@ -73,6 +73,15 @@ class TestConfigValidation:
         path = write_config(tmp_path, output={"format": "xml", "path": "x"})
         assert cli.run(str(path)) == 2
 
+    @pytest.mark.parametrize("bad", [1, ["a"], "", None, True])
+    def test_output_path_must_be_a_non_empty_string(self, tmp_path, capsys, bad):
+        # an int path is a file descriptor to open(): 1 would write the CSV
+        # to stdout and close it
+        path = write_config(tmp_path, output={"format": "csv", "path": bad})
+        assert cli.run(str(path)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'path'" in err and "non-empty string" in err
+
     def test_non_finite_numbers_rejected(self, tmp_path, capsys):
         # json.load accepts NaN and Infinity; a number past the float range
         # is as unusable

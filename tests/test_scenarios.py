@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import GRID_GAMMAS, GRID_OCCUPATIONS, ginibre_state
+from conftest import GRID_GAMMAS, GRID_OCCUPATIONS, count_structure_passes, ginibre_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +241,12 @@ class TestDeviceReportSinglePass:
         device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
         assert len(built) == builds
         assert len(set(map(id, built))) == builds  # one build of each bath's generator
+
+    @pytest.mark.parametrize("gamma, n_baths", [(0.3, 3), (0.0, 2)])
+    def test_one_structure_pass(self, monkeypatch, gamma, n_baths):
+        passes = count_structure_passes(monkeypatch)
+        device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
+        assert passes == [n_baths]
 
     def test_default_device(self):
         self.assert_same_as_composed(DeviceParams(**DEFAULT_DEVICE))

@@ -2,10 +2,11 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SX, SZ, ginibre_state, random_complex
+from conftest import SX, SZ, count_structure_passes, ginibre_state, random_complex
 
 from decotherm import thermo
 from decotherm.baths import (
@@ -37,6 +38,7 @@ from decotherm.scenarios import (
 from decotherm.thermo import (
     ThermoSample,
     energy,
+    entropy_balance_residuals,
     entropy_flux,
     entropy_production,
     first_law_residuals,
@@ -305,6 +307,29 @@ class TestSampleThermodynamics:
         sample_thermodynamics(traj, spec)
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
 
+    def test_one_structure_pass_per_call(self, monkeypatch, rng):
+        from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
+
+        passes = count_structure_passes(monkeypatch)
+        assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
+        rho = ginibre_state(rng, 3)
+        entropy_production(rho, assembly.baths)  # through thermo._state_terms
+        assert passes == [3]
+        entropy_production(rho, assembly.baths)
+        entropy_flux(assembly.left, rho)
+        relative_entropy_to_bath(rho, assembly.dephasing)
+        assert passes == [3]  # every bath cached: no pass at all
+
+        assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
+        spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
+        traj = propagate(np.eye(3, dtype=complex) / 3, spec)
+        assert len(traj) > 2 * (thermo._BLOCK_ENTRIES // 9)  # three blocks
+        assert passes == [3]
+        sample_thermodynamics(traj, spec)
+        assert passes == [3, 3]
+        sample_thermodynamics(traj, spec)
+        assert passes == [3, 3]
+
     def test_support_violation_flagged_not_fatal(self):
         bath = thermal_two_level_bath(1.0, 900.0, 1.0)
         spec = EvolutionSpec(np.diag([0.0, 1.0]).astype(complex), (bath,), t_max=0.05, dt=0.01)
@@ -385,6 +410,47 @@ def _two_level_run():
     )
     spec = EvolutionSpec(h, (bath,), t_max=0.3)
     return propagate(rho0, spec), spec
+
+
+def _two_level_config_run():
+    """The committed two-level trajectory config, run as `decotherm run` does."""
+    from decotherm import cli
+
+    cfg = cli.load_config(str(Path(__file__).parents[1] / "configs" / "two_level_trajectory.json"))
+    h, bath, rho0 = two_level_dephasing_assembly(TwoLevelDecoherenceParams(**cfg.params))
+    spec = EvolutionSpec(h, (bath,), t_max=cfg.integrator["t_max"], dt=cfg.integrator.get("dt"))
+    return propagate(rho0, spec), spec
+
+
+class TestEntropyBalanceResiduals:
+    def test_two_level_trajectory_config(self):
+        traj, spec = _two_level_config_run()
+        samples = sample_thermodynamics(traj, spec)
+        resid = entropy_balance_residuals(samples)
+        assert resid.shape == (len(samples),)
+        assert np.isnan(resid[0]) and np.isnan(resid[-1]) and not np.isnan(resid[1:-1]).any()
+        assert np.max(resid[1:-1]) <= 1e-6
+        # dS/dt by numpy's centered differences, against sum_b Phi_b + P
+        rate = sum(samples.entropy_flux.values()) + samples.entropy_production
+        oracle = np.abs(np.gradient(samples.entropy, traj.dt) - rate)
+        assert np.max(np.abs(resid[1:-1] - oracle[1:-1])) <= 1e-12
+
+    @pytest.mark.parametrize("run", [_two_level_config_run, _random_d16_run],
+                             ids=["two-level-config", "random-d16-switches"])
+    def test_nan_where_first_law_is_nan(self, run):
+        traj, spec = run()
+        samples = sample_thermodynamics(traj, spec)
+        balance, first_law = entropy_balance_residuals(samples), first_law_residuals(samples)
+        assert np.array_equal(np.isnan(balance), np.isnan(first_law))
+        if spec.is_schedule:
+            assert np.isnan(first_law[1:-1]).sum() >= 2 * (len(spec.segments()) - 1)
+
+    def test_fewer_than_three_points_are_nan(self):
+        traj, spec = _two_level_config_run()
+        short = thermo.ThermoSamples(*(
+            {k: v[:2] for k, v in col.items()} if isinstance(col, dict) else col[:2]
+            for col in vars(sample_thermodynamics(traj, spec)).values()))
+        assert np.isnan(entropy_balance_residuals(short)).all()
 
 
 class TestSamplerColumns:
