@@ -38,7 +38,6 @@ from .onsager import (
     linear_flow_prediction,
     linear_response,
     ness_entropy_production,
-    onsager_superop,
     reciprocal_coefficients,
 )
 from .operators import (
@@ -46,7 +45,6 @@ from .operators import (
     assert_density_matrix,
     hermitize,
     hs_inner,
-    matrix_log_on_support,
     unvectorize,
     vectorize,
 )
@@ -60,6 +58,7 @@ from .scenarios import (
     build_device,
     device_dephasing_bath,
     device_report,
+    device_reports,
     gamma_sweep,
     two_level_decoherence_heat,
 )

@@ -24,10 +24,12 @@ cost more than the calls they save. `stationary_structure` is its
 one-bath call, and a bath's structure is the same, bit for bit, alone or
 in a stack.
 
-Each generator has one implementation, its closed-form d²×d² matrix
-(`generator_superop`); flows, stationary images and residuals all act
-through `SuperOperator.apply`, or, for a stack of baths' matrices, through
-its stacked form `_apply_each`.
+Each generator has one implementation, its closed-form d²×d² matrix,
+built for a list of generators in one batched product per jump count
+(`_generator_matrices`; `generator_superop` is its one-generator call);
+flows, stationary images and residuals all act through
+`SuperOperator.apply`, or, for a stack of baths' matrices, through its
+stacked form `_apply_each`.
 
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
@@ -38,8 +40,10 @@ so a dephasing bath at rate gamma kills off-diagonals at rate 2*gamma.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from .operators import (
     _real_form,
     dagger,
     hermitize,
+    require_finite,
     require_square,
 )
 
@@ -117,24 +122,46 @@ def generator_superop(gen: LindbladGenerator) -> SuperOperator:
 
         sum_k 2 r_k conj(A_k) ⊗ A_k - I ⊗ K - Kᵀ ⊗ I,  K = sum_k r_k A_k†A_k
 
+    Built on each call (`_generator_matrices`) and never stored: a caller
+    that acts on many operators builds it once and applies it to a stack.
+    """
+    return SuperOperator(gen.dim, _generator_matrices([gen], gen.dim)[0])
+
+
+def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray:
+    """generator_superop's matrix of each generator of dimension d, as one
+    stack (m, d², d²): one batched build per jump count.
+
     The kron term is one batched BLAS product, entry (i, j, l, m) the sum
     over k of 2 r_k conj(A_k)[i, l] A_k[j, m], written straight into the
-    (i, j, l, m) layout: no d²×d² array but the output. Built on each call
-    and never stored: a caller that acts on many operators builds it once
-    and applies it to a stack.
+    (i, j, l, m) layout: no d²×d² array but the output. Each generator's
+    matrix is the same, bit for bit, built alone or in a stack.
     """
-    d = gen.dim
-    # K from the same products 2 r_k conj(A_k) A_k as the kron term, halved
-    # (exact), so that a diagonal entry cancels exactly where it should (a
-    # diagonal jump)
-    rc = (2.0 * gen.rate_stack)[:, None, None] * gen.jump_stack.conj()
-    mat = np.matmul(rc.transpose(1, 2, 0)[:, None], gen.jump_stack.transpose(1, 0, 2))
-    k = np.einsum("kji,kjl->il", rc, gen.jump_stack)
-    k *= 0.5
+    out = np.empty((len(gens), d, d, d, d), dtype=complex)
+    by_count: dict[int, list[int]] = {}
+    for i, g in enumerate(gens):
+        by_count.setdefault(len(g.rate_stack), []).append(i)
     diag = np.arange(d)
-    mat[diag, :, diag, :] -= k  # I ⊗ K
-    mat[:, diag, :, diag] -= k.T  # Kᵀ ⊗ I
-    return SuperOperator(d, mat.reshape(d * d, d * d))
+    for at in by_count.values():
+        if len(at) == 1:
+            rates, jumps = gens[at[0]].rate_stack[None], gens[at[0]].jump_stack[None]
+        else:
+            rates = np.array([gens[i].rate_stack for i in at])
+            jumps = np.array([gens[i].jump_stack for i in at])
+        # K from the same products 2 r_k conj(A_k) A_k as the kron term,
+        # halved (exact), so that a diagonal entry cancels exactly where it
+        # should (a diagonal jump)
+        rc = (2.0 * rates)[..., None, None] * jumps.conj()
+        mat = np.matmul(rc.transpose(0, 2, 3, 1)[:, :, None], jumps.transpose(0, 2, 1, 3)[:, None])
+        k = np.einsum("gkji,gkjl->gil", rc, jumps)
+        k *= 0.5
+        mat[:, diag, :, diag, :] -= k  # I ⊗ K
+        mat[:, :, diag, :, diag] -= k.swapaxes(-1, -2)  # Kᵀ ⊗ I
+        if len(at) == len(gens):
+            out = mat
+        else:
+            out[at] = mat
+    return out.reshape(len(gens), d * d, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +202,31 @@ class StationaryStructure:
     logs: np.ndarray | None = None
 
 
-def _kernel_basis(lmats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+class _Kernels(NamedTuple):
+    """The null spaces of a stack of m matrices (`_kernel_basis`), grouped
+    by kernel dimension k, so that a product over the kernel index runs on
+    one group at a time with no restacking: groups[k] = (at, right, left),
+    the indices of the matrices with a k-dimensional kernel and their right
+    and left null vectors, (len(at), k, d, d) stacks of Hermitian operators.
+    A BLAS product picks its kernel by shape (a 1×1 N†R is a dot product, a
+    padded one a GEMM), so padding to a common k would round a matrix's
+    results one way alone and another way in a stack."""
+
+    dims: np.ndarray  # (m,) kernel dimension of each matrix
+    scales: np.ndarray  # (m,) ||L||_2 of each matrix
+    groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def part(self, start: int, stop: int) -> "_Kernels":
+        """The kernels of the matrices start..stop - 1, numbered from 0."""
+        groups = {}
+        for k, (at, right, left) in self.groups.items():
+            lo, hi = bisect.bisect_left(at, start), bisect.bisect_left(at, stop)
+            if hi > lo:
+                groups[k] = (at[lo:hi] - start, right[lo:hi], left[lo:hi])
+        return _Kernels(self.dims[start:stop], self.scales[start:stop], groups)
+
+
+def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     """Null space of each Hermiticity-preserving super-operator matrix L of
     a stack (m, n, n), from one SVD of L equilibrated on both sides, as
     LAPACK's xGEEQU scales a linear solve; each step is one call for the
@@ -189,9 +240,9 @@ def _kernel_basis(lmats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float
     largest, D L C = U S Vᵀ; singular values at or below s[0]·n·eps count as
     zero (numpy's matrix_rank rule). A row at or below ||L||_2·n·eps, or a
     column at or below n·eps, keeps a scale that leaves it that small, so
-    what is zero stays zero. Returns, per matrix, the right and left null
-    vectors, C V and D U over the null columns, as (k, d, d) stacks of
-    Hermitian operators, and ||L||_2 from the singular values of L itself.
+    what is zero stays zero. Returns the right and left null vectors, C V
+    and D U over the null columns, as Hermitian operators grouped by kernel
+    dimension, and ||L||_2 from the singular values of L itself.
 
     Unscaled, a null vector's entries are resolved only to eps·||L|| over
     the gap to the next singular value: a pump bath at n = 1e-14 has
@@ -212,11 +263,22 @@ def _kernel_basis(lmats: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float
     ks = np.count_nonzero(s <= s[:, :1] * n * eps, axis=1)
     vh /= cols[:, None, :]
     u /= rows[:, :, None]
-    null = _herm_operators(np.concatenate(
-        [part for i, k in enumerate(ks) for part in (vh[i, n - k:], u[i, :, n - k:].T)]))
-    starts = np.cumsum(np.concatenate(([0], 2 * ks)))
-    return [(null[at:at + k], null[at + k:at + 2 * k], float(sc))
-            for at, k, sc in zip(starts, ks, scale)]
+    order = np.argsort(ks, kind="stable")
+    picks, lo = [], 0  # (k, at) of each kernel dimension present
+    for k, count in enumerate(np.bincount(ks).tolist()):
+        if count:
+            picks.append((k, order[lo:lo + count]))
+            lo += count
+    # only the null vectors become operators: all d² of them are 1 MB at d = 16
+    right = _herm_operators(np.concatenate([vh[_rows(at), n - k:].reshape(-1, n) for k, at in picks]))
+    left = _herm_operators(np.concatenate(
+        [u[_rows(at), :, n - k:].swapaxes(-1, -2).reshape(-1, n) for k, at in picks]))
+    groups, lo, d = {}, 0, math.isqrt(n)
+    for k, at in picks:
+        hi = lo + len(at) * k
+        groups[k] = (at, right[lo:hi].reshape(len(at), k, d, d), left[lo:hi].reshape(len(at), k, d, d))
+        lo = hi
+    return _Kernels(ks, scale, groups)
 
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
@@ -233,18 +295,16 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
     P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
     if bath._structure is not None:
         return bath._structure
-    return _stationary_structures([bath], [generator_superop(bath.generator)])[0]
+    return _stationary_structures([bath], _generator_matrices([bath.generator], bath.dim))[0]
 
 
 def _stationary_structures(
-    baths: Sequence[Bath],
-    gens: Sequence[SuperOperator],
-    bases: Sequence[tuple[np.ndarray, np.ndarray, float]] | None = None,
+    baths: Sequence[Bath], gens: np.ndarray, kernels: _Kernels | None = None
 ) -> list[StationaryStructure]:
-    """stationary_structure of each bath, from gens, the caller's builds of
-    their generator_superop, and from bases, their _kernel_basis if the
-    caller solved them already. Private, so that no other matrix can end
-    up cached on a bath.
+    """stationary_structure of each bath, from gens, the stack of their
+    generator matrices (`_generator_matrices`), and from kernels, their
+    _kernel_basis if the caller solved them already. Private, so that no
+    other matrix can end up cached on a bath.
 
     The baths with no cached structure are solved in one pass, each step one
     numpy call for all of them: at d = 3 the call overhead, not the
@@ -253,10 +313,10 @@ def _stationary_structures(
     large stacked work arrays cost more than the calls they save, and the
     passes run in list order. The products over the kernel and block indices
     (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k), L(omega_k)) run once per kernel
-    dimension present (`_by_kernel_dim`); every other step is one call for
-    all the baths of the pass. The directions a support of lower rank drops
-    are shifted above the probe's spectrum, so they sort last and stay out
-    of every block, and blocks a bath does not have are masked. A bath's
+    dimension present (`_Kernels`); every other step is one call for all
+    the baths of the pass. The directions a support of lower rank drops are
+    shifted above the probe's spectrum, so they sort last and stay out of
+    every block, and blocks a bath does not have are masked. A bath's
     structure is the same, bit for bit, alone or in a stack. NoConvergence
     names the first failing bath in list order, and the baths before it keep
     their structures."""
@@ -269,26 +329,32 @@ def _stationary_structures(
     d = dims.pop()
     n, m = d * d, len(todo)
     per_pass = max(1, _PASS_ENTRIES // (n * n))
+    fresh = baths
+    if m < len(baths):  # the given kernels are of all the baths: solve anew
+        fresh, gens, kernels = [baths[i] for i in todo], gens[todo], None
     if m > per_pass:
         for lo in range(0, m, per_pass):
-            part = todo[lo:lo + per_pass]
-            _stationary_structures([baths[i] for i in part], [gens[i] for i in part],
-                                   None if bases is None else [bases[i] for i in part])
+            hi = min(lo + per_pass, m)
+            _stationary_structures(fresh[lo:hi], gens[lo:hi],
+                                   None if kernels is None else kernels.part(lo, hi))
         return [b._structure for b in baths]
-    mats = [gens[i].matrix for i in todo]
-    basis = _kernel_basis(np.stack(mats)) if bases is None else [bases[i] for i in todo]
-    ks = [len(right) for right, _, _ in basis]
+    if kernels is None:
+        kernels = _kernel_basis(gens)
+    ks = kernels.dims
     proj = np.empty((m, n, n), dtype=complex)
-    for k, at in _by_kernel_dim(ks):
+    for k, (at, right, left) in kernels.groups.items():
         # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
         # the row N† of a left null vector that of X
-        nh = np.stack([basis[i][1] for i in at]).reshape(len(at), k, n)
-        r = np.stack([basis[i][0] for i in at]).reshape(len(at), k, n).conj().swapaxes(-1, -2)
-        proj[at] = r @ np.linalg.solve(nh @ r, nh)
-    proj_conj = proj.conj()  # P† is its transpose
+        nh = left.reshape(len(at), k, n)
+        r = right.reshape(len(at), k, n).conj().swapaxes(-1, -2)
+        proj[_rows(at)] = r @ np.linalg.solve(nh @ r, nh)
+    proj_conj = proj.conj()
+    adj = proj_conj.swapaxes(-1, -2)  # P†
     cut = n * _EPS
-    p_eye = hermitize(_apply_each(proj, np.eye(d)))
+    eye = np.eye(d)
+    p_eye = hermitize(_apply_each(proj, eye))
     lam, vecs = np.linalg.eigh(p_eye)
+    vecs_h = dagger(vecs)
     keep = lam > cut * lam[:, -1:]
     # eigh sorts ascending: a support of rank r is the last r columns of
     # vecs, and once the dropped ones are shifted above the probe's spectrum
@@ -301,10 +367,10 @@ def _stationary_structures(
     probe.flat[::d + 1] = np.arange(2.0, 2.0 * d + 1.0, 2.0)
     probe.flat[1::d + 1], probe.flat[d::d + 1] = np.exp(1j), np.exp(1j).conjugate()
     for _ in range(2):
-        comp = dagger(vecs) @ hermitize(_apply_each(proj_conj.swapaxes(-1, -2), probe)) @ vecs
+        comp = vecs_h @ hermitize(_apply_each(adj, probe)) @ vecs
         if not inside.all():
             shift = 2.0 * np.linalg.norm(comp, axis=(-2, -1)) + 1.0
-            comp = np.where(inside, comp, np.eye(d) * shift[:, None, None])
+            comp = np.where(inside, comp, eye * shift[:, None, None])
         g, x = np.linalg.eigh(comp)
         steps = g[:, 1:] - g[:, :-1] > cut * np.abs(g * ranked).max(axis=-1, keepdims=True)
         label = np.zeros((m, d), dtype=int)
@@ -313,59 +379,59 @@ def _stationary_structures(
         w = vecs @ x
         probe = (w * label[:, None, :]) @ dagger(w)  # sum_k k Pi_k
     structured = label.max(axis=-1) + 1 == ks
-    kmax = max(ks)
+    kmax = int(ks.max())
     member = (label[:, None, :] == np.arange(kmax)[:, None]) & ranked[:, None, :]
     blocks = (w[:, None] * member[:, :, None, :]) @ dagger(w)[:, None]
     images = blocks @ p_eye[:, None] @ blocks  # c_k(I) omega_k
-    exists = (np.arange(kmax) < np.array(ks)[:, None]) & structured[:, None]
-    weights = np.where(exists, np.trace(images, axis1=-2, axis2=-1).real, 1.0)
+    exists = (np.arange(kmax) < ks[:, None]) & structured[:, None]
+    weights = np.where(exists, images.trace(axis1=2, axis2=3).real, 1.0)
     log_lam = np.log(lam, out=np.zeros(lam.shape), where=keep)
-    log_p_eye = (vecs * log_lam[:, None, :]) @ dagger(vecs)
+    log_p_eye = (vecs * log_lam[:, None, :]) @ vecs_h
     logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
     conserved = np.zeros(blocks.shape, dtype=complex)
-    resid = np.zeros(weights.shape)
-    for k, at in _by_kernel_dim(ks, structured):
-        adj = proj_conj[at].swapaxes(-1, -2)
-        conserved[at, :k] = hermitize(_apply_each(adj, blocks[at, :k]))
-        gen = np.stack([mats[i] for i in at])
-        states = _apply_each(gen, images[at, :k] / weights[at, :k, None, None])
-        resid[at, :k] = np.sqrt((states.conj() * states).real.sum(axis=(-2, -1)))
-    for i, k in enumerate(ks):
-        bath, scale, p = baths[todo[i]], basis[i][2], SuperOperator(d, proj[i])
+    for k, (at, _, _) in kernels.groups.items():
+        at = at if structured.all() else at[structured[at]]
+        if len(at):
+            rows = _rows(at)
+            adj = proj_conj[rows].swapaxes(-1, -2)
+            conserved[rows, :k] = hermitize(_apply_each(adj, blocks[rows, :k]))
+    # ||L(omega_k)||_F, 0 for the blocks a bath does not have
+    states = _apply_each(gens, images / weights[..., None, None])
+    resid = np.sqrt((states.conj() * states).real.sum(axis=(-2, -1)))
+    tols = np.array([b.fixed_point.tol for b in fresh])
+    # NaN fails
+    failed = structured & ~(resid <= (tols * kernels.scales)[:, None]).all(axis=1)
+    last = int(np.argmax(failed)) if failed.any() else m
+    for i, (k, scale) in enumerate(zip(ks[:last].tolist(), kernels.scales[:last].tolist())):
+        p = SuperOperator(d, proj[i])
         if structured[i]:
-            _require_residual(bath, resid[i, :k], scale, "stationary state of a block")
             struct = StationaryStructure(p, scale, blocks[i, :k], conserved[i, :k], logs[i, :k])
         else:
             struct = StationaryStructure(p, scale)
-        object.__setattr__(bath, "_structure", struct)
+        object.__setattr__(fresh[i], "_structure", struct)
+    if last < m:
+        _require_residual(fresh[last], resid[last, :ks[last]], float(kernels.scales[last]),
+                          "stationary state of a block")
     return [b._structure for b in baths]
 
 
-def _by_kernel_dim(ks: list[int], take=None) -> list[tuple[int, list[int]]]:
-    """(k, the indices i with ks[i] == k) for each k of ks, over the i with
-    take[i] if take is given.
-
-    A product over the kernel index runs on baths of one kernel dimension
-    at a time: BLAS picks its kernel by shape (a 1×1 N†R is a dot product,
-    a padded one a GEMM; one row of Pi_k times P̄ a GEMV, two rows a GEMM),
-    so padding to a common k would round a bath's projector and J_k one
-    way alone and another way in a stack."""
-    groups: dict[int, list[int]] = {}
-    for i, k in enumerate(ks):
-        if take is None or take[i]:
-            groups.setdefault(k, []).append(i)
-    return sorted(groups.items())
+def _rows(at: np.ndarray) -> slice | np.ndarray:
+    """The ascending distinct indices at as a slice when they are one run:
+    a view and a slice assignment, not a gather and a scatter."""
+    return slice(at[0], at[-1] + 1) if len(at) and at[-1] - at[0] + 1 == len(at) else at
 
 
 def _apply_each(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Each d²×d² matrix of a stack (m, n, n) acting as SuperOperator.apply
-    on one operator (d, d), on its own operator (m, d, d) or on its own
-    operator stack (m, j, d, d)."""
-    m, n, d = len(mats), mats.shape[-1], a.shape[-1]
+    on its own operator a[i] (m, d, d) or its own operator stack a[i]
+    (m, j, d, d); one operator (d, d), or a leading axis of length 1, is
+    shared by all the matrices."""
+    d = a.shape[-1]
+    lead = a.shape[:-2] or (1,)
     # vec() stacks columns, so vec(a) is the row-major flattening of a.T
-    flat = a.swapaxes(-1, -2).reshape((1, 1, n) if a.ndim == 2 else (m, -1, n))
+    flat = a.swapaxes(-1, -2).reshape(lead[0], math.prod(lead[1:]), d * d)
     images = flat @ mats.swapaxes(-1, -2)
-    return images.reshape(m, *a.shape[1:-2], d, d).swapaxes(-1, -2)
+    return images.reshape(len(mats), *lead[1:], d, d).swapaxes(-1, -2)
 
 
 def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) -> None:
@@ -383,6 +449,7 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     for one state (d, d) or for each state of a stack (n, d, d). B preserves
     the trace, so each image of an operator with nonzero trace is scaled to
     that trace."""
+    require_finite(rho, "state")
     struct = stationary_structure(bath)
     out = hermitize(struct.projector.apply(rho))
     tr, tr_out = np.trace(rho, axis1=-2, axis2=-1), np.trace(out, axis1=-2, axis2=-1)

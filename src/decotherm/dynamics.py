@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .baths import Bath, _kernel_basis, generator_superop
+from .baths import Bath, _apply_each, _generator_matrices, _kernel_basis
 from .errors import (
     DegenerateKernel,
     DimensionMismatch,
@@ -56,6 +56,8 @@ from .operators import (
     _herm_operators,
     _real_form,
     assert_density_matrix,
+    hermitize,
+    require_finite,
     require_hermitian,
     require_square,
 )
@@ -168,38 +170,38 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
 def _require_hamiltonian(h: np.ndarray) -> None:
     """InvalidParams for a non-finite H, NotHermitian for one that deviates
     from H† by more than HERM_TOL."""
-    if not np.isfinite(h).all():
-        raise InvalidParams("Hamiltonian has a non-finite entry")
+    require_finite(h, "Hamiltonian")
     require_hermitian(h, "Hamiltonian")
 
 
-def _generators(baths: Sequence[Bath], d: int) -> list[SuperOperator]:
-    """Each bath's generator_superop, built once; DimensionMismatch unless
-    every bath has dimension d."""
+def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
+    """Each bath's generator matrix, built once, as one stack (m, d², d²);
+    DimensionMismatch unless every bath has dimension d."""
     for b in baths:
         if b.dim != d:
             raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match dim {d}")
-    return [generator_superop(b.generator) for b in baths]
+    return _generator_matrices([b.generator for b in baths], d)
 
 
-def _liouvillian(h: np.ndarray, gens: Sequence[SuperOperator]) -> SuperOperator:
-    """-i(I ⊗ H - Hᵀ ⊗ I) plus the built generator matrices gens."""
+def _liouvillian(h: np.ndarray, gens: np.ndarray) -> SuperOperator:
+    """-i(I ⊗ H - Hᵀ ⊗ I) plus the built generator matrices gens, in order."""
     mat = _commutator(h)
     for g in gens:
-        mat += g.matrix
+        mat += g
     return SuperOperator(h.shape[0], mat)
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
     """-i(I ⊗ H - Hᵀ ⊗ I), the vectorized -i[H, .], written into the
-    (d, d, d, d) index layout of generator_superop."""
-    d = h.shape[0]
-    mat = np.zeros((d, d, d, d), dtype=complex)
+    (d, d, d, d) index layout of generator_superop; of one H or of each H
+    of a stack (m, d, d)."""
+    d = h.shape[-1]
+    mat = np.zeros((*h.shape[:-2], d, d, d, d), dtype=complex)
     diag = np.arange(d)
-    mat[diag, :, diag, :] = h  # I ⊗ H
-    mat[:, diag, :, diag] -= h.T  # Hᵀ ⊗ I
+    mat[..., diag, :, diag, :] = h  # I ⊗ H
+    mat[..., :, diag, :, diag] -= h.swapaxes(-1, -2)  # Hᵀ ⊗ I
     mat *= -1j
-    return mat.reshape(d * d, d * d)
+    return mat.reshape(*h.shape[:-2], d * d, d * d)
 
 
 #: Higham (2005), Table 2.3: the largest ||A||_1 at which the [m/m] Pade
@@ -381,46 +383,66 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     exceeds STEADY_RESID_TOL ||L||_2; InvalidParams for a non-finite
     Liouvillian.
     """
-    _require_liouvillian(liouv)
-    return _steady_state(liouv, _kernel_basis(liouv.matrix[None])[0])
+    lmat = liouv.matrix[None]
+    _require_liouvillian(lmat)
+    kernels = _kernel_basis(lmat)
+    if kernels.dims[0] != 1:
+        raise _degenerate_kernel(kernels.dims[0])
+    return _steady_states(lmat, kernels.groups[1][1][:, 0], kernels.scales)[0][0]
 
 
-def _require_liouvillian(liouv: SuperOperator) -> None:
+def _require_liouvillian(lmats: np.ndarray) -> None:
     """InvalidParams for a non-finite L, NotHermitian for one that does not
-    preserve Hermiticity within HERM_TOL max|L|."""
-    size = float(np.abs(liouv.matrix).max())
-    if not math.isfinite(size):
+    preserve Hermiticity within HERM_TOL max|L|; of each Liouvillian matrix
+    of a stack (m, n, n), naming the first that fails."""
+    m, n = len(lmats), lmats.shape[-1]
+    size = np.abs(lmats).reshape(m, n * n).max(axis=1)
+    if not np.isfinite(size).all():
         raise InvalidParams("Liouvillian has a non-finite entry")
-    d = liouv.dim
-    m4 = liouv.matrix.reshape(d, d, d, d)  # m4[j, i, m, l] = L[(i, j), (l, m)]
-    defect = float(np.abs(m4 - m4.transpose(1, 0, 3, 2).conj()).max())
-    if defect > HERM_TOL * size:
+    d = math.isqrt(n)
+    m4 = lmats.reshape(m, d, d, d, d)  # m4[:, j, i, m, l] = L[(i, j), (l, m)]
+    defect = np.abs(m4 - m4.transpose(0, 2, 1, 4, 3).conj()).reshape(m, n * n).max(axis=1)
+    bad = defect > HERM_TOL * size
+    if bad.any():
         raise NotHermitian(
             f"Liouvillian does not preserve Hermiticity: L[(ij),(kl)] deviates from "
-            f"conj(L[(ji),(lk)]) by {defect:.3e}, over {HERM_TOL:.1e} * max|L|"
+            f"conj(L[(ji),(lk)]) by {defect[np.argmax(bad)]:.3e}, over {HERM_TOL:.1e} * max|L|"
         )
 
 
-def _steady_state(liouv: SuperOperator, basis: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
-    """steady_state(liouv) once _require_liouvillian(liouv) has passed, from
-    basis, the _kernel_basis of liouv."""
-    kernel, _, scale = basis
-    if len(kernel) != 1:
-        raise DegenerateKernel(
-            f"Liouvillian kernel has dimension {len(kernel)}; stationary set is not unique"
-        )
-    m = kernel[0]  # Hermitian, so its trace is real
-    tr = float(np.trace(m).real)
-    if abs(tr) < TRACELESS_TOL * float(np.linalg.norm(m)):
+def _degenerate_kernel(k: int) -> DegenerateKernel:
+    return DegenerateKernel(f"Liouvillian kernel has dimension {k}; stationary set is not unique")
+
+
+def _steady_states(
+    lmats: np.ndarray, kernel: np.ndarray, scales: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """steady_state of each Liouvillian matrix of a stack (m, n, n) that
+    passed _require_liouvillian and has a one-dimensional kernel, from its
+    kernel vector kernel[i] and ||L||_2 scales[i] (`_kernel_basis`), with
+    each state's eigensolve (ascending), which serves both the positivity
+    check and, through Spectrum.of_eigh, its log. Each check runs on the
+    whole stack and raises for the first state that fails it."""
+    tr = kernel.trace(axis1=1, axis2=2).real  # Hermitian, so the trace is real
+    if (np.abs(tr) < TRACELESS_TOL * _frobenius(kernel)).any():
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")
-    nu = m / tr
-    nu /= np.trace(nu).real
-    lam_min = float(np.linalg.eigvalsh(nu)[0])
-    if lam_min < -STATE_TOL:
+    nu = kernel / tr[:, None, None]
+    nu /= nu.trace(axis1=1, axis2=2).real[:, None, None]
+    eigs, vecs = np.linalg.eigh(hermitize(nu))  # as Spectrum.of(nu)
+    low = eigs[:, 0]
+    if (low < -STATE_TOL).any():
+        lam_min = low[np.argmax(low < -STATE_TOL)]
         raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -{STATE_TOL:.0e}")
-    resid = float(np.linalg.norm(liouv.apply(nu)))
-    if not resid <= STEADY_RESID_TOL * scale:
+    resid = _frobenius(_apply_each(lmats, nu))
+    close = resid <= STEADY_RESID_TOL * scales
+    if not close.all():
+        i = np.argmin(close)
         raise NoConvergence(
-            f"steady-state residual {resid:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {scale:.3e}"
+            f"steady-state residual {resid[i]:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {scales[i]:.3e}"
         )
-    return nu
+    return nu, eigs, vecs
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||a||_F of each operator of a stack (m, d, d)."""
+    return np.sqrt(np.einsum("...ij,...ij->...", a, a.conj()).real)

@@ -17,9 +17,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baths import Bath, apply_generator, generator_superop
+from .baths import Bath, _apply_each, _generator_matrices, apply_generator
+from .dynamics import _generators
 from .errors import DimensionMismatch, MissingPair, ZeroCoherence
-from .operators import Spectrum, SuperOperator, hermitize, hs_inner, require_square
+from .operators import Spectrum, SuperOperator, hermitize, require_finite, require_square
 from .thermo import _state_terms, entropy_production
 
 #: Max |nu_LR| at which the device steady state counts as incoherent.
@@ -45,24 +46,16 @@ def force(bath: Bath, nu: np.ndarray) -> np.ndarray:
 
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
     """(J_b, X_b) of each bath, with J_b the Hermitian part of L_b(nu)."""
-    require_square(nu, "state")
-    gens = [generator_superop(b.generator) for b in baths]
-    terms = _state_terms(baths, gens, nu, Spectrum.of(nu).log)
-    return [ForceFlowPair(b.name, hermitize(t.flow), t.force) for b, t in zip(baths, terms)]
+    d = require_square(nu, "state")
+    require_finite(nu, "state")
+    terms = _state_terms(baths, _generators(baths, d), nu, Spectrum.of(nu).log)
+    flows = hermitize(terms.flow)
+    return [ForceFlowPair(b.name, j, x) for b, j, x in zip(baths, flows, terms.force)]
 
 
 def ness_entropy_production(baths: Sequence[Bath], nu: np.ndarray) -> float:
     """P = sum_b Tr[L_b(nu) X_b]: thermo.entropy_production, with the baths first."""
     return entropy_production(nu, baths)
-
-
-def onsager_superop(b: Bath, a: Bath, c: float = 1.0) -> SuperOperator:
-    """M_{b,a}: X -> c * L_b(L_a†(X)), with L_a† the Heisenberg adjoint."""
-    if b.dim != a.dim:
-        raise DimensionMismatch(f"bath dims differ: {b.dim} vs {a.dim}")
-    sb = generator_superop(b.generator)
-    sa = generator_superop(a.generator)
-    return SuperOperator(b.dim, c * (sb.matrix @ sa.matrix.conj().T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +65,20 @@ class LinearResponse:
 
 
 def linear_response(baths: Sequence[Bath], c: float = 1.0) -> LinearResponse:
-    """M_{b,a} of every ordered pair, from one generator_superop per bath;
-    each pair equals onsager_superop(b, a, c). Each unordered pair is one
+    """M_{b,a} = c * L_b . L_a† of every ordered pair, from one batched
+    build of the baths' generator matrices. Each unordered pair is one
     product, and its mirror is the adjoint, so M_{a,b} = M_{b,a}† holds
     exactly."""
     dims = {b.dim for b in baths}
     if len(dims) > 1:
         raise DimensionMismatch(f"bath dims differ: {sorted(dims)}")
-    mats = [generator_superop(b.generator).matrix for b in baths]
-    prods = {(i, j): c * (mats[i] @ mats[j].conj().T)
-             for i in range(len(mats)) for j in range(i, len(mats))}
+    mats = _generator_matrices([b.generator for b in baths], dims.pop() if dims else 0)
+    adjoints = mats.conj().swapaxes(-1, -2)
+    prods = {}
+    for i in range(len(mats)):
+        for j in range(i, len(mats)):
+            prods[i, j] = mats[i] @ adjoints[j]
+            prods[i, j] *= c
     pairs = {
         (b.name, a.name): SuperOperator(b.dim, prods[i, j] if i <= j else prods[j, i].conj().T)
         for i, b in enumerate(baths)
@@ -132,6 +129,11 @@ def _force_parameters(log_nu: np.ndarray) -> ForceParameters:
     return ForceParameters(x_d=-x_l, x_l=x_l)
 
 
+#: |L><R| + |R><L| in the device basis (|0>, |L>, |R>).
+_COHERENCE = np.zeros((3, 3), dtype=complex)
+_COHERENCE[1, 2] = _COHERENCE[2, 1] = 1.0
+
+
 class ReciprocalCoefficients(NamedTuple):
     m_ld: float
     m_dl: float
@@ -150,19 +152,25 @@ def reciprocal_coefficients(
     decoherence and transport. Each is taken in the Schrodinger picture,
     <coh, L_a†(L_b(H))> = <L_a(coh), L_b(H)>.
     """
-    gens = [generator_superop(b.generator) for b in (left_bath, dephasing_bath)]
-    return _reciprocal_coefficients(hamiltonian, *gens, c)
+    gens = _generators([left_bath, dephasing_bath], require_square(hamiltonian, "hamiltonian"))
+    m_ld, m_dl = _reciprocal_coefficients(hamiltonian[None], gens[:1], gens[1:], c)
+    return ReciprocalCoefficients(m_ld=float(m_ld[0]), m_dl=float(m_dl[0]))
 
 
 def _reciprocal_coefficients(
-    hamiltonian: np.ndarray, left: SuperOperator, dephasing: SuperOperator, c: float
-) -> ReciprocalCoefficients:
-    """reciprocal_coefficients from the two baths' built generator matrices."""
-    coh = np.zeros((3, 3), dtype=complex)
-    coh[1, 2] = coh[2, 1] = 1.0
-    pair = np.stack([coh, hamiltonian])
-    l_coh, l_h = left.apply(pair)
-    d_coh, d_h = dephasing.apply(pair)
-    m_ld = c * float(hs_inner(d_coh, l_h).real) / 2.0
-    m_dl = c * float(hs_inner(l_coh, d_h).real) / 2.0
-    return ReciprocalCoefficients(m_ld=m_ld, m_dl=m_dl)
+    hams: np.ndarray, lefts: np.ndarray, dephasings: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """reciprocal_coefficients (m_ld, m_dl) of each device of a stack: its
+    Hamiltonian hams[i] and the built generator matrices of its left and
+    dephasing baths, lefts[i] and dephasings[i]; the four images of each
+    device are one stacked apply."""
+    n = len(hams)
+    pairs = np.empty((2 * n, 2, 3, 3), dtype=complex)
+    pairs[:, 0] = _COHERENCE
+    pairs[:n, 1] = pairs[n:, 1] = hams
+    images = _apply_each(np.concatenate([lefts, dephasings]), pairs)
+    l_coh, l_h, d_coh, d_h = images[:n, 0], images[:n, 1], images[n:, 0], images[n:, 1]
+    m_ld = c * np.einsum("...ij,...ij->...", d_coh.conj(), l_h).real / 2.0
+    m_dl = c * np.einsum("...ij,...ij->...", l_coh.conj(), d_h).real / 2.0
+    return m_ld, m_dl
+

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, StateInvariantViolated
+from .errors import (
+    DimensionMismatch,
+    InvalidParams,
+    NegativeEigenvalue,
+    NotHermitian,
+    StateInvariantViolated,
+)
 
 #: The one support cut: eigenvalues at or below DEFAULT_EIG_CUT times the
 #: largest one are float noise, not support.
@@ -54,6 +60,13 @@ def require_hermitian(a: np.ndarray, what: str = "operator") -> None:
     defect = herm_defect(a)
     if defect > HERM_TOL:
         raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
+
+
+def require_finite(a: np.ndarray, what: str = "operator") -> None:
+    """InvalidParams if a has a NaN or infinite entry: every comparison with
+    NaN is false, so no later tolerance check would catch it."""
+    if not np.isfinite(a).all():
+        raise InvalidParams(f"{what} has a non-finite entry")
 
 
 def require_square(a: np.ndarray, what: str = "operator") -> int:
@@ -88,7 +101,11 @@ class Spectrum:
     @classmethod
     def of(cls, m: np.ndarray) -> "Spectrum":
         """Spectrum of the Hermitian part of m, cut at DEFAULT_EIG_CUT."""
-        eigs, vecs = np.linalg.eigh(hermitize(m))  # ascending
+        return cls.of_eigh(*np.linalg.eigh(hermitize(m)))
+
+    @classmethod
+    def of_eigh(cls, eigs: np.ndarray, vecs: np.ndarray) -> "Spectrum":
+        """Spectrum from an eigensolve (ascending eigenvalues) already made."""
         cut = DEFAULT_EIG_CUT * np.maximum(eigs[..., -1], 0.0)
         low = eigs[..., 0]
         bad = low < -cut
@@ -115,17 +132,6 @@ class Spectrum:
             return np.zeros(rho.shape[:-2])
         w = np.einsum("...ij,...ij->...j", self.vecs.conj(), rho @ self.vecs).real
         return np.where(self.keep, 0.0, w).sum(axis=-1)
-
-
-def matrix_log_on_support(a: np.ndarray) -> np.ndarray:
-    """Natural log of a Hermitian PSD matrix, restricted to its support.
-
-    Eigenvalues at or below DEFAULT_EIG_CUT times the largest one
-    contribute zero; eigenvalues below minus that cut raise
-    NegativeEigenvalue.
-    """
-    require_hermitian(a, what="log argument")
-    return Spectrum.of(a).log
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -270,6 +276,7 @@ def assert_density_matrix(rho: np.ndarray, what: str = "state") -> None:
     """Check Hermiticity (HERM_TOL), positivity and unit trace (STATE_TOL);
     raise on violation."""
     require_square(rho, what)
+    require_finite(rho, what)
     defect = herm_defect(rho)
     if defect > HERM_TOL:
         raise StateInvariantViolated(f"{what}: Hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")

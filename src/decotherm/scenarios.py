@@ -13,35 +13,38 @@ Device conventions: basis order (|0>, |L>, |R>), E_0 = 0, H = E_L |L><L|
 + E_R |R><R| + (V/2)(|L><R| + |R><L|). The dephasing bath acts on the
 |L>, |R> projectors only; its stationary map is still the full pinching
 in the device basis.
+
+Device reports have one implementation, `device_reports`, which runs each
+step once for all the baths of all its points; `device_report` is its
+one-point call and `gamma_sweep` one call over the sweep's points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .baths import (
+    _PASS_ENTRIES,
     Bath,
     JumpTerm,
     LindbladGenerator,
+    _generator_matrices,
     _kernel_basis,
     _stationary_structures,
+    _three_level_unit,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
 )
-from .dynamics import _generators, _liouvillian, _require_liouvillian, _steady_state
+from .dynamics import _commutator, _degenerate_kernel, _require_liouvillian, _steady_states
 from .errors import DegenerateKernel, InvalidBlochVector, InvalidParams
-from .onsager import (
-    COHERENCE_TOL,
-    ReciprocalCoefficients,
-    _force_parameters,
-    _reciprocal_coefficients,
-)
+from .onsager import COHERENCE_TOL, _reciprocal_coefficients
 from .operators import Spectrum
-from .thermo import _production, _state_terms, _traces, heat_rate
+from .thermo import _bath_terms, _production, _require_support, _traces, heat_rate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -162,10 +165,7 @@ def device_dephasing_bath(gamma: float, name: str = "dephasing") -> Bath:
     stationary, so the stationary map is the full device-basis pinching:
     the bath's structure has three rank-1 blocks.
     """
-    proj_l = np.zeros((3, 3), dtype=complex)
-    proj_l[1, 1] = 1.0
-    proj_r = np.zeros((3, 3), dtype=complex)
-    proj_r[2, 2] = 1.0
+    proj_l, proj_r = _three_level_unit(1, 1), _three_level_unit(2, 2)
     gen = LindbladGenerator(3, (JumpTerm(gamma, proj_l), JumpTerm(gamma, proj_r)))
     return Bath(name, gen)
 
@@ -194,51 +194,98 @@ class DeviceReport:
 
 
 def device_report(p: DeviceParams, c: float = 1.0) -> DeviceReport:
-    """Solve the steady state and compute all device observables.
-
-    One pass over the baths: each generator matrix is built once, the
-    kernels of the Liouvillian and of each bath are solved as one stack
-    (each of _kernel_basis's steps is one numpy call for all of them), the
-    baths' stationary structures follow from those kernels in one stacked
-    pass (baths._stationary_structures), each flow L_b(nu) gives both the
-    heat and the entropy-production term, and one log nu serves every
-    force; the values are those of the public functions.
+    """Solve the steady state and compute all device observables: the
+    one-point call of device_reports, which raises its DegenerateKernel
+    as any other error.
 
     x_l and x_d are nan when the steady coherence vanishes (V = 0), where
     the force parameters are undefined. Without a dephasing bath (gamma = 0)
     m_ld = m_dl = c * gamma * n_L * V = 0.
     """
-    assembly = build_device(p)
-    h, baths = assembly.hamiltonian, assembly.baths
-    gens = _generators(baths, 3)
-    liouv = _liouvillian(h, gens)
+    report = device_reports([p], c)[0]
+    if isinstance(report, DegenerateKernel):
+        raise report
+    return report
+
+
+#: Reports per stacked pass: a report holds at most four d²×d² matrices
+#: (its Liouvillian and three baths), 50 reports to a pass at d = 3.
+_REPORTS_PER_PASS = max(1, _PASS_ENTRIES // (4 * 9 * 9))
+
+
+def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[DeviceReport | DegenerateKernel]:
+    """device_report of each point, every step run once for all the baths
+    of all the points of a pass of _REPORTS_PER_PASS reports: one batched
+    generator build, the Liouvillians summed in the order of the baths, one
+    _kernel_basis call on the Liouvillians and the baths, one eigensolve of
+    each steady state for its positivity check and log nu, one stacked
+    structure pass (baths._stationary_structures), one _bath_terms call on
+    the (bath, nu) pairs, whose flows give both the heats and the entropy
+    production, and one stacked apply for the reciprocal coefficients.
+    Each report is the same, bit for bit, alone or in a stack.
+
+    A point whose Liouvillian kernel is not one-dimensional has no unique
+    steady state: its entry is that DegenerateKernel instead of a report,
+    and the other points are still solved. Any other failure raises for the
+    whole call: the earliest step at which a point fails raises the error
+    that point's one-point call gives (in the structure pass and the
+    support check, for the first failing bath in the order left baths,
+    right baths, dephasing baths).
+    """
+    params = list(params)
+    out: list[DeviceReport | DegenerateKernel] = []
+    for lo in range(0, len(params), _REPORTS_PER_PASS):
+        out += _device_pass(params[lo:lo + _REPORTS_PER_PASS], c)
+    return out
+
+
+def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | DegenerateKernel]:
+    """device_reports of one pass. The baths are stacked by kind, every
+    left bath, every right bath, then the dephasing baths, so that a step
+    reads each kind as one slice; points with a degenerate kernel are set
+    aside and the rest solved again without them."""
+    n = len(params)
+    assemblies = [build_device(p) for p in params]
+    dephased = [i for i, a in enumerate(assemblies) if a.dephasing is not None]
+    baths = ([a.left for a in assemblies] + [a.right for a in assemblies]
+             + [assemblies[i].dephasing for i in dephased])
+    hams = np.array([a.hamiltonian for a in assemblies])
+    gens = _generator_matrices([b.generator for b in baths], 3)
+    # summed in the order of each point's baths, as _liouvillian does
+    liouv = _commutator(hams)
+    liouv += gens[:n]
+    liouv += gens[n:2 * n]
+    liouv[dephased] += gens[2 * n:]
     _require_liouvillian(liouv)
-    bases = _kernel_basis(np.stack([liouv.matrix] + [g.matrix for g in gens]))
-    nu = _steady_state(liouv, bases[0])
-    log_nu = Spectrum.of(nu).log
-    _stationary_structures(baths, gens, bases[1:])
-    terms = _state_terms(baths, gens, nu, log_nu)
-    heats = {b.name: float(_traces(h, t.flow)) for b, t in zip(baths, terms)}
-    if abs(nu[1, 2]) <= COHERENCE_TOL:
-        x_d = x_l = math.nan
-    else:
-        x_d, x_l = _force_parameters(log_nu)
-    if assembly.dephasing is None:
-        coeffs = ReciprocalCoefficients(0.0, 0.0)
-    else:
-        coeffs = _reciprocal_coefficients(h, gens[0], gens[2], c)
-    return DeviceReport(
-        nu=nu,
-        coherence=complex(nu[1, 2]),
-        heat_l=heats["left"],
-        heat_r=heats["right"],
-        heat_d=heats.get("dephasing", 0.0),
-        x_l=x_l,
-        x_d=x_d,
-        m_ld=coeffs.m_ld,
-        m_dl=coeffs.m_dl,
-        entropy_production=float(_production(sum(t.pairing for t in terms))),
-    )
+    kernels = _kernel_basis(np.concatenate([liouv, gens]))
+    dims = kernels.dims[:n].tolist()
+    if dims.count(1) < n:
+        alive = [p for p, k in zip(params, dims) if k == 1]
+        solved = iter(_device_pass(alive, c) if alive else ())
+        return [next(solved) if k == 1 else _degenerate_kernel(k) for k in dims]
+    nu, eigs, vecs = _steady_states(liouv, kernels.groups[1][1][:n, 0], kernels.scales[:n])
+    log_nu = Spectrum.of_eigh(eigs, vecs).log
+    _stationary_structures(baths, gens, kernels.part(n, n + len(baths)))
+    point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
+    terms = _bath_terms(baths, gens, nu[point], log_nu[point])
+    _require_support(baths, terms)
+    heats = _traces(hams[point], terms.flow)
+    # sum_b Tr[L_b(nu) X_b] in the order of each point's baths, from 0 as sum()
+    pairing = 0.0 + terms.pairing[:n] + terms.pairing[n:2 * n]
+    pairing[dephased] += terms.pairing[2 * n:]
+    production = _production(pairing)
+    heat_d, m_ld, m_dl = np.zeros((3, n))
+    heat_d[dephased] = heats[2 * n:]
+    if dephased:
+        m_ld[dephased], m_dl[dephased] = _reciprocal_coefficients(
+            hams[dephased], gens[dephased], gens[2 * n:], c)
+    coherence = nu[:, 1, 2]
+    x_l = np.where(np.abs(coherence) <= COHERENCE_TOL, math.nan,
+                   (log_nu[:, 1, 2] + log_nu[:, 2, 1]).real)
+    columns = zip(nu, coherence.tolist(), heats[:n].tolist(), heats[n:2 * n].tolist(),
+                  heat_d.tolist(), x_l.tolist(), m_ld.tolist(), m_dl.tolist(), production.tolist())
+    return [DeviceReport(nu_i, coh, q_l, q_r, q_d, xl, -xl, mld, mdl, prod)
+            for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,18 +296,16 @@ class SweepPoint:
 
 
 def gamma_sweep(p: DeviceParams, gammas, c: float = 1.0) -> list[SweepPoint]:
-    """One device report per dephasing rate; a DegenerateKernel at a point
-    is flagged and the sweep continues."""
+    """One device report per dephasing rate, all from one device_reports
+    call; a point whose steady state is not unique (DegenerateKernel) is
+    flagged and the sweep continues. Any other failure, a NoConvergence of
+    a bath's stationary structure among them, raises for the whole sweep,
+    naming the first failing bath."""
     gammas = list(gammas)
     if not all(g >= 0 for g in gammas):
         raise InvalidParams("sweep rates must be >= 0")
     if gammas != sorted(gammas):
         raise InvalidParams("sweep rates must be sorted ascending")
-    points: list[SweepPoint] = []
-    for g in gammas:
-        pg = DeviceParams(p.e_l, p.e_r, p.v, p.n_l, p.n_r, g)
-        try:
-            points.append(SweepPoint(g, device_report(pg, c)))
-        except DegenerateKernel as exc:
-            points.append(SweepPoint(g, None, failure=str(exc)))
-    return points
+    reports = device_reports([DeviceParams(p.e_l, p.e_r, p.v, p.n_l, p.n_r, g) for g in gammas], c)
+    return [SweepPoint(g, r) if isinstance(r, DeviceReport) else SweepPoint(g, None, failure=str(r))
+            for g, r in zip(gammas, reports)]

@@ -15,11 +15,14 @@ has support outside the support of its stationary image; that is a
 legitimate thermodynamic answer, not an error.
 
 One per-bath kernel, `_bath_terms`, gives the flux, relative entropy and P
-pairing of one state or a stack to the scalar functions, `onsager`,
-`device_report` and `sample_thermodynamics`; every heat is `_traces(H, flow)`.
-Each of those callers first solves all its baths' stationary structures in
-one stacked pass (`baths._stationary_structures`), so the kernel solves
-nothing.
+pairing to the scalar functions, `onsager`, the device reports and
+`sample_thermodynamics`, for all of a call's baths at once: each bath with
+its own state (a device report's (bath, nu) pairs) or all of them with one
+state or one stack of states; every heat is `_traces(H, flow)`. Each of
+those callers first solves all its baths' stationary structures in one
+stacked pass (`baths._stationary_structures`), so the kernel solves
+nothing. A state or Hamiltonian with a non-finite entry is refused before
+any numerics (`operators.require_finite`).
 """
 
 from __future__ import annotations
@@ -32,18 +35,19 @@ import numpy as np
 
 from .baths import (
     Bath,
+    _apply_each,
+    _rows,
     _stationary_structures,
     apply_generator,
-    generator_superop,
     stationary_map,
     stationary_structure,
 )
-from .dynamics import EvolutionSpec, Trajectory
+from .dynamics import EvolutionSpec, Trajectory, _generators
 from .errors import NonRealPairing, SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
-    SuperOperator,
+    require_finite,
     require_hermitian,
     require_same_dim,
     require_square,
@@ -64,16 +68,23 @@ _BLOCK_ENTRIES = 2**14
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:
     """E = Tr[H rho]."""
-    require_same_dim(h, rho)
-    require_hermitian(h, what="hamiltonian")
+    _require_operator_and_state(h, rho, "hamiltonian")
     return float(np.trace(h @ rho).real)
 
 
 def work_rate(h_dot: np.ndarray, rho: np.ndarray) -> float:
     """W' = Tr[dH/dt rho]; identically zero for a static Hamiltonian."""
-    require_same_dim(h_dot, rho)
-    require_hermitian(h_dot, what="hamiltonian derivative")
+    _require_operator_and_state(h_dot, rho, "hamiltonian derivative")
     return float(np.trace(h_dot @ rho).real)
+
+
+def _require_operator_and_state(h: np.ndarray, rho: np.ndarray, what: str) -> None:
+    """DimensionMismatch, InvalidParams (a non-finite entry) or NotHermitian
+    for a Hermitian operator h and a state rho, before any numerics."""
+    require_same_dim(h, rho)
+    require_finite(h, what)
+    require_finite(rho, "state")
+    require_hermitian(h, what=what)
 
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,82 +94,112 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     """Q_b = Tr[H L_b(rho)], positive into the system."""
-    require_same_dim(h, rho)
-    require_hermitian(h, what="hamiltonian")
+    _require_operator_and_state(h, rho, "hamiltonian")
     return float(_traces(h, apply_generator(bath.generator, rho)))
 
 
-def _stationary_log(bath: Bath, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log B(rho) on the support of B(rho), and the weight rho carries off
-    that support, for one state or a stack of states.
+def _stationary_log(baths, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log B_b(rho) on the support of B_b(rho), and the weight rho carries
+    off that support, for each bath b of baths with its own state or state
+    stack rho[b], shape (len(baths), [j,] d, d); a leading axis of length 1
+    shares the states between the baths.
 
     With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
     log B(rho) = sum of (log c_k Pi_k + log omega_k) over the c_k above
-    DEFAULT_EIG_CUT * max c, with no eigensolve per state. Otherwise the
-    image is eigensolved per state.
+    DEFAULT_EIG_CUT * max c, with no eigensolve per state: one stacked call
+    per block count for all the baths that have it. Otherwise the image is
+    eigensolved per state.
     """
-    struct = stationary_structure(bath)
-    if struct.blocks is None:
-        spec = Spectrum.of(stationary_map(bath, rho))
-        return spec.log, spec.leak_of(rho)
-    m, d2 = struct.blocks.shape[0], bath.dim**2
-    flat = rho.reshape(*rho.shape[:-2], d2)
-    blocks = struct.blocks.reshape(m, d2)
-    # Tr[X rho] = sum_ij conj(X)_ij rho_ij for Hermitian X
-    c = (flat @ struct.conserved.reshape(m, d2).conj().T).real
-    keep = c > DEFAULT_EIG_CUT * c.max(axis=-1, keepdims=True)
-    log_c = np.log(c, out=np.zeros(c.shape), where=keep)
-    log_b = log_c @ blocks + keep.astype(float) @ struct.logs.reshape(m, d2)
-    kept = ((flat @ blocks.conj().T).real * keep).sum(axis=-1)
-    leak = np.trace(rho, axis1=-2, axis2=-1).real - kept
-    return log_b.reshape(rho.shape), leak
+    structs = [stationary_structure(b) for b in baths]
+    d2 = rho.shape[-1] ** 2
+    shape = (len(baths), *rho.shape[1:])
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(structs):
+        groups.setdefault(0 if s.blocks is None else len(s.blocks), []).append(i)
+    if len(groups) != 1:
+        log_b, leak = np.empty(shape, dtype=complex), np.empty(shape[:-2])
+    for m, at in groups.items():
+        rows = _rows(np.array(at))
+        own = rho if len(rho) == 1 else rho[rows]
+        if not m:  # no block structure: each image eigensolved
+            shared = np.broadcast_to(own, (len(at), *own.shape[1:]))
+            specs = [Spectrum.of(stationary_map(baths[i], x)) for i, x in zip(at, shared)]
+            part = np.array([spec.log for spec in specs])
+            lost = np.array([spec.leak_of(x) for spec, x in zip(specs, shared)])
+        else:
+            blocks = np.array([structs[i].blocks for i in at]).reshape(len(at), m, d2)
+            flat = own.reshape(len(own), -1, d2)
+            # Tr[X rho] = sum_ij conj(X)_ij rho_ij for Hermitian X
+            conserved = np.array([structs[i].conserved for i in at]).reshape(len(at), m, d2)
+            c = (flat @ conserved.conj().swapaxes(-1, -2)).real
+            keep = c > DEFAULT_EIG_CUT * c.max(axis=-1, keepdims=True)
+            log_c = np.log(c, out=np.zeros(c.shape), where=keep)
+            logs = np.array([structs[i].logs for i in at]).reshape(len(at), m, d2)
+            part = (log_c @ blocks + keep.astype(float) @ logs).reshape(len(at), *shape[1:])
+            kept = ((flat @ blocks.conj().swapaxes(-1, -2)).real * keep).sum(axis=-1)
+            lost = own.trace(axis1=-2, axis2=-1).real - kept.reshape(len(at), *shape[1:-2])
+        if len(groups) == 1:
+            return part, lost
+        log_b[rows], leak[rows] = part, lost
+    return log_b, leak
 
 
 class _BathTerms(NamedTuple):
-    """One bath's terms over one state (scalars) or a stack (arrays)."""
+    """Each bath's terms over its state (scalars) or state stack (arrays),
+    stacked along a leading bath axis; the flux and relative entropy are
+    formed when read."""
 
     flow: np.ndarray  # L_b(rho)
     force: np.ndarray  # X_b = log B_b(rho) - log rho
-    flux: np.ndarray  # -Tr[L_b(rho) log B_b(rho)], where ok
-    relative_entropy: np.ndarray  # Tr[rho (log rho - log B_b(rho))], where ok
     pairing: np.ndarray  # Tr[L_b(rho) X_b], complex: _production checks it
     leak: np.ndarray  # weight of rho off supp(B_b(rho))
     ok: np.ndarray  # leak <= SUPPORT_TOL
+    rho: np.ndarray
+    log_rho: np.ndarray
+    log_b: np.ndarray  # log B_b(rho)
+
+    @property
+    def flux(self) -> np.ndarray:
+        """-Tr[L_b(rho) log B_b(rho)], where ok."""
+        return -_traces(self.flow, self.log_b)
+
+    @property
+    def relative_entropy(self) -> np.ndarray:
+        """Tr[rho (log rho - log B_b(rho))], where ok."""
+        return _traces(self.rho, self.log_rho - self.log_b)
 
 
-def _bath_terms(
-    bath: Bath, gen: SuperOperator, rho: np.ndarray, log_rho: np.ndarray
-) -> _BathTerms:
-    """The per-bath kernel: one flow L_b(rho) from gen, the caller's build
-    of generator_superop(bath.generator), one log B_b(rho) from the bath's
-    stationary structure, which the caller has solved, and one support
-    leak, over one state or a stack of states with their support logs
-    log_rho."""
-    flow = gen.apply(rho)
-    log_b, leak = _stationary_log(bath, rho)
+def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -> _BathTerms:
+    """The per-bath kernel, for all the baths at once: one flow L_b(rho)
+    from gens, the stack of their generator matrices, one log B_b(rho) from
+    each bath's stationary structure, which the caller has solved, and one
+    support leak. Each bath b has its own state or state stack rho[b], with
+    its support log log_rho[b] (a leading axis of length 1 shares them);
+    bath b's terms are the same, bit for bit, as in a call for b alone."""
+    flow = _apply_each(gens, rho)
+    log_b, leak = _stationary_log(baths, rho)
     force = log_b - log_rho
-    flux = -_traces(flow, log_b)
-    relative_entropy = _traces(rho, log_rho - log_b)
     pairing = np.einsum("...ij,...ji->...", flow, force)
-    return _BathTerms(flow, force, flux, relative_entropy, pairing, leak, leak <= SUPPORT_TOL)
+    return _BathTerms(flow, force, pairing, leak, leak <= SUPPORT_TOL, rho, log_rho, log_b)
 
 
-def _state_terms(
-    baths, gens: list[SuperOperator], rho: np.ndarray, log_rho: np.ndarray
-) -> list[_BathTerms]:
+def _state_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -> _BathTerms:
     """_bath_terms of one state for each bath and its built generator
     matrix, after one pass solves the baths' stationary structures;
     SupportViolation if the state leaks off a bath's support."""
     _stationary_structures(baths, gens)
-    out = []
-    for bath, gen in zip(baths, gens):
-        terms = _bath_terms(bath, gen, rho, log_rho)
-        if not terms.ok:
-            raise SupportViolation(
-                f"state has weight {terms.leak:.3e} outside supp(B(rho)) for bath {bath.name}"
-            )
-        out.append(terms)
-    return out
+    terms = _bath_terms(baths, gens, rho[None], log_rho[None])
+    _require_support(baths, terms)
+    return terms
+
+
+def _require_support(baths, terms: _BathTerms) -> None:
+    """SupportViolation for the first bath whose state leaks off its support."""
+    bad = np.flatnonzero(~terms.ok)
+    if len(bad):
+        raise SupportViolation(
+            f"state has weight {terms.leak[bad[0]]:.3e} outside supp(B(rho)) for bath {baths[bad[0]].name}"
+        )
 
 
 def _production(pairing: np.ndarray) -> np.ndarray:
@@ -173,6 +214,7 @@ def _production(pairing: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S = -sum lambda ln lambda over the spectrum above the support cut."""
+    require_finite(rho, "state")
     return float(Spectrum.of(rho).entropy())
 
 
@@ -181,25 +223,28 @@ def relative_entropy_to_bath(rho: np.ndarray, bath: Bath) -> float:
 
     Returns +inf when supp(rho) is not contained in supp(B(rho)).
     """
-    gen, log_rho = generator_superop(bath.generator), Spectrum.of(rho).log
-    _stationary_structures([bath], [gen])
-    terms = _bath_terms(bath, gen, rho, log_rho)
-    return float(terms.relative_entropy) if terms.ok else math.inf
+    d = require_square(rho, "state")
+    require_finite(rho, "state")
+    gens = _generators([bath], d)
+    _stationary_structures([bath], gens)
+    terms = _bath_terms([bath], gens, rho[None], Spectrum.of(rho).log[None])
+    return float(terms.relative_entropy[0]) if terms.ok[0] else math.inf
 
 
 def entropy_flux(bath: Bath, rho: np.ndarray) -> float:
     """Phi_b = -Tr[L_b(rho) log B_b(rho)], positive into the system."""
-    gens = [generator_superop(bath.generator)]
-    return float(_state_terms([bath], gens, rho, Spectrum.of(rho).log)[0].flux)
+    d = require_square(rho, "state")
+    require_finite(rho, "state")
+    return float(_state_terms([bath], _generators([bath], d), rho, Spectrum.of(rho).log).flux[0])
 
 
 def entropy_production(rho: np.ndarray, baths) -> float:
     """P = sum_b Tr[L_b(rho) X_b] >= 0, with the force
     X_b = log B_b(rho) - log rho."""
-    require_square(rho, "state")
-    gens = [generator_superop(b.generator) for b in baths]
-    terms = _state_terms(baths, gens, rho, Spectrum.of(rho).log)
-    return float(_production(sum(t.pairing for t in terms)))
+    d = require_square(rho, "state")
+    require_finite(rho, "state")
+    terms = _state_terms(baths, _generators(baths, d), rho, Spectrum.of(rho).log)
+    return float(_production(sum(terms.pairing)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,10 +309,10 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     """The thermodynamic observables at every trajectory point.
 
     The states are processed in blocks of _BLOCK_ENTRIES // d² points:
-    one stacked eigensolve of the states, one stacked stationary image
-    and one stacked flow per bath, and traces as einsums. Each bath's
-    generator matrix is built once per call, and the baths' stationary
-    structures are solved in one pass before the first block.
+    one stacked eigensolve of the states, one _bath_terms call for all the
+    baths, and traces as einsums. The baths' generator matrices are built
+    once per call, and their stationary structures are solved in one pass
+    before the first block.
 
     The work rate reflects the piecewise-constant schedule: zero except at
     the first grid point at or after a switch, where the impulsive energy
@@ -294,7 +339,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     heats = {name: np.empty(n) for name in names}
     fluxes = {name: np.empty(n) for name in names}
     rel = {name: np.empty(n) for name in names}
-    gens = [generator_superop(b.generator) for b in spec.baths]
+    gens = _generators(spec.baths, d)
     _stationary_structures(spec.baths, gens)
     block = max(1, _BLOCK_ENTRIES // (d * d))
     for lo in range(0, n, block):
@@ -302,13 +347,16 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
         rho, h = states[sl], hams[seg[sl]]
         energy_[sl] = _traces(h, rho)
         entropy[sl], log_rho = _entropy_and_log(rho)
-        for bath, gen in zip(spec.baths, gens):
-            terms = _bath_terms(bath, gen, rho, log_rho)
-            heats[bath.name][sl] = _traces(h, terms.flow)
-            fluxes[bath.name][sl] = np.where(terms.ok, terms.flux, math.nan)
-            rel[bath.name][sl] = np.where(terms.ok, terms.relative_entropy, math.inf)
-            pairing[sl] += terms.pairing
-            ok[sl] &= terms.ok
+        for i, (bath, name) in enumerate(zip(spec.baths, names)):
+            # one bath at a time: a block's flows and logs for every bath at
+            # once would not fit the cache at d = 3
+            terms = _bath_terms([bath], gens[i:i + 1], rho[None], log_rho[None])
+            bath_ok = terms.ok[0]
+            heats[name][sl] = _traces(h, terms.flow[0])
+            fluxes[name][sl] = np.where(bath_ok, terms.flux[0], math.nan)
+            rel[name][sl] = np.where(bath_ok, terms.relative_entropy[0], math.inf)
+            pairing[sl] += terms.pairing[0]
+            ok[sl] &= bath_ok
     production = _production(np.where(ok, pairing, math.nan))
     return ThermoSamples(
         t=times.astype(float),

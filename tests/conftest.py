@@ -46,28 +46,85 @@ def superop_from_action(dim, action):
     return SuperOperator(dim, mat)
 
 
+def log_on_support(m, cut=1e-12):
+    """Test-side log of a PSD matrix on its support, by one eigensolve: the
+    oracle for the library's support log, Spectrum.of(m).log."""
+    lam, u = np.linalg.eigh(m)
+    logs = np.where(lam > cut * lam[-1], np.log(np.maximum(lam, 1e-300)), 0.0)
+    return (u * logs) @ u.conj().T
+
+
+def onsager_superop(b, a, c=1.0):
+    """Test-side M_{b,a}: X -> c * L_b(L_a†(X)), with L_a† the Heisenberg
+    adjoint, from the two generator matrices: the oracle for
+    linear_response(...).pairs[(b, a)]."""
+    from decotherm.baths import generator_superop
+
+    sb = generator_superop(b.generator).matrix
+    sa = generator_superop(a.generator).matrix
+    return SuperOperator(b.dim, c * (sb @ sa.conj().T))
+
+
+def _wrap_everywhere(monkeypatch, name, make):
+    """Replace decotherm's private function name, in every module that
+    imported it, by make(real)."""
+    import decotherm
+
+    wrapped = make(getattr(decotherm.baths, name))
+    for module_name in ("baths", "dynamics", "thermo", "onsager", "scenarios"):
+        module = getattr(decotherm, module_name)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, wrapped)
+
+
 def count_structure_passes(monkeypatch):
     """Wrap every module's baths._stationary_structures; the returned list
     gets, per call that found a bath without a cached structure, the number
     of such baths, after checking that the call solved them all."""
-    import decotherm
-
     passes = []
-    real = decotherm.baths._stationary_structures
 
-    def counting(baths, gens, bases=None):
-        fresh = {id(b) for b in baths if b._structure is None}
-        out = real(baths, gens, bases)
-        if fresh:
-            assert all(b._structure is not None for b in baths)
-            passes.append(len(fresh))
-        return out
+    def make(real):
+        def counting(baths, gens, kernels=None):
+            fresh = {id(b) for b in baths if b._structure is None}
+            out = real(baths, gens, kernels)
+            if fresh:
+                assert all(b._structure is not None for b in baths)
+                passes.append(len(fresh))
+            return out
+        return counting
 
-    for name in ("baths", "dynamics", "thermo", "onsager", "scenarios"):
-        module = getattr(decotherm, name)
-        if hasattr(module, "_stationary_structures"):
-            monkeypatch.setattr(module, "_stationary_structures", counting)
+    _wrap_everywhere(monkeypatch, "_stationary_structures", make)
     return passes
+
+
+def count_generator_builds(monkeypatch):
+    """Wrap every module's baths._generator_matrices; the returned list gets,
+    per call, the list of generators it built."""
+    builds = []
+
+    def make(real):
+        def counting(gens, d):
+            builds.append(list(gens))
+            return real(gens, d)
+        return counting
+
+    _wrap_everywhere(monkeypatch, "_generator_matrices", make)
+    return builds
+
+
+def count_kernel_solves(monkeypatch):
+    """Wrap every module's baths._kernel_basis; the returned list gets the
+    number of matrices of each call."""
+    solves = []
+
+    def make(real):
+        def counting(lmats):
+            solves.append(len(lmats))
+            return real(lmats)
+        return counting
+
+    _wrap_everywhere(monkeypatch, "_kernel_basis", make)
+    return solves
 
 
 def dissipator_oracle(rho, terms):

@@ -6,6 +6,7 @@ from conftest import (
     SX,
     SY,
     SZ,
+    count_generator_builds,
     ginibre_state,
     random_complex,
     random_hermitian,
@@ -238,16 +239,10 @@ class TestPropagate:
         spec = device_spec()
         h = spec.hamiltonian
         schedule = [(0.0, h), (0.10003, 2.0 * h), (0.2, h)]  # the first switch is off the grid
-        built = []
-        real = dynamics.generator_superop
-
-        def counting(gen):
-            built.append(gen)
-            return real(gen)
-
-        monkeypatch.setattr(dynamics, "generator_superop", counting)
+        builds = count_generator_builds(monkeypatch)
         rho0 = np.eye(3, dtype=complex) / 3
         propagate(rho0, EvolutionSpec(schedule, spec.baths, t_max=0.3, dt=1e-3))
+        built = [g for gens in builds for g in gens]
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in spec.baths)
 
 
@@ -504,10 +499,10 @@ class TestHermiticity:
 
     @pytest.fixture
     def no_generator_builds(self, monkeypatch):
-        def refuse(gen):
+        def refuse(gens, d):
             raise AssertionError("generator built before the Hamiltonian check")
 
-        monkeypatch.setattr(dynamics, "generator_superop", refuse)
+        monkeypatch.setattr(dynamics, "_generator_matrices", refuse)
 
     def test_liouvillian_refuses_a_non_hermitian_hamiltonian(self, no_generator_builds):
         spec = device_spec()

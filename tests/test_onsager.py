@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import ginibre_state, random_complex, random_hermitian
+from conftest import ginibre_state, log_on_support, onsager_superop, random_complex, random_hermitian
 
 from decotherm.baths import (
     Bath,
@@ -26,10 +26,9 @@ from decotherm.onsager import (
     linear_flow_prediction,
     linear_response,
     ness_entropy_production,
-    onsager_superop,
     reciprocal_coefficients,
 )
-from decotherm.operators import hs_inner, matrix_log_on_support
+from decotherm.operators import hs_inner
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
@@ -78,9 +77,9 @@ class TestFlowAndForce:
         bath = dephasing_bath(Z_BASIS, 0.5)
         nu = ginibre_state(rng, 2)
         x = force(bath, nu)
-        log_nu = matrix_log_on_support(nu)
+        log_nu = log_on_support(nu)
         pinched = stationary_map(bath, nu)
-        log_pinched = matrix_log_on_support(pinched)
+        log_pinched = log_on_support(pinched)
         assert x[0, 1] == pytest.approx(-log_nu[0, 1], rel=1e-12)
         assert x[0, 0] == pytest.approx((log_pinched - log_nu)[0, 0], rel=1e-12)
 
@@ -91,7 +90,7 @@ class TestFlowAndForce:
         # commuting full-rank state
         nu = np.diag([0.55, 0.45]).astype(complex)
         z = 1.0 + np.exp(-beta * e)
-        expected = -beta * h - np.log(z) * np.eye(2) - matrix_log_on_support(nu)
+        expected = -beta * h - np.log(z) * np.eye(2) - log_on_support(nu)
         assert np.max(np.abs(force(bath, nu) - expected)) < 1e-12
 
 
@@ -120,14 +119,14 @@ class TestNessEntropyProduction:
         weight = sum(np.linalg.norm(j) ** 2 for j in flows.values())
         real_log = thermo._stationary_log
 
-        def shifted_log(bath, rho, s):
-            log_b, leak = real_log(bath, rho)
-            return log_b + 1j * s * flows[bath.name], leak
+        def shifted_log(baths, rho, s):
+            log_b, leak = real_log(baths, rho)
+            return log_b + 1j * s * np.stack([flows[b.name] for b in baths]), leak
 
         for ratio, raises in ((0.5, False), (2.0, True)):
             s = ratio * 1e-10 / weight
             monkeypatch.setattr(
-                thermo, "_stationary_log", lambda bath, rho, s=s: shifted_log(bath, rho, s)
+                thermo, "_stationary_log", lambda baths, rho, s=s: shifted_log(baths, rho, s)
             )
             if raises:
                 with pytest.raises(NonRealPairing):
@@ -177,34 +176,43 @@ class TestNessEntropyProduction:
 
 
 class TestOnsagerSuperop:
+    """M_{b,a} as linear_response(...).pairs[(b, a)], the replacement of the
+    former onsager_superop, against the test-side oracle."""
+
     def test_structural_reciprocity(self):
         assembly, _ = device_steady()
+        lr = linear_response(assembly.baths, c=0.7)
         for b in assembly.baths:
             for a in assembly.baths:
-                m_ba = onsager_superop(b, a, c=0.7)
-                m_ab_dag = onsager_superop(a, b, c=0.7).adjoint()
+                m_ba = lr.pairs[(b.name, a.name)]
+                m_ab_dag = lr.pairs[(a.name, b.name)].adjoint()
                 norm = np.linalg.norm(m_ba.matrix)
                 assert np.linalg.norm(m_ba.matrix - m_ab_dag.matrix) <= 1e-10 * max(norm, 1e-30)
+                oracle = onsager_superop(b, a, c=0.7).matrix
+                assert np.linalg.norm(m_ba.matrix - oracle) <= 1e-14 * max(norm, 1e-30)
 
     def test_adjoint_composition_on_device_hamiltonian(self):
         # L_l then L_d-adjoint applied to H lands on the coherence sector
         # with weight gamma * n_L * V
         assembly, _ = device_steady()
         h = assembly.hamiltonian
-        m_dl = onsager_superop(assembly.dephasing, assembly.left, c=1.0)
+        m_dl = linear_response(assembly.baths, c=1.0).pairs[("dephasing", "left")]
         out = m_dl.adjoint().apply(h)
         g, n_l, v = DEFAULT_DEVICE["gamma"], DEFAULT_DEVICE["n_l"], DEFAULT_DEVICE["v"]
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = g * n_l * v
         assert np.max(np.abs(out - expected)) < 1e-12
+        oracle = onsager_superop(assembly.dephasing, assembly.left, c=1.0).adjoint().apply(h)
+        assert np.max(np.abs(oracle - expected)) < 1e-12
 
     def test_empty_generator_gives_zero(self):
         from decotherm.baths import Bath, LindbladGenerator
 
         empty = Bath("null", LindbladGenerator(3, ()))
         left = left_pump_bath(0.6)
-        assert np.max(np.abs(onsager_superop(left, empty, 1.0).matrix)) == 0.0
-        assert np.max(np.abs(onsager_superop(empty, left, 1.0).matrix)) == 0.0
+        lr = linear_response([left, empty], 1.0)
+        assert np.max(np.abs(lr.pairs[("left", "null")].matrix)) == 0.0
+        assert np.max(np.abs(lr.pairs[("null", "left")].matrix)) == 0.0
 
 
 class TestLinearResponse:
@@ -213,15 +221,16 @@ class TestLinearResponse:
 
         assembly, _ = device_steady()
         built = []
-        real = onsager.generator_superop
+        real = onsager._generator_matrices
 
-        def counting(gen):
-            built.append(gen)
-            return real(gen)
+        def counting(gens, d):
+            built.append(list(gens))
+            return real(gens, d)
 
-        monkeypatch.setattr(onsager, "generator_superop", counting)
+        monkeypatch.setattr(onsager, "_generator_matrices", counting)
         lr = linear_response(assembly.baths, c=0.7)
-        assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
+        assert len(built) == 1  # one batched build
+        assert sorted(map(id, built[0])) == sorted(id(b.generator) for b in assembly.baths)
         monkeypatch.undo()
         names = [b.name for b in assembly.baths]
         assert list(lr.pairs) == [(b, a) for b in names for a in names]
@@ -321,7 +330,7 @@ class TestForceParameters:
     def test_preset_sign_matches_log_coherence(self):
         _, nu = device_steady()
         fp = force_parameters(nu)
-        log_nu = matrix_log_on_support(nu)
+        log_nu = log_on_support(nu)
         assert np.sign(fp.x_l) == np.sign(log_nu[1, 2].real)
         assert fp.x_l == pytest.approx(2.0 * log_nu[1, 2].real, rel=1e-12)
 

@@ -6,13 +6,22 @@ import math
 
 import numpy as np
 import pytest
-from conftest import GRID_GAMMAS, GRID_OCCUPATIONS, count_structure_passes, ginibre_state
+from conftest import (
+    GRID_GAMMAS,
+    GRID_OCCUPATIONS,
+    count_generator_builds,
+    count_kernel_solves,
+    count_structure_passes,
+    ginibre_state,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decotherm.baths import (
+    Bath,
     JumpTerm,
     LindbladGenerator,
+    PropagateToFixedPoint,
     apply_generator,
     dephasing_bath,
     left_pump_bath,
@@ -23,8 +32,10 @@ from decotherm.baths import (
 from decotherm.dynamics import EvolutionSpec, liouvillian, propagate, steady_state
 from decotherm.errors import (
     DecothermError,
+    DegenerateKernel,
     InvalidBlochVector,
     InvalidParams,
+    NoConvergence,
     NonPositiveBeta,
     NonPositiveOccupation,
     ZeroCoherence,
@@ -43,6 +54,7 @@ from decotherm.scenarios import (
     bloch_state,
     build_device,
     device_report,
+    device_reports,
     gamma_sweep,
     two_level_decoherence_heat,
     two_level_hamiltonian,
@@ -225,28 +237,20 @@ class TestDeviceReportSinglePass:
 
     @pytest.mark.parametrize("gamma, builds", [(0.3, 3), (0.0, 2)])
     def test_one_generator_build_per_bath(self, monkeypatch, gamma, builds):
-        import decotherm
-
-        built = []
-        real = decotherm.baths.generator_superop
-
-        def counting(gen):
-            built.append(gen)
-            return real(gen)
-
-        for name in ("baths", "dynamics", "thermo", "onsager", "scenarios"):
-            module = getattr(decotherm, name)
-            if hasattr(module, "generator_superop"):
-                monkeypatch.setattr(module, "generator_superop", counting)
+        calls = count_generator_builds(monkeypatch)
         device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
+        built = [g for gens in calls for g in gens]
+        assert len(calls) == 1  # one batched build
         assert len(built) == builds
         assert len(set(map(id, built))) == builds  # one build of each bath's generator
 
     @pytest.mark.parametrize("gamma, n_baths", [(0.3, 3), (0.0, 2)])
     def test_one_structure_pass(self, monkeypatch, gamma, n_baths):
         passes = count_structure_passes(monkeypatch)
+        solves = count_kernel_solves(monkeypatch)
         device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
         assert passes == [n_baths]
+        assert solves == [1 + n_baths]  # the Liouvillian and the baths, one stack
 
     def test_default_device(self):
         self.assert_same_as_composed(DeviceParams(**DEFAULT_DEVICE))
@@ -303,22 +307,132 @@ class TestGammaSweep:
             gamma_sweep(base, [1.0, 0.5])
 
 
+def replace_baths_at(gamma, make_baths):
+    """build_device, except that the point with dephasing rate gamma gets
+    the baths make_baths(assembly)."""
+    import decotherm.scenarios as sc
+
+    real = sc.build_device
+
+    def build(p):
+        assembly = real(p)
+        if p.gamma != gamma:
+            return assembly
+        return sc.DeviceAssembly(assembly.hamiltonian, make_baths(assembly))
+
+    return build
+
+
+def silent_pumps(assembly):
+    """Zero-rate pumps: the Liouvillian of H and the dephasing alone has a
+    kernel of dimension 2 or more, so the point has no unique steady state."""
+    silent = LindbladGenerator(3, tuple(JumpTerm(0.0, t.jump) for t in assembly.left.generator.terms))
+    return (Bath("left", silent), Bath("right", silent), assembly.dephasing)
+
+
 def test_gamma_sweep_flags_failures_and_continues(monkeypatch):
     import decotherm.scenarios as sc
-    from decotherm.errors import DegenerateKernel
 
-    real_report = sc.device_report
-
-    def sometimes_boom(p, c=1.0):
-        if p.gamma == 0.5:
-            raise DegenerateKernel("synthetic failure")
-        return real_report(p, c)
-
-    monkeypatch.setattr(sc, "device_report", sometimes_boom)
+    monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, silent_pumps))
     base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
     points = sc.gamma_sweep(base, [0.0, 0.5, 1.0])
-    assert points[1].report is None and "synthetic" in points[1].failure
+    assert points[1].report is None and "not unique" in points[1].failure
     assert points[0].report is not None and points[2].report is not None
+    monkeypatch.undo()
+    for pt in (points[0], points[2]):
+        alone = device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": pt.gamma}))
+        assert_same_report(pt.report, alone)
+
+
+def test_gamma_sweep_raises_on_no_convergence(monkeypatch):
+    # the decision for a NoConvergence of a bath's structure: the sweep
+    # raises, naming the first failing bath, as a one-point call does
+    import decotherm.scenarios as sc
+
+    def strangled_left(assembly):
+        left = Bath("left", assembly.left.generator, PropagateToFixedPoint(tol=0.0))
+        return (left, *assembly.baths[1:])
+
+    monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, strangled_left))
+    base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
+    with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
+        sc.gamma_sweep(base, [0.0, 0.5, 1.0])
+    with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
+        sc.device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.5}))
+
+
+def test_gamma_sweep_is_one_stacked_call(monkeypatch):
+    import decotherm.scenarios as sc
+
+    calls = []
+    real = sc.device_reports
+    monkeypatch.setattr(sc, "device_reports", lambda ps, c=1.0: calls.append(len(ps)) or real(ps, c))
+    sc.gamma_sweep(DeviceParams(**DEFAULT_DEVICE), [0.0, 0.1, 1.0, 10.0])
+    assert calls == [4]
+
+
+def assert_same_report(got, want):
+    for f in dataclasses.fields(DeviceReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b, equal_nan=True), (f.name, a, b)
+
+
+#: the device grid of the ROADMAP: 7 x 7 occupations x 6 dephasing rates
+ROADMAP_GRID = [
+    DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma)
+    for n_l, n_r, gamma in itertools.product(
+        (1e-14, 1e-8, 1e-2, 1.0, 1e2, 1e4, 1e6), (1e-14, 1e-8, 1e-2, 1.0, 1e2, 1e4, 1e6),
+        (0.0, 1e-2, 1.0, 1e2, 1e4, 1e6))
+]
+
+
+class TestDeviceReports:
+    """device_reports stacks every step over all the points of a pass; each
+    report is the one its one-point call gives, bit for bit."""
+
+    def test_grid_stacked_equals_one_point(self):
+        stacked = device_reports(ROADMAP_GRID, c=0.7)
+        assert len(stacked) == 294
+        for p, got in zip(ROADMAP_GRID, stacked):
+            assert_same_report(got, device_report(p, c=0.7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(-14.0, 6.0), st.floats(-14.0, 6.0), st.one_of(st.none(), st.floats(-2.0, 6.0)),
+        st.floats(0.5, 1.5), st.floats(0.1, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8))
+    def test_random_stacks(self, draws):
+        params = [DeviceParams(e_r + gap, e_r, v, 10.0**ln_l, 10.0**ln_r,
+                               0.0 if lg is None else 10.0**lg)
+                  for ln_l, ln_r, lg, e_r, gap, v in draws]
+        for p, got in zip(params, device_reports(params, c=1.3)):
+            assert_same_report(got, device_report(p, c=1.3))
+
+    def test_one_kernel_solve_and_structure_pass_per_chunk(self, monkeypatch):
+        import decotherm.scenarios as sc
+
+        per = sc._REPORTS_PER_PASS
+        params = [DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0 if i % 4 == 0 else 0.3})
+                  for i in range(2 * per + 7)]
+        passes = count_structure_passes(monkeypatch)
+        solves = count_kernel_solves(monkeypatch)
+        device_reports(params)
+        chunks = [params[lo:lo + per] for lo in range(0, len(params), per)]
+        n_baths = [sum(3 if p.gamma > 0 else 2 for p in chunk) for chunk in chunks]
+        assert passes == n_baths
+        assert solves == [len(chunk) + n for chunk, n in zip(chunks, n_baths)]
+
+    def test_degenerate_point_is_flagged(self, monkeypatch):
+        import decotherm.scenarios as sc
+
+        params = [DeviceParams(**{**DEFAULT_DEVICE, "gamma": g}) for g in (0.1, 0.5, 0.9)]
+        alone = [device_report(params[0]), None, device_report(params[2])]
+        monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, silent_pumps))
+        out = device_reports(params)
+        assert isinstance(out[1], DegenerateKernel) and "not unique" in str(out[1])
+        assert_same_report(out[0], alone[0])
+        assert_same_report(out[2], alone[2])
+        with pytest.raises(DegenerateKernel, match="not unique"):
+            device_report(params[1])
 
 
 def test_device_report_across_cold_and_hot_baths():

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SX, SZ, count_structure_passes, ginibre_state, random_complex
+from conftest import (
+    SX,
+    SZ,
+    count_generator_builds,
+    count_structure_passes,
+    ginibre_state,
+    random_complex,
+)
 
 from decotherm import thermo
 from decotherm.baths import (
@@ -21,14 +28,16 @@ from decotherm.baths import (
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, propagate
+from decotherm.operators import assert_density_matrix
 from decotherm.errors import (
     DimensionMismatch,
+    InvalidParams,
     NoConvergence,
     NonRealPairing,
     NotHermitian,
     SupportViolation,
 )
-from decotherm.onsager import flow, force
+from decotherm.onsager import flow, force, force_flow_pairs
 from decotherm.scenarios import (
     TwoLevelDecoherenceParams,
     bloch_state,
@@ -208,14 +217,15 @@ class TestEntropyProduction:
 
     def test_balance_identity(self, rng):
         # dS/dt = sum Phi + P, with dS/dt = -Tr[L(rho) log rho]
-        from decotherm.operators import matrix_log_on_support
+        from conftest import log_on_support
+
         from decotherm.baths import apply_generator
 
         bath = thermal_two_level_bath(1.0, 1.0, 1.0)
         for _ in range(10):
             rho = ginibre_state(rng, 2, mix=0.1)
             sdot = -np.trace(
-                apply_generator(bath.generator, rho) @ matrix_log_on_support(rho)
+                apply_generator(bath.generator, rho) @ log_on_support(rho)
             ).real
             lhs = entropy_production(rho, [bath])
             rhs = sdot - entropy_flux(bath, rho)
@@ -295,16 +305,9 @@ class TestSampleThermodynamics:
         assert len(traj) > 2 * (thermo._BLOCK_ENTRIES // 9)  # three blocks
         for bath in assembly.baths:
             stationary_structure(bath)  # cached on the bath, built outside the count
-        built = []
-        real = baths.generator_superop
-
-        def counting(gen):
-            built.append(gen)
-            return real(gen)
-
-        monkeypatch.setattr(baths, "generator_superop", counting)
-        monkeypatch.setattr(thermo, "generator_superop", counting)
+        builds = count_generator_builds(monkeypatch)
         sample_thermodynamics(traj, spec)
+        built = [g for gens in builds for g in gens]
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
 
     def test_one_structure_pass_per_call(self, monkeypatch, rng):
@@ -591,8 +594,8 @@ class TestSamplerPairingCheck:
         # each bath's pairing picks up i*imag/n_baths, each point's sum i*imag
         real = thermo._bath_terms
 
-        def shifted(bath, gen, rho, log_rho):
-            terms = real(bath, gen, rho, log_rho)
+        def shifted(baths, gens, rho, log_rho):
+            terms = real(baths, gens, rho, log_rho)
             return terms._replace(pairing=terms.pairing + 1j * imag / n_baths)
 
         monkeypatch.setattr(thermo, "_bath_terms", shifted)
@@ -623,3 +626,42 @@ class TestSamplerPairingCheck:
         }))
         assert cli.run(str(path)) == 3
         assert "numerical failure in entropy_production" in capsys.readouterr().err
+
+
+def _poisoned(value):
+    """The maximally mixed qubit with one entry replaced by value."""
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = value
+    return rho
+
+
+_BATH = dephasing_bath(Z_BASIS, 0.7)
+_H = two_level_hamiltonian(1.0)
+_TRAJ = EvolutionSpec(two_level_hamiltonian(1.0), (_BATH,), t_max=0.1, dt=0.01)
+#: each call with the non-finite matrix x in the place of a state or a Hamiltonian
+NON_FINITE_CALLS = {
+    "assert_density_matrix": lambda x: assert_density_matrix(x),
+    "propagate": lambda x: propagate(x, _TRAJ),
+    "von_neumann_entropy": lambda x: von_neumann_entropy(x),
+    "heat_rate_state": lambda x: heat_rate(_H, _BATH, x),
+    "heat_rate_hamiltonian": lambda x: heat_rate(x, _BATH, np.eye(2, dtype=complex) / 2),
+    "relative_entropy_to_bath": lambda x: relative_entropy_to_bath(x, _BATH),
+    "entropy_production": lambda x: entropy_production(x, [_BATH]),
+    "entropy_flux": lambda x: entropy_flux(_BATH, x),
+    "force_flow_pairs": lambda x: force_flow_pairs([_BATH], x),
+    "stationary_map": lambda x: stationary_map(_BATH, x),
+    "energy_state": lambda x: energy(_H, x),
+    "energy_hamiltonian": lambda x: energy(x, np.eye(2, dtype=complex) / 2),
+    "work_rate_state": lambda x: work_rate(_H, x),
+    "work_rate_hamiltonian": lambda x: work_rate(x, np.eye(2, dtype=complex) / 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_input_is_refused(call, value):
+    # every comparison with NaN is false, so no tolerance check downstream
+    # catches it: the one shared check refuses it before any numerics
+    with pytest.raises(InvalidParams, match="non-finite entry"):
+        NON_FINITE_CALLS[call](_poisoned(value))
