@@ -44,9 +44,6 @@ from .operators import (
     SuperOperator,
     assert_density_matrix,
     hermitize,
-    hs_inner,
-    unvectorize,
-    vectorize,
 )
 from .scenarios import (
     DEFAULT_DEVICE,

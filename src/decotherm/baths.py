@@ -28,8 +28,7 @@ Each generator has one implementation, its closed-form d²×d² matrix,
 built for a list of generators in one batched product per jump count
 (`_generator_matrices`; `generator_superop` is its one-generator call);
 flows, stationary images and residuals all act through
-`SuperOperator.apply`, or, for a stack of baths' matrices, through its
-stacked form `_apply_each`.
+`operators._apply_each`, for one matrix as `SuperOperator.apply`.
 
 Dissipator convention (factor 2, no 1/2 on the anticommutator):
 
@@ -47,16 +46,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParams,
-    NoConvergence,
-    NonPositiveBeta,
-    NonPositiveOccupation,
-    NotOrthonormal,
-)
+from .errors import DimensionMismatch, InvalidParams, NoConvergence
 from .operators import (
     SuperOperator,
+    _apply_each,
     _herm_operators,
     _real_form,
     dagger,
@@ -421,19 +414,6 @@ def _rows(at: np.ndarray) -> slice | np.ndarray:
     return slice(at[0], at[-1] + 1) if len(at) and at[-1] - at[0] + 1 == len(at) else at
 
 
-def _apply_each(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Each d²×d² matrix of a stack (m, n, n) acting as SuperOperator.apply
-    on its own operator a[i] (m, d, d) or its own operator stack a[i]
-    (m, j, d, d); one operator (d, d), or a leading axis of length 1, is
-    shared by all the matrices."""
-    d = a.shape[-1]
-    lead = a.shape[:-2] or (1,)
-    # vec() stacks columns, so vec(a) is the row-major flattening of a.T
-    flat = a.swapaxes(-1, -2).reshape(lead[0], math.prod(lead[1:]), d * d)
-    images = flat @ mats.swapaxes(-1, -2)
-    return images.reshape(len(mats), *lead[1:], d, d).swapaxes(-1, -2)
-
-
 def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) -> None:
     """NoConvergence unless every residual is at most tol * scale (NaN fails)."""
     tol = bath.fixed_point.tol
@@ -471,7 +451,7 @@ def thermal_occupation(beta: float, energy: float) -> float:
     overflow-safe, and with 1 - exp(-x) from expm1 it keeps full precision
     for hot baths, where beta*energy is small."""
     if not beta > 0:
-        raise NonPositiveBeta(f"beta must be > 0, got {beta}")
+        raise InvalidParams(f"beta must be > 0, got {beta}")
     if not energy > 0:
         raise InvalidParams(f"occupation needs a positive level splitting, got {energy}")
     x = beta * energy
@@ -488,10 +468,10 @@ def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "depha
     u = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in basis])
     d = u.shape[0]
     if u.shape != (d, d):
-        raise NotOrthonormal(f"need {d} basis vectors of length {d}, got matrix shape {u.shape}")
+        raise InvalidParams(f"need {d} basis vectors of length {d}, got matrix shape {u.shape}")
     gram = u.conj().T @ u
     if np.max(np.abs(gram - np.eye(d))) > ORTHONORMAL_TOL:
-        raise NotOrthonormal(f"basis is not orthonormal within {ORTHONORMAL_TOL:.0e}")
+        raise InvalidParams(f"basis is not orthonormal within {ORTHONORMAL_TOL:.0e}")
     terms = tuple(JumpTerm(gamma, np.outer(u[:, j], u[:, j].conj())) for j in range(d))
     return Bath(name, LindbladGenerator(d, terms))
 
@@ -508,7 +488,7 @@ def thermal_two_level_bath(
     so the kernel projector maps every state to that Gibbs state.
     """
     if not beta > 0:
-        raise NonPositiveBeta(f"beta must be > 0, got {beta}")
+        raise InvalidParams(f"beta must be > 0, got {beta}")
     if not rate_scale > 0:
         raise InvalidParams(f"rate_scale must be > 0, got {rate_scale}")
     n = thermal_occupation(beta, e_excited)
@@ -533,7 +513,7 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
     convention and is intentional.
     """
     if not n_l > 0:
-        raise NonPositiveOccupation(f"n_l must be > 0, got {n_l}")
+        raise InvalidParams(f"n_l must be > 0, got {n_l}")
     return Bath(name, LindbladGenerator(
         3,
         (
@@ -546,7 +526,7 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
 def right_pump_bath(n_r: float, name: str = "right") -> Bath:
     """Right relaxation bath of the three-level device, basis (|0>, |L>, |R>)."""
     if not n_r > 0:
-        raise NonPositiveOccupation(f"n_r must be > 0, got {n_r}")
+        raise InvalidParams(f"n_r must be > 0, got {n_r}")
     return Bath(name, LindbladGenerator(
         3,
         (

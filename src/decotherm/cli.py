@@ -338,16 +338,8 @@ def run(config_path: str, output: str | None = None, output_format: str | None =
     """Execute one config; returns the process exit code."""
     try:
         cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
-    cfg = replace(
-        cfg, output_format=output_format or cfg.output_format, output_path=output or cfg.output_path
-    )
-    try:
+        cfg = replace(cfg, output_format=output_format or cfg.output_format,
+                      output_path=output or cfg.output_path)
         summary = _RUNNERS[cfg.scenario](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

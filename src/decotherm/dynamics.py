@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .baths import Bath, _apply_each, _generator_matrices, _kernel_basis
+from .baths import Bath, _generator_matrices, _kernel_basis
 from .errors import (
     DegenerateKernel,
     DimensionMismatch,
@@ -46,12 +46,12 @@ from .errors import (
     NonPositiveSolution,
     NotHermitian,
     StateInvariantViolated,
-    TimeDependentHamiltonian,
 )
 from .operators import (
     HERM_TOL,
     STATE_TOL,
     SuperOperator,
+    _apply_each,
     _herm_coords,
     _herm_operators,
     _real_form,
@@ -158,7 +158,7 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     InvalidParams for a non-finite Hamiltonian and NotHermitian for a
     non-Hermitian one (defect over HERM_TOL), before building anything."""
     if spec.is_schedule:
-        raise TimeDependentHamiltonian(
+        raise InvalidParams(
             "liouvillian needs a static Hamiltonian; propagate the schedule instead"
         )
     h = np.asarray(spec.hamiltonian, dtype=complex)

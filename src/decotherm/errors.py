@@ -17,22 +17,6 @@ class NegativeEigenvalue(DecothermError):
     pass
 
 
-class NotOrthonormal(DecothermError):
-    pass
-
-
-class NonPositiveBeta(DecothermError):
-    pass
-
-
-class NonPositiveOccupation(DecothermError):
-    pass
-
-
-class TimeDependentHamiltonian(DecothermError):
-    pass
-
-
 class StateInvariantViolated(DecothermError):
     pass
 
@@ -57,20 +41,8 @@ class NonRealPairing(DecothermError):
     """A pairing Tr[A B] of Hermitian operators came out with an imaginary part."""
 
 
-class MissingPair(DecothermError):
-    pass
-
-
-class ZeroCoherence(DecothermError):
-    pass
-
-
-class InvalidBlochVector(DecothermError):
-    pass
-
-
 class InvalidParams(DecothermError):
-    pass
+    """A refused argument: out of range, non-finite, or of the wrong kind."""
 
 
 class ConfigError(DecothermError):

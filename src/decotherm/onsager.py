@@ -17,11 +17,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baths import Bath, _apply_each, _generator_matrices, apply_generator
+from .baths import Bath, _generator_matrices, apply_generator
 from .dynamics import _generators
-from .errors import DimensionMismatch, MissingPair, ZeroCoherence
-from .operators import Spectrum, SuperOperator, hermitize, require_finite, require_square
-from .thermo import _state_terms, entropy_production
+from .errors import DimensionMismatch, InvalidParams
+from .operators import Spectrum, SuperOperator, _apply_each, hermitize, require_square
+from .thermo import _require_support, _state_terms, entropy_production
 
 #: Max |nu_LR| at which the device steady state counts as incoherent.
 COHERENCE_TOL = 1e-12
@@ -46,9 +46,8 @@ def force(bath: Bath, nu: np.ndarray) -> np.ndarray:
 
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
     """(J_b, X_b) of each bath, with J_b the Hermitian part of L_b(nu)."""
-    d = require_square(nu, "state")
-    require_finite(nu, "state")
-    terms = _state_terms(baths, _generators(baths, d), nu, Spectrum.of(nu).log)
+    terms = _state_terms(baths, nu)
+    _require_support(baths, terms)
     flows = hermitize(terms.flow)
     return [ForceFlowPair(b.name, j, x) for b, j, x in zip(baths, flows, terms.force)]
 
@@ -97,7 +96,7 @@ def linear_flow_prediction(
         for a_name, x_a in forces.items():
             key = (b_name, a_name)
             if key not in lr.pairs:
-                raise MissingPair(f"linear response has no entry for pair {key}")
+                raise InvalidParams(f"linear response has no entry for pair {key}")
             term = lr.pairs[key].apply(x_a)
             total = term if total is None else total + term
         out[b_name] = total
@@ -119,12 +118,8 @@ def force_parameters(nu: np.ndarray) -> ForceParameters:
     if nu.shape != (3, 3):
         raise DimensionMismatch(f"force parameters need a 3x3 device state, got {nu.shape}")
     if abs(nu[1, 2]) <= COHERENCE_TOL:
-        raise ZeroCoherence("state has no L-R coherence; x_d is undefined")
-    return _force_parameters(Spectrum.of(nu).log)
-
-
-def _force_parameters(log_nu: np.ndarray) -> ForceParameters:
-    """force_parameters from log nu of a coherent device steady state."""
+        raise InvalidParams("state has no L-R coherence; x_d is undefined")
+    log_nu = Spectrum.of(nu).log
     x_l = float((log_nu[1, 2] + log_nu[2, 1]).real)
     return ForceParameters(x_d=-x_l, x_l=x_l)
 

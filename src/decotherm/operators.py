@@ -1,11 +1,13 @@
 """Dense complex operator and super-operator algebra.
 
 Operators are plain complex numpy arrays of shape (d, d); the helpers that
-say so also take stacks of shape (n, d, d). Super-operators
-act on column-stacked operators: vec(A) stacks the columns of A, so that
-vec(A X B) = kron(B.T, A) @ vec(X). The matrix log goes through the
-Hermitian eigendecomposition; nothing here needs a general matrix
-function.
+say so also take stacks of shape (n, d, d). Super-operators act on
+column-stacked operators: vec(A) stacks the columns of A, so that
+vec(A X B) = kron(B.T, A) @ vec(X). `_apply_each` is the one action of
+such matrices on operators, for a stack of matrices each on its own
+operator or operator stack; `SuperOperator.apply` is its one-matrix call.
+The matrix log goes through the Hermitian eigendecomposition; nothing here
+needs a general matrix function.
 
 Hermitian operators also have real coordinates in an orthonormal Hermitian
 basis (`_herm_coords`, `_herm_operators`), in which a map that preserves
@@ -134,21 +136,6 @@ class Spectrum:
         return np.where(self.keep, 0.0, w).sum(axis=-1)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr[A† B]."""
-    require_same_dim(a, b)
-    return complex(np.einsum("ij,ij->", a.conj(), b))
-
-
-def vectorize(a: np.ndarray) -> np.ndarray:
-    """Column-stack a (d, d) operator into a length-d² vector."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape(dim, dim, order="F")
-
-
 @dataclass(frozen=True, eq=False)
 class SuperOperator:
     """Linear map on operators, stored as a d²×d² matrix over vec()."""
@@ -158,17 +145,28 @@ class SuperOperator:
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """The map on one operator (d, d), or on each operator of a stack
-        (n, d, d) as a single matrix product."""
+        (n, d, d) as a single matrix product (`_apply_each`)."""
         if a.ndim not in (2, 3) or a.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"super-operator acts on {self.dim}x{self.dim}, got {a.shape}"
             )
-        # vec() stacks columns, so vec(a) is the row-major flattening of a.T
-        images = a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1) @ self.matrix.T
-        return images.reshape(a.shape).swapaxes(-1, -2)
+        return _apply_each(self.matrix[None], a[None])[0]
 
     def adjoint(self) -> "SuperOperator":
         return SuperOperator(self.dim, self.matrix.conj().T)
+
+
+def _apply_each(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Each d²×d² matrix of a stack (m, n, n) acting on its own operator
+    a[i] (m, d, d) or its own operator stack a[i] (m, j, d, d); one
+    operator (d, d), or a leading axis of length 1, is shared by all the
+    matrices. The one implementation of a super-operator's action."""
+    d = a.shape[-1]
+    lead = a.shape[:-2] or (1,)
+    # vec() stacks columns, so vec(a) is the row-major flattening of a.T
+    flat = a.swapaxes(-1, -2).reshape(lead[0], math.prod(lead[1:]), d * d)
+    images = flat @ mats.swapaxes(-1, -2)
+    return images.reshape(len(mats), *lead[1:], d, d).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .baths import (
     right_pump_bath,
 )
 from .dynamics import _commutator, _degenerate_kernel, _require_liouvillian, _steady_states
-from .errors import DegenerateKernel, InvalidBlochVector, InvalidParams
+from .errors import DegenerateKernel, InvalidParams
 from .onsager import COHERENCE_TOL, _reciprocal_coefficients
 from .operators import Spectrum
 from .thermo import _bath_terms, _production, _require_support, _traces, heat_rate
@@ -57,7 +57,7 @@ BLOCH_TOL = 1e-12
 def bloch_state(x: float, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     r2 = x * x + y * y + z * z
     if not r2 <= 1.0 + BLOCH_TOL:
-        raise InvalidBlochVector(f"Bloch vector length {math.sqrt(r2):.6f} exceeds 1")
+        raise InvalidParams(f"Bloch vector length {math.sqrt(r2):.6f} exceeds 1")
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
@@ -78,7 +78,7 @@ class TwoLevelDecoherenceParams:
         if not math.isfinite(self.e_level):
             raise InvalidParams(f"e_level must be finite, got {self.e_level}")
         if not self.x * self.x + self.z * self.z <= 1.0 + BLOCH_TOL:
-            raise InvalidBlochVector(
+            raise InvalidParams(
                 f"(x, z) = ({self.x}, {self.z}) lies outside the Bloch ball"
             )
 

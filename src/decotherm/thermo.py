@@ -21,8 +21,12 @@ its own state (a device report's (bath, nu) pairs) or all of them with one
 state or one stack of states; every heat is `_traces(H, flow)`. Each of
 those callers first solves all its baths' stationary structures in one
 stacked pass (`baths._stationary_structures`), so the kernel solves
-nothing. A state or Hamiltonian with a non-finite entry is refused before
-any numerics (`operators.require_finite`).
+nothing. The scalar functions and `onsager.force_flow_pairs` share one
+one-state entry, `_state_terms`: the state checks, its support log, one
+build of the generator matrices, that pass and the kernel; each caller
+then decides what a support leak means. A state or Hamiltonian with a
+non-finite entry is refused before any numerics
+(`operators.require_finite`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import numpy as np
 
 from .baths import (
     Bath,
-    _apply_each,
     _rows,
     _stationary_structures,
     apply_generator,
@@ -43,10 +46,11 @@ from .baths import (
     stationary_structure,
 )
 from .dynamics import EvolutionSpec, Trajectory, _generators
-from .errors import NonRealPairing, SupportViolation
+from .errors import DimensionMismatch, NonRealPairing, SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
+    _apply_each,
     require_finite,
     require_hermitian,
     require_same_dim,
@@ -183,14 +187,19 @@ def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -
     return _BathTerms(flow, force, pairing, leak, leak <= SUPPORT_TOL, rho, log_rho, log_b)
 
 
-def _state_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -> _BathTerms:
-    """_bath_terms of one state for each bath and its built generator
-    matrix, after one pass solves the baths' stationary structures;
-    SupportViolation if the state leaks off a bath's support."""
+def _state_terms(baths, rho: np.ndarray) -> _BathTerms:
+    """_bath_terms of one state rho for each of the baths: the one-state
+    entry of the scalar functions and `onsager.force_flow_pairs`. It checks
+    that rho is square and finite and of the baths' dimension, builds their
+    generator matrices once, takes the support log of rho and solves their
+    stationary structures in one pass; the caller decides what a support
+    leak means."""
+    d = require_square(rho, "state")
+    require_finite(rho, "state")
+    gens = _generators(baths, d)
+    log_rho = Spectrum.of(rho).log
     _stationary_structures(baths, gens)
-    terms = _bath_terms(baths, gens, rho[None], log_rho[None])
-    _require_support(baths, terms)
-    return terms
+    return _bath_terms(baths, gens, rho[None], log_rho[None])
 
 
 def _require_support(baths, terms: _BathTerms) -> None:
@@ -223,28 +232,24 @@ def relative_entropy_to_bath(rho: np.ndarray, bath: Bath) -> float:
 
     Returns +inf when supp(rho) is not contained in supp(B(rho)).
     """
-    d = require_square(rho, "state")
-    require_finite(rho, "state")
-    gens = _generators([bath], d)
-    _stationary_structures([bath], gens)
-    terms = _bath_terms([bath], gens, rho[None], Spectrum.of(rho).log[None])
+    terms = _state_terms([bath], rho)
     return float(terms.relative_entropy[0]) if terms.ok[0] else math.inf
 
 
 def entropy_flux(bath: Bath, rho: np.ndarray) -> float:
     """Phi_b = -Tr[L_b(rho) log B_b(rho)], positive into the system."""
-    d = require_square(rho, "state")
-    require_finite(rho, "state")
-    return float(_state_terms([bath], _generators([bath], d), rho, Spectrum.of(rho).log).flux[0])
+    terms = _state_terms([bath], rho)
+    _require_support([bath], terms)
+    return float(terms.flux[0])
 
 
 def entropy_production(rho: np.ndarray, baths) -> float:
     """P = sum_b Tr[L_b(rho) X_b] >= 0, with the force
     X_b = log B_b(rho) - log rho."""
-    d = require_square(rho, "state")
-    require_finite(rho, "state")
-    terms = _state_terms(baths, _generators(baths, d), rho, Spectrum.of(rho).log)
-    return float(_production(sum(terms.pairing)))
+    terms = _state_terms(baths, rho)
+    _require_support(baths, terms)
+    # from a complex zero: an empty pairing sums to 0.0, not to the int 0
+    return float(_production(sum(terms.pairing, np.complex128(0))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,12 +325,15 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     leaks off the support of a stationary image is flagged (support_ok
     False, nan flux and production, infinite relative entropy) instead of
     aborting the sweep; at the other points an entropy production whose
-    pairing is not real to IMAG_TOL raises NonRealPairing.
+    pairing is not real to IMAG_TOL raises NonRealPairing. A spec of
+    another dimension than the states raises DimensionMismatch first.
     """
     segs = spec.segments()
-    hams = np.stack([h for _, h in segs])
     times, states = traj.times, traj.states
     n, d = states.shape[0], states.shape[1]
+    if spec.dim != d:
+        raise DimensionMismatch(f"spec dim {spec.dim} does not match trajectory dim {d}")
+    hams = np.stack([h for _, h in segs])
     seg = np.searchsorted([t for t, _ in segs], times + 1e-15, side="right") - 1
     prev = np.concatenate(([0], seg[:-1]))
     work = np.zeros(n)

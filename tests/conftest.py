@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from decotherm.operators import SuperOperator, unvectorize, vectorize
+from decotherm.operators import SuperOperator, require_same_dim
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -33,6 +33,21 @@ def ginibre_state(rng, d, mix=0.0):
     if mix:
         rho = (1.0 - mix) * rho + mix * np.eye(d) / d
     return rho
+
+
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product Tr[A† B]."""
+    require_same_dim(a, b)
+    return complex(np.einsum("ij,ij->", a.conj(), b))
+
+
+def vectorize(a):
+    """Column-stack a (d, d) operator into a length-d² vector."""
+    return np.asarray(a).reshape(-1, order="F")
+
+
+def unvectorize(v, dim):
+    return np.asarray(v).reshape(dim, dim, order="F")
 
 
 def superop_from_action(dim, action):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import ginibre_state, random_hermitian, trace_distance
+from conftest import ginibre_state, hs_inner, random_hermitian, trace_distance
 
 from decotherm import cli
 from decotherm.baths import (
@@ -23,7 +23,6 @@ from decotherm.baths import (
 )
 from decotherm.dynamics import EvolutionSpec, liouvillian, propagate, steady_state
 from decotherm.onsager import linear_response, reciprocal_coefficients
-from decotherm.operators import hs_inner
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,

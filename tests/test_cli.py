@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
-from decotherm import cli
+import decotherm
+from decotherm import cli, errors
 from decotherm.errors import (
     DegenerateKernel,
     NegativeEigenvalue,
@@ -326,6 +328,41 @@ def test_library_imports_only_stdlib_numpy_and_itself():
                 continue
             for module in modules:
                 assert module.split(".")[0] in allowed, f"{name} imports {module}"
+
+
+PUBLIC_NAMES = [
+    "Bath", "DEFAULT_DEVICE", "DeviceAssembly", "DeviceParams", "DeviceReport",
+    "EvolutionSpec", "ForceFlowPair", "JumpTerm", "LindbladGenerator", "LinearResponse",
+    "PropagateToFixedPoint", "SuperOperator", "ThermoSample", "ThermoSamples", "Trajectory",
+    "TwoLevelDecoherenceParams", "apply_generator", "assert_density_matrix", "bloch_state",
+    "build_device", "default_timestep", "dephasing_bath", "device_dephasing_bath",
+    "device_report", "device_reports", "energy", "entropy_balance_residuals", "entropy_flux",
+    "entropy_production", "first_law_residuals", "flow", "force", "force_flow_pairs",
+    "force_parameters", "gamma_sweep", "generator_superop", "heat_rate", "hermitize",
+    "left_pump_bath", "linear_flow_prediction", "linear_response", "liouvillian",
+    "ness_entropy_production", "propagate", "reciprocal_coefficients",
+    "relative_entropy_to_bath", "right_pump_bath", "sample_thermodynamics", "stationary_map",
+    "steady_state", "thermal_occupation", "thermal_two_level_bath",
+    "two_level_decoherence_heat", "von_neumann_entropy", "work_rate",
+]
+
+ERROR_CLASSES = [
+    "ConfigError", "DecothermError", "DegenerateKernel", "DimensionMismatch", "InvalidParams",
+    "NegativeEigenvalue", "NoConvergence", "NonPositiveSolution", "NonRealPairing",
+    "NotHermitian", "StateInvariantViolated", "SupportViolation",
+]
+
+
+def test_public_surface_is_pinned():
+    # a name added to or removed from the package shows in this list's diff;
+    # submodules are left out, since which of them are attributes of the
+    # package depends on what has been imported
+    names = sorted(n for n, v in vars(decotherm).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    classes = sorted(n for n, v in vars(errors).items()
+                     if isinstance(v, type) and issubclass(v, Exception))
+    assert classes == ERROR_CLASSES
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):

@@ -37,7 +37,7 @@ from decotherm.dynamics import (
     propagate,
     steady_state,
 )
-from decotherm.errors import DegenerateKernel, InvalidParams, NotHermitian, TimeDependentHamiltonian
+from decotherm.errors import DegenerateKernel, InvalidParams, NotHermitian
 from decotherm.operators import SuperOperator, assert_density_matrix
 from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
 
@@ -110,7 +110,7 @@ class TestLiouvillian:
 
     def test_schedule_rejected(self):
         spec = EvolutionSpec([(0.0, SZ), (1.0, SX)], (), t_max=2.0)
-        with pytest.raises(TimeDependentHamiltonian):
+        with pytest.raises(InvalidParams):
             liouvillian(spec)
 
     @pytest.mark.parametrize("d", [2, 3, 16])

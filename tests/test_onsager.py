@@ -4,7 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import ginibre_state, log_on_support, onsager_superop, random_complex, random_hermitian
+from conftest import (
+    ginibre_state,
+    hs_inner,
+    log_on_support,
+    onsager_superop,
+    random_complex,
+    random_hermitian,
+)
 
 from decotherm.baths import (
     Bath,
@@ -18,7 +25,7 @@ from decotherm.baths import (
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, liouvillian, steady_state
-from decotherm.errors import DecothermError, MissingPair, NonRealPairing, ZeroCoherence
+from decotherm.errors import DecothermError, InvalidParams, NonRealPairing
 from decotherm.onsager import (
     flow,
     force,
@@ -28,7 +35,6 @@ from decotherm.onsager import (
     ness_entropy_production,
     reciprocal_coefficients,
 )
-from decotherm.operators import hs_inner
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
@@ -153,6 +159,11 @@ class TestNessEntropyProduction:
         assert ness_entropy_production(baths, nu) == pytest.approx(0.0, abs=1e-10)
         for b in baths:
             assert np.max(np.abs(flow(b, nu))) < 1e-11
+
+    def test_no_baths_produce_nothing(self):
+        _, nu = device_steady()
+        p = ness_entropy_production((), nu)
+        assert p == 0.0 and type(p) is float
 
     def test_one_eigensolve_of_nu_per_call(self, monkeypatch):
         # the device baths' cached structures carry the logs of their
@@ -300,7 +311,7 @@ class TestLinearFlowPrediction:
         assembly, _ = device_steady()
         lr = linear_response(assembly.baths[:2], c=1.0)
         forces = {b.name: np.zeros((3, 3), dtype=complex) for b in assembly.baths}
-        with pytest.raises(MissingPair):
+        with pytest.raises(InvalidParams):
             linear_flow_prediction(lr, forces)
 
     def test_near_equilibrium_correlation_reported(self, capsys):
@@ -319,7 +330,7 @@ class TestLinearFlowPrediction:
 class TestForceParameters:
     def test_diagonal_state_rejected(self):
         nu = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        with pytest.raises(ZeroCoherence):
+        with pytest.raises(InvalidParams):
             force_parameters(nu)
 
     def test_antisymmetry(self):

@@ -6,10 +6,13 @@ from conftest import (
     SX,
     SZ,
     ginibre_state,
+    hs_inner,
     log_on_support,
     random_complex,
     random_hermitian,
     superop_from_action,
+    unvectorize,
+    vectorize,
 )
 
 from decotherm.baths import Bath, JumpTerm, LindbladGenerator
@@ -23,9 +26,6 @@ from decotherm.operators import (
     _herm_operators,
     _real_form,
     hermitize,
-    hs_inner,
-    unvectorize,
-    vectorize,
 )
 
 

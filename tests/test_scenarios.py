@@ -33,12 +33,8 @@ from decotherm.dynamics import EvolutionSpec, liouvillian, propagate, steady_sta
 from decotherm.errors import (
     DecothermError,
     DegenerateKernel,
-    InvalidBlochVector,
     InvalidParams,
     NoConvergence,
-    NonPositiveBeta,
-    NonPositiveOccupation,
-    ZeroCoherence,
 )
 from decotherm.onsager import (
     ReciprocalCoefficients,
@@ -102,7 +98,7 @@ class TestTwoLevelHeat:
             )
 
     def test_invalid_bloch_vector(self):
-        with pytest.raises(InvalidBlochVector):
+        with pytest.raises(InvalidParams):
             TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=0.9, z=0.9)
 
 
@@ -204,7 +200,7 @@ class TestDeviceReportSinglePass:
         try:
             fp = force_parameters(nu)
             x_d, x_l = fp.x_d, fp.x_l
-        except ZeroCoherence:
+        except InvalidParams:
             x_d = x_l = math.nan
         if assembly.dephasing is None:
             coeffs = ReciprocalCoefficients(0.0, 0.0)
@@ -450,19 +446,19 @@ NAN_CASES = {
     "device_gamma": (lambda: DeviceParams(**{**DEFAULT_DEVICE, "gamma": NAN}), InvalidParams),
     "sweep_gamma": (lambda: gamma_sweep(DeviceParams(**DEFAULT_DEVICE), [NAN]), InvalidParams),
     "device_n_l": (lambda: device_report(DeviceParams(**{**DEFAULT_DEVICE, "n_l": NAN})),
-                   NonPositiveOccupation),
+                   InvalidParams),
     "jump_rate": (lambda: JumpTerm(NAN, np.eye(2, dtype=complex)), InvalidParams),
     "dephasing_rate": (lambda: dephasing_bath(Z_BASIS, NAN), InvalidParams),
-    "left_pump": (lambda: left_pump_bath(NAN), NonPositiveOccupation),
-    "right_pump": (lambda: right_pump_bath(NAN), NonPositiveOccupation),
-    "beta": (lambda: thermal_occupation(NAN, 1.0), NonPositiveBeta),
+    "left_pump": (lambda: left_pump_bath(NAN), InvalidParams),
+    "right_pump": (lambda: right_pump_bath(NAN), InvalidParams),
+    "beta": (lambda: thermal_occupation(NAN, 1.0), InvalidParams),
     "splitting": (lambda: thermal_occupation(1.0, NAN), InvalidParams),
     "thermal_rate": (lambda: thermal_two_level_bath(1.0, 1.0, NAN), InvalidParams),
     "two_level_gamma": (lambda: TwoLevelDecoherenceParams(gamma=NAN, e_level=1.0, x=0.5),
                         InvalidParams),
     "two_level_x": (lambda: TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=NAN),
-                    InvalidBlochVector),
-    "bloch_state": (lambda: bloch_state(NAN), InvalidBlochVector),
+                    InvalidParams),
+    "bloch_state": (lambda: bloch_state(NAN), InvalidParams),
     "propagate_dt": (lambda: _propagate_two_level(t_max=1.0, dt=NAN), InvalidParams),
     "propagate_t_max": (lambda: _propagate_two_level(t_max=NAN, dt=0.1), InvalidParams),
     "propagate_t_max_inf": (lambda: _propagate_two_level(t_max=math.inf, dt=0.1), InvalidParams),

@@ -231,6 +231,35 @@ class TestEntropyProduction:
             rhs = sdot - entropy_flux(bath, rho)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_no_baths_produce_nothing(self, rng):
+        p = entropy_production(ginibre_state(rng, 3), [])
+        assert p == 0.0 and type(p) is float
+
+
+#: the callers of thermo._state_terms, the one one-state entry
+STATE_TERMS_CALLERS = {
+    "entropy_production": lambda baths, rho: entropy_production(rho, baths),
+    "entropy_flux": lambda baths, rho: entropy_flux(baths[0], rho),
+    "relative_entropy_to_bath": lambda baths, rho: relative_entropy_to_bath(rho, baths[0]),
+    "force_flow_pairs": lambda baths, rho: force_flow_pairs(baths, rho),
+}
+
+
+@pytest.mark.parametrize("caller", STATE_TERMS_CALLERS)
+def test_one_generator_build_per_scalar_call(monkeypatch, rng, caller):
+    # one build serves the structure pass and the flows, whether or not the
+    # structures are cached already
+    from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
+
+    baths = build_device(DeviceParams(**DEFAULT_DEVICE)).baths
+    used = baths if caller in ("entropy_production", "force_flow_pairs") else baths[:1]
+    rho = ginibre_state(rng, 3)
+    builds = count_generator_builds(monkeypatch)
+    for _ in range(2):
+        builds.clear()
+        STATE_TERMS_CALLERS[caller](baths, rho)
+        assert [list(map(id, gens)) for gens in builds] == [[id(b.generator) for b in used]]
+
 
 @pytest.mark.parametrize("call", [
     lambda bath, rho: heat_rate(np.zeros((2, 2), dtype=complex), bath, rho),
@@ -321,17 +350,31 @@ class TestSampleThermodynamics:
         entropy_production(rho, assembly.baths)
         entropy_flux(assembly.left, rho)
         relative_entropy_to_bath(rho, assembly.dephasing)
+        force_flow_pairs(assembly.baths, rho)
         assert passes == [3]  # every bath cached: no pass at all
+        force_flow_pairs(build_device(DeviceParams(**DEFAULT_DEVICE)).baths, rho)
+        assert passes == [3, 3]
 
         assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
         spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
         traj = propagate(np.eye(3, dtype=complex) / 3, spec)
         assert len(traj) > 2 * (thermo._BLOCK_ENTRIES // 9)  # three blocks
-        assert passes == [3]
-        sample_thermodynamics(traj, spec)
         assert passes == [3, 3]
         sample_thermodynamics(traj, spec)
-        assert passes == [3, 3]
+        assert passes == [3, 3, 3]
+        sample_thermodynamics(traj, spec)
+        assert passes == [3, 3, 3]
+
+    def test_spec_of_another_dimension_than_the_states(self):
+        from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
+
+        assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
+        traj = propagate(np.eye(3, dtype=complex) / 3,
+                         EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.1))
+        bath = thermal_two_level_bath(1.0, 1.0, 1.0)
+        spec = EvolutionSpec(two_level_hamiltonian(1.0), (bath,), t_max=0.1)
+        with pytest.raises(DimensionMismatch, match="spec dim 2 does not match trajectory dim 3"):
+            sample_thermodynamics(traj, spec)
 
     def test_support_violation_flagged_not_fatal(self):
         bath = thermal_two_level_bath(1.0, 900.0, 1.0)
