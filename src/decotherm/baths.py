@@ -55,7 +55,7 @@ from .operators import (
     dagger,
     hermitize,
     require_finite,
-    require_square,
+    require_operator,
 )
 
 #: Max entrywise deviation of a dephasing basis' Gram matrix from I.
@@ -79,7 +79,7 @@ class JumpTerm:
     def __post_init__(self):
         if not 0 <= self.rate < np.inf:
             raise InvalidParams(f"jump rate must be finite and >= 0, got {self.rate}")
-        require_square(self.jump, "jump operator")
+        require_operator(self.jump, "jump operator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +98,6 @@ class LindbladGenerator:
                 )
         jumps = np.array([t.jump for t in self.terms], dtype=complex)
         jumps = jumps.reshape(-1, self.dim, self.dim)
-        if not np.isfinite(jumps).all():
-            raise InvalidParams("jump operator has a non-finite entry")
         object.__setattr__(self, "jump_stack", jumps)
         object.__setattr__(self, "rate_stack", np.array([t.rate for t in self.terms], dtype=float))
 
@@ -312,14 +310,12 @@ def _stationary_structures(
     every block, and blocks a bath does not have are masked. A bath's
     structure is the same, bit for bit, alone or in a stack. NoConvergence
     names the first failing bath in list order, and the baths before it keep
-    their structures."""
+    their structures. The baths share one dimension: the callers check it
+    (`dynamics._generators`) or pass one bath, or the device's three."""
     todo = list({id(b): i for i, b in enumerate(baths) if b._structure is None}.values())
     if not todo:
         return [b._structure for b in baths]
-    dims = {baths[i].dim for i in todo}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"bath dims differ: {sorted(dims)}")
-    d = dims.pop()
+    d = baths[todo[0]].dim
     n, m = d * d, len(todo)
     per_pass = max(1, _PASS_ENTRIES // (n * n))
     fresh = baths

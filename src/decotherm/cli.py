@@ -11,12 +11,12 @@ Config layout (one scenario per file, unknown keys are a hard error):
     }
 
 Scenarios: two-level-decoherence (instant heat rate; with an "integrator"
-block it emits the dephasing trajectory instead), device-steady,
-device-trajectory, gamma-sweep. Exit codes: 0 ok, 1 I/O error, 2 config
-error, 3 numerical failure (degenerate or non-positive steady state, no
-convergence, support violation, trace drift in propagation, log of a
-non-PSD matrix, an imaginary entropy production); the message names the
-failing stage.
+block it emits the dephasing trajectory instead), device-steady and
+gamma-sweep (no "integrator" block), device-trajectory (needs one). Exit
+codes: 0 ok, 1 I/O error, 2 config error, 3 numerical failure (degenerate
+or non-positive steady state, no convergence, support violation, trace
+drift in propagation, log of a non-PSD matrix, an imaginary entropy
+production); the message names the failing stage.
 """
 
 from __future__ import annotations
@@ -148,6 +148,10 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("'integrator' must be an object")
         _require_keys(integrator, {"dt": False, "t_max": True}, "integrator")
         integrator = {k: _number(v, k, "integrator") for k, v in integrator.items()}
+        if scenario in ("device-steady", "gamma-sweep"):
+            raise ConfigError(f"{scenario} takes no 'integrator' block")
+    elif scenario == "device-trajectory":
+        raise ConfigError("device-trajectory requires an 'integrator' block")
     onsager_c = _number(raw["onsager_c"], "onsager_c", "config") if "onsager_c" in raw else 1.0
     if not onsager_c > 0:
         raise ConfigError(f"onsager_c must be > 0, got {onsager_c}")
@@ -294,8 +298,6 @@ def _run_device_steady(cfg: RunConfig) -> str:
 
 
 def _run_device_trajectory(cfg: RunConfig) -> str:
-    if cfg.integrator is None:
-        raise ConfigError("device-trajectory requires an 'integrator' block")
     assembly = build_device(_device_params(cfg))
     if cfg.params.get("initial_state", "maximally-mixed") == "ground":
         rho0 = np.zeros((3, 3), dtype=complex)

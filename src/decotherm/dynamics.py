@@ -25,12 +25,14 @@ Hermitian ones, so in the orthonormal Hermitian basis of `operators` it is
 a real d²×d² matrix with the same singular values: the step maps, partial
 steps and per-step products of `propagate` act on real coordinate
 vectors, and the kernel SVDs run on the real matrix. Hamiltonians must be
-Hermitian (within HERM_TOL) for that to be the same dynamics; a
-non-Hermitian one raises NotHermitian.
+Hermitian (within HERM_TOL) for that to be the same dynamics: a spec's
+`segments` pass each one through `operators.require_hamiltonian` once, and
+every caller reads them. `_generators` checks the baths' dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -58,8 +60,7 @@ from .operators import (
     assert_density_matrix,
     hermitize,
     require_finite,
-    require_hermitian,
-    require_square,
+    require_hamiltonian,
 )
 
 #: Step-size safety factor; dt = DT_SAFETY / stiffness. Chosen so that the
@@ -97,28 +98,28 @@ class EvolutionSpec:
 
     @property
     def dim(self) -> int:
-        return require_square(self._first_hamiltonian())
-
-    def _first_hamiltonian(self) -> np.ndarray:
-        if self.is_schedule:
-            return np.asarray(self.hamiltonian[0][1])
-        return np.asarray(self.hamiltonian)
+        return self.segments[0][1].shape[0]
 
     @property
     def is_schedule(self) -> bool:
         return not isinstance(self.hamiltonian, np.ndarray)
 
-    def segments(self) -> list[tuple[float, np.ndarray]]:
-        """Normalized schedule: [(t_start, H), ...] starting at t = 0."""
-        if not self.is_schedule:
-            return [(0.0, np.asarray(self.hamiltonian, dtype=complex))]
-        segs = [(float(t), np.asarray(h, dtype=complex)) for t, h in self.hamiltonian]
+    @functools.cached_property
+    def segments(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """Normalized schedule ((t_start, H), ...) starting at t = 0, made
+        once per spec: sorted by start time, and a copy of every H passed
+        through operators.require_hamiltonian with the first one's dimension."""
+        schedule = self.hamiltonian if self.is_schedule else [(0.0, self.hamiltonian)]
+        segs = sorted(((float(t), np.array(h, dtype=complex)) for t, h in schedule),
+                      key=lambda th: th[0])
         if not segs:
             raise InvalidParams("empty Hamiltonian schedule")
-        segs.sort(key=lambda th: th[0])
         if segs[0][0] != 0.0:
             raise InvalidParams("Hamiltonian schedule must start at t = 0")
-        return segs
+        d = None
+        for _, h in segs:
+            d = require_hamiltonian(h, "Hamiltonian", d)
+        return tuple(segs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +136,9 @@ class Trajectory:
 
 
 def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[Bath]) -> float:
-    """DT_SAFETY / max(||H||_2, dissipator stiffness bound 4*sum r_k ||A_k||²)."""
-    if isinstance(hamiltonian, np.ndarray):
-        hs = [hamiltonian]
-    else:
-        hs = [h for _, h in hamiltonian]
-    h_norm = max((float(np.linalg.norm(h, 2)) for h in hs), default=0.0)
+    """DT_SAFETY / max(segments' ||H||_2, dissipator stiffness bound 4*sum r_k ||A_k||²)."""
+    segs = EvolutionSpec(hamiltonian, baths).segments
+    h_norm = max(float(np.linalg.norm(h, 2)) for _, h in segs)
     stiff = 0.0
     for b in baths:
         for k in range(b.generator.rate_stack.shape[0]):
@@ -154,29 +152,16 @@ def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[B
 
 def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     """Vectorized matrix of the full right-hand side (static H only):
-    -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop. Raises
-    InvalidParams for a non-finite Hamiltonian and NotHermitian for a
-    non-Hermitian one (defect over HERM_TOL), before building anything."""
+    -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop; the spec's
+    segments check H before anything is built."""
     if spec.is_schedule:
-        raise InvalidParams(
-            "liouvillian needs a static Hamiltonian; propagate the schedule instead"
-        )
-    h = np.asarray(spec.hamiltonian, dtype=complex)
-    d = require_square(h, "hamiltonian")
-    _require_hamiltonian(h)
-    return _liouvillian(h, _generators(spec.baths, d))
-
-
-def _require_hamiltonian(h: np.ndarray) -> None:
-    """InvalidParams for a non-finite H, NotHermitian for one that deviates
-    from H† by more than HERM_TOL."""
-    require_finite(h, "Hamiltonian")
-    require_hermitian(h, "Hamiltonian")
+        raise InvalidParams("liouvillian needs a static Hamiltonian; propagate the schedule instead")
+    return _liouvillian(spec.segments[0][1], _generators(spec.baths, spec.dim))
 
 
 def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
     """Each bath's generator matrix, built once, as one stack (m, d², d²);
-    DimensionMismatch unless every bath has dimension d."""
+    DimensionMismatch unless every bath has dimension d (the one such check)."""
     for b in baths:
         if b.dim != d:
             raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match dim {d}")
@@ -300,10 +285,9 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     step map expm(L dt); a switch time off the grid is reached by partial
     steps on either side, each the action exp(L tau) v on the current
     state (`_expm_action`), with no d²×d² expm.
-    Raises InvalidParams for a non-finite Hamiltonian or generator,
-    NotHermitian for a Hamiltonian segment that deviates from its adjoint
-    by more than HERM_TOL and, before allocating anything, InvalidParams
-    for a grid of more than MAX_GRID_ENTRIES points × d²;
+    The spec's segments check its Hamiltonians first. Raises InvalidParams
+    for a non-finite Liouvillian (overflowing rates) and, before allocating
+    anything, for a grid of more than MAX_GRID_ENTRIES points × d²;
     StateInvariantViolated if the trace drifts by more than TRACE_DRIFT_TOL.
     """
     d = spec.dim
@@ -312,11 +296,7 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     assert_density_matrix(rho0, what="initial state")
     if spec.t_max is None or not 0 < spec.t_max < np.inf:
         raise InvalidParams(f"propagate needs a finite t_max > 0, got {spec.t_max}")
-    segs = spec.segments()
-    for _, h in segs:
-        if h.shape != (d, d):
-            raise DimensionMismatch(f"Hamiltonian shape {h.shape} does not match dim {d}")
-        _require_hamiltonian(h)
+    segs = spec.segments
     dt = spec.dt if spec.dt is not None else default_timestep(spec.hamiltonian, spec.baths)
     if not 0 < dt < np.inf:
         raise InvalidParams(f"dt must be finite and > 0, got {dt}")
@@ -344,8 +324,7 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
         t_next = segs[i + 1][0] if i + 1 < len(segs) else np.inf
         lc = _commutator(h)
         lc += diss
-        if not np.isfinite(lc).all():
-            raise InvalidParams("Liouvillian has a non-finite entry")
+        require_finite(lc, "Liouvillian")
         lr = _real_form(lc)
         k_last = int(np.searchsorted(times, t_next, side="right")) - 1
         if k_last > k:
@@ -383,30 +362,25 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     exceeds STEADY_RESID_TOL ||L||_2; InvalidParams for a non-finite
     Liouvillian.
     """
+    _require_liouvillian(liouv.matrix)
     lmat = liouv.matrix[None]
-    _require_liouvillian(lmat)
     kernels = _kernel_basis(lmat)
     if kernels.dims[0] != 1:
         raise _degenerate_kernel(kernels.dims[0])
     return _steady_states(lmat, kernels.groups[1][1][:, 0], kernels.scales)[0][0]
 
 
-def _require_liouvillian(lmats: np.ndarray) -> None:
-    """InvalidParams for a non-finite L, NotHermitian for one that does not
-    preserve Hermiticity within HERM_TOL max|L|; of each Liouvillian matrix
-    of a stack (m, n, n), naming the first that fails."""
-    m, n = len(lmats), lmats.shape[-1]
-    size = np.abs(lmats).reshape(m, n * n).max(axis=1)
-    if not np.isfinite(size).all():
-        raise InvalidParams("Liouvillian has a non-finite entry")
-    d = math.isqrt(n)
-    m4 = lmats.reshape(m, d, d, d, d)  # m4[:, j, i, m, l] = L[(i, j), (l, m)]
-    defect = np.abs(m4 - m4.transpose(0, 2, 1, 4, 3).conj()).reshape(m, n * n).max(axis=1)
-    bad = defect > HERM_TOL * size
-    if bad.any():
+def _require_liouvillian(lmat: np.ndarray) -> None:
+    """InvalidParams for a non-finite Liouvillian matrix L, NotHermitian for
+    one that does not preserve Hermiticity within HERM_TOL max|L|."""
+    require_finite(lmat, "Liouvillian")
+    d = math.isqrt(lmat.shape[0])
+    m4 = lmat.reshape(d, d, d, d)  # m4[j, i, m, l] = L[(i, j), (l, m)]
+    defect = np.abs(m4 - m4.transpose(1, 0, 3, 2).conj()).max()
+    if defect > HERM_TOL * np.abs(lmat).max():
         raise NotHermitian(
             f"Liouvillian does not preserve Hermiticity: L[(ij),(kl)] deviates from "
-            f"conj(L[(ji),(lk)]) by {defect[np.argmax(bad)]:.3e}, over {HERM_TOL:.1e} * max|L|"
+            f"conj(L[(ji),(lk)]) by {defect:.3e}, over {HERM_TOL:.1e} * max|L|"
         )
 
 
@@ -417,12 +391,12 @@ def _degenerate_kernel(k: int) -> DegenerateKernel:
 def _steady_states(
     lmats: np.ndarray, kernel: np.ndarray, scales: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """steady_state of each Liouvillian matrix of a stack (m, n, n) that
-    passed _require_liouvillian and has a one-dimensional kernel, from its
-    kernel vector kernel[i] and ||L||_2 scales[i] (`_kernel_basis`), with
-    each state's eigensolve (ascending), which serves both the positivity
-    check and, through Spectrum.of_eigh, its log. Each check runs on the
-    whole stack and raises for the first state that fails it."""
+    """steady_state of each finite Liouvillian matrix of a stack (m, n, n)
+    with a one-dimensional kernel, from its kernel vector kernel[i] and
+    ||L||_2 scales[i] (`_kernel_basis`), with each state's eigensolve
+    (ascending), which serves both the positivity check and, through
+    Spectrum.of_eigh, its log. Each check runs on the whole stack and raises
+    for the first state that fails it."""
     tr = kernel.trace(axis1=1, axis2=2).real  # Hermitian, so the trace is real
     if (np.abs(tr) < TRACELESS_TOL * _frobenius(kernel)).any():
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")

@@ -17,10 +17,17 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .baths import Bath, _generator_matrices, apply_generator
+from .baths import Bath, apply_generator
 from .dynamics import _generators
-from .errors import DimensionMismatch, InvalidParams
-from .operators import Spectrum, SuperOperator, _apply_each, hermitize, require_square
+from .errors import InvalidParams
+from .operators import (
+    Spectrum,
+    SuperOperator,
+    _apply_each,
+    hermitize,
+    require_hamiltonian,
+    require_operator,
+)
 from .thermo import _require_support, _state_terms, entropy_production
 
 #: Max |nu_LR| at which the device steady state counts as incoherent.
@@ -36,6 +43,7 @@ class ForceFlowPair:
 
 def flow(bath: Bath, nu: np.ndarray) -> np.ndarray:
     """J_b = L_b(nu), hermitized."""
+    require_operator(nu, "state", bath.dim)
     return hermitize(apply_generator(bath.generator, nu))
 
 
@@ -65,13 +73,11 @@ class LinearResponse:
 
 def linear_response(baths: Sequence[Bath], c: float = 1.0) -> LinearResponse:
     """M_{b,a} = c * L_b . L_a† of every ordered pair, from one batched
-    build of the baths' generator matrices. Each unordered pair is one
+    build of the baths' generator matrices (`dynamics._generators`, which
+    refuses baths of different dimensions). Each unordered pair is one
     product, and its mirror is the adjoint, so M_{a,b} = M_{b,a}† holds
     exactly."""
-    dims = {b.dim for b in baths}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"bath dims differ: {sorted(dims)}")
-    mats = _generator_matrices([b.generator for b in baths], dims.pop() if dims else 0)
+    mats = _generators(baths, baths[0].dim if baths else 0)
     adjoints = mats.conj().swapaxes(-1, -2)
     prods = {}
     for i in range(len(mats)):
@@ -115,8 +121,7 @@ def force_parameters(nu: np.ndarray) -> ForceParameters:
     L-R off-diagonal content of the dephasing force X_d = log B_d(nu) -
     log nu; since the pinched state's log is diagonal, x_d = -x_l.
     """
-    if nu.shape != (3, 3):
-        raise DimensionMismatch(f"force parameters need a 3x3 device state, got {nu.shape}")
+    require_operator(nu, "device state", 3)
     if abs(nu[1, 2]) <= COHERENCE_TOL:
         raise InvalidParams("state has no L-R coherence; x_d is undefined")
     log_nu = Spectrum.of(nu).log
@@ -147,7 +152,7 @@ def reciprocal_coefficients(
     decoherence and transport. Each is taken in the Schrodinger picture,
     <coh, L_a†(L_b(H))> = <L_a(coh), L_b(H)>.
     """
-    gens = _generators([left_bath, dephasing_bath], require_square(hamiltonian, "hamiltonian"))
+    gens = _generators([left_bath, dephasing_bath], require_hamiltonian(hamiltonian, "hamiltonian", 3))
     m_ld, m_dl = _reciprocal_coefficients(hamiltonian[None], gens[:1], gens[1:], c)
     return ReciprocalCoefficients(m_ld=float(m_ld[0]), m_dl=float(m_dl[0]))
 

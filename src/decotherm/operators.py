@@ -14,6 +14,10 @@ basis (`_herm_coords`, `_herm_operators`), in which a map that preserves
 Hermiticity is a real d²×d² matrix (`_real_form`). The kernel solves and
 the propagation do their d²×d² LAPACK work on those real matrices; every
 public map stays a complex SuperOperator over vec().
+
+An operator argument is checked once, where it enters, by one of two
+gates: `require_operator` (square, of the given dimension, finite) or
+`require_hamiltonian` (that, and Hermitian within HERM_TOL).
 """
 
 from __future__ import annotations
@@ -58,12 +62,6 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a: np.ndarray, what: str = "operator") -> None:
-    defect = herm_defect(a)
-    if defect > HERM_TOL:
-        raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
-
-
 def require_finite(a: np.ndarray, what: str = "operator") -> None:
     """InvalidParams if a has a NaN or infinite entry: every comparison with
     NaN is false, so no later tolerance check would catch it."""
@@ -71,18 +69,26 @@ def require_finite(a: np.ndarray, what: str = "operator") -> None:
         raise InvalidParams(f"{what} has a non-finite entry")
 
 
-def require_square(a: np.ndarray, what: str = "operator") -> int:
+def require_operator(a: np.ndarray, what: str, d: int | None = None) -> int:
+    """The gate of one operator argument: DimensionMismatch unless a is
+    square (and d×d, if d is given), then InvalidParams for a non-finite
+    entry. Returns its dimension."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
+    if d is not None and a.shape[0] != d:
+        raise DimensionMismatch(f"{what} shape {a.shape} does not match dim {d}")
+    require_finite(a, what)
     return a.shape[0]
 
 
-def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
-    da = require_square(a)
-    db = require_square(b)
-    if da != db:
-        raise DimensionMismatch(f"operator dimensions differ: {da} vs {db}")
-    return da
+def require_hamiltonian(h: np.ndarray, what: str, d: int | None = None) -> int:
+    """The gate of a Hamiltonian: require_operator, then NotHermitian if h
+    deviates from h† by more than HERM_TOL. Returns its dimension."""
+    d = require_operator(h, what, d)
+    defect = herm_defect(h)
+    if defect > HERM_TOL:
+        raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +279,7 @@ def _herm_operators(x: np.ndarray) -> np.ndarray:
 def assert_density_matrix(rho: np.ndarray, what: str = "state") -> None:
     """Check Hermiticity (HERM_TOL), positivity and unit trace (STATE_TOL);
     raise on violation."""
-    require_square(rho, what)
-    require_finite(rho, what)
+    require_operator(rho, what)
     defect = herm_defect(rho)
     if defect > HERM_TOL:
         raise StateInvariantViolated(f"{what}: Hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")

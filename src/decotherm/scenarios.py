@@ -40,10 +40,10 @@ from .baths import (
     left_pump_bath,
     right_pump_bath,
 )
-from .dynamics import _commutator, _degenerate_kernel, _require_liouvillian, _steady_states
+from .dynamics import _commutator, _degenerate_kernel, _steady_states
 from .errors import DegenerateKernel, InvalidParams
 from .onsager import COHERENCE_TOL, _reciprocal_coefficients
-from .operators import Spectrum
+from .operators import Spectrum, require_finite
 from .thermo import _bath_terms, _production, _require_support, _traces, heat_rate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -256,7 +256,7 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     liouv += gens[:n]
     liouv += gens[n:2 * n]
     liouv[dephased] += gens[2 * n:]
-    _require_liouvillian(liouv)
+    require_finite(liouv, "Liouvillian")  # rates can overflow; Hermiticity holds by construction
     kernels = _kernel_basis(np.concatenate([liouv, gens]))
     dims = kernels.dims[:n].tolist()
     if dims.count(1) < n:

@@ -24,9 +24,10 @@ stacked pass (`baths._stationary_structures`), so the kernel solves
 nothing. The scalar functions and `onsager.force_flow_pairs` share one
 one-state entry, `_state_terms`: the state checks, its support log, one
 build of the generator matrices, that pass and the kernel; each caller
-then decides what a support leak means. A state or Hamiltonian with a
-non-finite entry is refused before any numerics
-(`operators.require_finite`).
+then decides what a support leak means. Every state or Hamiltonian
+argument goes through one of the two gates of `operators`
+(`require_operator`, `require_hamiltonian`) before any numerics; a spec's
+Hamiltonians are checked by its `segments`.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
     _apply_each,
-    require_finite,
-    require_hermitian,
-    require_same_dim,
-    require_square,
+    require_hamiltonian,
+    require_operator,
 )
 
 #: Max weight a state may carry on the numerical kernel of a reference
@@ -72,23 +71,14 @@ _BLOCK_ENTRIES = 2**14
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:
     """E = Tr[H rho]."""
-    _require_operator_and_state(h, rho, "hamiltonian")
+    require_operator(rho, "state", require_hamiltonian(h, "hamiltonian"))
     return float(np.trace(h @ rho).real)
 
 
 def work_rate(h_dot: np.ndarray, rho: np.ndarray) -> float:
     """W' = Tr[dH/dt rho]; identically zero for a static Hamiltonian."""
-    _require_operator_and_state(h_dot, rho, "hamiltonian derivative")
+    require_operator(rho, "state", require_hamiltonian(h_dot, "hamiltonian derivative"))
     return float(np.trace(h_dot @ rho).real)
-
-
-def _require_operator_and_state(h: np.ndarray, rho: np.ndarray, what: str) -> None:
-    """DimensionMismatch, InvalidParams (a non-finite entry) or NotHermitian
-    for a Hermitian operator h and a state rho, before any numerics."""
-    require_same_dim(h, rho)
-    require_finite(h, what)
-    require_finite(rho, "state")
-    require_hermitian(h, what=what)
 
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,7 +88,7 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     """Q_b = Tr[H L_b(rho)], positive into the system."""
-    _require_operator_and_state(h, rho, "hamiltonian")
+    require_operator(rho, "state", require_hamiltonian(h, "hamiltonian"))
     return float(_traces(h, apply_generator(bath.generator, rho)))
 
 
@@ -189,14 +179,11 @@ def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -
 
 def _state_terms(baths, rho: np.ndarray) -> _BathTerms:
     """_bath_terms of one state rho for each of the baths: the one-state
-    entry of the scalar functions and `onsager.force_flow_pairs`. It checks
-    that rho is square and finite and of the baths' dimension, builds their
-    generator matrices once, takes the support log of rho and solves their
-    stationary structures in one pass; the caller decides what a support
-    leak means."""
-    d = require_square(rho, "state")
-    require_finite(rho, "state")
-    gens = _generators(baths, d)
+    entry of the scalar functions and `onsager.force_flow_pairs`. It gates
+    rho, checks that the baths have its dimension, builds their generator
+    matrices once, takes the support log of rho and solves their stationary
+    structures in one pass; the caller decides what a support leak means."""
+    gens = _generators(baths, require_operator(rho, "state"))
     log_rho = Spectrum.of(rho).log
     _stationary_structures(baths, gens)
     return _bath_terms(baths, gens, rho[None], log_rho[None])
@@ -223,7 +210,7 @@ def _production(pairing: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S = -sum lambda ln lambda over the spectrum above the support cut."""
-    require_finite(rho, "state")
+    require_operator(rho, "state")
     return float(Spectrum.of(rho).entropy())
 
 
@@ -328,7 +315,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     pairing is not real to IMAG_TOL raises NonRealPairing. A spec of
     another dimension than the states raises DimensionMismatch first.
     """
-    segs = spec.segments()
+    segs = spec.segments
     times, states = traj.times, traj.states
     n, d = states.shape[0], states.shape[1]
     if spec.dim != d:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from decotherm.operators import SuperOperator, require_same_dim
+from decotherm.operators import SuperOperator, require_operator
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -37,7 +37,7 @@ def ginibre_state(rng, d, mix=0.0):
 
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product Tr[A† B]."""
-    require_same_dim(a, b)
+    require_operator(b, "operator", require_operator(a, "operator"))
     return complex(np.einsum("ij,ij->", a.conj(), b))
 
 

@@ -576,7 +576,7 @@ class TestStackedStructures:
     def test_baths_of_different_dimensions(self):
         baths = [left_pump_bath(0.6), dephasing_bath(Z_BASIS, 0.5)]
         with pytest.raises(DimensionMismatch):
-            _stationary_structures(baths, [generator_superop(b.generator).matrix for b in baths])
+            thermo.entropy_production(np.eye(3, dtype=complex) / 3, baths)
 
 
 def complex_kernel_projector(lmat):

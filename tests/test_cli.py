@@ -104,6 +104,26 @@ class TestConfigValidation:
                 assert f"'{key}'" in err and "finite" in err, (key, bad, err)
                 assert not (tmp_path / "out.csv").exists(), (key, bad)
 
+    def test_integrator_block_only_where_it_is_read(self, tmp_path, capsys):
+        # a block that nothing reads is refused, as is a missing one, by
+        # load_config: before any numerics
+        device = {"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2}
+        cases = [
+            ("device-steady", {**device, "gamma": 0.3}, {"integrator": {"t_max": -5.0}},
+             "device-steady takes no 'integrator' block"),
+            ("gamma-sweep", {**device, "gammas": [0.3]}, {"integrator": {"t_max": 1.0}},
+             "gamma-sweep takes no 'integrator' block"),
+            ("device-trajectory", {**device, "gamma": 0.3}, {},
+             "device-trajectory requires an 'integrator' block"),
+        ]
+        for scenario, params, extra, message in cases:
+            path = write_config(tmp_path, scenario=scenario, params=params, **extra)
+            with pytest.raises(errors.ConfigError, match=message):
+                cli.load_config(str(path))
+            assert cli.run(str(path)) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out.csv").exists()
+
 
 class TestTwoLevelRun:
     def test_heat_row(self, tmp_path, capsys):
@@ -328,6 +348,22 @@ def test_library_imports_only_stdlib_numpy_and_itself():
                 continue
             for module in modules:
                 assert module.split(".")[0] in allowed, f"{name} imports {module}"
+
+
+def test_only_operators_raises_a_non_finite_entry():
+    # every refusal of a NaN or infinite entry goes through
+    # operators.require_finite, so no module grows its own copy
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    raising = set()
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                for leaf in ast.walk(node):
+                    if isinstance(leaf, ast.Constant) and "non-finite entry" in str(leaf.value):
+                        raising.add(f"{name}:{node.lineno}")
+    assert {site.split(":")[0] for site in raising} == {"operators.py"}, sorted(raising)
 
 
 PUBLIC_NAMES = [

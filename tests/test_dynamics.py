@@ -113,6 +113,15 @@ class TestLiouvillian:
         with pytest.raises(InvalidParams):
             liouvillian(spec)
 
+    def test_checked_hamiltonian_is_the_one_used(self):
+        # a spec checks its Hamiltonians once and keeps a copy of them, so a
+        # later change to the caller's array cannot bypass that check
+        h = device_spec().hamiltonian.copy()
+        spec = EvolutionSpec(h, device_spec().baths)
+        expected = liouvillian(spec).matrix
+        h[1, 2] += 1e-3j
+        assert np.array_equal(liouvillian(spec).matrix, expected)
+
     @pytest.mark.parametrize("d", [2, 3, 16])
     def test_commutator_equals_kron_form(self, rng, d):
         eye = np.eye(d)

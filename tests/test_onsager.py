@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from conftest import (
+    count_generator_builds,
     ginibre_state,
     hs_inner,
     log_on_support,
@@ -228,17 +229,8 @@ class TestOnsagerSuperop:
 
 class TestLinearResponse:
     def test_one_generator_build_per_bath(self, monkeypatch):
-        from decotherm import onsager
-
         assembly, _ = device_steady()
-        built = []
-        real = onsager._generator_matrices
-
-        def counting(gens, d):
-            built.append(list(gens))
-            return real(gens, d)
-
-        monkeypatch.setattr(onsager, "_generator_matrices", counting)
+        built = count_generator_builds(monkeypatch)
         lr = linear_response(assembly.baths, c=0.7)
         assert len(built) == 1  # one batched build
         assert sorted(map(id, built[0])) == sorted(id(b.generator) for b in assembly.baths)

@@ -1,7 +1,9 @@
 """Energy/heat bookkeeping, entropies, fluxes, entropy production."""
 
+import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from conftest import (
     random_complex,
 )
 
+import decotherm
 from decotherm import thermo
 from decotherm.baths import (
     Bath,
@@ -27,7 +30,7 @@ from decotherm.baths import (
     stationary_structure,
     thermal_two_level_bath,
 )
-from decotherm.dynamics import EvolutionSpec, propagate
+from decotherm.dynamics import EvolutionSpec, default_timestep, liouvillian, propagate
 from decotherm.operators import assert_density_matrix
 from decotherm.errors import (
     DimensionMismatch,
@@ -37,10 +40,20 @@ from decotherm.errors import (
     NotHermitian,
     SupportViolation,
 )
-from decotherm.onsager import flow, force, force_flow_pairs
+from decotherm.onsager import (
+    flow,
+    force,
+    force_flow_pairs,
+    force_parameters,
+    ness_entropy_production,
+    reciprocal_coefficients,
+)
 from decotherm.scenarios import (
+    DEFAULT_DEVICE,
+    DeviceParams,
     TwoLevelDecoherenceParams,
     bloch_state,
+    build_device,
     two_level_dephasing_assembly,
     two_level_hamiltonian,
 )
@@ -489,7 +502,7 @@ class TestEntropyBalanceResiduals:
         balance, first_law = entropy_balance_residuals(samples), first_law_residuals(samples)
         assert np.array_equal(np.isnan(balance), np.isnan(first_law))
         if spec.is_schedule:
-            assert np.isnan(first_law[1:-1]).sum() >= 2 * (len(spec.segments()) - 1)
+            assert np.isnan(first_law[1:-1]).sum() >= 2 * (len(spec.segments) - 1)
 
     def test_fewer_than_three_points_are_nan(self):
         traj, spec = _two_level_config_run()
@@ -507,7 +520,7 @@ class TestSamplerColumns:
     def test_columns_match_scalar_functions(self, run):
         traj, spec = run()
         samples = sample_thermodynamics(traj, spec)
-        segs = spec.segments()
+        segs = spec.segments
         starts = [t for t, _ in segs]
         ref = {"energy": [], "entropy": [], "entropy_production": []}
         for b in spec.baths:
@@ -678,9 +691,17 @@ def _poisoned(value):
     return rho
 
 
+def _device_block(x):
+    """x in the |L>, |R> block of a 3x3 device operator, zero elsewhere."""
+    out = np.zeros((3, 3), dtype=complex)
+    out[1:, 1:] = x
+    return out
+
+
 _BATH = dephasing_bath(Z_BASIS, 0.7)
 _H = two_level_hamiltonian(1.0)
 _TRAJ = EvolutionSpec(two_level_hamiltonian(1.0), (_BATH,), t_max=0.1, dt=0.01)
+_DEVICE = build_device(DeviceParams(**DEFAULT_DEVICE))
 #: each call with the non-finite matrix x in the place of a state or a Hamiltonian
 NON_FINITE_CALLS = {
     "assert_density_matrix": lambda x: assert_density_matrix(x),
@@ -697,6 +718,14 @@ NON_FINITE_CALLS = {
     "energy_hamiltonian": lambda x: energy(x, np.eye(2, dtype=complex) / 2),
     "work_rate_state": lambda x: work_rate(_H, x),
     "work_rate_hamiltonian": lambda x: work_rate(x, np.eye(2, dtype=complex) / 2),
+    "flow": lambda x: flow(_DEVICE.left, _device_block(x)),
+    "force": lambda x: force(_DEVICE.left, _device_block(x)),
+    "ness_entropy_production": lambda x: ness_entropy_production(_DEVICE.baths, _device_block(x)),
+    "force_parameters": lambda x: force_parameters(_device_block(x)),
+    "reciprocal_coefficients": lambda x: reciprocal_coefficients(
+        _device_block(x), _DEVICE.left, _DEVICE.dephasing),
+    "liouvillian": lambda x: liouvillian(EvolutionSpec(_device_block(x), _DEVICE.baths)),
+    "default_timestep": lambda x: default_timestep(_device_block(x), _DEVICE.baths),
 }
 
 
@@ -708,3 +737,36 @@ def test_non_finite_input_is_refused(call, value):
     # catches it: the one shared check refuses it before any numerics
     with pytest.raises(InvalidParams, match="non-finite entry"):
         NON_FINITE_CALLS[call](_poisoned(value))
+
+
+def test_every_state_or_hamiltonian_entry_point_is_in_the_table():
+    # an entry "<function>", "<function>_state" or "<function>_hamiltonian"
+    # covers the public function
+    covered = {re.sub("_(state|hamiltonian)$", "", call) for call in NON_FINITE_CALLS}
+    gated = {"rho", "rho0", "nu", "h", "h_dot", "hamiltonian"}
+    missing = [
+        name for name, obj in vars(decotherm).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and gated & set(inspect.signature(obj).parameters) and name not in covered
+    ]
+    assert not missing
+
+
+#: each call with the error class its argument gate raises (a NaN argument
+#: is a NON_FINITE_CALLS entry)
+REFUSED_CALLS = {
+    "reciprocal_coefficients_triangular": (NotHermitian, lambda: reciprocal_coefficients(
+        np.triu(np.ones((3, 3))), _DEVICE.left, _DEVICE.dephasing)),
+    "reciprocal_coefficients_two_level": (DimensionMismatch, lambda: reciprocal_coefficients(
+        _H, _BATH, _BATH)),
+    "von_neumann_entropy_non_square": (DimensionMismatch, lambda: von_neumann_entropy(np.eye(3)[:2])),
+    "empty_schedule_dim": (InvalidParams, lambda: EvolutionSpec([], _DEVICE.baths, t_max=1.0).dim),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", REFUSED_CALLS)
+def test_argument_refused_at_its_gate(call):
+    error, thunk = REFUSED_CALLS[call]
+    with pytest.raises(error):
+        thunk()
