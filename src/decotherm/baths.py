@@ -18,11 +18,11 @@ the uncached baths of a call in one stacked pass: the projector, the
 eigensolve of P(I), both probe passes, the blocks, the residual check,
 log omega_k and J_k are each one numpy call for all of them (the products
 over the kernel and block indices, one per kernel dimension present),
-since at d = 3 a call costs more to dispatch than to compute. Large baths
-go one pass each (`_PASS_ENTRIES`), where the stacked work arrays would
-cost more than the calls they save. `stationary_structure` is its
-one-bath call, and a bath's structure is the same, bit for bit, alone or
-in a stack.
+since at d = 3 a call costs more to dispatch than to compute. A pass
+holds `_PASS_ENTRIES`, the one stack budget, which device report passes
+and the sampler's state blocks share, so large baths go one pass each.
+`stationary_structure` is its one-bath call, and a bath's structure is
+the same, bit for bit, alone or in a stack.
 
 Each generator has one implementation, its closed-form d²×d² matrix,
 built for a list of generators in one batched product per jump count
@@ -40,7 +40,6 @@ so a dephasing bath at rate gamma kills off-diagonals at rate 2*gamma.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -50,6 +49,7 @@ from .errors import DimensionMismatch, InvalidParams, NoConvergence
 from .operators import (
     SuperOperator,
     _apply_each,
+    _groups,
     _herm_operators,
     _real_form,
     dagger,
@@ -63,11 +63,13 @@ ORTHONORMAL_TOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 
-#: d²×d² matrix entries per stationary-structure pass (2**14 complex
-#: entries are 256 KiB per stacked array). Below it a pass is bound by call
-#: overhead and stacking pays: three baths took 0.52× their one-by-one time
-#: at d = 3 and 0.93× at d = 8. Above it the stacked work arrays fall out
-#: of cache (1.09× at d = 10, 1.20× at d = 16), so those go one per pass.
+#: Entries per stacked array (2**14 complex entries are 256 KiB), the one
+#: stack budget: of the d²×d² matrices of a structure pass or a device
+#: report pass (`scenarios._REPORTS_PER_PASS`), and of the sampler's state
+#: blocks, small next to the trajectory they read. Below it a pass is
+#: bound by call overhead and stacking pays: three baths took 0.52× their
+#: one-by-one time at d = 3 and 0.93× at d = 8. Above it the stacked work
+#: arrays fall out of cache (1.09× at d = 10, 1.20× at d = 16).
 _PASS_ENTRIES = 2**14
 
 
@@ -129,11 +131,8 @@ def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray
     matrix is the same, bit for bit, built alone or in a stack.
     """
     out = np.empty((len(gens), d, d, d, d), dtype=complex)
-    by_count: dict[int, list[int]] = {}
-    for i, g in enumerate(gens):
-        by_count.setdefault(len(g.rate_stack), []).append(i)
     diag = np.arange(d)
-    for at in by_count.values():
+    for at in _groups([len(g.rate_stack) for g in gens]).values():
         if len(at) == 1:
             rates, jumps = gens[at[0]].rate_stack[None], gens[at[0]].jump_stack[None]
         else:
@@ -226,14 +225,14 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     Both SVDs run in real arithmetic, on the real form of L in the
     Hermitian coordinates (`operators._real_form`): the basis change is
     unitary, so it has the singular values of L, and ker L has a Hermitian
-    basis. Each row of that matrix is
-    divided by its largest entry, then each column of the result by its
-    largest, D L C = U S Vᵀ; singular values at or below s[0]·n·eps count as
-    zero (numpy's matrix_rank rule). A row at or below ||L||_2·n·eps, or a
-    column at or below n·eps, keeps a scale that leaves it that small, so
-    what is zero stays zero. Returns the right and left null vectors, C V
-    and D U over the null columns, as Hermitian operators grouped by kernel
-    dimension, and ||L||_2 from the singular values of L itself.
+    basis. Each row of that matrix is divided by its largest entry, then
+    each column of the result by its largest, D L C = U S Vᵀ; singular
+    values at or below s[0]·n·eps count as zero (numpy's matrix_rank rule).
+    A row at or below ||L||_2·n·eps, or a column at or below n·eps, keeps a
+    scale that leaves it that small, so what is zero stays zero. Returns the
+    right and left null vectors, C V and D U over the null columns, as
+    Hermitian operators grouped by kernel dimension (`operators._groups`),
+    and ||L||_2 from the singular values of L itself.
 
     Unscaled, a null vector's entries are resolved only to eps·||L|| over
     the gap to the next singular value: a pump bath at n = 1e-14 has
@@ -254,21 +253,13 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     ks = np.count_nonzero(s <= s[:, :1] * n * eps, axis=1)
     vh /= cols[:, None, :]
     u /= rows[:, :, None]
-    order = np.argsort(ks, kind="stable")
-    picks, lo = [], 0  # (k, at) of each kernel dimension present
-    for k, count in enumerate(np.bincount(ks).tolist()):
-        if count:
-            picks.append((k, order[lo:lo + count]))
-            lo += count
-    # only the null vectors become operators: all d² of them are 1 MB at d = 16
-    right = _herm_operators(np.concatenate([vh[_rows(at), n - k:].reshape(-1, n) for k, at in picks]))
-    left = _herm_operators(np.concatenate(
-        [u[_rows(at), :, n - k:].swapaxes(-1, -2).reshape(-1, n) for k, at in picks]))
-    groups, lo, d = {}, 0, math.isqrt(n)
-    for k, at in picks:
-        hi = lo + len(at) * k
-        groups[k] = (at, right[lo:hi].reshape(len(at), k, d, d), left[lo:hi].reshape(len(at), k, d, d))
-        lo = hi
+    groups = {}
+    for k, at in _groups(ks.tolist()).items():
+        at = np.array(at)
+        pick = _rows(at)
+        # only the null vectors become operators: all d² of them are 1 MB at d = 16
+        groups[k] = (at, _herm_operators(vh[pick, n - k:]),
+                     _herm_operators(u[pick, :, n - k:].swapaxes(-1, -2)))
     return _Kernels(ks, scale, groups)
 
 
@@ -483,8 +474,6 @@ def thermal_two_level_bath(
     kernel is one-dimensional and spanned by diag(1+n, n) ∝ diag(1, e^{-beta E}),
     so the kernel projector maps every state to that Gibbs state.
     """
-    if not beta > 0:
-        raise InvalidParams(f"beta must be > 0, got {beta}")
     if not rate_scale > 0:
         raise InvalidParams(f"rate_scale must be > 0, got {rate_scale}")
     n = thermal_occupation(beta, e_excited)
@@ -501,6 +490,14 @@ def _three_level_unit(i: int, j: int) -> np.ndarray:
     return m
 
 
+def _pump_bath(level: int, up: float, down: float, name: str) -> Bath:
+    """A pump of the three-level device, basis (|0>, |L>, |R>): the jump
+    |level><0| at rate up, then |0><level| at rate down."""
+    return Bath(name, LindbladGenerator(
+        3, (JumpTerm(up, _three_level_unit(level, 0)), JumpTerm(down, _three_level_unit(0, level)))
+    ))
+
+
 def left_pump_bath(n_l: float, name: str = "left") -> Bath:
     """Left relaxation bath of the three-level device, basis (|0>, |L>, |R>).
 
@@ -510,24 +507,12 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
     """
     if not n_l > 0:
         raise InvalidParams(f"n_l must be > 0, got {n_l}")
-    return Bath(name, LindbladGenerator(
-        3,
-        (
-            JumpTerm(1.0 + n_l, _three_level_unit(1, 0)),  # |L><0|
-            JumpTerm(n_l, _three_level_unit(0, 1)),        # |0><L|
-        ),
-    ))
+    return _pump_bath(1, 1.0 + n_l, n_l, name)
 
 
 def right_pump_bath(n_r: float, name: str = "right") -> Bath:
     """Right relaxation bath of the three-level device, basis (|0>, |L>, |R>)."""
     if not n_r > 0:
         raise InvalidParams(f"n_r must be > 0, got {n_r}")
-    return Bath(name, LindbladGenerator(
-        3,
-        (
-            JumpTerm(n_r, _three_level_unit(2, 0)),        # |R><0|
-            JumpTerm(1.0 + n_r, _three_level_unit(0, 2)),  # |0><R|
-        ),
-    ))
+    return _pump_bath(2, n_r, 1.0 + n_r, name)
 

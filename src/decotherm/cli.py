@@ -208,25 +208,18 @@ def trajectory_table(
     coordinates for two-level systems."""
     if len(samples) != len(traj):
         raise ValueError("trajectory and samples lengths differ")
-    d = traj.states.shape[1]
-    columns = ["t", "energy", "work_rate"]
-    columns += [f"heat_{n}" for n in bath_names]
-    columns += ["entropy"]
-    columns += [f"flux_{n}" for n in bath_names]
-    columns += ["entropy_production"]
-    columns += [f"rel_entropy_{n}" for n in bath_names]
-    values = [samples.t, samples.energy, samples.work_rate]
-    values += [samples.heat_rates[n] for n in bath_names]
-    values += [samples.entropy]
-    values += [samples.entropy_flux[n] for n in bath_names]
-    values += [samples.entropy_production]
-    values += [samples.relative_entropies[n] for n in bath_names]
-    if d == 2:
-        columns += ["bloch_x", "bloch_y", "bloch_z"]
-        values += [
-            np.trace(traj.states @ s, axis1=1, axis2=2).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        ]
-    return columns, np.column_stack(values).tolist()
+    columns = {
+        "t": samples.t, "energy": samples.energy, "work_rate": samples.work_rate,
+        **{f"heat_{n}": samples.heat_rates[n] for n in bath_names},
+        "entropy": samples.entropy,
+        **{f"flux_{n}": samples.entropy_flux[n] for n in bath_names},
+        "entropy_production": samples.entropy_production,
+        **{f"rel_entropy_{n}": samples.relative_entropies[n] for n in bath_names},
+    }
+    if traj.states.shape[1] == 2:
+        for axis, s in zip("xyz", (SIGMA_X, SIGMA_Y, SIGMA_Z)):
+            columns[f"bloch_{axis}"] = np.trace(traj.states @ s, axis1=1, axis2=2).real
+    return list(columns), np.column_stack(list(columns.values())).tolist()
 
 
 def emit_trajectory(

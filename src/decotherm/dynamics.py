@@ -61,6 +61,7 @@ from .operators import (
     hermitize,
     require_finite,
     require_hamiltonian,
+    require_operator,
 )
 
 #: Step-size safety factor; dt = DT_SAFETY / stiffness. Chosen so that the
@@ -137,13 +138,14 @@ class Trajectory:
 
 def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[Bath]) -> float:
     """DT_SAFETY / max(segments' ||H||_2, dissipator stiffness bound 4*sum r_k ||A_k||²)."""
-    segs = EvolutionSpec(hamiltonian, baths).segments
+    return _default_timestep(EvolutionSpec(hamiltonian, baths).segments, baths)
+
+
+def _default_timestep(segs: Sequence[tuple[float, np.ndarray]], baths: Sequence[Bath]) -> float:
+    """default_timestep of a spec's checked segments."""
     h_norm = max(float(np.linalg.norm(h, 2)) for _, h in segs)
-    stiff = 0.0
-    for b in baths:
-        for k in range(b.generator.rate_stack.shape[0]):
-            a_norm = float(np.linalg.norm(b.generator.jump_stack[k], 2))
-            stiff += 4.0 * b.generator.rate_stack[k] * a_norm**2
+    stiff = sum((4.0 * r * float(np.linalg.norm(a, 2))**2 for b in baths
+                 for r, a in zip(b.generator.rate_stack, b.generator.jump_stack)), 0.0)
     scale = max(h_norm, stiff)
     if scale <= 0.0:
         return 1.0  # free evolution of nothing; any step is exact
@@ -160,11 +162,16 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
 
 
 def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
-    """Each bath's generator matrix, built once, as one stack (m, d², d²);
-    DimensionMismatch unless every bath has dimension d (the one such check)."""
+    """Each bath's generator matrix, built once, as one stack (m, d², d²),
+    after the one bath-list check: DimensionMismatch unless every bath has
+    dimension d, InvalidParams for a name given twice (results key by name)."""
+    names = set()
     for b in baths:
         if b.dim != d:
             raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match dim {d}")
+        if b.name in names:
+            raise InvalidParams(f"bath name {b.name!r} is given twice; each bath needs its own name")
+        names.add(b.name)
     return _generator_matrices([b.generator for b in baths], d)
 
 
@@ -291,13 +298,12 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     StateInvariantViolated if the trace drifts by more than TRACE_DRIFT_TOL.
     """
     d = spec.dim
-    if rho0.shape != (d, d):
-        raise DimensionMismatch(f"initial state shape {rho0.shape} does not match dim {d}")
+    require_operator(rho0, "initial state", d)
     assert_density_matrix(rho0, what="initial state")
     if spec.t_max is None or not 0 < spec.t_max < np.inf:
         raise InvalidParams(f"propagate needs a finite t_max > 0, got {spec.t_max}")
     segs = spec.segments
-    dt = spec.dt if spec.dt is not None else default_timestep(spec.hamiltonian, spec.baths)
+    dt = spec.dt if spec.dt is not None else _default_timestep(segs, spec.baths)
     if not 0 < dt < np.inf:
         raise InvalidParams(f"dt must be finite and > 0, got {dt}")
     if dt >= spec.t_max:

@@ -16,8 +16,8 @@ the propagation do their d²×d² LAPACK work on those real matrices; every
 public map stays a complex SuperOperator over vec().
 
 An operator argument is checked once, where it enters, by one of two
-gates: `require_operator` (square, of the given dimension, finite) or
-`require_hamiltonian` (that, and Hermitian within HERM_TOL).
+gates: `require_operator` (a numpy array, square, of the given dimension,
+finite) or `require_hamiltonian` (that, and Hermitian within HERM_TOL).
 """
 
 from __future__ import annotations
@@ -62,17 +62,25 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
+def _require_array(a: np.ndarray, what: str) -> None:
+    """InvalidParams unless a is a numpy array: a nested list has no shape."""
+    if not isinstance(a, np.ndarray):
+        raise InvalidParams(f"{what} must be a numpy array, got {type(a).__name__}")
+
+
 def require_finite(a: np.ndarray, what: str = "operator") -> None:
-    """InvalidParams if a has a NaN or infinite entry: every comparison with
-    NaN is false, so no later tolerance check would catch it."""
+    """InvalidParams unless a is a numpy array with finite entries: every
+    comparison with NaN is false, so no later tolerance check would catch it."""
+    _require_array(a, what)
     if not np.isfinite(a).all():
         raise InvalidParams(f"{what} has a non-finite entry")
 
 
 def require_operator(a: np.ndarray, what: str, d: int | None = None) -> int:
-    """The gate of one operator argument: DimensionMismatch unless a is
-    square (and d×d, if d is given), then InvalidParams for a non-finite
-    entry. Returns its dimension."""
+    """The gate of one operator argument: InvalidParams unless a is a numpy
+    array, DimensionMismatch unless it is square (and d×d, if d is given),
+    then InvalidParams for a non-finite entry. Returns its dimension."""
+    _require_array(a, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
     if d is not None and a.shape[0] != d:
@@ -173,6 +181,15 @@ def _apply_each(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
     flat = a.swapaxes(-1, -2).reshape(lead[0], math.prod(lead[1:]), d * d)
     images = flat @ mats.swapaxes(-1, -2)
     return images.reshape(len(mats), *lead[1:], d, d).swapaxes(-1, -2)
+
+
+def _groups(counts: list[int]) -> dict[int, list[int]]:
+    """The one grouping of a stack by a per-item count: the ascending
+    indices of each count present, by ascending count."""
+    groups: dict[int, list[int]] = {}
+    for i, count in enumerate(counts):
+        groups.setdefault(count, []).append(i)
+    return dict(sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------

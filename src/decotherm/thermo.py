@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baths import (
+    _PASS_ENTRIES,
     Bath,
     _rows,
     _stationary_structures,
@@ -52,6 +53,7 @@ from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
     _apply_each,
+    _groups,
     require_hamiltonian,
     require_operator,
 )
@@ -62,11 +64,6 @@ SUPPORT_TOL = 1e-10
 
 #: Max imaginary part the entropy-production pairing may pick up.
 IMAG_TOL = 1e-10
-
-#: Matrix entries per stacked block of the sampler: 2**14 complex entries
-#: are 256 KiB per stacked array, which keeps the sampler's working set
-#: small next to the trajectory it reads (64 points at d = 16).
-_BLOCK_ENTRIES = 2**14
 
 
 def energy(h: np.ndarray, rho: np.ndarray) -> float:
@@ -101,15 +98,13 @@ def _stationary_log(baths, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
     log B(rho) = sum of (log c_k Pi_k + log omega_k) over the c_k above
     DEFAULT_EIG_CUT * max c, with no eigensolve per state: one stacked call
-    per block count for all the baths that have it. Otherwise the image is
-    eigensolved per state.
+    per block count (`operators._groups`) for the baths that have it.
+    Otherwise the image is eigensolved per state.
     """
     structs = [stationary_structure(b) for b in baths]
     d2 = rho.shape[-1] ** 2
     shape = (len(baths), *rho.shape[1:])
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(structs):
-        groups.setdefault(0 if s.blocks is None else len(s.blocks), []).append(i)
+    groups = _groups([0 if s.blocks is None else len(s.blocks) for s in structs])
     if len(groups) != 1:
         log_b, leak = np.empty(shape, dtype=complex), np.empty(shape[:-2])
     for m, at in groups.items():
@@ -300,7 +295,7 @@ def _entropy_and_log(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSamples:
     """The thermodynamic observables at every trajectory point.
 
-    The states are processed in blocks of _BLOCK_ENTRIES // d² points:
+    The states are processed in blocks of baths._PASS_ENTRIES // d² points:
     one stacked eigensolve of the states, one _bath_terms call for all the
     baths, and traces as einsums. The baths' generator matrices are built
     once per call, and their stationary structures are solved in one pass
@@ -336,7 +331,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     rel = {name: np.empty(n) for name in names}
     gens = _generators(spec.baths, d)
     _stationary_structures(spec.baths, gens)
-    block = max(1, _BLOCK_ENTRIES // (d * d))
+    block = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
         rho, h = states[sl], hams[seg[sl]]

@@ -112,6 +112,8 @@ class TestApplyGenerator:
             apply_generator(bath.generator, np.eye(3, dtype=complex))
         with pytest.raises(DimensionMismatch):
             apply_generator(bath.generator, np.zeros((2, 2, 2, 2), dtype=complex))
+        with pytest.raises(DimensionMismatch, match="does not match dim 3"):
+            LindbladGenerator(3, (JumpTerm(1.0, np.eye(2, dtype=complex)),))
 
 
 class TestGeneratorSuperop:
@@ -144,6 +146,10 @@ class TestDephasingBath:
     def test_not_orthonormal(self):
         with pytest.raises(InvalidParams):
             dephasing_bath([np.array([1.0, 0.0]), np.array([1.0, 1.0]) / 2.0], gamma=1.0)
+
+    def test_too_few_basis_vectors(self):
+        with pytest.raises(InvalidParams, match="need 3 basis vectors"):
+            dephasing_bath([np.array([1.0, 0.0, 0.0])], gamma=1.0)
 
     def test_pinching_map(self):
         bath = dephasing_bath(Z_BASIS, gamma=1.0)
@@ -215,8 +221,10 @@ class TestThermalBath:
         assert np.allclose(g, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_non_positive_beta(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^beta must be > 0, got 0.0$"):
             thermal_two_level_bath(e_excited=1.0, beta=0.0, rate_scale=1.0)
+        with pytest.raises(InvalidParams, match="^rate_scale must be > 0"):
+            thermal_two_level_bath(e_excited=1.0, beta=0.0, rate_scale=0.0)
 
     def test_detailed_balance_by_hand(self):
         e, beta, scale = 1.3, 0.7, 2.0

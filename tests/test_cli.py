@@ -104,6 +104,35 @@ class TestConfigValidation:
                 assert f"'{key}'" in err and "finite" in err, (key, bad, err)
                 assert not (tmp_path / "out.csv").exists(), (key, bad)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"params": [1.0]}, "'params' must be an object"),
+        ({"output": "out.csv"}, "'output' must be an object"),
+        ({"integrator": 1.0}, "'integrator' must be an object"),
+        ({"params": {"gamma": "1", "e_level": 1.0, "x": 0.5}}, "key 'gamma' in params"),
+        ({"scenario": "device-steady", "onsager_c": 0.0,
+          "params": {"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 0.3}},
+         "onsager_c must be > 0"),
+        ({"scenario": "device-trajectory", "integrator": {"t_max": 1.0},
+          "params": {"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 0.3,
+                     "initial_state": "excited"}},
+         "initial_state must be"),
+        ({"scenario": "gamma-sweep",
+          "params": {"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gammas": []}},
+         "'gammas' must be a non-empty list"),
+    ])
+    def test_malformed_block_or_value(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(errors.ConfigError, match=message):
+            cli.load_config(str(path))
+        assert cli.run(str(path)) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert cli.run(str(path)) == 2
+        assert "top level must be an object" in capsys.readouterr().err
+
     def test_integrator_block_only_where_it_is_read(self, tmp_path, capsys):
         # a block that nothing reads is refused, as is a missing one, by
         # load_config: before any numerics
@@ -222,6 +251,39 @@ class TestDeterminismAndRoundTrip:
         header = lines[0].split(",")
         assert header[:2] == ["gamma", "status"]
         assert "m_ld" in header and "coherence_re" in header
+
+
+class TestDeviceRuns:
+    def test_trajectory_from_the_ground_state(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, scenario="device-trajectory", integrator={"t_max": 0.05},
+            params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 0.3,
+                    "initial_state": "ground"},
+        )
+        assert cli.run(str(path)) == 0
+        assert capsys.readouterr().out.startswith("device-trajectory: ")
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        # |0><0| is pure and has E_0 = 0
+        assert first["t"] == 0.0 and first["energy"] == 0.0 and first["entropy"] == 0.0
+
+    def test_gamma_sweep_degenerate_point_is_a_status_0_row(self, tmp_path, monkeypatch, capsys):
+        from test_scenarios import replace_baths_at, silent_pumps
+
+        import decotherm.scenarios as sc
+
+        monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, silent_pumps))
+        path = write_config(
+            tmp_path, scenario="gamma-sweep",
+            params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2,
+                    "gammas": [0.0, 0.5, 1.0]},
+        )
+        assert cli.run(str(path)) == 0
+        assert "gamma-sweep: 2/3 points solved" in capsys.readouterr().out
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["0", "1"], ["0.5", "0"], ["1", "1"]]
+        assert all(math.isnan(float(v)) for v in rows[1][2:])
+        assert not any(math.isnan(float(v)) for row in (rows[0], rows[2]) for v in row)
 
 
 class TestEmitterDirect:
@@ -364,6 +426,22 @@ def test_only_operators_raises_a_non_finite_entry():
                     if isinstance(leaf, ast.Constant) and "non-finite entry" in str(leaf.value):
                         raising.add(f"{name}:{node.lineno}")
     assert {site.split(":")[0] for site in raising} == {"operators.py"}, sorted(raising)
+
+
+def test_stack_budget_is_assigned_in_one_module():
+    # the structure passes, the device report passes and the sampler's
+    # state blocks share one 2**14-entry budget, baths._PASS_ENTRIES
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    assigning = set()
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if any(ast.unparse(leaf).replace(" ", "") in ("2**14", str(2**14))
+                       for leaf in ast.walk(node.value)):
+                    assigning.add(f"{name}:{node.lineno}")
+    assert [site.split(":")[0] for site in assigning] == ["baths.py"], sorted(assigning)
 
 
 PUBLIC_NAMES = [

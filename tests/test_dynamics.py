@@ -37,7 +37,14 @@ from decotherm.dynamics import (
     propagate,
     steady_state,
 )
-from decotherm.errors import DegenerateKernel, InvalidParams, NotHermitian
+from decotherm.errors import (
+    DegenerateKernel,
+    InvalidParams,
+    NoConvergence,
+    NonPositiveSolution,
+    NotHermitian,
+    StateInvariantViolated,
+)
 from decotherm.operators import SuperOperator, assert_density_matrix
 from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
 
@@ -219,6 +226,35 @@ class TestPropagate:
         dt = default_timestep(spec.hamiltonian, spec.baths)
         # stiffness bound: 4 * sum of rates (all unit-norm jumps) = 16.8
         assert dt == pytest.approx(0.0025 / 16.8, rel=1e-12)
+        # nothing to scale: any step is exact
+        assert default_timestep(np.zeros((2, 2), dtype=complex), ()) == 1.0
+
+    def test_default_dt_is_default_timestep(self):
+        spec = device_spec()
+        traj = propagate(np.eye(3, dtype=complex) / 3,
+                         EvolutionSpec(spec.hamiltonian, spec.baths, t_max=0.01))
+        assert traj.dt == default_timestep(spec.hamiltonian, spec.baths)
+
+    @pytest.mark.parametrize("rho0, message", [
+        (np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex), "Hermiticity defect"),
+        (np.eye(2, dtype=complex), "trace"),
+        (np.diag([1.5, -0.5]).astype(complex), "eigenvalue"),
+    ])
+    def test_initial_state_must_be_a_state(self, rho0, message):
+        with pytest.raises(StateInvariantViolated, match=f"^initial state: {message}"):
+            propagate(rho0, EvolutionSpec(SZ.copy(), (), t_max=1.0, dt=0.1))
+
+    def test_schedule_must_start_at_zero(self):
+        spec = EvolutionSpec([(0.5, SZ.copy())], (), t_max=1.0, dt=0.1)
+        with pytest.raises(InvalidParams, match="start at t = 0"):
+            propagate(bloch_state(0.5), spec)
+
+    def test_switch_after_t_max_changes_nothing(self):
+        rho0 = bloch_state(0.6, 0.0, 0.3)
+        static = propagate(rho0, EvolutionSpec(SZ.copy(), (), t_max=1.0, dt=0.01))
+        late = propagate(rho0, EvolutionSpec([(0.0, SZ.copy()), (2.0, SX.copy())], (),
+                                             t_max=1.0, dt=0.01))
+        assert np.array_equal(late.states, static.states)
 
     def test_schedule_segments(self):
         # rotate about z, then about x; each segment matches its own unitary,
@@ -476,6 +512,22 @@ class TestSteadyState:
         lmat[4, 5] = bad
         with pytest.raises(InvalidParams):
             steady_state(SuperOperator(3, lmat))
+
+    @pytest.mark.parametrize("kernel, message", [
+        (np.diag([1.0, -1.0]), "traceless"), (np.diag([2.0, -1.0]), "eigenvalue"),
+    ])
+    def test_kernel_that_is_no_state(self, kernel, message):
+        # I - v v†/|v|² with v = vec(K) preserves Hermiticity for a Hermitian
+        # K and has the kernel K alone
+        v = kernel.astype(complex).reshape(-1, order="F")
+        lmat = np.eye(4) - np.outer(v, v.conj()) / np.vdot(v, v).real
+        with pytest.raises(NonPositiveSolution, match=message):
+            steady_state(SuperOperator(2, lmat))
+
+    def test_residual_over_tolerance(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "STEADY_RESID_TOL", 0.0)
+        with pytest.raises(NoConvergence, match="steady-state residual"):
+            steady_state(liouvillian(device_spec()))
 
     def test_agrees_with_long_propagation(self, rng):
         spec0 = device_spec()

@@ -267,6 +267,13 @@ class TestLinearResponse:
         with pytest.raises(DimensionMismatch):
             linear_response([left_pump_bath(0.6), dephasing_bath(Z_BASIS, 1.0)])
 
+    def test_repeated_bath_name(self):
+        # the pairs are keyed by name: two baths named "bath" gave one pair, not four
+        twice = [dephasing_bath(Z_BASIS, 1.0, name="bath"),
+                 thermal_two_level_bath(1.0, 1.0, 1.0, name="bath")]
+        with pytest.raises(InvalidParams, match="'bath' is given twice"):
+            linear_response(twice)
+
 
 class TestLinearFlowPrediction:
     def test_zero_forces_zero_flows(self):

@@ -20,6 +20,7 @@ from conftest import (
 import decotherm
 from decotherm import thermo
 from decotherm.baths import (
+    _PASS_ENTRIES,
     Bath,
     JumpTerm,
     LindbladGenerator,
@@ -317,6 +318,21 @@ class TestSampleThermodynamics:
         assert np.isnan(resid[0]) and np.isnan(resid[-1])
         assert np.nanmax(resid) < 1e-6
 
+    def test_repeated_bath_name_is_refused(self):
+        # the per-bath columns are keyed by name: with two baths named "bath"
+        # one heat column was kept, and the first law read 0.4 off
+        dephasing = dephasing_bath(Z_BASIS, 1.0, name="bath")
+        h = two_level_hamiltonian(1.0)
+        twice = EvolutionSpec(h, (dephasing, thermal_two_level_bath(1.0, 1.0, 1.0, name="bath")),
+                              t_max=1.0)
+        with pytest.raises(InvalidParams, match="'bath' is given twice"):
+            propagate(bloch_state(0.4, 0.0, -0.3), twice)
+        named = EvolutionSpec(h, (dephasing, thermal_two_level_bath(1.0, 1.0, 1.0)), t_max=1.0)
+        traj = propagate(bloch_state(0.4, 0.0, -0.3), named)
+        with pytest.raises(InvalidParams, match="'bath' is given twice"):
+            sample_thermodynamics(traj, twice)
+        assert np.nanmax(first_law_residuals(sample_thermodynamics(traj, named))) < 1e-6
+
     def test_entropy_production_nonnegative_along_device_run(self, rng):
         from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
 
@@ -344,7 +360,7 @@ class TestSampleThermodynamics:
         assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
         spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
         traj = propagate(np.eye(3, dtype=complex) / 3, spec)
-        assert len(traj) > 2 * (thermo._BLOCK_ENTRIES // 9)  # three blocks
+        assert len(traj) > 2 * (_PASS_ENTRIES // 9)  # three blocks
         for bath in assembly.baths:
             stationary_structure(bath)  # cached on the bath, built outside the count
         builds = count_generator_builds(monkeypatch)
@@ -371,7 +387,7 @@ class TestSampleThermodynamics:
         assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
         spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
         traj = propagate(np.eye(3, dtype=complex) / 3, spec)
-        assert len(traj) > 2 * (thermo._BLOCK_ENTRIES // 9)  # three blocks
+        assert len(traj) > 2 * (_PASS_ENTRIES // 9)  # three blocks
         assert passes == [3, 3]
         sample_thermodynamics(traj, spec)
         assert passes == [3, 3, 3]
@@ -541,7 +557,7 @@ class TestSamplerColumns:
             got[f"flux_{b.name}"] = samples.entropy_flux[b.name]
             got[f"rel_{b.name}"] = samples.relative_entropies[b.name]
         if spec.dim == 16:
-            assert len(traj) > 3 * (thermo._BLOCK_ENTRIES // 16**2)
+            assert len(traj) > 3 * (_PASS_ENTRIES // 16**2)
         assert samples.support_ok.all()
         # relative to the scale of the observables along the run
         scale = max(np.max(np.abs(v)) for v in ref.values())
@@ -554,7 +570,7 @@ class TestSamplerColumns:
         h1 = two_level_hamiltonian(1.0)
         h2 = 2.0 * h0
         dt = 1e-3
-        block = thermo._BLOCK_ENTRIES // 4
+        block = _PASS_ENTRIES // 4
         # off the grid, rounding up to the first point of block 1; on the
         # grid at the first point of block 2
         schedule = [(0.0, h0), ((block - 0.4) * dt, h1), (2 * block * dt, h2)]
@@ -608,7 +624,7 @@ class TestSamplerColumns:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
         sample_thermodynamics(traj, spec)
         d = spec.dim
-        block = thermo._BLOCK_ENTRIES // (d * d)
+        block = _PASS_ENTRIES // (d * d)
         assert len(calls) == -(-len(traj) // block)
         assert all(shape[-2:] == (d, d) for shape in calls)
 
@@ -737,6 +753,15 @@ def test_non_finite_input_is_refused(call, value):
     # catches it: the one shared check refuses it before any numerics
     with pytest.raises(InvalidParams, match="non-finite entry"):
         NON_FINITE_CALLS[call](_poisoned(value))
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_nested_list_is_refused(call):
+    # a nested list has no shape: each gate refuses it by its type, or the
+    # NaN in it where the call's own wrapping made it an array, never with
+    # an AttributeError
+    with pytest.raises(InvalidParams, match="must be a numpy array, got list|non-finite entry"):
+        NON_FINITE_CALLS[call](_poisoned(math.nan).tolist())
 
 
 def test_every_state_or_hamiltonian_entry_point_is_in_the_table():
