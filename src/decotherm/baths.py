@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NoConvergence
+from .errors import InvalidParams, NoConvergence
 from .operators import (
     SuperOperator,
     _apply_each,
@@ -95,7 +95,7 @@ class LindbladGenerator:
     def __post_init__(self):
         for t in self.terms:
             if t.jump.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
+                raise InvalidParams(
                     f"jump operator shape {t.jump.shape} does not match dim {self.dim}"
                 )
         jumps = np.array([t.jump for t in self.terms], dtype=complex)

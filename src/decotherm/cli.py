@@ -12,11 +12,10 @@ Config layout (one scenario per file, unknown keys are a hard error):
 
 Scenarios: two-level-decoherence (instant heat rate; with an "integrator"
 block it emits the dephasing trajectory instead), device-steady and
-gamma-sweep (no "integrator" block), device-trajectory (needs one). Exit
-codes: 0 ok, 1 I/O error, 2 config error, 3 numerical failure (degenerate
-or non-positive steady state, no convergence, support violation, trace
-drift in propagation, log of a non-PSD matrix, an imaginary entropy
-production); the message names the failing stage.
+gamma-sweep (no "integrator" block), device-trajectory (needs one). The
+exit code follows the error's type (`decotherm.errors`): 0 ok, 1 I/O error,
+2 a ConfigError or any other refused input, 3 a NumericalFailure, whose
+message names the failing stage.
 """
 
 from __future__ import annotations
@@ -31,17 +30,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import EvolutionSpec, Trajectory, propagate
-from .errors import (
-    ConfigError,
-    DecothermError,
-    DegenerateKernel,
-    NegativeEigenvalue,
-    NoConvergence,
-    NonPositiveSolution,
-    NonRealPairing,
-    StateInvariantViolated,
-    SupportViolation,
-)
+from .errors import ConfigError, DecothermError, InvalidParams, NumericalFailure
 from .scenarios import (
     SIGMA_X,
     SIGMA_Y,
@@ -67,17 +56,6 @@ _PARAMS = {
 }
 SCENARIOS = tuple(_PARAMS)
 FORMATS = ("csv", "json")
-
-#: numerical failures (exit 3) and the stage that raises each
-_NUMERICAL_STAGES = {
-    DegenerateKernel: "steady_state",
-    NonPositiveSolution: "steady_state",
-    NoConvergence: "stationary_structure/stationary_map/steady_state",
-    SupportViolation: "force (support of the stationary image)",
-    StateInvariantViolated: "propagate",
-    NegativeEigenvalue: "spectral (log of a non-PSD matrix)",
-    NonRealPairing: "entropy_production (imaginary part of sum_b Tr[L_b(rho) X_b])",
-}
 
 
 #: 17 significant digits; lossless for 64-bit floats
@@ -118,6 +96,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:  # read() decodes the whole file: start is its offset
+            raise ConfigError(f"{path}: byte {exc.start} is not UTF-8") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _require_keys(
@@ -207,7 +187,7 @@ def trajectory_table(
     flux_<bath>..., entropy_production, rel_entropy_<bath>..., and Bloch
     coordinates for two-level systems."""
     if len(samples) != len(traj):
-        raise ValueError("trajectory and samples lengths differ")
+        raise InvalidParams("trajectory and samples lengths differ")
     columns = {
         "t": samples.t, "energy": samples.energy, "work_rate": samples.work_rate,
         **{f"heat_{n}": samples.heat_rates[n] for n in bath_names},
@@ -339,8 +319,8 @@ def run(config_path: str, output: str | None = None, output_format: str | None =
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except tuple(_NUMERICAL_STAGES) as exc:
-        print(f"numerical failure in {_NUMERICAL_STAGES[type(exc)]}: {exc}", file=sys.stderr)
+    except NumericalFailure as exc:
+        print(f"numerical failure in {exc.stage}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -27,7 +27,9 @@ steps and per-step products of `propagate` act on real coordinate
 vectors, and the kernel SVDs run on the real matrix. Hamiltonians must be
 Hermitian (within HERM_TOL) for that to be the same dynamics: a spec's
 `segments` pass each one through `operators.require_hamiltonian` once, and
-every caller reads them. `_generators` checks the baths' dimension.
+every caller reads them. `_generators` checks the baths' dimension. Each
+refusal is InvalidParams; a failure on accepted inputs is a
+NumericalFailure (trace drift is StateInvariantViolated).
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ import numpy as np
 from .baths import Bath, _generator_matrices, _kernel_basis
 from .errors import (
     DegenerateKernel,
-    DimensionMismatch,
     InvalidParams,
     NoConvergence,
     NonPositiveSolution,
-    NotHermitian,
     StateInvariantViolated,
 )
 from .operators import (
@@ -115,6 +115,9 @@ class EvolutionSpec:
                       key=lambda th: th[0])
         if not segs:
             raise InvalidParams("empty Hamiltonian schedule")
+        for t, _ in segs:  # sorted() leaves a NaN wherever it was listed
+            if not math.isfinite(t):
+                raise InvalidParams(f"Hamiltonian schedule start time must be finite, got {t}")
         if segs[0][0] != 0.0:
             raise InvalidParams("Hamiltonian schedule must start at t = 0")
         d = None
@@ -163,12 +166,12 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
 
 def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
     """Each bath's generator matrix, built once, as one stack (m, d², d²),
-    after the one bath-list check: DimensionMismatch unless every bath has
-    dimension d, InvalidParams for a name given twice (results key by name)."""
+    after the one bath-list check: InvalidParams unless every bath has
+    dimension d, or for a name given twice (results key by name)."""
     names = set()
     for b in baths:
         if b.dim != d:
-            raise DimensionMismatch(f"bath {b.name} dim {b.dim} does not match dim {d}")
+            raise InvalidParams(f"bath {b.name} dim {b.dim} does not match dim {d}")
         if b.name in names:
             raise InvalidParams(f"bath name {b.name!r} is given twice; each bath needs its own name")
         names.add(b.name)
@@ -361,7 +364,7 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     coordinates (baths._kernel_basis), so the kernel vector is an exactly
     Hermitian operator. That matrix is L only if L preserves Hermiticity,
     so L[(ij),(kl)] must equal conj(L[(ji),(lk)]) within HERM_TOL max|L|,
-    else NotHermitian. Raises DegenerateKernel when the kernel is not
+    else InvalidParams. Raises DegenerateKernel when the kernel is not
     one-dimensional (e.g. L = 0, or pure dephasing, whose stationary set is
     a manifold), NonPositiveSolution when the kernel vector cannot be
     normalized to a state, and NoConvergence when the residual ||L(nu)||
@@ -377,14 +380,14 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
 
 
 def _require_liouvillian(lmat: np.ndarray) -> None:
-    """InvalidParams for a non-finite Liouvillian matrix L, NotHermitian for
-    one that does not preserve Hermiticity within HERM_TOL max|L|."""
+    """InvalidParams for a non-finite Liouvillian matrix L, or for one that
+    does not preserve Hermiticity within HERM_TOL max|L|."""
     require_finite(lmat, "Liouvillian")
     d = math.isqrt(lmat.shape[0])
     m4 = lmat.reshape(d, d, d, d)  # m4[j, i, m, l] = L[(i, j), (l, m)]
     defect = np.abs(m4 - m4.transpose(1, 0, 3, 2).conj()).max()
     if defect > HERM_TOL * np.abs(lmat).max():
-        raise NotHermitian(
+        raise InvalidParams(
             f"Liouvillian does not preserve Hermiticity: L[(ij),(kl)] deviates from "
             f"conj(L[(ji),(lk)]) by {defect:.3e}, over {HERM_TOL:.1e} * max|L|"
         )

@@ -18,6 +18,7 @@ public map stays a complex SuperOperator over vec().
 An operator argument is checked once, where it enters, by one of two
 gates: `require_operator` (a numpy array, square, of the given dimension,
 finite) or `require_hamiltonian` (that, and Hermitian within HERM_TOL).
+Both, like `assert_density_matrix`, refuse with InvalidParams.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParams,
-    NegativeEigenvalue,
-    NotHermitian,
-    StateInvariantViolated,
-)
+from .errors import InvalidParams, NegativeEigenvalue
 
 #: The one support cut: eigenvalues at or below DEFAULT_EIG_CUT times the
 #: largest one are float noise, not support.
@@ -78,24 +73,24 @@ def require_finite(a: np.ndarray, what: str = "operator") -> None:
 
 def require_operator(a: np.ndarray, what: str, d: int | None = None) -> int:
     """The gate of one operator argument: InvalidParams unless a is a numpy
-    array, DimensionMismatch unless it is square (and d×d, if d is given),
-    then InvalidParams for a non-finite entry. Returns its dimension."""
+    array that is square (and d×d, if d is given) with finite entries.
+    Returns its dimension."""
     _require_array(a, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
+        raise InvalidParams(f"{what} must be square, got shape {a.shape}")
     if d is not None and a.shape[0] != d:
-        raise DimensionMismatch(f"{what} shape {a.shape} does not match dim {d}")
+        raise InvalidParams(f"{what} shape {a.shape} does not match dim {d}")
     require_finite(a, what)
     return a.shape[0]
 
 
 def require_hamiltonian(h: np.ndarray, what: str, d: int | None = None) -> int:
-    """The gate of a Hamiltonian: require_operator, then NotHermitian if h
+    """The gate of a Hamiltonian: require_operator, then InvalidParams if h
     deviates from h† by more than HERM_TOL. Returns its dimension."""
     d = require_operator(h, what, d)
     defect = herm_defect(h)
     if defect > HERM_TOL:
-        raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
+        raise InvalidParams(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
     return d
 
 
@@ -160,8 +155,9 @@ class SuperOperator:
     def apply(self, a: np.ndarray) -> np.ndarray:
         """The map on one operator (d, d), or on each operator of a stack
         (n, d, d) as a single matrix product (`_apply_each`)."""
+        _require_array(a, "operator")
         if a.ndim not in (2, 3) or a.shape[-2:] != (self.dim, self.dim):
-            raise DimensionMismatch(
+            raise InvalidParams(
                 f"super-operator acts on {self.dim}x{self.dim}, got {a.shape}"
             )
         return _apply_each(self.matrix[None], a[None])[0]
@@ -294,15 +290,15 @@ def _herm_operators(x: np.ndarray) -> np.ndarray:
 
 
 def assert_density_matrix(rho: np.ndarray, what: str = "state") -> None:
-    """Check Hermiticity (HERM_TOL), positivity and unit trace (STATE_TOL);
-    raise on violation."""
+    """InvalidParams unless rho is a state: Hermitian (HERM_TOL), of unit
+    trace and positive (STATE_TOL)."""
     require_operator(rho, what)
     defect = herm_defect(rho)
     if defect > HERM_TOL:
-        raise StateInvariantViolated(f"{what}: Hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
+        raise InvalidParams(f"{what}: Hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > STATE_TOL:
-        raise StateInvariantViolated(f"{what}: trace {tr} deviates from 1 by more than {STATE_TOL:.1e}")
+        raise InvalidParams(f"{what}: trace {tr} deviates from 1 by more than {STATE_TOL:.1e}")
     lam_min = float(np.linalg.eigvalsh(hermitize(rho))[0])
     if lam_min < -STATE_TOL:
-        raise StateInvariantViolated(f"{what}: eigenvalue {lam_min:.3e} < -{STATE_TOL:.1e}")
+        raise InvalidParams(f"{what}: eigenvalue {lam_min:.3e} < -{STATE_TOL:.1e}")

@@ -27,7 +27,9 @@ build of the generator matrices, that pass and the kernel; each caller
 then decides what a support leak means. Every state or Hamiltonian
 argument goes through one of the two gates of `operators`
 (`require_operator`, `require_hamiltonian`) before any numerics; a spec's
-Hamiltonians are checked by its `segments`.
+Hamiltonians are checked by its `segments`. A refused argument is
+InvalidParams; a support leak where a finite answer is needed
+(SupportViolation) and an imaginary P (NonRealPairing) are NumericalFailures.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .baths import (
     stationary_structure,
 )
 from .dynamics import EvolutionSpec, Trajectory, _generators
-from .errors import DimensionMismatch, NonRealPairing, SupportViolation
+from .errors import InvalidParams, NonRealPairing, SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
@@ -308,13 +310,13 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     False, nan flux and production, infinite relative entropy) instead of
     aborting the sweep; at the other points an entropy production whose
     pairing is not real to IMAG_TOL raises NonRealPairing. A spec of
-    another dimension than the states raises DimensionMismatch first.
+    another dimension than the states raises InvalidParams first.
     """
     segs = spec.segments
     times, states = traj.times, traj.states
     n, d = states.shape[0], states.shape[1]
     if spec.dim != d:
-        raise DimensionMismatch(f"spec dim {spec.dim} does not match trajectory dim {d}")
+        raise InvalidParams(f"spec dim {spec.dim} does not match trajectory dim {d}")
     hams = np.stack([h for _, h in segs])
     seg = np.searchsorted([t for t, _ in segs], times + 1e-15, side="right") - 1
     prev = np.concatenate(([0], seg[:-1]))

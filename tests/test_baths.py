@@ -38,7 +38,7 @@ from decotherm.baths import (
     thermal_occupation,
     thermal_two_level_bath,
 )
-from decotherm.errors import DimensionMismatch, InvalidParams, NoConvergence
+from decotherm.errors import InvalidParams, NoConvergence
 from decotherm.dynamics import EvolutionSpec, liouvillian
 from decotherm.operators import assert_density_matrix
 from decotherm.scenarios import DeviceParams, build_device, device_dephasing_bath
@@ -108,12 +108,18 @@ class TestApplyGenerator:
 
     def test_dimension_mismatch(self):
         bath = dephasing_bath(Z_BASIS, gamma=1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             apply_generator(bath.generator, np.eye(3, dtype=complex))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             apply_generator(bath.generator, np.zeros((2, 2, 2, 2), dtype=complex))
-        with pytest.raises(DimensionMismatch, match="does not match dim 3"):
+        with pytest.raises(InvalidParams, match="does not match dim 3"):
             LindbladGenerator(3, (JumpTerm(1.0, np.eye(2, dtype=complex)),))
+
+    def test_nested_list_is_refused(self):
+        gen = dephasing_bath(Z_BASIS, gamma=1.0).generator
+        for apply in (lambda a: apply_generator(gen, a), generator_superop(gen).apply):
+            with pytest.raises(InvalidParams, match="^operator must be a numpy array, got list$"):
+                apply([[0.5, 0], [0, 0.5]])
 
 
 class TestGeneratorSuperop:
@@ -583,7 +589,7 @@ class TestStackedStructures:
 
     def test_baths_of_different_dimensions(self):
         baths = [left_pump_bath(0.6), dephasing_bath(Z_BASIS, 0.5)]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             thermo.entropy_production(np.eye(3, dtype=complex) / 3, baths)
 
 

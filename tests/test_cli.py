@@ -1,6 +1,7 @@
 """CLI: config validation, emitters, exit codes, determinism."""
 
 import ast
+import builtins
 import json
 import math
 import os
@@ -12,14 +13,8 @@ import types
 import pytest
 
 import decotherm
-from decotherm import cli, errors
-from decotherm.errors import (
-    DegenerateKernel,
-    NegativeEigenvalue,
-    NonPositiveSolution,
-    StateInvariantViolated,
-    SupportViolation,
-)
+from decotherm import cli, dynamics, errors
+from decotherm.errors import ConfigError, DecothermError, InvalidParams, NumericalFailure
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -62,6 +57,12 @@ class TestConfigValidation:
         assert cli.run(str(path)) == 2
         err = capsys.readouterr().err
         assert ":3:" in err  # line of the bad token
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"scenario": "device-steady", "params": {"e_l": 1.5\xff}}')
+        assert cli.run(str(path)) == 2
+        assert capsys.readouterr().err == f"config error: {path}: byte 51 is not UTF-8\n"
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert cli.run(str(tmp_path / "nope.json")) == 1
@@ -333,27 +334,65 @@ def test_grid_over_the_cap_exits_2_before_allocating(tmp_path, capsys):
 
 
 class TestNumericalFailureExit:
-    def test_degenerate_kernel_is_exit_3(self, tmp_path, monkeypatch, capsys):
+    """The exit code follows the error's class; no table in the CLI lists them."""
+
+    @staticmethod
+    def run_raising(tmp_path, monkeypatch, exc):
+        def boom(*a, **k):
+            raise exc
+
+        monkeypatch.setattr(cli, "device_report", boom)
         path = write_config(
             tmp_path,
             scenario="device-steady",
             params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 0.3},
         )
-        cases = [
-            (DegenerateKernel("stationary set is not unique"), "steady_state"),
-            (NonPositiveSolution("kernel vector is traceless"), "steady_state"),
-            (SupportViolation("state has weight outside supp(B(nu))"), "force"),
-            (StateInvariantViolated("trace drifted"), "propagate"),
-            (NegativeEigenvalue("matrix has eigenvalue -1e-3; not PSD"), "spectral"),
-        ]
-        for exc, stage in cases:
+        return cli.run(str(path))
 
-            def boom(*a, **k):
-                raise exc
+    @pytest.mark.parametrize("cls", NumericalFailure.__subclasses__(), ids=lambda c: c.__name__)
+    def test_numerical_failure_is_exit_3(self, tmp_path, monkeypatch, capsys, cls):
+        assert self.run_raising(tmp_path, monkeypatch, cls("boom")) == 3
+        assert capsys.readouterr().err == f"numerical failure in {cls.stage}: boom\n"
 
-            monkeypatch.setattr(cli, "device_report", boom)
-            assert cli.run(str(path)) == 3, type(exc).__name__
-            assert f"numerical failure in {stage}" in capsys.readouterr().err
+    def test_invalid_params_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        assert self.run_raising(tmp_path, monkeypatch, InvalidParams("boom")) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_trace_drift_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the one raise of propagate that no physical run reaches
+        monkeypatch.setattr(dynamics, "TRACE_DRIFT_TOL", 0.0)
+        path = write_config(
+            tmp_path, scenario="device-trajectory", integrator={"t_max": 0.05},
+            params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2, "gamma": 0.3},
+        )
+        assert cli.run(str(path)) == 3
+        assert capsys.readouterr().err.startswith("numerical failure in propagate: trace drifted by ")
+
+
+def test_each_error_is_of_one_kind():
+    # every class is the base, one of the three kinds, or a subclass of
+    # exactly one kind; every numerical failure names its own stage
+    kinds = (InvalidParams, ConfigError, NumericalFailure)
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and issubclass(cls, Exception):
+            assert cls is DecothermError or [issubclass(cls, k) for k in kinds].count(True) == 1, \
+                cls.__name__
+            if issubclass(cls, NumericalFailure) and cls is not NumericalFailure:
+                assert "stage" in vars(cls) and cls.stage, cls.__name__
+
+
+def test_library_raises_only_its_own_errors():
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    raising = set()
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(raised, ast.Name) and isinstance(getattr(builtins, raised.id, None), type):
+                    raising.add(f"{name}:{node.lineno}: {raised.id}")
+    assert not raising, sorted(raising)
 
 
 def test_console_entry_point(tmp_path):
@@ -461,9 +500,9 @@ PUBLIC_NAMES = [
 ]
 
 ERROR_CLASSES = [
-    "ConfigError", "DecothermError", "DegenerateKernel", "DimensionMismatch", "InvalidParams",
+    "ConfigError", "DecothermError", "DegenerateKernel", "InvalidParams",
     "NegativeEigenvalue", "NoConvergence", "NonPositiveSolution", "NonRealPairing",
-    "NotHermitian", "StateInvariantViolated", "SupportViolation",
+    "NumericalFailure", "StateInvariantViolated", "SupportViolation",
 ]
 
 

@@ -262,9 +262,7 @@ class TestLinearResponse:
                 assert np.max(np.abs(m - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_bath_dimension_mismatch(self):
-        from decotherm.errors import DimensionMismatch
-
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             linear_response([left_pump_bath(0.6), dephasing_bath(Z_BASIS, 1.0)])
 
     def test_repeated_bath_name(self):
@@ -312,6 +310,12 @@ class TestLinearFlowPrediction:
         forces = {b.name: np.zeros((3, 3), dtype=complex) for b in assembly.baths}
         with pytest.raises(InvalidParams):
             linear_flow_prediction(lr, forces)
+
+    def test_nested_list_force_is_refused(self):
+        assembly, _ = device_steady()
+        lr = linear_response(assembly.baths[:1], c=1.0)
+        with pytest.raises(InvalidParams, match="must be a numpy array, got list"):
+            linear_flow_prediction(lr, {assembly.baths[0].name: np.zeros((3, 3)).tolist()})
 
     def test_near_equilibrium_correlation_reported(self, capsys):
         # small gradient, small coupling: report the relative error of the

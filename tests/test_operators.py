@@ -17,7 +17,7 @@ from conftest import (
 
 from decotherm.baths import Bath, JumpTerm, LindbladGenerator
 from decotherm.dynamics import EvolutionSpec, liouvillian
-from decotherm.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
+from decotherm.errors import InvalidParams, NegativeEigenvalue
 from decotherm.operators import (
     Spectrum,
     SuperOperator,
@@ -163,7 +163,7 @@ class TestHsInner:
         assert hs_inner(a, b) == pytest.approx(expected)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             hs_inner(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
     def test_positive_definite(self, rng):
@@ -209,7 +209,7 @@ class TestSuperopFromAction:
 
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3), (4, 3, 3), (2, 3)])
     def test_apply_rejects_other_shapes(self, shape):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams):
             SuperOperator(2, np.eye(4, dtype=complex)).apply(np.zeros(shape, dtype=complex))
 
     def test_linearity_of_apply(self, rng):
