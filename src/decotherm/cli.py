@@ -61,6 +61,9 @@ FORMATS = ("csv", "json")
 #: 17 significant digits; lossless for 64-bit floats
 _FLOAT = "%.17g"
 
+#: Rows per formatted CSV chunk.
+_EMIT_ROWS = 1024
+
 
 def _require_keys(table: dict, allowed: dict[str, bool], where: str) -> None:
     """allowed maps key -> required?"""
@@ -168,24 +171,35 @@ def _params(scenario: str, params: dict) -> dict[str, Any]:
 # emitters
 # ---------------------------------------------------------------------------
 
-def _write_table(columns: list[str], rows: list[list[float]], path: str, fmt: str) -> None:
+def _write_table(
+    columns: list[str], rows: np.ndarray | list[list[float]], path: str, fmt: str
+) -> None:
+    """Write a table of floats, rows an array (n, len(columns)) or nested
+    rows of that shape. CSV is formatted in chunks of _EMIT_ROWS rows, one
+    `%` of the per-row _FLOAT template repeated per chunk, so no list of
+    every row is held; the bytes are those of one `%` per row."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "csv":
             line = ",".join([_FLOAT] * len(columns)) + "\n"
             fh.write(",".join(columns) + "\n")
-            fh.writelines(line % tuple(row) for row in rows)
+            for lo in range(0, len(table), _EMIT_ROWS):
+                chunk = table[lo:lo + _EMIT_ROWS]
+                fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
         else:
-            payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-            json.dump(payload, fh, indent=1)
+            json.dump({"columns": columns, "rows": table.tolist()}, fh, indent=1)
             fh.write("\n")
 
 
 def trajectory_table(
     traj: Trajectory, samples: ThermoSamples, bath_names: list[str]
-) -> tuple[list[str], list[list[float]]]:
-    """Column order contract: t, energy, work_rate, heat_<bath>..., entropy,
+) -> tuple[list[str], np.ndarray]:
+    """The column names and the float array (n, columns) of a trajectory.
+
+    Column order contract: t, energy, work_rate, heat_<bath>..., entropy,
     flux_<bath>..., entropy_production, rel_entropy_<bath>..., and Bloch
-    coordinates for two-level systems."""
+    coordinates for two-level systems, each Tr[rho sigma] of the whole
+    stack in one contraction."""
     if len(samples) != len(traj):
         raise InvalidParams("trajectory and samples lengths differ")
     columns = {
@@ -198,8 +212,8 @@ def trajectory_table(
     }
     if traj.states.shape[1] == 2:
         for axis, s in zip("xyz", (SIGMA_X, SIGMA_Y, SIGMA_Z)):
-            columns[f"bloch_{axis}"] = np.trace(traj.states @ s, axis1=1, axis2=2).real
-    return list(columns), np.column_stack(list(columns.values())).tolist()
+            columns[f"bloch_{axis}"] = np.einsum("nij,ji->n", traj.states, s).real
+    return list(columns), np.column_stack(list(columns.values()))
 
 
 def emit_trajectory(

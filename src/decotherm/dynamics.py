@@ -25,11 +25,12 @@ Hermitian ones, so in the orthonormal Hermitian basis of `operators` it is
 a real d²×d² matrix with the same singular values: the step maps, partial
 steps and per-step products of `propagate` act on real coordinate
 vectors, and the kernel SVDs run on the real matrix. Hamiltonians must be
-Hermitian (within HERM_TOL) for that to be the same dynamics: a spec's
-`segments` pass each one through `operators.require_hamiltonian` once, and
-every caller reads them. `_generators` checks the baths' dimension. Each
-refusal is InvalidParams; a failure on accepted inputs is a
-NumericalFailure (trace drift is StateInvariantViolated).
+Hermitian (within HERM_TOL max(1, max|H|)) for that to be the same
+dynamics: a spec's `segments` pass each one through
+`operators.require_hamiltonian` once, and every caller reads them.
+`_generators` checks the baths' dimension. Each refusal is InvalidParams;
+a failure on accepted inputs is a NumericalFailure (trace drift is
+StateInvariantViolated).
 """
 
 from __future__ import annotations
@@ -292,7 +293,8 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     the complex (n, d, d) stack once, at the end: every state is exactly
     Hermitian. The dissipator sum_b L_b is built once; each Hamiltonian
     segment adds its commutator and, if it holds a full step, gets one
-    step map expm(L dt); a switch time off the grid is reached by partial
+    step map P = expm(L dt), each step's P x written in place into the
+    coordinate array; a switch time off the grid is reached by partial
     steps on either side, each the action exp(L tau) v on the current
     state (`_expm_action`), with no d²×d² expm.
     The spec's segments check its Hamiltonians first. Raises InvalidParams
@@ -343,7 +345,7 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
             if k_last > k:
                 p = _expm(lr * dt)
                 for j in range(k + 1, k_last + 1):
-                    coords[j] = p @ coords[j - 1]
+                    np.dot(p, coords[j - 1], out=coords[j])
             k, t_now = k_last, times[k_last]
             v = coords[k]
         if t_now < t_next < times[-1]:  # partial step up to the switch

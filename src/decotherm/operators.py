@@ -17,7 +17,8 @@ public map stays a complex SuperOperator over vec().
 
 An operator argument is checked once, where it enters, by one of two
 gates: `require_operator` (a numpy array, square, of the given dimension,
-finite) or `require_hamiltonian` (that, and Hermitian within HERM_TOL).
+finite) or `require_hamiltonian` (that, and Hermitian within HERM_TOL
+max(1, max|H|), relative to its scale as the Liouvillian's bound is).
 Both, like `assert_density_matrix`, refuse with InvalidParams.
 """
 
@@ -86,11 +87,14 @@ def require_operator(a: np.ndarray, what: str, d: int | None = None) -> int:
 
 def require_hamiltonian(h: np.ndarray, what: str, d: int | None = None) -> int:
     """The gate of a Hamiltonian: require_operator, then InvalidParams if h
-    deviates from h† by more than HERM_TOL. Returns its dimension."""
+    deviates from h† by more than HERM_TOL max(1, max|h|), the rounding of
+    its own entries at large energies and HERM_TOL below 1. Returns its
+    dimension."""
     d = require_operator(h, what, d)
     defect = herm_defect(h)
-    if defect > HERM_TOL:
-        raise InvalidParams(f"{what} deviates from Hermiticity by {defect:.3e} (tol {HERM_TOL:.1e})")
+    tol = HERM_TOL * max(1.0, float(np.abs(h).max(initial=0.0)))
+    if defect > tol:
+        raise InvalidParams(f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
     return d
 
 

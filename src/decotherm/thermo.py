@@ -128,7 +128,8 @@ def _stationary_log(baths, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             logs = np.array([structs[i].logs for i in at]).reshape(len(at), m, d2)
             part = (log_c @ blocks + keep.astype(float) @ logs).reshape(len(at), *shape[1:])
             kept = ((flat @ blocks.conj().swapaxes(-1, -2)).real * keep).sum(axis=-1)
-            lost = own.trace(axis1=-2, axis2=-1).real - kept.reshape(len(at), *shape[1:-2])
+            # the traces as one einsum: ndarray.trace is ~5x slower on a stack
+            lost = np.einsum("...ii->...", own).real - kept.reshape(len(at), *shape[1:-2])
         if len(groups) == 1:
             return part, lost
         log_b[rows], leak[rows] = part, lost

@@ -301,6 +301,18 @@ class TestPumpBaths:
             assert np.max(np.abs(log_b - np.diag(np.log(np.diagonal(image))))) <= 1e-13
             assert abs(leak) <= 1e-15
 
+    def test_no_pump_bath_leaks_in_the_cold_window(self):
+        # 4,001 log-spaced n in 1e-14..1e-12, with the window n in
+        # [1.001, 1.093]·1e-14 where a left bath's cold eigenvalue once came
+        # out as exactly 0: the maximally mixed state stays on every support
+        ns = np.logspace(-14, -12, 4001)
+        assert np.count_nonzero((ns >= 1.001e-14) & (ns <= 1.093e-14)) >= 34
+        baths = [make(n, name=f"{side}{i}") for i, n in enumerate(ns)
+                 for side, make in (("left", left_pump_bath), ("right", right_pump_bath))]
+        terms = thermo._state_terms(baths, np.eye(3, dtype=complex) / 3)
+        assert terms.ok.all()
+        assert np.max(np.abs(terms.leak)) <= 1e-15
+
 
 class TestStationaryMapGeneral:
     def test_gibbs_closed_form_value(self):

@@ -314,6 +314,43 @@ class TestEmitterDirect:
         assert all(p == 0.0 for p in prods)
 
 
+def per_row_bytes(columns, rows, fmt):
+    """The emitter the chunked `_write_table` replaced, one `%` per row: its
+    bytes are the oracle."""
+    if fmt == "csv":
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        return (",".join(columns) + "\n" + "".join(line % tuple(row) for row in rows)).encode()
+    payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
+class TestWriteTable:
+    COLUMNS = ["t", "energy", "heat_left", "entropy_production", "rel_entropy_left"]
+
+    @staticmethod
+    def table(n):
+        import numpy as np
+
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+        rows[::7, 3] = math.nan  # a flagged point, or a failed sweep row
+        rows[::11, 4] = math.inf
+        rows[::13, 1] = -0.0
+        rows[::17, 2] = 5e-324
+        return rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    # n = chunks * _EMIT_ROWS + extra: 0, 1, chunk - 1, chunk, chunk + 1, 2 chunk + 3 rows
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_bytes_are_those_of_the_per_row_template(self, tmp_path, chunks, extra, fmt):
+        rows = self.table(chunks * cli._EMIT_ROWS + extra)
+        expected = per_row_bytes(self.COLUMNS, rows.tolist(), fmt)
+        for given in (rows, rows.tolist()):  # a trajectory array, or report rows
+            out = tmp_path / f"out.{fmt}"
+            cli._write_table(self.COLUMNS, given, str(out), fmt)
+            assert out.read_bytes() == expected
+
+
 def test_grid_over_the_cap_exits_2_before_allocating(tmp_path, capsys):
     # gamma = 1e6 puts the default dt near 3e-10: 1.3e10 points, whose time grid
     # alone would take 95 GiB

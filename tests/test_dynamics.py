@@ -43,8 +43,22 @@ from decotherm.errors import (
     NoConvergence,
     NonPositiveSolution,
 )
-from decotherm.operators import SuperOperator, assert_density_matrix
-from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, bloch_state, build_device, device_report
+from decotherm.operators import (
+    SuperOperator,
+    _herm_coords,
+    _herm_operators,
+    _real_form,
+    assert_density_matrix,
+)
+from decotherm.scenarios import (
+    DEFAULT_DEVICE,
+    DeviceParams,
+    TwoLevelDecoherenceParams,
+    bloch_state,
+    build_device,
+    device_report,
+    two_level_dephasing_assembly,
+)
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -294,6 +308,32 @@ class TestPropagate:
         propagate(rho0, EvolutionSpec(schedule, spec.baths, t_max=0.3, dt=1e-3))
         built = [g for gens in builds for g in gens]
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in spec.baths)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_states_are_the_step_map_recurrence(self, d, rng):
+        # coords[j] = P coords[j - 1] with P = expm(L dt) built as propagate
+        # builds it: a later stepping scheme must not move any state silently
+        if d == 2:
+            h, bath, _ = two_level_dephasing_assembly(
+                TwoLevelDecoherenceParams(gamma=1.0, e_level=1.0, x=0.5, z=0.2))
+            baths = (bath,)
+        else:
+            base = device_spec()
+            h, baths = base.hamiltonian, base.baths
+        spec = EvolutionSpec(h, baths, t_max=1.0, dt=1e-3)
+        rho0 = ginibre_state(rng, d)
+        traj = propagate(rho0, spec)
+        diss = dynamics._liouvillian(np.zeros((d, d), dtype=complex),
+                                     dynamics._generators(spec.baths, d)).matrix
+        lc = dynamics._commutator(spec.segments[0][1])
+        lc += diss
+        p = _expm(_real_form(lc) * spec.dt)
+        coords = np.empty((len(traj), d * d))
+        coords[0] = _herm_coords(rho0)
+        for j in range(1, len(coords)):
+            coords[j] = p @ coords[j - 1]
+        assert len(traj) == 1001
+        assert np.array_equal(traj.states, _herm_operators(coords))
 
 
 def random_model(rng, d, n_jumps, rate_scale, h_norm):

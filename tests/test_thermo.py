@@ -32,7 +32,7 @@ from decotherm.baths import (
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, default_timestep, liouvillian, propagate
-from decotherm.operators import assert_density_matrix
+from decotherm.operators import HERM_TOL, assert_density_matrix, herm_defect
 from decotherm.errors import (
     InvalidParams,
     NoConvergence,
@@ -99,6 +99,56 @@ class TestEnergyAndWork:
     def test_work_rate_pauli_trace(self):
         x = 0.35
         assert work_rate(SX, bloch_state(x)) == pytest.approx(x, rel=1e-12)
+
+
+def rotated_hamiltonian(rng, s):
+    """Q diag(s, 2s, 3s, 4s) Q† with a random unitary Q: Hermitian to rounding,
+    so its defect grows with s."""
+    q, _ = np.linalg.qr(random_complex(rng, 4))
+    return (q * (s * np.arange(1.0, 5.0))) @ q.conj().T
+
+
+class TestHamiltonianGate:
+    """A Hamiltonian may deviate from its adjoint by HERM_TOL max(1, max|H|):
+    rounding at large energies passes, a relative defect does not."""
+
+    @staticmethod
+    def gates(h):
+        bath = Bath("deph", LindbladGenerator(4, (JumpTerm(0.5, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),)))
+        rho = np.eye(4, dtype=complex) / 4
+        return (lambda: energy(h, rho), lambda: heat_rate(h, bath, rho),
+                lambda: EvolutionSpec([(0.0, h), (1.0, 0.5 * h)], (bath,)).segments)
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e6, 1e7, 2.5e7])  # ||H||_2 = 4s, up to 1e8
+    def test_rotated_hamiltonians_pass_every_gate(self, rng, s):
+        h = rotated_hamiltonian(rng, s)
+        assert np.linalg.norm(h, 2) == pytest.approx(4.0 * s, rel=1e-12)
+        if s >= 1e7:  # an absolute HERM_TOL would refuse its rounding
+            assert herm_defect(h) > HERM_TOL
+        run_energy, run_heat, run_segments = self.gates(h)
+        assert run_energy() == pytest.approx(2.5 * s, rel=1e-12)  # Tr[H] / 4
+        assert math.isfinite(run_heat())
+        assert len(run_segments()) == 2
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 1e8])
+    def test_relative_defect_is_refused(self, rng, s):
+        bad = rotated_hamiltonian(rng, s)
+        bad[1, 2] += 1e-8j * np.abs(bad).max()
+        for gate in self.gates(bad):
+            with pytest.raises(InvalidParams, match="deviates from Hermiticity"):
+                gate()
+
+    def test_small_hamiltonians_keep_the_absolute_bound(self, rng):
+        h = rotated_hamiltonian(rng, 1e-3)
+        for eps, refused in ((0.5e-10, False), (2e-10, True)):
+            skewed = h.copy()
+            skewed[1, 2] += 1j * eps
+            for gate in self.gates(skewed):
+                if refused:
+                    with pytest.raises(InvalidParams, match=r"\(tol 1\.0e-10\)"):
+                        gate()
+                else:
+                    gate()
 
 
 class TestHeatRate:
