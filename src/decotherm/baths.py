@@ -7,6 +7,9 @@ blocks V_k with omega_k faithful (Baumgartner & Narnhofer, J. Phys. A 41,
 395303 (2008)). Every bath built here has n_k = 1, so
 B(rho) = sum_k Tr[J_k rho] omega_k with conserved J_k, and
 `stationary_structure` gives log B(rho) without an eigensolve per state.
+A structure keeps B as k pairs of d×d operators and no d²×d² matrix:
+(J_k, omega_k), or for a bath with some n_k > 1 the dual rows and the
+right null vectors of the kernel solve.
 The same SVD null space (`_kernel_basis`) gives a Liouvillian's steady state.
 Its SVDs run in real arithmetic, on the generator's real matrix in the
 orthonormal Hermitian basis of `operators`: a unitary change of basis, so
@@ -14,9 +17,10 @@ orthonormal Hermitian basis of `operators`: a unitary change of basis, so
 an exactly Hermitian operator.
 
 There is one structure solver, `_stationary_structures`, and it solves all
-the uncached baths of a call in one stacked pass: the projector, the
-eigensolve of P(I), both probe passes, the blocks, the residual check,
-log omega_k and J_k are each one numpy call for all of them (the products
+the uncached baths of a call in one stacked pass: the projector P, which
+the pass forms and drops, the eigensolve of P(I), both probe passes, the
+blocks, the residual check, log omega_k and J_k are each one numpy call
+for all of them (the products
 over the kernel and block indices, one per kernel dimension present),
 since at d = 3 a call costs more to dispatch than to compute. A pass
 holds `_PASS_ENTRIES`, the one stack budget, which device report passes
@@ -181,14 +185,18 @@ class Bath:
 
 @dataclass(frozen=True, eq=False)
 class StationaryStructure:
-    """The projector P = R (N†R)⁻¹ N† onto ker L and ||L||_2, and, when
-    every n_k = 1, (m, d, d) stacks of the block projectors Pi_k, the
-    conserved J_k = P†(Pi_k) and log omega_k on V_k (else None)."""
+    """The projector onto ker L as k pairs of d×d operators, (k, d, d)
+    stacks with B(X) = sum_k Tr[conserved_k X] kernel_k, and ||L||_2. When
+    every n_k = 1, kernel_k is the block state omega_k and conserved_k is
+    J_k = P†(Pi_k), and blocks and logs hold the block projectors Pi_k and
+    log omega_k on V_k; else kernel holds the right null operators R,
+    conserved the rows of (N†R)⁻¹ N†, and blocks and logs are None. No
+    d²×d² matrix is kept: k d² entries against d⁴."""
 
-    projector: SuperOperator
     scale: float
+    kernel: np.ndarray
+    conserved: np.ndarray
     blocks: np.ndarray | None = None
-    conserved: np.ndarray | None = None
     logs: np.ndarray | None = None
 
 
@@ -296,9 +304,11 @@ def _stationary_structures(
     passes run in list order. The products over the kernel and block indices
     (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k), L(omega_k)) run once per kernel
     dimension present (`_Kernels`); every other step is one call for all
-    the baths of the pass. The directions a support of lower rank drops are
-    shifted above the probe's spectrum, so they sort last and stay out of
-    every block, and blocks a bath does not have are masked. A bath's
+    the baths of the pass. P lives only for the pass: each structure keeps
+    its operator pairs (`StationaryStructure`). The directions a support of
+    lower rank drops are shifted above the probe's spectrum, so they sort
+    last and stay out of every block, and blocks a bath does not have are
+    masked. A bath's
     structure is the same, bit for bit, alone or in a stack. NoConvergence
     names the first failing bath in list order, and the baths before it keep
     their structures. The baths share one dimension: the callers check it
@@ -322,12 +332,15 @@ def _stationary_structures(
         kernels = _kernel_basis(gens)
     ks = kernels.dims
     proj = np.empty((m, n, n), dtype=complex)
+    pairs = {}  # each bath's R and (N†R)⁻¹ N†, as d×d operators
     for k, (at, right, left) in kernels.groups.items():
         # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
         # the row N† of a left null vector that of X
         nh = left.reshape(len(at), k, n)
         r = right.reshape(len(at), k, n).conj().swapaxes(-1, -2)
-        proj[_rows(at)] = r @ np.linalg.solve(nh @ r, nh)
+        dual = np.linalg.solve(nh @ r, nh)
+        proj[_rows(at)] = r @ dual
+        pairs.update(zip(at.tolist(), zip(right, dual.reshape(-1, k, d, d))))
     proj_conj = proj.conj()
     adj = proj_conj.swapaxes(-1, -2)  # P†
     cut = n * _EPS
@@ -375,19 +388,20 @@ def _stationary_structures(
             rows = _rows(at)
             adj = proj_conj[rows].swapaxes(-1, -2)
             conserved[rows, :k] = hermitize(_apply_each(adj, blocks[rows, :k]))
-    # ||L(omega_k)||_F, 0 for the blocks a bath does not have
-    states = _apply_each(gens, images / weights[..., None, None])
-    resid = np.sqrt((states.conj() * states).real.sum(axis=(-2, -1)))
+    # omega_k, and ||L(omega_k)||_F, 0 for the blocks a bath does not have
+    states = images / weights[..., None, None]
+    flows = _apply_each(gens, states)
+    resid = np.sqrt((flows.conj() * flows).real.sum(axis=(-2, -1)))
     tols = np.array([b.fixed_point.tol for b in fresh])
     # NaN fails
     failed = structured & ~(resid <= (tols * kernels.scales)[:, None]).all(axis=1)
     last = int(np.argmax(failed)) if failed.any() else m
     for i, (k, scale) in enumerate(zip(ks[:last].tolist(), kernels.scales[:last].tolist())):
-        p = SuperOperator(d, proj[i])
         if structured[i]:
-            struct = StationaryStructure(p, scale, blocks[i, :k], conserved[i, :k], logs[i, :k])
+            struct = StationaryStructure(scale, states[i, :k], conserved[i, :k],
+                                         blocks[i, :k], logs[i, :k])
         else:
-            struct = StationaryStructure(p, scale)
+            struct = StationaryStructure(scale, *pairs[i])
         object.__setattr__(fresh[i], "_structure", struct)
     if last < m:
         _require_residual(fresh[last], resid[last, :ks[last]], float(kernels.scales[last]),
@@ -413,15 +427,26 @@ def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) ->
 
 def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     """Evaluate B(rho), the infinite-time limit of the bath's dynamical map,
-    for one state (d, d) or for each state of a stack (n, d, d). B preserves
-    the trace, so each image of an operator with nonzero trace is scaled to
-    that trace."""
+    for one state (d, d) or for each state of a stack (n, d, d), as
+    B(rho) = sum_k Tr[conserved_k rho] kernel_k from the bath's structure.
+    B preserves the trace, so the image of an operator whose trace holds at
+    least half its diagonal's weight, sum_i |Re rho_ii| (a state's holds all
+    of it), is scaled to that trace. Where the diagonal's signs cancel more
+    (a traceless operator), the image's trace is mostly rounding, and
+    scaling to it would multiply that rounding by that cancellation."""
     require_finite(rho, "state")
+    d = bath.dim
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+        raise InvalidParams(f"stationary map acts on {d}x{d}, got {rho.shape}")
     struct = stationary_structure(bath)
-    out = hermitize(struct.projector.apply(rho))
+    k = len(struct.kernel)
+    # Tr[C X] = sum_ij C_ij X_ji, one row of coefficients per operator
+    coefs = rho.swapaxes(-1, -2).reshape(-1, d * d) @ struct.conserved.reshape(k, d * d).T
+    out = hermitize((coefs @ struct.kernel.reshape(k, d * d)).reshape(rho.shape))
     tr, tr_out = np.trace(rho, axis1=-2, axis2=-1), np.trace(out, axis1=-2, axis2=-1)
-    # a non-finite trace (NaN input) is left to fail the residual check below
-    rescale = np.isfinite(tr) & np.isfinite(tr_out) & (tr != 0)
+    weight = np.abs(np.diagonal(rho, axis1=-2, axis2=-1).real).sum(axis=-1)
+    # a non-finite trace is left to fail the residual check below
+    rescale = np.isfinite(tr) & np.isfinite(tr_out) & (tr != 0) & (2.0 * np.abs(tr) >= weight)
     ratio = np.divide(tr, tr_out, out=np.ones(tr.shape, complex), where=rescale)
     out *= ratio.real[..., None, None]
     resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))

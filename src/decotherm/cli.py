@@ -175,20 +175,24 @@ def _write_table(
     columns: list[str], rows: np.ndarray | list[list[float]], path: str, fmt: str
 ) -> None:
     """Write a table of floats, rows an array (n, len(columns)) or nested
-    rows of that shape. CSV is formatted in chunks of _EMIT_ROWS rows, one
-    `%` of the per-row _FLOAT template repeated per chunk, so no list of
-    every row is held; the bytes are those of one `%` per row."""
+    rows of that shape, formatted in chunks of _EMIT_ROWS rows, so no list
+    of every row is held. CSV repeats the per-row _FLOAT template once per
+    chunk, with the bytes of one `%` per row; JSON encodes each chunk's rows
+    one level deeper, with the bytes of one json.dump(..., indent=1)."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    chunks = (table[lo:lo + _EMIT_ROWS] for lo in range(0, len(table), _EMIT_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "csv":
             line = ",".join([_FLOAT] * len(columns)) + "\n"
             fh.write(",".join(columns) + "\n")
-            for lo in range(0, len(table), _EMIT_ROWS):
-                chunk = table[lo:lo + _EMIT_ROWS]
+            for chunk in chunks:
                 fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
         else:
-            json.dump({"columns": columns, "rows": table.tolist()}, fh, indent=1)
-            fh.write("\n")
+            # up to '"rows": [', then each chunk without its brackets
+            fh.write(json.dumps({"columns": columns, "rows": []}, indent=1)[:-3])
+            for i, chunk in enumerate(chunks):
+                fh.write("," * (i > 0) + json.dumps(chunk.tolist(), indent=1)[1:-2].replace("\n", "\n "))
+            fh.write("\n ]\n}\n" if len(table) else "]\n}\n")
 
 
 def trajectory_table(

@@ -273,7 +273,10 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     # sum_b Tr[L_b(nu) X_b] in the order of each point's baths, from 0 as sum()
     pairing = 0.0 + terms.pairing[:n] + terms.pairing[n:2 * n]
     pairing[dephased] += terms.pairing[2 * n:]
-    production = _production(pairing)
+    magnitudes = terms.magnitude
+    magnitude = magnitudes[:n] + magnitudes[n:2 * n]
+    magnitude[dephased] += magnitudes[2 * n:]
+    production = _production(pairing, magnitude)
     heat_d, m_ld, m_dl = np.zeros((3, n))
     heat_d[dephased] = heats[2 * n:]
     if dephased:

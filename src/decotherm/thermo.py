@@ -64,7 +64,8 @@ from .operators import (
 #: state before the support condition is declared violated.
 SUPPORT_TOL = 1e-10
 
-#: Max imaginary part the entropy-production pairing may pick up.
+#: Max imaginary part the entropy-production pairing may pick up, relative
+#: to the scale of its rounding, the summed _BathTerms.magnitude.
 IMAG_TOL = 1e-10
 
 
@@ -160,6 +161,14 @@ class _BathTerms(NamedTuple):
         """Tr[rho (log rho - log B_b(rho))], where ok."""
         return _traces(self.rho, self.log_rho - self.log_b)
 
+    @property
+    def magnitude(self) -> np.ndarray:
+        """sum_ij |L_b(rho)_ij| (|log B_b(rho)|_ji + |log rho|_ji), the scale
+        of the pairing's rounding: X_b's two logs are each Hermitian only to
+        their own rounding, which a small X_b (rho near B_b(rho)) keeps."""
+        mag = np.abs(self.log_b) + np.abs(self.log_rho)
+        return np.einsum("...ij,...ji->...", np.abs(self.flow), mag)
+
 
 def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -> _BathTerms:
     """The per-bath kernel, for all the baths at once: one flow L_b(rho)
@@ -196,13 +205,16 @@ def _require_support(baths, terms: _BathTerms) -> None:
         )
 
 
-def _production(pairing: np.ndarray) -> np.ndarray:
+def _production(pairing: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
     """P, the real part of the summed pairing sum_b Tr[L_b(rho) X_b] of one
     state or of a stack; NonRealPairing if its imaginary part exceeds
-    IMAG_TOL at a point."""
+    IMAG_TOL times magnitude, the summed _BathTerms.magnitude, at a point."""
     imag = abs(pairing.imag)
-    if (imag > IMAG_TOL).any():
-        raise NonRealPairing(f"entropy production picked up imaginary part {np.max(imag):.3e}")
+    bad = imag > IMAG_TOL * magnitude
+    if np.any(bad):
+        at = np.ravel(np.where(bad, imag, 0.0)).argmax()
+        raise NonRealPairing(f"entropy production picked up imaginary part {np.ravel(imag)[at]:.3e} "
+                             f"> tol {IMAG_TOL:.1e} * {np.ravel(magnitude)[at]:.3e}")
     return pairing.real
 
 
@@ -234,7 +246,7 @@ def entropy_production(rho: np.ndarray, baths) -> float:
     terms = _state_terms(baths, rho)
     _require_support(baths, terms)
     # from a complex zero: an empty pairing sums to 0.0, not to the int 0
-    return float(_production(sum(terms.pairing, np.complex128(0))))
+    return float(_production(sum(terms.pairing, np.complex128(0)), terms.magnitude.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +322,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     leaks off the support of a stationary image is flagged (support_ok
     False, nan flux and production, infinite relative entropy) instead of
     aborting the sweep; at the other points an entropy production whose
-    pairing is not real to IMAG_TOL raises NonRealPairing. A spec of
+    pairing is not real to IMAG_TOL (relative) raises NonRealPairing. A spec of
     another dimension than the states raises InvalidParams first.
     """
     segs = spec.segments
@@ -328,6 +340,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     names = [b.name for b in spec.baths]
     energy_, entropy = np.empty(n), np.empty(n)
     pairing = np.zeros(n, dtype=complex)
+    magnitude = np.zeros(n)
     ok = np.ones(n, dtype=bool)
     heats = {name: np.empty(n) for name in names}
     fluxes = {name: np.empty(n) for name in names}
@@ -349,8 +362,9 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
             fluxes[name][sl] = np.where(bath_ok, terms.flux[0], math.nan)
             rel[name][sl] = np.where(bath_ok, terms.relative_entropy[0], math.inf)
             pairing[sl] += terms.pairing[0]
+            magnitude[sl] += terms.magnitude[0]
             ok[sl] &= bath_ok
-    production = _production(np.where(ok, pairing, math.nan))
+    production = _production(np.where(ok, pairing, math.nan), magnitude)
     return ThermoSamples(
         t=times.astype(float),
         energy=energy_,

@@ -1,5 +1,6 @@
 """Lindblad generators, bath constructors, and stationary maps."""
 
+import dataclasses
 import decimal
 import itertools
 
@@ -15,6 +16,8 @@ from conftest import (
     log_on_support,
     random_complex,
     superop_from_action,
+    unvectorize,
+    vectorize,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +53,14 @@ def unit(i, j, d=3):
     m = np.zeros((d, d), dtype=complex)
     m[i, j] = 1.0
     return m
+
+
+def projector_of(struct):
+    """Test-side P = sum_k |kernel_k>><<conserved_k| of a structure, so that
+    P vec(X) = vec(sum_k Tr[conserved_k X] kernel_k)."""
+    n = struct.kernel.shape[-1] ** 2
+    return sum((np.outer(vectorize(w), vectorize(c.T)) for w, c in zip(struct.kernel, struct.conserved)),
+               np.zeros((n, n), dtype=complex))
 
 
 class TestApplyGenerator:
@@ -364,7 +375,7 @@ class TestStationaryMapGeneral:
     def test_empty_generator_keeps_every_state(self, rng):
         empty = Bath("null", LindbladGenerator(3, ()))
         rho = ginibre_state(rng, 3)
-        assert np.array_equal(stationary_structure(empty).projector.matrix, np.eye(9))
+        assert np.array_equal(projector_of(stationary_structure(empty)), np.eye(9))
         assert np.max(np.abs(stationary_map(empty, rho) - rho)) < 1e-15
 
     def test_traceless_operators_are_not_rescaled(self):
@@ -379,6 +390,13 @@ class TestStationaryMapGeneral:
         rho[0, 1] = np.nan
         with pytest.raises(InvalidParams):
             stationary_map(dephasing_bath(Z_BASIS, 0.7), rho)
+
+    def test_wrong_shape_is_refused(self):
+        bath = dephasing_bath(Z_BASIS, 0.7)
+        for bad in (np.eye(3, dtype=complex), np.zeros((1, 1, 2, 2)), np.zeros(4)):
+            with pytest.raises(InvalidParams):
+                stationary_map(bath, bad)
+        assert bath._structure is None  # refused before the structure is solved
 
 
 class TestKernelProjector:
@@ -403,7 +421,7 @@ class TestKernelProjector:
         gen = LindbladGenerator(d, tuple(terms))
         lmat = generator_superop(gen).matrix
         struct = stationary_structure(Bath("b", gen))
-        p, cached_scale = struct.projector.matrix, struct.scale
+        p, cached_scale = projector_of(struct), struct.scale
         scale = np.linalg.norm(lmat, 2)
         assert cached_scale == pytest.approx(scale, rel=1e-12)
         assert np.linalg.norm(p @ p - p, 2) <= 1e-12 * scale
@@ -473,9 +491,58 @@ class TestStationaryStructure:
             assert thermo.relative_entropy_to_bath(rho, bath) == pytest.approx(1.01 * r, rel=1e-12)
 
 
+def structure_baths(rng):
+    """Structured and unstructured baths: the three device baths, a
+    random-basis dephasing bath and a random four-jump bath at d = 16, the
+    rank-two-block bath and the empty generator."""
+    basis = np.linalg.qr(random_complex(rng, 16))[0]
+    return [
+        *build_device(DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)).baths,
+        dephasing_bath([basis[:, j] for j in range(16)], 0.05, name="dephasing16"),
+        Bath("random16", LindbladGenerator(16, tuple(
+            JumpTerm(float(r), random_complex(rng, 16) / 16) for r in rng.uniform(0.1, 1.0, 4)))),
+        rank_two_block_bath(),
+        Bath("null", LindbladGenerator(3, ())),
+    ]
+
+
+class TestStructureOperators:
+    """A structure is k pairs of d×d operators, B(X) = sum_k Tr[C_k X] W_k."""
+
+    def test_no_superoperator_is_cached(self, rng):
+        for bath in structure_baths(rng):
+            struct = stationary_structure(bath)
+            d2 = bath.dim ** 2
+            k = len(struct.kernel)
+            assert struct.kernel.shape == struct.conserved.shape == (k, bath.dim, bath.dim)
+            for f in dataclasses.fields(struct):
+                value = getattr(struct, f.name)
+                value = getattr(value, "matrix", value)  # a SuperOperator counts by its matrix
+                if isinstance(value, np.ndarray):
+                    assert value.shape != (d2, d2), (bath.name, f.name)
+                    assert value.size <= k * d2, (bath.name, f.name)
+
+    def test_images_match_an_svd_kernel_projector(self, rng):
+        for bath in structure_baths(rng):
+            d = bath.dim
+            # L from the per-term oracle, P from the complex-SVD oracle
+            p = complex_kernel_projector(TestGeneratorSuperop.oracle(bath.generator))[0]
+            herm = random_complex(rng, d)
+            herm = herm + herm.conj().T
+            traceless = herm - np.trace(herm).real / d * np.eye(d)
+            inputs = [ginibre_state(rng, d), traceless,
+                      np.stack([ginibre_state(rng, d), traceless, 2.0 * ginibre_state(rng, d)])]
+            for x in inputs:
+                want = np.stack([unvectorize(p @ vectorize(a), d) for a in x.reshape(-1, d, d)])
+                got = stationary_map(bath, x)
+                assert got.shape == x.shape
+                scale = max(np.max(np.abs(want)), np.max(np.abs(x)))
+                assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * scale, bath.name
+
+
 def _structure_arrays(struct):
-    return (struct.projector.matrix, np.array(struct.scale), struct.blocks, struct.conserved,
-            struct.logs)
+    return (projector_of(struct), np.array(struct.scale), struct.kernel, struct.conserved,
+            struct.blocks, struct.logs)
 
 
 def assert_stacked_equals_one_bath(make_baths):

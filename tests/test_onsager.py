@@ -118,12 +118,14 @@ class TestNessEntropyProduction:
     def test_imaginary_part_is_a_numerical_failure(self, monkeypatch, tmp_path, capsys):
         # a log B_b(nu), the kernel's input, carrying i*s*J_b adds about
         # i*s*||J_b||_F^2 to each pairing Tr[L_b(nu) X_b]; the sum may pick
-        # up at most 1e-10
+        # up at most IMAG_TOL times the pairing's scale, the summed
+        # sum_ij |L_b(nu)_ij| (|log B_b(nu)|_ji + |log nu|_ji)
         from decotherm import cli, thermo
 
         assembly, nu = device_steady()
         flows = {b.name: flow(b, nu) for b in assembly.baths}
         weight = sum(np.linalg.norm(j) ** 2 for j in flows.values())
+        magnitude = float(thermo._state_terms(assembly.baths, nu).magnitude.sum())
         real_log = thermo._stationary_log
 
         def shifted_log(baths, rho, s):
@@ -131,7 +133,7 @@ class TestNessEntropyProduction:
             return log_b + 1j * s * np.stack([flows[b.name] for b in baths]), leak
 
         for ratio, raises in ((0.5, False), (2.0, True)):
-            s = ratio * 1e-10 / weight
+            s = ratio * thermo.IMAG_TOL * magnitude / weight
             monkeypatch.setattr(
                 thermo, "_stationary_log", lambda baths, rho, s=s: shifted_log(baths, rho, s)
             )

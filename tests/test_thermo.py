@@ -16,6 +16,8 @@ from conftest import (
     ginibre_state,
     random_complex,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decotherm
 from decotherm import thermo
@@ -31,7 +33,7 @@ from decotherm.baths import (
     stationary_structure,
     thermal_two_level_bath,
 )
-from decotherm.dynamics import EvolutionSpec, default_timestep, liouvillian, propagate
+from decotherm.dynamics import EvolutionSpec, Trajectory, default_timestep, liouvillian, propagate
 from decotherm.operators import HERM_TOL, assert_density_matrix, herm_defect
 from decotherm.errors import (
     InvalidParams,
@@ -707,16 +709,18 @@ def test_sample_invariant_bounds(rng):
 
 class TestSamplerPairingCheck:
     """The trajectory's P pairing passes the NonRealPairing check of the
-    scalar functions: an imaginary part above IMAG_TOL at a point raises."""
+    scalar functions: an imaginary part above IMAG_TOL times the pairing's
+    scale (the summed _BathTerms.magnitude) at a point raises."""
 
     @staticmethod
-    def shift_pairing(monkeypatch, imag, n_baths):
-        # each bath's pairing picks up i*imag/n_baths, each point's sum i*imag
+    def shift_pairing(monkeypatch, ratio):
+        # each bath's pairing picks up i*ratio*IMAG_TOL times its own scale,
+        # each point's sum i*ratio*IMAG_TOL times the summed scale
         real = thermo._bath_terms
 
         def shifted(baths, gens, rho, log_rho):
             terms = real(baths, gens, rho, log_rho)
-            return terms._replace(pairing=terms.pairing + 1j * imag / n_baths)
+            return terms._replace(pairing=terms.pairing + 1j * ratio * thermo.IMAG_TOL * terms.magnitude)
 
         monkeypatch.setattr(thermo, "_bath_terms", shifted)
 
@@ -724,7 +728,7 @@ class TestSamplerPairingCheck:
     def test_sampler_bound(self, monkeypatch, ratio, raises):
         traj, spec = _device_run()
         expected = sample_thermodynamics(traj, spec).entropy_production
-        self.shift_pairing(monkeypatch, ratio * thermo.IMAG_TOL, len(spec.baths))
+        self.shift_pairing(monkeypatch, ratio)
         if raises:
             with pytest.raises(NonRealPairing):
                 sample_thermodynamics(traj, spec)
@@ -732,11 +736,32 @@ class TestSamplerPairingCheck:
             got = sample_thermodynamics(traj, spec).entropy_production
             assert np.array_equal(got, expected)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log_rates=st.tuples(*[st.floats(0.0, 8.0)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_large_rates_keep_a_real_pairing(self, log_rates, seed):
+        # n_L, n_R and gamma in 1e0..1e8 on random full-rank states: with an
+        # absolute bound, 72 of 200 states raised at n_L = n_R = gamma = 1e6
+        # and 197 at 1e8, though |Im P| / |P| <= 8e-17 in every draw
+        n_l, n_r, gamma = 10.0 ** np.array(log_rates)
+        assembly = build_device(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
+        rng = np.random.default_rng(seed)
+        states = np.stack([ginibre_state(rng, 3) for _ in range(4)])
+        for rho in states:
+            assert math.isfinite(entropy_production(rho, assembly.baths))
+            assert len(force_flow_pairs(assembly.baths, rho)) == 3
+        spec = EvolutionSpec(assembly.hamiltonian, assembly.baths)
+        samples = sample_thermodynamics(Trajectory(np.arange(4) * 0.1, states), spec)
+        assert samples.support_ok.all()
+        assert np.isfinite(samples.entropy_production).all()
+
     def test_trajectory_run_exits_3(self, monkeypatch, tmp_path, capsys):
         from decotherm import cli
         from decotherm.scenarios import DEFAULT_DEVICE
 
-        self.shift_pairing(monkeypatch, 2.0 * thermo.IMAG_TOL, 3)
+        self.shift_pairing(monkeypatch, 2.0)
         path = tmp_path / "trajectory.json"
         path.write_text(json.dumps({
             "scenario": "device-trajectory",
