@@ -23,8 +23,9 @@ blocks, the residual check, log omega_k and J_k are each one numpy call
 for all of them (the products
 over the kernel and block indices, one per kernel dimension present),
 since at d = 3 a call costs more to dispatch than to compute. A pass
-holds `_PASS_ENTRIES`, the one stack budget, which device report passes
-and the sampler's state blocks share, so large baths go one pass each.
+holds `_PASS_ENTRIES`, the one stack budget, which generator builds,
+device report passes and the sampler's state blocks share, so large baths
+go one pass each.
 `stationary_structure` is its one-bath call, and a bath's structure is
 the same, bit for bit, alone or in a stack.
 
@@ -44,6 +45,7 @@ so a dephasing bath at rate gamma kills off-diagonals at rate 2*gamma.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -56,6 +58,7 @@ from .operators import (
     _groups,
     _herm_operators,
     _real_form,
+    _require_hermitian,
     dagger,
     hermitize,
     require_finite,
@@ -68,12 +71,13 @@ ORTHONORMAL_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 #: Entries per stacked array (2**14 complex entries are 256 KiB), the one
-#: stack budget: of the d²×d² matrices of a structure pass or a device
-#: report pass (`scenarios._REPORTS_PER_PASS`), and of the sampler's state
-#: blocks, small next to the trajectory they read. Below it a pass is
-#: bound by call overhead and stacking pays: three baths took 0.52× their
-#: one-by-one time at d = 3 and 0.93× at d = 8. Above it the stacked work
-#: arrays fall out of cache (1.09× at d = 10, 1.20× at d = 16).
+#: stack budget: of the d²×d² matrices of a structure pass, a generator
+#: build or a device report pass (`scenarios._REPORTS_PER_PASS`), and of
+#: the sampler's state blocks, small next to the trajectory they read.
+#: Below it a pass is bound by call overhead and stacking pays: three baths
+#: took 0.52× their one-by-one time at d = 3 and 0.93× at d = 8. Above it
+#: the stacked work arrays fall out of cache (1.09× at d = 10, 1.20× at
+#: d = 16).
 _PASS_ENTRIES = 2**14
 
 
@@ -132,8 +136,17 @@ def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray
     The kron term is one batched BLAS product, entry (i, j, l, m) the sum
     over k of 2 r_k conj(A_k)[i, l] A_k[j, m], written straight into the
     (i, j, l, m) layout: no d²×d² array but the output. Each generator's
-    matrix is the same, bit for bit, built alone or in a stack.
+    matrix is the same, bit for bit, built alone or in a stack. A pass
+    builds as many generators as fit _PASS_ENTRIES (202 at d = 3, one from
+    d = 12 on), as the structure passes do: above it the stacked products
+    fall out of cache.
     """
+    per_pass = max(1, _PASS_ENTRIES // d**4)
+    if len(gens) > per_pass:
+        out = np.empty((len(gens), d * d, d * d), dtype=complex)
+        for lo in range(0, len(gens), per_pass):
+            out[lo:lo + per_pass] = _generator_matrices(gens[lo:lo + per_pass], d)
+        return out
     out = np.empty((len(gens), d, d, d, d), dtype=complex)
     diag = np.arange(d)
     for at in _groups([len(g.rate_stack) for g in gens]).values():
@@ -240,7 +253,10 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     scale that leaves it that small, so what is zero stays zero. Returns the
     right and left null vectors, C V and D U over the null columns, as
     Hermitian operators grouped by kernel dimension (`operators._groups`),
-    and ||L||_2 from the singular values of L itself.
+    and ||L||_2 from the singular values of L itself. The last k_max
+    columns of every matrix become operators in one call per side, and each
+    group takes its last k of them: `_herm_operators` works entry by entry,
+    so a group's operators are those of its own columns.
 
     Unscaled, a null vector's entries are resolved only to eps·||L|| over
     the gap to the next singular value: a pump bath at n = 1e-14 has
@@ -258,16 +274,18 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     cols = (mag / rows[:, :, None]).max(axis=1)
     cols[cols <= n * eps] = 1.0
     u, s, vh = np.linalg.svd(real / (rows[:, :, None] * cols[:, None, :]))
-    ks = np.count_nonzero(s <= s[:, :1] * n * eps, axis=1)
+    ks = (s <= s[:, :1] * n * eps).sum(axis=1)
     vh /= cols[:, None, :]
     u /= rows[:, :, None]
+    # only the null vectors become operators: all d² of them are 1 MB at d = 16
+    k_max = int(ks.max())
+    right = _herm_operators(vh[:, n - k_max:])
+    left = _herm_operators(u[:, :, n - k_max:].swapaxes(-1, -2))
     groups = {}
     for k, at in _groups(ks.tolist()).items():
         at = np.array(at)
         pick = _rows(at)
-        # only the null vectors become operators: all d² of them are 1 MB at d = 16
-        groups[k] = (at, _herm_operators(vh[pick, n - k:]),
-                     _herm_operators(u[pick, :, n - k:].swapaxes(-1, -2)))
+        groups[k] = (at, right[pick, k_max - k:], left[pick, k_max - k:])
     return _Kernels(ks, scale, groups)
 
 
@@ -332,7 +350,7 @@ def _stationary_structures(
         kernels = _kernel_basis(gens)
     ks = kernels.dims
     proj = np.empty((m, n, n), dtype=complex)
-    pairs = {}  # each bath's R and (N†R)⁻¹ N†, as d×d operators
+    duals = {}  # (N†R)⁻¹ N† of each kernel dimension, read for a bath without blocks
     for k, (at, right, left) in kernels.groups.items():
         # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
         # the row N† of a left null vector that of X
@@ -340,11 +358,11 @@ def _stationary_structures(
         r = right.reshape(len(at), k, n).conj().swapaxes(-1, -2)
         dual = np.linalg.solve(nh @ r, nh)
         proj[_rows(at)] = r @ dual
-        pairs.update(zip(at.tolist(), zip(right, dual.reshape(-1, k, d, d))))
+        duals[k] = dual
     proj_conj = proj.conj()
     adj = proj_conj.swapaxes(-1, -2)  # P†
     cut = n * _EPS
-    eye = np.eye(d)
+    eye, probe = _pass_constants(d)
     p_eye = hermitize(_apply_each(proj, eye))
     lam, vecs = np.linalg.eigh(p_eye)
     vecs_h = dagger(vecs)
@@ -354,14 +372,10 @@ def _stationary_structures(
     # the first r eigenpairs of each compressed probe are the support's
     ranked = np.arange(d) < keep.sum(axis=1)[:, None]
     inside = keep[:, :, None] & keep[:, None, :]
-    # distinct diagonal and neighbour couplings of phase 1 rad: no basis of
-    # rational phases gives two blocks the same expectation
-    probe = np.zeros((d, d), dtype=complex)
-    probe.flat[::d + 1] = np.arange(2.0, 2.0 * d + 1.0, 2.0)
-    probe.flat[1::d + 1], probe.flat[d::d + 1] = np.exp(1j), np.exp(1j).conjugate()
-    for _ in range(2):
+    full_support = inside.all()
+    for final_pass in (False, True):
         comp = vecs_h @ hermitize(_apply_each(adj, probe)) @ vecs
-        if not inside.all():
+        if not full_support:
             shift = 2.0 * np.linalg.norm(comp, axis=(-2, -1)) + 1.0
             comp = np.where(inside, comp, eye * shift[:, None, None])
         g, x = np.linalg.eigh(comp)
@@ -370,7 +384,8 @@ def _stationary_structures(
         label[:, 1:] = steps.cumsum(axis=-1)
         label *= ranked
         w = vecs @ x
-        probe = (w * label[:, None, :]) @ dagger(w)  # sum_k k Pi_k
+        if not final_pass:
+            probe = (w * label[:, None, :]) @ dagger(w)  # sum_k k Pi_k
     structured = label.max(axis=-1) + 1 == ks
     kmax = int(ks.max())
     member = (label[:, None, :] == np.arange(kmax)[:, None]) & ranked[:, None, :]
@@ -382,8 +397,9 @@ def _stationary_structures(
     log_p_eye = (vecs * log_lam[:, None, :]) @ vecs_h
     logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
     conserved = np.zeros(blocks.shape, dtype=complex)
+    all_structured = structured.all()
     for k, (at, _, _) in kernels.groups.items():
-        at = at if structured.all() else at[structured[at]]
+        at = at if all_structured else at[structured[at]]
         if len(at):
             rows = _rows(at)
             adj = proj_conj[rows].swapaxes(-1, -2)
@@ -400,13 +416,29 @@ def _stationary_structures(
         if structured[i]:
             struct = StationaryStructure(scale, states[i, :k], conserved[i, :k],
                                          blocks[i, :k], logs[i, :k])
-        else:
-            struct = StationaryStructure(scale, *pairs[i])
+        else:  # R and (N†R)⁻¹ N† as d×d operators
+            at, right, _ = kernels.groups[k]
+            j = bisect.bisect_left(at, i)
+            struct = StationaryStructure(scale, right[j], duals[k][j].reshape(k, d, d))
         object.__setattr__(fresh[i], "_structure", struct)
     if last < m:
         _require_residual(fresh[last], resid[last, :ks[last]], float(kernels.scales[last]),
                           "stationary state of a block")
     return [b._structure for b in baths]
+
+
+@functools.lru_cache(maxsize=None)
+def _pass_constants(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and the first probe of a structure pass of dimension d,
+    read-only. The probe has distinct diagonal and neighbour couplings of
+    phase 1 rad: no basis of rational phases gives two blocks the same
+    expectation."""
+    eye = np.eye(d)
+    probe = np.zeros((d, d), dtype=complex)
+    probe.flat[::d + 1] = np.arange(2.0, 2.0 * d + 1.0, 2.0)
+    probe.flat[1::d + 1], probe.flat[d::d + 1] = np.exp(1j), np.exp(1j).conjugate()
+    eye.flags.writeable = probe.flags.writeable = False
+    return eye, probe
 
 
 def _rows(at: np.ndarray) -> slice | np.ndarray:
@@ -429,6 +461,9 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     """Evaluate B(rho), the infinite-time limit of the bath's dynamical map,
     for one state (d, d) or for each state of a stack (n, d, d), as
     B(rho) = sum_k Tr[conserved_k rho] kernel_k from the bath's structure.
+    It maps Hermitian operators: one that deviates from its adjoint by more
+    than HERM_TOL max(1, max|rho|) is refused (InvalidParams), since the
+    image it returns is Hermitian.
     B preserves the trace, so the image of an operator whose trace holds at
     least half its diagonal's weight, sum_i |Re rho_ii| (a state's holds all
     of it), is scaled to that trace. Where the diagonal's signs cancel more
@@ -438,6 +473,7 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     d = bath.dim
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
         raise InvalidParams(f"stationary map acts on {d}x{d}, got {rho.shape}")
+    _require_hermitian(rho, "state")
     struct = stationary_structure(bath)
     k = len(struct.kernel)
     # Tr[C X] = sum_ij C_ij X_ji, one row of coefficients per operator
@@ -509,9 +545,13 @@ def thermal_two_level_bath(
     ))
 
 
+@functools.lru_cache(maxsize=None)
 def _three_level_unit(i: int, j: int) -> np.ndarray:
+    """|i><j| of the device, built once and read-only: every JumpTerm of
+    the device's baths keeps a reference to its jump."""
     m = np.zeros((3, 3), dtype=complex)
     m[i, j] = 1.0
+    m.flags.writeable = False
     return m
 
 

@@ -49,13 +49,31 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A†)/2 of one operator or a stack."""
-    return 0.5 * (a + dagger(a))
+    """Return the Hermitian part (A + A†)/2 of one operator or a stack,
+    halved in place in its one temporary: the rounding of 0.5 * (A + A†).
+    An integer A gives floats."""
+    out = a + dagger(a)
+    if out.dtype.kind not in "fc":
+        return 0.5 * out
+    out *= 0.5
+    return out
 
 
 def herm_defect(a: np.ndarray) -> float:
     """Max absolute entrywise deviation of A from A†."""
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+
+
+def _require_hermitian(a: np.ndarray, what: str) -> None:
+    """InvalidParams unless one operator (d, d), or each operator of a stack
+    (n, d, d), deviates from its adjoint by at most HERM_TOL max(1, max|X|),
+    require_hamiltonian's rule."""
+    defect = np.abs(a - dagger(a)).max(axis=(-2, -1), initial=0.0)
+    tol = HERM_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    bad = defect > tol
+    if bad.any():
+        at = np.argmax(bad) if bad.ndim else ()
+        raise InvalidParams(f"{what} deviates from Hermiticity by {defect[at]:.3e} (tol {tol[at]:.1e})")
 
 
 def _require_array(a: np.ndarray, what: str) -> None:
@@ -91,10 +109,7 @@ def require_hamiltonian(h: np.ndarray, what: str, d: int | None = None) -> int:
     its own entries at large energies and HERM_TOL below 1. Returns its
     dimension."""
     d = require_operator(h, what, d)
-    defect = herm_defect(h)
-    tol = HERM_TOL * max(1.0, float(np.abs(h).max(initial=0.0)))
-    if defect > tol:
-        raise InvalidParams(f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
+    _require_hermitian(h, what)
     return d
 
 
@@ -267,7 +282,7 @@ def _real_form(mat: np.ndarray) -> np.ndarray:
     of one matrix, or of each matrix of a stack."""
     idx, weight = _herm_index(math.isqrt(mat.shape[-1]))[:2]
     flat = np.ascontiguousarray(mat, dtype=complex).reshape(*mat.shape[:-2], -1)
-    terms = flat.view(float)[..., idx]
+    terms = flat.view(float).take(idx, axis=-1)
     terms *= weight
     return np.add(terms[..., 0, :, :], terms[..., 1, :, :])
 

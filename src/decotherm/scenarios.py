@@ -34,6 +34,7 @@ from .baths import (
     LindbladGenerator,
     _generator_matrices,
     _kernel_basis,
+    _rows,
     _stationary_structures,
     _three_level_unit,
     dephasing_bath,
@@ -247,6 +248,7 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     n = len(params)
     assemblies = [build_device(p) for p in params]
     dephased = [i for i, a in enumerate(assemblies) if a.dephasing is not None]
+    dephased_at = _rows(np.array(dephased, dtype=int))  # a slice when they are one run
     baths = ([a.left for a in assemblies] + [a.right for a in assemblies]
              + [assemblies[i].dephasing for i in dephased])
     hams = np.array([a.hamiltonian for a in assemblies])
@@ -255,7 +257,7 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     liouv = _commutator(hams)
     liouv += gens[:n]
     liouv += gens[n:2 * n]
-    liouv[dephased] += gens[2 * n:]
+    liouv[dephased_at] += gens[2 * n:]
     require_finite(liouv, "Liouvillian")  # rates can overflow; Hermiticity holds by construction
     kernels = _kernel_basis(np.concatenate([liouv, gens]))
     dims = kernels.dims[:n].tolist()
@@ -270,18 +272,21 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     terms = _bath_terms(baths, gens, nu[point], log_nu[point])
     _require_support(baths, terms)
     heats = _traces(hams[point], terms.flow)
-    # sum_b Tr[L_b(nu) X_b] in the order of each point's baths, from 0 as sum()
-    pairing = 0.0 + terms.pairing[:n] + terms.pairing[n:2 * n]
-    pairing[dephased] += terms.pairing[2 * n:]
-    magnitudes = terms.magnitude
-    magnitude = magnitudes[:n] + magnitudes[n:2 * n]
-    magnitude[dephased] += magnitudes[2 * n:]
-    production = _production(pairing, magnitude)
+
+    def per_point(a: np.ndarray) -> np.ndarray:
+        """The sum over each point's baths of a per-bath column, in order."""
+        out = a[:n] + a[n:2 * n]
+        out[dephased_at] += a[2 * n:]
+        return out
+
+    # sum_b Tr[L_b(nu) X_b], from 0 as sum()
+    production = _production(per_point(0.0 + terms.pairing), per_point(abs(terms.pairing)),
+                             lambda: per_point(terms.magnitude))
     heat_d, m_ld, m_dl = np.zeros((3, n))
-    heat_d[dephased] = heats[2 * n:]
+    heat_d[dephased_at] = heats[2 * n:]
     if dephased:
-        m_ld[dephased], m_dl[dephased] = _reciprocal_coefficients(
-            hams[dephased], gens[dephased], gens[2 * n:], c)
+        m_ld[dephased_at], m_dl[dephased_at] = _reciprocal_coefficients(
+            hams[dephased_at], gens[dephased_at], gens[2 * n:], c)
     coherence = nu[:, 1, 2]
     x_l = np.where(np.abs(coherence) <= COHERENCE_TOL, math.nan,
                    (log_nu[:, 1, 2] + log_nu[:, 2, 1]).real)

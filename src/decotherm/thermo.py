@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -205,16 +205,30 @@ def _require_support(baths, terms: _BathTerms) -> None:
         )
 
 
-def _production(pairing: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+def _can_bind(pairing: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Where _production's bound can bind: |Im P| > IMAG_TOL size / 2."""
+    return abs(pairing.imag) > 0.5 * IMAG_TOL * size
+
+
+def _production(pairing: np.ndarray, size: np.ndarray, magnitude: Callable[[], np.ndarray]) -> np.ndarray:
     """P, the real part of the summed pairing sum_b Tr[L_b(rho) X_b] of one
     state or of a stack; NonRealPairing if its imaginary part exceeds
-    IMAG_TOL times magnitude, the summed _BathTerms.magnitude, at a point."""
+    IMAG_TOL times the summed _BathTerms.magnitude at a point.
+
+    That magnitude bounds size, the summed |Tr[L_b(rho) X_b]|, so it is
+    formed only where it can bind (`_can_bind`): magnitude() is called only
+    if some point has |Im P| > IMAG_TOL size / 2, and only its entries at
+    those points are read. The half keeps the rounding of size and of the
+    magnitude from clearing a point that the full bound refuses."""
     imag = abs(pairing.imag)
-    bad = imag > IMAG_TOL * magnitude
-    if np.any(bad):
-        at = np.ravel(np.where(bad, imag, 0.0)).argmax()
-        raise NonRealPairing(f"entropy production picked up imaginary part {np.ravel(imag)[at]:.3e} "
-                             f"> tol {IMAG_TOL:.1e} * {np.ravel(magnitude)[at]:.3e}")
+    near = _can_bind(pairing, size)
+    if near.any():
+        mag = magnitude()
+        bad = near & (imag > IMAG_TOL * mag)
+        if bad.any():
+            at = np.ravel(np.where(bad, imag, 0.0)).argmax()
+            raise NonRealPairing(f"entropy production picked up imaginary part {np.ravel(imag)[at]:.3e} "
+                                 f"> tol {IMAG_TOL:.1e} * {np.ravel(mag)[at]:.3e}")
     return pairing.real
 
 
@@ -246,7 +260,8 @@ def entropy_production(rho: np.ndarray, baths) -> float:
     terms = _state_terms(baths, rho)
     _require_support(baths, terms)
     # from a complex zero: an empty pairing sums to 0.0, not to the int 0
-    return float(_production(sum(terms.pairing, np.complex128(0)), terms.magnitude.sum()))
+    return float(_production(sum(terms.pairing, np.complex128(0)), abs(terms.pairing).sum(),
+                             lambda: terms.magnitude.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +355,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     names = [b.name for b in spec.baths]
     energy_, entropy = np.empty(n), np.empty(n)
     pairing = np.zeros(n, dtype=complex)
-    magnitude = np.zeros(n)
+    size, magnitude = np.zeros(n), np.zeros(n)
     ok = np.ones(n, dtype=bool)
     heats = {name: np.empty(n) for name in names}
     fluxes = {name: np.empty(n) for name in names}
@@ -353,6 +368,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
         rho, h = states[sl], hams[seg[sl]]
         energy_[sl] = _traces(h, rho)
         entropy[sl], log_rho = _entropy_and_log(rho)
+        held = []  # the block's terms, until its pairing is known
         for i, (bath, name) in enumerate(zip(spec.baths, names)):
             # one bath at a time: a block's flows and logs for every bath at
             # once would not fit the cache at d = 3
@@ -362,9 +378,13 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
             fluxes[name][sl] = np.where(bath_ok, terms.flux[0], math.nan)
             rel[name][sl] = np.where(bath_ok, terms.relative_entropy[0], math.inf)
             pairing[sl] += terms.pairing[0]
-            magnitude[sl] += terms.magnitude[0]
+            size[sl] += abs(terms.pairing[0])
             ok[sl] &= bath_ok
-    production = _production(np.where(ok, pairing, math.nan), magnitude)
+            held.append(terms)
+        if _can_bind(pairing[sl], size[sl]).any():
+            for terms in held:
+                magnitude[sl] += terms.magnitude[0]
+    production = _production(np.where(ok, pairing, math.nan), size, lambda: magnitude)
     return ThermoSamples(
         t=times.astype(float),
         energy=energy_,

@@ -22,15 +22,20 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decotherm import baths as baths_module
 from decotherm import thermo
 from decotherm.baths import (
+    _PASS_ENTRIES,
     Bath,
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
     _generator_matrices,
     _kernel_basis,
+    _pass_constants,
+    _rows,
     _stationary_structures,
+    _three_level_unit,
     apply_generator,
     dephasing_bath,
     generator_superop,
@@ -43,7 +48,7 @@ from decotherm.baths import (
 )
 from decotherm.errors import InvalidParams, NoConvergence
 from decotherm.dynamics import EvolutionSpec, liouvillian
-from decotherm.operators import assert_density_matrix
+from decotherm.operators import _groups, _herm_index, _herm_operators, _real_form, assert_density_matrix
 from decotherm.scenarios import DeviceParams, build_device, device_dephasing_bath
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -765,3 +770,188 @@ class TestKernelBasis:
             one_right, one_left, one_scale = basis_of(_kernel_basis(m[None]), 0)
             assert np.array_equal(right, one_right) and np.array_equal(left, one_left)
             assert scale == one_scale
+
+
+def per_group_kernel_basis(lmats):
+    """Test-side oracle: _kernel_basis as it was before it converted the
+    null columns once per side, each kernel-dimension group converting its
+    own columns."""
+    real = _real_form(lmats)
+    n = real.shape[-1]
+    eps = np.finfo(float).eps
+    scale = np.linalg.svd(real, compute_uv=False)[:, 0]
+    mag = np.abs(real)
+    rows = mag.max(axis=2)
+    rows = np.where(rows <= (scale * n * eps)[:, None], np.maximum(scale, 1.0)[:, None], rows)
+    cols = (mag / rows[:, :, None]).max(axis=1)
+    cols[cols <= n * eps] = 1.0
+    u, s, vh = np.linalg.svd(real / (rows[:, :, None] * cols[:, None, :]))
+    ks = np.count_nonzero(s <= s[:, :1] * n * eps, axis=1)
+    vh /= cols[:, None, :]
+    u /= rows[:, :, None]
+    groups = {}
+    for k, at in _groups(ks.tolist()).items():
+        at = np.array(at)
+        pick = _rows(at)
+        groups[k] = (at, _herm_operators(vh[pick, n - k:]),
+                     _herm_operators(u[pick, :, n - k:].swapaxes(-1, -2)))
+    return ks, scale, groups
+
+
+def mixed_kernel_baths(rng, d):
+    """Baths of dimension d with kernels of dimension 1, d and d²: a random
+    two-jump bath, a dephasing bath in a random basis and the empty
+    generator, each twice so that a group takes an index run and a gather."""
+    basis = np.linalg.qr(random_complex(rng, d))[0]
+    out = []
+    for i in range(2):
+        out.append(Bath(f"random{i}", LindbladGenerator(d, tuple(
+            JumpTerm(float(r), random_complex(rng, d) / d) for r in rng.uniform(0.1, 1.0, 2)))))
+        out.append(dephasing_bath([basis[:, j] for j in range(d)], 0.3 + i, name=f"dephasing{i}"))
+        out.append(Bath(f"null{i}", LindbladGenerator(d, ())))
+    return out
+
+
+class TestKernelBasisConversion:
+    """The null columns become operators once per side, and each kernel
+    dimension slices its own: the same groups, bit for bit, as the
+    per-group conversion."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_matches_the_per_group_conversion(self, rng, d):
+        baths = mixed_kernel_baths(rng, d)
+        if d == 16:  # the empty generator's 256 null columns are 1 MB each side
+            baths = baths[:3]
+        lmats = gen_stack(baths)
+        got = _kernel_basis(lmats)
+        dims, scales, groups = per_group_kernel_basis(lmats)
+        assert np.array_equal(got.dims, dims) and np.array_equal(got.scales, scales)
+        assert sorted(got.groups) == sorted(groups) == sorted({1, d, d * d})
+        for k, (at, right, left) in groups.items():
+            got_at, got_right, got_left = got.groups[k]
+            assert np.array_equal(got_at, at)
+            assert got_right.shape == right.shape == (len(at), k, d, d)
+            assert np.array_equal(got_right, right) and np.array_equal(got_left, left)
+
+
+class TestCachedConstants:
+    """Arrays built once per dimension (or per device level pair) are shared
+    by every call, so none of them may be written in place."""
+
+    @staticmethod
+    def assert_read_only(a):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+        with pytest.raises(ValueError):
+            a += 1
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_pass_constants_and_herm_index(self, d):
+        eye, probe = _pass_constants(d)
+        assert np.array_equal(eye, np.eye(d))
+        assert np.array_equal(np.diag(probe).real, np.arange(2.0, 2.0 * d + 1.0, 2.0))
+        for a in (eye, probe, *_herm_index(d)):
+            self.assert_read_only(a)
+        assert _pass_constants(d)[1] is probe
+
+    def test_device_units(self):
+        for i, j in itertools.product(range(3), range(3)):
+            m = _three_level_unit(i, j)
+            assert np.array_equal(m, unit(i, j))
+            self.assert_read_only(m)
+
+    def test_device_baths_built_in_a_row_share_no_writable_array(self):
+        def arrays(assembly):
+            out = [assembly.hamiltonian]
+            for b in assembly.baths:
+                g = b.generator
+                out += [g.jump_stack, g.rate_stack, *(t.jump for t in g.terms)]
+            return out
+
+        p = DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)
+        first, second = arrays(build_device(p)), arrays(build_device(p))
+        shared = [(a, b) for a in first for b in second if np.shares_memory(a, b)]
+        assert shared  # the unit jumps are built once
+        for a, b in shared:
+            assert not a.flags.writeable and not b.flags.writeable
+
+
+class TestGeneratorPasses:
+    """_generator_matrices builds _PASS_ENTRIES // d⁴ generators a pass, and
+    each matrix is the one its own build gives, bit for bit."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = []
+        real = baths_module._groups
+        monkeypatch.setattr(baths_module, "_groups", lambda counts: calls.append(len(counts)) or real(counts))
+        return calls
+
+    def test_d16_one_generator_a_pass(self, monkeypatch):
+        gens = [b.generator for b in random_dense_baths(5)]
+        alone = [_generator_matrices([g], 16)[0] for g in gens]
+        calls = self.count_passes(monkeypatch)
+        stacked = _generator_matrices(gens, 16)
+        assert calls == [1, 1, 1]
+        assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+
+    def test_d3_passes_of_pass_entries(self, monkeypatch):
+        per_pass = _PASS_ENTRIES // 3**4
+        gens = []
+        for n in np.geomspace(1e-12, 1e6, per_pass + 3):
+            gens += [b.generator for b in build_device(DeviceParams(1.5, 1.0, 0.4, n, n, n)).baths]
+        gens = gens[:per_pass + 5]
+        alone = [_generator_matrices([g], 3)[0] for g in gens]
+        calls = self.count_passes(monkeypatch)
+        stacked = _generator_matrices(gens, 3)
+        assert calls == [per_pass, 5]
+        assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+
+
+class TestStationaryMapRefusesNonHermitian:
+    """B maps Hermitian operators; a non-Hermitian one, alone or in a stack,
+    is refused instead of mapped through its Hermitian part."""
+
+    def test_sigma_plus_is_refused(self):
+        empty = Bath("null", LindbladGenerator(2, ()))
+        plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(InvalidParams, match="Hermiticity"):
+            stationary_map(empty, plus)
+        stack = np.stack([np.eye(2, dtype=complex) / 2, plus, SX.copy()])
+        with pytest.raises(InvalidParams, match="Hermiticity"):
+            stationary_map(empty, stack)
+
+    def test_tolerance_is_relative_to_the_entries(self, rng):
+        bath = Bath("null", LindbladGenerator(3, ()))
+        rho = 1e6 * ginibre_state(rng, 3)
+        rho[0, 1] += 1e-5  # a defect of ~2e-11 max|rho|
+        stationary_map(bath, rho)
+        rho[0, 1] += 1e-3
+        with pytest.raises(InvalidParams):
+            stationary_map(bath, rho)
+
+    @staticmethod
+    def plain_image(bath, x):
+        """stationary_map's arithmetic without its gates and residual check,
+        as it read before the Hermiticity gate."""
+        struct = stationary_structure(bath)
+        d, k = bath.dim, len(struct.kernel)
+        coefs = x.swapaxes(-1, -2).reshape(-1, d * d) @ struct.conserved.reshape(k, d * d).T
+        img = (coefs @ struct.kernel.reshape(k, d * d)).reshape(x.shape)
+        out = 0.5 * (img + img.swapaxes(-1, -2).conj())
+        tr, tr_out = np.trace(x, axis1=-2, axis2=-1), np.trace(out, axis1=-2, axis2=-1)
+        weight = np.abs(np.diagonal(x, axis1=-2, axis2=-1).real).sum(axis=-1)
+        rescale = (tr != 0) & (2.0 * np.abs(tr) >= weight)
+        ratio = np.divide(tr, tr_out, out=np.ones(tr.shape, complex), where=rescale)
+        return out * ratio.real[..., None, None]
+
+    def test_hermitian_operators_and_states_map_as_before(self, rng):
+        for bath in [*build_device(DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)).baths,
+                     rank_two_block_bath(), Bath("null", LindbladGenerator(3, ()))]:
+            herm = random_complex(rng, 3)
+            herm = herm + herm.conj().T
+            traceless = herm - np.trace(herm).real / 3 * np.eye(3)
+            states = np.stack([ginibre_state(rng, 3) for _ in range(4)])
+            for x in (traceless, states[0], states, np.stack([traceless, states[1]])):
+                assert np.array_equal(stationary_map(bath, x), self.plain_image(bath, x)), bath.name

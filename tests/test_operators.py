@@ -25,6 +25,7 @@ from decotherm.operators import (
     _herm_index,
     _herm_operators,
     _real_form,
+    dagger,
     hermitize,
 )
 
@@ -56,6 +57,21 @@ class TestHermitize:
         a = random_complex(rng, 4)
         out = hermitize(a)
         assert np.linalg.norm(out - a) <= np.linalg.norm(a - a.conj().T) + 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_in_place_half_matches_the_two_temporary_form(self, rng, d):
+        # oracle: the form hermitize had before it halved in place
+        def oracle(a):
+            return 0.5 * (a + dagger(a))
+
+        for a in (random_complex(rng, d), np.stack([random_complex(rng, d) for _ in range(5)]),
+                  rng.normal(size=(3, d, d)), 1e150 * random_complex(rng, d)):
+            got = hermitize(a)
+            assert got.dtype == oracle(a).dtype
+            assert np.array_equal(got, oracle(a))
+        ints = rng.integers(-5, 5, size=(2, d, d))
+        assert hermitize(ints).dtype == float
+        assert np.array_equal(hermitize(ints), oracle(ints))
 
 
 def support_log(a):

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decotherm import thermo
 from decotherm.baths import (
     Bath,
     JumpTerm,
@@ -35,6 +38,7 @@ from decotherm.errors import (
     DegenerateKernel,
     InvalidParams,
     NoConvergence,
+    NonRealPairing,
 )
 from decotherm.onsager import (
     ReciprocalCoefficients,
@@ -489,3 +493,84 @@ def test_non_finite_parameters_rejected(case):
     make, error = NAN_CASES[case]
     with pytest.raises(error):
         make()
+
+
+def summed_magnitude(p):
+    """The summed _BathTerms.magnitude of a device point at its steady state:
+    the scale of the pairing's rounding that NonRealPairing is relative to."""
+    assembly = build_device(p)
+    nu = device_report(p).nu
+    return float(thermo._state_terms(assembly.baths, nu).magnitude.sum())
+
+
+class TestDevicePairingCheck:
+    """The device reports' P pairing passes the NonRealPairing check of the
+    scalar functions and the sampler: an imaginary part above IMAG_TOL times
+    the summed _BathTerms.magnitude at a point raises, one below it leaves P
+    as it was; the magnitude is formed only where the bound can bind."""
+
+    @staticmethod
+    def shift_pairing(monkeypatch, ratio):
+        # each bath's pairing picks up i*ratio*IMAG_TOL times its own scale,
+        # each point's sum i*ratio*IMAG_TOL times the summed scale
+        import decotherm.scenarios as sc
+
+        real = sc._bath_terms
+
+        def shifted(baths, gens, rho, log_rho):
+            terms = real(baths, gens, rho, log_rho)
+            return terms._replace(pairing=terms.pairing + 1j * ratio * thermo.IMAG_TOL * terms.magnitude)
+
+        monkeypatch.setattr(sc, "_bath_terms", shifted)
+
+    @staticmethod
+    def count_magnitude_reads(monkeypatch):
+        reads = []
+        real = thermo._BathTerms.magnitude
+        monkeypatch.setattr(thermo._BathTerms, "magnitude",
+                            property(lambda self: reads.append(1) or real.fget(self)))
+        return reads
+
+    @pytest.mark.parametrize("ratio, raises", [(0.5, False), (2.0, True)])
+    def test_device_report_bound(self, monkeypatch, ratio, raises):
+        p = DeviceParams(**DEFAULT_DEVICE)
+        expected = device_report(p).entropy_production
+        magnitude = summed_magnitude(p)
+        self.shift_pairing(monkeypatch, ratio)
+        if raises:
+            with pytest.raises(NonRealPairing, match=re.escape(f"> tol 1.0e-10 * {magnitude:.3e}")):
+                device_report(p)
+        else:
+            assert device_report(p).entropy_production == expected
+
+    @pytest.mark.parametrize("ratio, raises", [(0.5, False), (2.0, True)])
+    def test_gamma_sweep_bound(self, monkeypatch, ratio, raises):
+        base = DeviceParams(**DEFAULT_DEVICE)
+        gammas = [0.0, 0.5, 1.0, 20.0]
+        expected = [pt.report.entropy_production for pt in gamma_sweep(base, gammas)]
+        magnitudes = [summed_magnitude(dataclasses.replace(base, gamma=g)) for g in gammas]
+        self.shift_pairing(monkeypatch, ratio)
+        if raises:
+            # the point with the largest imaginary part is named, as before
+            worst = max(magnitudes)
+            with pytest.raises(NonRealPairing, match=re.escape(f"* {worst:.3e}")):
+                gamma_sweep(base, gammas)
+        else:
+            got = [pt.report.entropy_production for pt in gamma_sweep(base, gammas)]
+            assert got == expected
+
+    def test_default_report_forms_no_magnitude(self, monkeypatch):
+        reads = self.count_magnitude_reads(monkeypatch)
+        device_report(DeviceParams(**DEFAULT_DEVICE))
+        gamma_sweep(DeviceParams(**DEFAULT_DEVICE), [0.0, 0.5, 1.0])
+        assert reads == []
+        thermo._state_terms(build_device(DeviceParams(**DEFAULT_DEVICE)).baths, np.eye(3) / 3).magnitude
+        assert reads == [1]  # the counter sees a read
+
+    def test_device_trajectory_sampler_forms_no_magnitude(self, monkeypatch, tmp_path):
+        from decotherm import cli
+
+        reads = self.count_magnitude_reads(monkeypatch)
+        config = Path(__file__).parents[1] / "configs" / "device_trajectory.json"
+        assert cli.run(str(config), output=str(tmp_path / "out.csv")) == 0
+        assert reads == []
