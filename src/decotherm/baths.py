@@ -11,10 +11,13 @@ A structure keeps B as k pairs of d×d operators and no d²×d² matrix:
 (J_k, omega_k), or for a bath with some n_k > 1 the dual rows and the
 right null vectors of the kernel solve.
 The same SVD null space (`_kernel_basis`) gives a Liouvillian's steady state.
-Its SVDs run in real arithmetic, on the generator's real matrix in the
+Its one SVD runs in real arithmetic, on the generator's real matrix in the
 orthonormal Hermitian basis of `operators`: a unitary change of basis, so
 ||L||_2 and the rank rule are unchanged, and every null vector comes out as
-an exactly Hermitian operator.
+an exactly Hermitian operator. Every residual bound is still
+tol·||L||_2, and one test decides them all (`_first_failure`): from
+||L||_F first, which the kernel solve keeps, and with ||L||_2 from a
+values-only SVD only where that bound cannot decide.
 
 There is one structure solver, `_stationary_structures`, and it solves all
 the uncached baths of a call in one stacked pass: the projector P, which
@@ -87,9 +90,14 @@ class JumpTerm:
     jump: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.rate < np.inf:
-            raise InvalidParams(f"jump rate must be finite and >= 0, got {self.rate}")
+        _require_rate(self.rate)
         require_operator(self.jump, "jump operator")
+
+
+def _require_rate(rate: float) -> None:
+    """JumpTerm's rate rule: InvalidParams unless finite and >= 0 (NaN fails)."""
+    if not 0 <= rate < np.inf:
+        raise InvalidParams(f"jump rate must be finite and >= 0, got {rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +185,10 @@ def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class PropagateToFixedPoint:
-    """tol bounds ||L(B(rho))||_F of each image stationary_map returns, and
-    ||L(omega_k)||_F of each block's state, relative to ||L||_2; a larger
-    residual raises NoConvergence (with tol = 0, any nonzero one does)."""
+    """tol bounds ||L(B(X))||_F of each image stationary_map returns,
+    relative to ||L||_2 max(1, ||B(X)||_F), and ||L(omega_k)||_F of each
+    block's state, relative to ||L||_2; a larger residual raises
+    NoConvergence (with tol = 0, any nonzero one does)."""
 
     tol: float = 1e-12
 
@@ -199,42 +208,57 @@ class Bath:
 @dataclass(frozen=True, eq=False)
 class StationaryStructure:
     """The projector onto ker L as k pairs of d×d operators, (k, d, d)
-    stacks with B(X) = sum_k Tr[conserved_k X] kernel_k, and ||L||_2. When
+    stacks with B(X) = sum_k Tr[conserved_k X] kernel_k. When
     every n_k = 1, kernel_k is the block state omega_k and conserved_k is
     J_k = P†(Pi_k), and blocks and logs hold the block projectors Pi_k and
     log omega_k on V_k; else kernel holds the right null operators R,
     conserved the rows of (N†R)⁻¹ N†, and blocks and logs are None. No
-    d²×d² matrix is kept: k d² entries against d⁴."""
+    d²×d² matrix is kept: k d² entries against d⁴, nor ||L||: a residual
+    check needs L itself (`_first_failure`)."""
 
-    scale: float
     kernel: np.ndarray
     conserved: np.ndarray
     blocks: np.ndarray | None = None
     logs: np.ndarray | None = None
 
 
+#: A structure pass' own stacks of block structures, by block count m:
+#: stacks[m] = (rows, blocks, conserved, logs), the baths with m blocks, as
+#: `_rows` gives their indices, and their (len, m, d, d) stacks.
+_BlockStacks = dict[int, tuple[slice | np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
 class _Kernels(NamedTuple):
-    """The null spaces of a stack of m matrices (`_kernel_basis`), grouped
-    by kernel dimension k, so that a product over the kernel index runs on
-    one group at a time with no restacking: groups[k] = (at, right, left),
-    the indices of the matrices with a k-dimensional kernel and their right
-    and left null vectors, (len(at), k, d, d) stacks of Hermitian operators.
-    A BLAS product picks its kernel by shape (a 1×1 N†R is a dot product, a
-    padded one a GEMM), so padding to a common k would round a matrix's
-    results one way alone and another way in a stack."""
+    """The null spaces of a stack of m matrices (`_kernel_basis`): matrix i
+    has a dims[i]-dimensional kernel, whose right and left null vectors are
+    the last dims[i] of right[i] and of left[i], (m, k_max, d, d) stacks of
+    Hermitian operators."""
 
     dims: np.ndarray  # (m,) kernel dimension of each matrix
-    scales: np.ndarray  # (m,) ||L||_2 of each matrix
-    groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    fro: np.ndarray  # (m,) ||L||_F of each matrix, ||L||_2 where that overflows
+    right: np.ndarray
+    left: np.ndarray
 
     def part(self, start: int, stop: int) -> "_Kernels":
         """The kernels of the matrices start..stop - 1, numbered from 0."""
-        groups = {}
-        for k, (at, right, left) in self.groups.items():
-            lo, hi = bisect.bisect_left(at, start), bisect.bisect_left(at, stop)
-            if hi > lo:
-                groups[k] = (at[lo:hi] - start, right[lo:hi], left[lo:hi])
-        return _Kernels(self.dims[start:stop], self.scales[start:stop], groups)
+        return _Kernels(*(a[start:stop] for a in self))
+
+    def groups(self) -> dict[int, tuple[np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray]]:
+        """The kernels grouped by dimension k (`operators._groups`), so that
+        a product over the kernel index runs on one group at a time with no
+        restacking: groups[k] = (at, rows, right, left), the indices of the
+        matrices with a k-dimensional kernel, the same as `_rows` gives
+        them, and their right and left null vectors, (len(at), k, d, d)
+        stacks. A BLAS product picks its kernel by shape (a 1×1 N†R is a
+        dot product, a padded one a GEMM), so padding to a common k would
+        round a matrix's results one way alone and another way in a stack."""
+        k_max = self.right.shape[1]
+        out = {}
+        for k, at in _groups(self.dims.tolist()).items():
+            at = np.array(at)
+            rows = _rows(at)
+            out[k] = (at, rows, self.right[rows, k_max - k:], self.left[rows, k_max - k:])
+        return out
 
 
 def _kernel_basis(lmats: np.ndarray) -> _Kernels:
@@ -243,20 +267,23 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     LAPACK's xGEEQU scales a linear solve; each step is one call for the
     whole stack.
 
-    Both SVDs run in real arithmetic, on the real form of L in the
+    The SVD runs in real arithmetic, on the real form of L in the
     Hermitian coordinates (`operators._real_form`): the basis change is
     unitary, so it has the singular values of L, and ker L has a Hermitian
     basis. Each row of that matrix is divided by its largest entry, then
     each column of the result by its largest, D L C = U S Vᵀ; singular
     values at or below s[0]·n·eps count as zero (numpy's matrix_rank rule).
-    A row at or below ||L||_2·n·eps, or a column at or below n·eps, keeps a
-    scale that leaves it that small, so what is zero stays zero. Returns the
-    right and left null vectors, C V and D U over the null columns, as
-    Hermitian operators grouped by kernel dimension (`operators._groups`),
-    and ||L||_2 from the singular values of L itself. The last k_max
-    columns of every matrix become operators in one call per side, and each
-    group takes its last k of them: `_herm_operators` works entry by entry,
-    so a group's operators are those of its own columns.
+    A row at or below ||L||_F·n·eps, or a column at or below n·eps, keeps a
+    scale that leaves it that small, so what is zero stays zero: ||L||_F
+    (one product over the real form) stands in for ||L||_2 there, as it
+    does in `_first_failure`, so no second SVD runs for ||L||_2 but where
+    the squares overflow (entries past ~1e154). Returns (`_Kernels`) the
+    kernel dimensions, ||L||_F (or ||L||_2 where it overflowed), and the
+    right and left null vectors, C V and D U
+    over the last k_max columns of every matrix, as Hermitian operators:
+    only those columns are unscaled, and they become operators in one call
+    per side. `_herm_operators` works entry by entry, so a matrix's
+    operators are those of its own columns, alone or in a stack.
 
     Unscaled, a null vector's entries are resolved only to eps·||L|| over
     the gap to the next singular value: a pump bath at n = 1e-14 has
@@ -267,26 +294,23 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     real = _real_form(lmats)
     n = real.shape[-1]
     eps = _EPS
-    scale = np.linalg.svd(real, compute_uv=False)[:, 0]
     mag = np.abs(real)
     rows = mag.max(axis=2)
-    rows = np.where(rows <= (scale * n * eps)[:, None], np.maximum(scale, 1.0)[:, None], rows)
+    fro = np.sqrt(np.einsum("mij,mij->m", real, real))
+    huge = ~(fro < np.inf)  # the squares overflowed: ||L||_2 itself
+    if huge.any():
+        fro[huge] = np.linalg.svd(real[huge], compute_uv=False)[:, 0]
+    rows = np.where(rows <= (fro * n * eps)[:, None], np.maximum(fro, 1.0)[:, None], rows)
     cols = (mag / rows[:, :, None]).max(axis=1)
     cols[cols <= n * eps] = 1.0
     u, s, vh = np.linalg.svd(real / (rows[:, :, None] * cols[:, None, :]))
     ks = (s <= s[:, :1] * n * eps).sum(axis=1)
-    vh /= cols[:, None, :]
-    u /= rows[:, :, None]
-    # only the null vectors become operators: all d² of them are 1 MB at d = 16
+    # only the null vectors are unscaled and become operators: all d² of
+    # them are 1 MB at d = 16
     k_max = int(ks.max())
-    right = _herm_operators(vh[:, n - k_max:])
-    left = _herm_operators(u[:, :, n - k_max:].swapaxes(-1, -2))
-    groups = {}
-    for k, at in _groups(ks.tolist()).items():
-        at = np.array(at)
-        pick = _rows(at)
-        groups[k] = (at, right[pick, k_max - k:], left[pick, k_max - k:])
-    return _Kernels(ks, scale, groups)
+    right = _herm_operators(vh[:, n - k_max:] / cols[:, None, :])
+    left = _herm_operators((u[:, :, n - k_max:] / rows[:, :, None]).swapaxes(-1, -2))
+    return _Kernels(ks, fro, right, left)
 
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
@@ -301,14 +325,14 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
     pass probes with sum_k k Pi_k from the first pass' labels, whose blocks
     sit 1 apart. If there are dim ker L blocks, every n_k = 1 and
     P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
-    if bath._structure is not None:
-        return bath._structure
-    return _stationary_structures([bath], _generator_matrices([bath.generator], bath.dim))[0]
+    if bath._structure is None:
+        _stationary_structures([bath], _generator_matrices([bath.generator], bath.dim))
+    return bath._structure
 
 
 def _stationary_structures(
     baths: Sequence[Bath], gens: np.ndarray, kernels: _Kernels | None = None
-) -> list[StationaryStructure]:
+) -> _BlockStacks | None:
     """stationary_structure of each bath, from gens, the stack of their
     generator matrices (`_generator_matrices`), and from kernels, their
     _kernel_basis if the caller solved them already. Private, so that no
@@ -321,19 +345,23 @@ def _stationary_structures(
     large stacked work arrays cost more than the calls they save, and the
     passes run in list order. The products over the kernel and block indices
     (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k), L(omega_k)) run once per kernel
-    dimension present (`_Kernels`); every other step is one call for all
-    the baths of the pass. P lives only for the pass: each structure keeps
-    its operator pairs (`StationaryStructure`). The directions a support of
-    lower rank drops are shifted above the probe's spectrum, so they sort
-    last and stay out of every block, and blocks a bath does not have are
-    masked. A bath's
-    structure is the same, bit for bit, alone or in a stack. NoConvergence
-    names the first failing bath in list order, and the baths before it keep
-    their structures. The baths share one dimension: the callers check it
-    (`dynamics._generators`) or pass one bath, or the device's three."""
+    dimension present (`_Kernels.groups`); every other step is one call for
+    all the baths of the pass. P lives only for the pass: each structure
+    keeps its operator pairs (`StationaryStructure`). The directions a
+    support of lower rank drops are shifted above the probe's spectrum, so
+    they sort last and stay out of every block, and blocks a bath does not
+    have are masked. A bath's structure is the same, bit for bit, alone or
+    in a stack. NoConvergence names the first failing bath in list order,
+    and the baths before it keep their structures. The baths share one
+    dimension: the callers check it (`dynamics._generators`) or pass one
+    bath, or the device's three.
+
+    When the call solves every bath, distinct, in one pass and each has a
+    block structure, it returns the pass' own stacks of their blocks,
+    conserved operators and logs (`_BlockStacks`), else None."""
     todo = list({id(b): i for i, b in enumerate(baths) if b._structure is None}.values())
     if not todo:
-        return [b._structure for b in baths]
+        return None
     d = baths[todo[0]].dim
     n, m = d * d, len(todo)
     per_pass = max(1, _PASS_ENTRIES // (n * n))
@@ -345,19 +373,20 @@ def _stationary_structures(
             hi = min(lo + per_pass, m)
             _stationary_structures(fresh[lo:hi], gens[lo:hi],
                                    None if kernels is None else kernels.part(lo, hi))
-        return [b._structure for b in baths]
+        return None
     if kernels is None:
         kernels = _kernel_basis(gens)
     ks = kernels.dims
+    groups = kernels.groups()
     proj = np.empty((m, n, n), dtype=complex)
     duals = {}  # (N†R)⁻¹ N† of each kernel dimension, read for a bath without blocks
-    for k, (at, right, left) in kernels.groups.items():
+    for k, (at, rows, right, left) in groups.items():
         # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
         # the row N† of a left null vector that of X
         nh = left.reshape(len(at), k, n)
         r = right.reshape(len(at), k, n).conj().swapaxes(-1, -2)
         dual = np.linalg.solve(nh @ r, nh)
-        proj[_rows(at)] = r @ dual
+        proj[rows] = r @ dual
         duals[k] = dual
     proj_conj = proj.conj()
     adj = proj_conj.swapaxes(-1, -2)  # P†
@@ -398,10 +427,11 @@ def _stationary_structures(
     logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
     conserved = np.zeros(blocks.shape, dtype=complex)
     all_structured = structured.all()
-    for k, (at, _, _) in kernels.groups.items():
-        at = at if all_structured else at[structured[at]]
-        if len(at):
+    for k, (at, rows, _, _) in groups.items():
+        if not all_structured:
+            at = at[structured[at]]
             rows = _rows(at)
+        if len(at):
             adj = proj_conj[rows].swapaxes(-1, -2)
             conserved[rows, :k] = hermitize(_apply_each(adj, blocks[rows, :k]))
     # omega_k, and ||L(omega_k)||_F, 0 for the blocks a bath does not have
@@ -409,22 +439,24 @@ def _stationary_structures(
     flows = _apply_each(gens, states)
     resid = np.sqrt((flows.conj() * flows).real.sum(axis=(-2, -1)))
     tols = np.array([b.fixed_point.tol for b in fresh])
-    # NaN fails
-    failed = structured & ~(resid <= (tols * kernels.scales)[:, None]).all(axis=1)
-    last = int(np.argmax(failed)) if failed.any() else m
-    for i, (k, scale) in enumerate(zip(ks[:last].tolist(), kernels.scales[:last].tolist())):
+    failure = _first_failure(resid if all_structured else np.where(structured[:, None], resid, 0.0),
+                             tols[:, None], gens, kernels.fro)
+    last = m if failure is None else failure[0]
+    for i, k in enumerate(ks[:last].tolist()):
         if structured[i]:
-            struct = StationaryStructure(scale, states[i, :k], conserved[i, :k],
-                                         blocks[i, :k], logs[i, :k])
+            struct = StationaryStructure(states[i, :k], conserved[i, :k], blocks[i, :k], logs[i, :k])
         else:  # R and (N†R)⁻¹ N† as d×d operators
-            at, right, _ = kernels.groups[k]
+            at, _, right, _ = groups[k]
             j = bisect.bisect_left(at, i)
-            struct = StationaryStructure(scale, right[j], duals[k][j].reshape(k, d, d))
+            struct = StationaryStructure(right[j], duals[k][j].reshape(k, d, d))
         object.__setattr__(fresh[i], "_structure", struct)
-    if last < m:
-        _require_residual(fresh[last], resid[last, :ks[last]], float(kernels.scales[last]),
-                          "stationary state of a block")
-    return [b._structure for b in baths]
+    if failure is not None:
+        raise _residual_failure(fresh[last], resid[last, :ks[last]], failure[1],
+                                "stationary state of a block")
+    if m < len(baths) or not all_structured:
+        return None
+    return {k: (rows, blocks[rows, :k], conserved[rows, :k], logs[rows, :k])
+            for k, (_, rows, _, _) in groups.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -447,14 +479,44 @@ def _rows(at: np.ndarray) -> slice | np.ndarray:
     return slice(at[0], at[-1] + 1) if len(at) and at[-1] - at[0] + 1 == len(at) else at
 
 
-def _require_residual(bath: Bath, resid: np.ndarray, scale: float, what: str) -> None:
-    """NoConvergence unless every residual is at most tol * scale (NaN fails)."""
+def _first_failure(resid: np.ndarray, bound: float | np.ndarray, lmats: np.ndarray,
+                   fro: np.ndarray) -> tuple[int, float] | None:
+    """The one residual test: for each matrix L_i of a stack lmats (m, n, n)
+    with ||L_i||_F = fro[i], whether every residual of resid[i] (m, j) is
+    at most bound * ||L_i||_2, bound broadcasting against resid (NaN
+    fails). Returns None if all pass, else the first failing i and its
+    ||L_i||_2. Since ||L||_F / sqrt(n) <= ||L||_2 <= ||L||_F (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 6.2),
+    residuals all at most bound * ||L||_F / n pass with a factor sqrt(n)
+    to spare for rounding (n = d² >= 4; at d = 1 every generator is 0);
+    only the matrices that bound cannot decide run the values-only SVD of
+    their real form, the one `_kernel_basis` solves, and get the exact
+    test. ||L||_2 itself serves as fro where ||L||_F
+    overflows (`_kernel_basis`): fro / n <= ||L||_2 holds for both."""
+    ok = resid <= bound * (fro / lmats.shape[-1])[:, None]
+    if ok.all():
+        return None
+    at = np.flatnonzero(~ok.all(axis=1))
+    norm = np.linalg.svd(_real_form(lmats[at]), compute_uv=False)[:, 0]
+    exact = (resid[at] <= np.broadcast_to(bound, resid.shape)[at] * norm[:, None]).all(axis=1)
+    if exact.all():
+        return None
+    j = int(np.argmin(exact))
+    return int(at[j]), float(norm[j])
+
+
+def _residual_failure(bath: Bath, resid: np.ndarray, scale: float, what: str,
+                      size: np.ndarray | None = None) -> NoConvergence:
+    """The NoConvergence of a bath's residuals resid that `_first_failure`
+    failed against tol * ||L||_2 (scale), or against tol * ||L||_2 * size
+    where the bound scales with the size of each image."""
     tol = bath.fixed_point.tol
-    if not (resid <= tol * scale).all():
-        raise NoConvergence(
-            f"{bath.name}: {what} has residual {np.max(resid):.3e} "
-            f"> tol {tol:.1e} * ||L||_2 {scale:.3e}"
-        )
+    if size is None or (size == 1.0).all():
+        return NoConvergence(f"{bath.name}: {what} has residual {np.max(resid):.3e} "
+                             f"> tol {tol:.1e} * ||L||_2 {scale:.3e}")
+    i = np.argmax(resid / size)  # the first NaN, if any
+    return NoConvergence(f"{bath.name}: {what} has residual {resid.flat[i]:.3e} > tol {tol:.1e} "
+                         f"* ||L||_2 {scale:.3e} * max(1, ||B(X)||_F) {size.flat[i]:.3e}")
 
 
 def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
@@ -468,7 +530,12 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     least half its diagonal's weight, sum_i |Re rho_ii| (a state's holds all
     of it), is scaled to that trace. Where the diagonal's signs cancel more
     (a traceless operator), the image's trace is mostly rounding, and
-    scaling to it would multiply that rounding by that cancellation."""
+    scaling to it would multiply that rounding by that cancellation.
+    Each image's residual ||L(B(rho))||_F must be at most
+    tol ||L||_2 max(1, ||B(rho)||_F), decided by `_first_failure` on the
+    generator matrix the check builds anyway: a state's image keeps the
+    bound tol ||L||_2, and 1e6 rho maps to 1e6 B(rho), whose residual
+    rounds at 1e6 times the state's."""
     require_finite(rho, "state")
     d = bath.dim
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -485,8 +552,14 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
     rescale = np.isfinite(tr) & np.isfinite(tr_out) & (tr != 0) & (2.0 * np.abs(tr) >= weight)
     ratio = np.divide(tr, tr_out, out=np.ones(tr.shape, complex), where=rescale)
     out *= ratio.real[..., None, None]
-    resid = np.linalg.norm(apply_generator(bath.generator, out), axis=(-2, -1))
-    _require_residual(bath, resid, struct.scale, "kernel projector image")
+    gen = generator_superop(bath.generator)
+    resid = np.linalg.norm(gen.apply(out), axis=(-2, -1)).reshape(1, -1)
+    size = np.maximum(np.linalg.norm(out, axis=(-2, -1)), 1.0).reshape(1, -1)
+    fro = np.linalg.norm(gen.matrix)
+    failure = _first_failure(resid, bath.fixed_point.tol * size, gen.matrix[None],
+                             np.array([fro if fro < np.inf else 0.0]))  # overflowed: no bound
+    if failure is not None:
+        raise _residual_failure(bath, resid, failure[1], "kernel projector image", size)
     return out
 
 
@@ -555,12 +628,43 @@ def _three_level_unit(i: int, j: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def _device_jumps(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The device's unit jumps |i><j| of the level pairs, and their stack,
+    built once and read-only."""
+    units = tuple(_three_level_unit(i, j) for i, j in pairs)
+    stack = np.array(units)
+    stack.flags.writeable = False
+    return units, stack
+
+
+def _device_bath(name: str, rates: tuple[float, ...], pairs: tuple[tuple[int, int], ...]) -> Bath:
+    """The device bath with the jump |i><j| at each rate, for (i, j) in
+    pairs: the Bath that JumpTerm and LindbladGenerator build, with their
+    refusals, but only the rates are checked. The cached unit jumps are
+    finite, 3×3 and stacked already, and a device report would otherwise
+    check and stack them again for every bath it builds."""
+    for rate in rates:
+        _require_rate(rate)
+    units, stack = _device_jumps(pairs)
+    terms = tuple(_unchecked(JumpTerm, rate=r, jump=u) for r, u in zip(rates, units))
+    return Bath(name, _unchecked(LindbladGenerator, dim=3, terms=terms, jump_stack=stack,
+                                 rate_stack=np.array(rates, dtype=float)))
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, without
+    its __post_init__: for parts checked when they were cached."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _pump_bath(level: int, up: float, down: float, name: str) -> Bath:
     """A pump of the three-level device, basis (|0>, |L>, |R>): the jump
     |level><0| at rate up, then |0><level| at rate down."""
-    return Bath(name, LindbladGenerator(
-        3, (JumpTerm(up, _three_level_unit(level, 0)), JumpTerm(down, _three_level_unit(0, level)))
-    ))
+    return _device_bath(name, (up, down), ((level, 0), (0, level)))
 
 
 def left_pump_bath(n_l: float, name: str = "left") -> Bath:

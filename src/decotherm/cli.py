@@ -21,6 +21,7 @@ message names the failing stage.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -361,5 +362,15 @@ def main(argv: list[str] | None = None) -> int:
     return run(args.config, output=args.output, output_format=args.format)
 
 
+def _entry() -> int:
+    """main as a process entry point (`python -m decotherm.cli`, the
+    `decotherm` console script). What import built lives until exit, so it
+    is frozen first (`gc.freeze`): the collector then neither scans it
+    during the run nor frees it object by object at exit. main() leaves
+    the collector as it is, since a caller may run it in process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

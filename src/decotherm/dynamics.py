@@ -42,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .baths import Bath, _generator_matrices, _kernel_basis
+from .baths import Bath, _generator_matrices, _first_failure, _kernel_basis
 from .errors import (
     DegenerateKernel,
     InvalidParams,
@@ -378,7 +378,7 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     kernels = _kernel_basis(lmat)
     if kernels.dims[0] != 1:
         raise _degenerate_kernel(kernels.dims[0])
-    return _steady_states(lmat, kernels.groups[1][1][:, 0], kernels.scales)[0][0]
+    return _steady_states(lmat, kernels.right[:, -1], kernels.fro)[0][0]
 
 
 def _require_liouvillian(lmat: np.ndarray) -> None:
@@ -400,11 +400,12 @@ def _degenerate_kernel(k: int) -> DegenerateKernel:
 
 
 def _steady_states(
-    lmats: np.ndarray, kernel: np.ndarray, scales: np.ndarray
+    lmats: np.ndarray, kernel: np.ndarray, fro: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """steady_state of each finite Liouvillian matrix of a stack (m, n, n)
     with a one-dimensional kernel, from its kernel vector kernel[i] and
-    ||L||_2 scales[i] (`_kernel_basis`), with each state's eigensolve
+    ||L||_F fro[i] (`_kernel_basis`), which decides the residual check
+    where it can (`baths._first_failure`), with each state's eigensolve
     (ascending), which serves both the positivity check and, through
     Spectrum.of_eigh, its log. Each check runs on the whole stack and raises
     for the first state that fails it."""
@@ -419,11 +420,11 @@ def _steady_states(
         lam_min = low[np.argmax(low < -STATE_TOL)]
         raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -{STATE_TOL:.0e}")
     resid = _frobenius(_apply_each(lmats, nu))
-    close = resid <= STEADY_RESID_TOL * scales
-    if not close.all():
-        i = np.argmin(close)
+    failure = _first_failure(resid[:, None], STEADY_RESID_TOL, lmats, fro)
+    if failure is not None:
+        i, norm = failure
         raise NoConvergence(
-            f"steady-state residual {resid[i]:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {scales[i]:.3e}"
+            f"steady-state residual {resid[i]:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {norm:.3e}"
         )
     return nu, eigs, vecs
 

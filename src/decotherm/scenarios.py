@@ -30,13 +30,11 @@ import numpy as np
 from .baths import (
     _PASS_ENTRIES,
     Bath,
-    JumpTerm,
-    LindbladGenerator,
+    _device_bath,
     _generator_matrices,
     _kernel_basis,
     _rows,
     _stationary_structures,
-    _three_level_unit,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
@@ -166,9 +164,7 @@ def device_dephasing_bath(gamma: float, name: str = "dephasing") -> Bath:
     stationary, so the stationary map is the full device-basis pinching:
     the bath's structure has three rank-1 blocks.
     """
-    proj_l, proj_r = _three_level_unit(1, 1), _three_level_unit(2, 2)
-    gen = LindbladGenerator(3, (JumpTerm(gamma, proj_l), JumpTerm(gamma, proj_r)))
-    return Bath(name, gen)
+    return _device_bath(name, (gamma, gamma), ((1, 1), (2, 2)))
 
 
 def build_device(p: DeviceParams) -> DeviceAssembly:
@@ -265,11 +261,11 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
         alive = [p for p, k in zip(params, dims) if k == 1]
         solved = iter(_device_pass(alive, c) if alive else ())
         return [next(solved) if k == 1 else _degenerate_kernel(k) for k in dims]
-    nu, eigs, vecs = _steady_states(liouv, kernels.groups[1][1][:n, 0], kernels.scales[:n])
+    nu, eigs, vecs = _steady_states(liouv, kernels.right[:n, -1], kernels.fro[:n])
     log_nu = Spectrum.of_eigh(eigs, vecs).log
-    _stationary_structures(baths, gens, kernels.part(n, n + len(baths)))
+    stacks = _stationary_structures(baths, gens, kernels.part(n, n + len(baths)))
     point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
-    terms = _bath_terms(baths, gens, nu[point], log_nu[point])
+    terms = _bath_terms(baths, gens, nu[point], log_nu[point], stacks)
     _require_support(baths, terms)
     heats = _traces(hams[point], terms.flow)
 

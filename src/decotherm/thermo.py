@@ -21,10 +21,11 @@ its own state (a device report's (bath, nu) pairs) or all of them with one
 state or one stack of states; every heat is `_traces(H, flow)`. Each of
 those callers first solves all its baths' stationary structures in one
 stacked pass (`baths._stationary_structures`), so the kernel solves
-nothing. The scalar functions and `onsager.force_flow_pairs` share one
-one-state entry, `_state_terms`: the state checks, its support log, one
-build of the generator matrices, that pass and the kernel; each caller
-then decides what a support leak means. Every state or Hamiltonian
+nothing, and reads the pass' own block stacks where it returns them. The
+scalar functions and `onsager.force_flow_pairs` share one one-state
+entry, `_state_terms`: the state checks, its support log, one build of
+the generator matrices, that pass and the kernel; each caller then
+decides what a support leak means. Every state or Hamiltonian
 argument goes through one of the two gates of `operators`
 (`require_operator`, `require_hamiltonian`) before any numerics; a spec's
 Hamiltonians are checked by its `segments`. A refused argument is
@@ -43,6 +44,7 @@ import numpy as np
 from .baths import (
     _PASS_ENTRIES,
     Bath,
+    _BlockStacks,
     _rows,
     _stationary_structures,
     apply_generator,
@@ -92,7 +94,8 @@ def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     return float(_traces(h, apply_generator(bath.generator, rho)))
 
 
-def _stationary_log(baths, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_log(baths, rho: np.ndarray, stacks: _BlockStacks | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """log B_b(rho) on the support of B_b(rho), and the weight rho carries
     off that support, for each bath b of baths with its own state or state
     stack rho[b], shape (len(baths), [j,] d, d); a leading axis of length 1
@@ -101,40 +104,58 @@ def _stationary_log(baths, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
     log B(rho) = sum of (log c_k Pi_k + log omega_k) over the c_k above
     DEFAULT_EIG_CUT * max c, with no eigensolve per state: one stacked call
-    per block count (`operators._groups`) for the baths that have it.
-    Otherwise the image is eigensolved per state.
+    per block count for the baths that have it, on the structure pass' own
+    stacks where it returned them (stacks), else on the structures
+    restacked (`operators._groups`). Otherwise the image is eigensolved per
+    state.
     """
-    structs = [stationary_structure(b) for b in baths]
     d2 = rho.shape[-1] ** 2
     shape = (len(baths), *rho.shape[1:])
-    groups = _groups([0 if s.blocks is None else len(s.blocks) for s in structs])
-    if len(groups) != 1:
+    if stacks is None:
+        stacks = _restack(baths)
+    if len(stacks) != 1:
         log_b, leak = np.empty(shape, dtype=complex), np.empty(shape[:-2])
-    for m, at in groups.items():
-        rows = _rows(np.array(at))
+    for m, (rows, blocks, conserved, logs) in stacks.items():
         own = rho if len(rho) == 1 else rho[rows]
         if not m:  # no block structure: each image eigensolved
+            at = np.arange(len(baths))[rows]
             shared = np.broadcast_to(own, (len(at), *own.shape[1:]))
             specs = [Spectrum.of(stationary_map(baths[i], x)) for i, x in zip(at, shared)]
             part = np.array([spec.log for spec in specs])
             lost = np.array([spec.leak_of(x) for spec, x in zip(specs, shared)])
         else:
-            blocks = np.array([structs[i].blocks for i in at]).reshape(len(at), m, d2)
+            count = len(blocks)
+            blocks = blocks.reshape(count, m, d2)
             flat = own.reshape(len(own), -1, d2)
             # Tr[X rho] = sum_ij conj(X)_ij rho_ij for Hermitian X
-            conserved = np.array([structs[i].conserved for i in at]).reshape(len(at), m, d2)
-            c = (flat @ conserved.conj().swapaxes(-1, -2)).real
+            c = (flat @ conserved.reshape(count, m, d2).conj().swapaxes(-1, -2)).real
             keep = c > DEFAULT_EIG_CUT * c.max(axis=-1, keepdims=True)
             log_c = np.log(c, out=np.zeros(c.shape), where=keep)
-            logs = np.array([structs[i].logs for i in at]).reshape(len(at), m, d2)
-            part = (log_c @ blocks + keep.astype(float) @ logs).reshape(len(at), *shape[1:])
+            logs = logs.reshape(count, m, d2)
+            part = (log_c @ blocks + keep.astype(float) @ logs).reshape(count, *shape[1:])
             kept = ((flat @ blocks.conj().swapaxes(-1, -2)).real * keep).sum(axis=-1)
             # the traces as one einsum: ndarray.trace is ~5x slower on a stack
-            lost = np.einsum("...ii->...", own).real - kept.reshape(len(at), *shape[1:-2])
-        if len(groups) == 1:
+            lost = np.einsum("...ii->...", own).real - kept.reshape(count, *shape[1:-2])
+        if len(stacks) == 1:
             return part, lost
         log_b[rows], leak[rows] = part, lost
     return log_b, leak
+
+
+def _restack(baths) -> _BlockStacks:
+    """The baths' structures as `baths._BlockStacks`, each stack restacked
+    from them; the baths without blocks under m = 0, with no stacks."""
+    structs = [stationary_structure(b) for b in baths]
+    stacks = {}
+    for m, at in _groups([0 if s.blocks is None else len(s.blocks) for s in structs]).items():
+        rows = _rows(np.array(at))
+        if not m:
+            stacks[m] = (rows, None, None, None)
+        else:
+            stacks[m] = (rows, np.array([structs[i].blocks for i in at]),
+                         np.array([structs[i].conserved for i in at]),
+                         np.array([structs[i].logs for i in at]))
+    return stacks
 
 
 class _BathTerms(NamedTuple):
@@ -170,15 +191,18 @@ class _BathTerms(NamedTuple):
         return np.einsum("...ij,...ji->...", np.abs(self.flow), mag)
 
 
-def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray) -> _BathTerms:
+def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray,
+                stacks: _BlockStacks | None = None) -> _BathTerms:
     """The per-bath kernel, for all the baths at once: one flow L_b(rho)
     from gens, the stack of their generator matrices, one log B_b(rho) from
-    each bath's stationary structure, which the caller has solved, and one
-    support leak. Each bath b has its own state or state stack rho[b], with
-    its support log log_rho[b] (a leading axis of length 1 shares them);
-    bath b's terms are the same, bit for bit, as in a call for b alone."""
+    each bath's stationary structure, which the caller has solved (stacks:
+    its block stacks, as the structure pass or `_restack` gives them), and
+    one support leak. Each bath b has its own state or state stack rho[b],
+    with its support log log_rho[b] (a leading axis of length 1 shares
+    them); bath b's terms are the same, bit for bit, as in a call for b
+    alone."""
     flow = _apply_each(gens, rho)
-    log_b, leak = _stationary_log(baths, rho)
+    log_b, leak = _stationary_log(baths, rho, stacks)
     force = log_b - log_rho
     pairing = np.einsum("...ij,...ji->...", flow, force)
     return _BathTerms(flow, force, pairing, leak, leak <= SUPPORT_TOL, rho, log_rho, log_b)
@@ -192,8 +216,8 @@ def _state_terms(baths, rho: np.ndarray) -> _BathTerms:
     structures in one pass; the caller decides what a support leak means."""
     gens = _generators(baths, require_operator(rho, "state"))
     log_rho = Spectrum.of(rho).log
-    _stationary_structures(baths, gens)
-    return _bath_terms(baths, gens, rho[None], log_rho[None])
+    stacks = _stationary_structures(baths, gens)
+    return _bath_terms(baths, gens, rho[None], log_rho[None], stacks)
 
 
 def _require_support(baths, terms: _BathTerms) -> None:
@@ -362,6 +386,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     rel = {name: np.empty(n) for name in names}
     gens = _generators(spec.baths, d)
     _stationary_structures(spec.baths, gens)
+    stacks = [_restack([bath]) for bath in spec.baths]  # once, not per block
     block = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
@@ -372,7 +397,7 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
         for i, (bath, name) in enumerate(zip(spec.baths, names)):
             # one bath at a time: a block's flows and logs for every bath at
             # once would not fit the cache at d = 3
-            terms = _bath_terms([bath], gens[i:i + 1], rho[None], log_rho[None])
+            terms = _bath_terms([bath], gens[i:i + 1], rho[None], log_rho[None], stacks[i])
             bath_ok = terms.ok[0]
             heats[name][sl] = _traces(h, terms.flow[0])
             fluxes[name][sl] = np.where(bath_ok, terms.flux[0], math.nan)

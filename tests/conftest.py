@@ -1,9 +1,12 @@
 """Shared test helpers: random states, Paulis, and brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
-from decotherm.operators import SuperOperator, require_operator
+from decotherm.baths import _first_failure
+from decotherm.operators import SuperOperator, _real_form, require_operator
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -140,6 +143,49 @@ def count_kernel_solves(monkeypatch):
 
     _wrap_everywhere(monkeypatch, "_kernel_basis", make)
     return solves
+
+
+def exact_norm(lmat):
+    """Test-side oracle: ||L||_2 from the SVD of L's real form, the matrix
+    whose singular values the library computes where it needs them."""
+    return float(np.linalg.svd(_real_form(lmat), compute_uv=False)[0])
+
+
+def assert_decides_as_the_exact_norm(lmat, fro):
+    """||L||_F (fro, `_Kernels.fro`) decides what ||L||_2 decided: the
+    rows `_kernel_basis` clamps, those at or below ||L||·n·eps, are the
+    ones the exact norm clamps, and `_first_failure` passes a residual
+    exactly when it is at most tol·||L||_2, names ||L||_2 where it fails,
+    and refuses NaN. The residuals sit on both sides of the bound
+    tol·||L||_F/n it passes without ||L||_2 and of tol·||L||_2 itself."""
+    real = _real_form(lmat)
+    n, eps, tol = real.shape[0], np.finfo(float).eps, 1e-12
+    norm = exact_norm(lmat)
+    top = np.abs(real).max(axis=1)
+    assert np.array_equal(top <= fro * n * eps, top <= norm * n * eps)
+    edges = [tol * fro / n, tol * norm]
+    resids = [0.0, 1e-3 * tol * norm, math.nan,
+              *(np.nextafter(e, side) for e in edges for side in (0.0, math.inf)), *edges]
+    for r in resids:
+        got = _first_failure(np.array([[r]]), tol, lmat[None], np.array([fro]))
+        if r <= tol * norm:
+            assert got is None, r
+        else:
+            assert got == (0, norm), r
+
+
+def count_svds(monkeypatch):
+    """Wrap np.linalg.svd; the returned list gets (shape, compute_uv) of
+    each call."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
 
 
 def dissipator_oracle(rho, terms):

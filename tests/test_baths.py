@@ -3,6 +3,7 @@
 import dataclasses
 import decimal
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from conftest import (
     GRID_OCCUPATIONS,
     SX,
     SZ,
+    assert_decides_as_the_exact_norm,
+    count_svds,
+    exact_norm,
     dissipator_oracle,
     ginibre_state,
     log_on_support,
@@ -49,7 +53,7 @@ from decotherm.baths import (
 from decotherm.errors import InvalidParams, NoConvergence
 from decotherm.dynamics import EvolutionSpec, liouvillian
 from decotherm.operators import _groups, _herm_index, _herm_operators, _real_form, assert_density_matrix
-from decotherm.scenarios import DeviceParams, build_device, device_dephasing_bath
+from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device, device_dephasing_bath, device_report
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -377,6 +381,35 @@ class TestStationaryMapGeneral:
         with pytest.raises(NoConvergence):
             stationary_map(strangled, np.stack([ginibre_state(rng, 3) for _ in range(3)]))
 
+    def test_large_operator_maps_to_the_scaled_image(self, rng):
+        # the residual bound scales with the image, max(1, ||B(X)||_F): 1e6 rho
+        # rounds at 1e6 times rho's residual, which tol ||L||_2 alone refused
+        bath = left_pump_bath(0.6)
+        rho = ginibre_state(rng, 3)
+        image = stationary_map(bath, rho)
+        for x in (1e6 * rho, np.stack([rho, 1e6 * rho, 1e3 * rho])):
+            got = stationary_map(bath, x)
+            want = np.stack([image, 1e6 * image, 1e3 * image]) if x.ndim == 3 else 1e6 * image
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_planted_wrong_image_is_refused_at_any_size(self, rng):
+        # a kernel state off ker L by 1e-9 (relative) fails the scaled bound
+        # as it fails a state's, and the message names both factors
+        bath = left_pump_bath(0.6)
+        rho = ginibre_state(rng, 3)
+        struct = stationary_structure(bath)
+        plant = struct.kernel.copy()
+        plant[0, 0, 1] += 1e-9
+        plant[0, 1, 0] += 1e-9
+        object.__setattr__(bath, "_structure", dataclasses.replace(struct, kernel=plant))
+        with pytest.raises(NoConvergence, match=r"^left: kernel projector image has residual .* "
+                                                r"> tol 1\.0e-12 \* \|\|L\|\|_2 [0-9.e+-]+$"):
+            stationary_map(bath, rho)
+        with pytest.raises(NoConvergence, match=r"\* max\(1, \|\|B\(X\)\|\|_F\) [0-9.e+-]+$"):
+            stationary_map(bath, 1e6 * rho)
+        with pytest.raises(NoConvergence):
+            stationary_map(bath, np.stack([rho, 1e6 * rho]))
+
     def test_empty_generator_keeps_every_state(self, rng):
         empty = Bath("null", LindbladGenerator(3, ()))
         rho = ginibre_state(rng, 3)
@@ -426,9 +459,11 @@ class TestKernelProjector:
         gen = LindbladGenerator(d, tuple(terms))
         lmat = generator_superop(gen).matrix
         struct = stationary_structure(Bath("b", gen))
-        p, cached_scale = projector_of(struct), struct.scale
+        p = projector_of(struct)
         scale = np.linalg.norm(lmat, 2)
-        assert cached_scale == pytest.approx(scale, rel=1e-12)
+        fro = float(_kernel_basis(lmat[None]).fro[0])
+        assert fro == pytest.approx(np.linalg.norm(lmat), rel=1e-12)
+        assert_decides_as_the_exact_norm(lmat, fro)
         assert np.linalg.norm(p @ p - p, 2) <= 1e-12 * scale
         assert np.linalg.norm(lmat @ p, 2) <= 1e-12 * scale
         assert np.linalg.norm(p @ lmat, 2) <= 1e-12 * scale
@@ -546,17 +581,28 @@ class TestStructureOperators:
 
 
 def _structure_arrays(struct):
-    return (projector_of(struct), np.array(struct.scale), struct.kernel, struct.conserved,
-            struct.blocks, struct.logs)
+    return projector_of(struct), struct.kernel, struct.conserved, struct.blocks, struct.logs
 
 
 def assert_stacked_equals_one_bath(make_baths):
     """One stacked pass over fresh baths from make_baths() gives each bath
     the structure that its one-bath call gives, bit for bit."""
     stacked = make_baths()
-    structs = _stationary_structures(stacked, gen_stack(stacked))
+    stacks = _stationary_structures(stacked, gen_stack(stacked))
+    structs = [b._structure for b in stacked]
+    if all(s.blocks is not None for s in structs) and len(stacked) <= _PASS_ENTRIES // stacked[0].dim**4:
+        # one pass, every bath with blocks: the pass' own stacks are the
+        # structures restacked, bit for bit
+        restacked = thermo._restack(stacked)
+        assert sorted(stacks) == sorted(restacked)
+        for m, (rows, *arrays) in stacks.items():
+            want_rows, *want = restacked[m]
+            assert np.array_equal(np.arange(len(stacked))[rows], np.arange(len(stacked))[want_rows])
+            for got, exp in zip(arrays, want):
+                assert got.shape == exp.shape and np.array_equal(got, exp)
+    else:
+        assert stacks is None
     for bath, struct, alone in zip(stacked, structs, make_baths()):
-        assert bath._structure is struct
         want_all = _structure_arrays(stationary_structure(alone))
         for got, want in zip(_structure_arrays(struct), want_all):
             assert (got is None) == (want is None), bath.name
@@ -633,7 +679,8 @@ class TestStackedStructures:
     def test_cached_baths_are_not_solved_again(self):
         baths = [left_pump_bath(0.6), device_dephasing_bath(0.3)]
         first = [stationary_structure(baths[0])]
-        structs = _stationary_structures(baths + baths, gen_stack(baths + baths))
+        _stationary_structures(baths + baths, gen_stack(baths + baths))
+        structs = [b._structure for b in baths + baths]
         assert structs[0] is first[0] and structs[2] is first[0] and structs[3] is structs[1]
 
     def test_first_failing_bath_is_named(self):
@@ -700,19 +747,20 @@ def gen_stack(baths):
 
 
 def basis_of(kernels, i):
-    """(right, left, scale) of matrix i of a _kernel_basis result."""
-    for at, right, left in kernels.groups.values():
+    """(right, left, ||L||_F) of matrix i of a _kernel_basis result: its
+    group's null vectors (`_Kernels.groups`)."""
+    for at, _, right, left in kernels.groups().values():
         if i in at:
             j = list(at).index(i)
-            return right[j], left[j], float(kernels.scales[i])
+            return right[j], left[j], float(kernels.fro[i])
     raise KeyError(i)
 
 
 def kernel_projector(lmat):
-    right, left, scale = basis_of(_kernel_basis(lmat[None]), 0)
+    right, left, fro = basis_of(_kernel_basis(lmat[None]), 0)
     k, n = len(right), lmat.shape[0]
     r, nh = right.conj().reshape(k, n).T, left.reshape(k, n)
-    return r @ np.linalg.solve(nh @ r, nh), k, scale
+    return r @ np.linalg.solve(nh @ r, nh), k, fro
 
 
 class TestKernelBasis:
@@ -722,10 +770,11 @@ class TestKernelBasis:
         # Both solves round the fast rates: with couplings of order 1, a
         # hot bath's rates of 1e6 leave each projector ~1e-10 (relative)
         # from a 60-digit one, so the bound widens to 8 eps ||L||_2.
-        p, k, scale = kernel_projector(lmat)
-        p_ref, k_ref, scale_ref = complex_kernel_projector(lmat)
+        p, k, fro = kernel_projector(lmat)
+        p_ref, k_ref, scale = complex_kernel_projector(lmat)
         assert k == k_ref
-        assert scale == pytest.approx(scale_ref, rel=1e-13)
+        assert fro == pytest.approx(np.linalg.norm(lmat), rel=1e-13)
+        assert_decides_as_the_exact_norm(lmat, fro)
         tol = max(1e-12, 8 * np.finfo(float).eps * scale)
         assert np.max(np.abs(p - p_ref)) <= tol * np.max(np.abs(p_ref))
 
@@ -751,6 +800,38 @@ class TestKernelBasis:
         deph = dephasing_bath([basis[:, j] for j in range(d)], 0.5)
         self.assert_matches_oracle(generator_superop(deph.generator).matrix)
 
+    def test_one_svd_per_kernel_solve(self, monkeypatch, rng):
+        # ||L||_F decides every residual check of a report and of a
+        # structure, so the kernel solve's own SVD is the only one
+        calls = count_svds(monkeypatch)
+        device_report(DeviceParams(**DEFAULT_DEVICE))
+        assert calls == [((4, 9, 9), True)]  # the Liouvillian and its three baths
+        calls.clear()
+        d = 16
+        terms = tuple(JumpTerm(float(rng.uniform(0.5, 1.5)), random_complex(rng, d)) for _ in range(4))
+        stationary_structure(Bath("random", LindbladGenerator(d, terms)))
+        assert calls == [((1, d * d, d * d), True)]
+
+    def test_overflowing_frobenius_norm_gives_way_to_the_exact_norm(self):
+        # past entries of ~1e154 the squares overflow: ||L||_2 takes the place
+        # of ||L||_F, so the clamp and the checks stay those of the exact norm
+        sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        for rate in (1e150, 1e300, 6e307):
+            gen = LindbladGenerator(2, (JumpTerm(rate, sm), JumpTerm(rate / 3, sm.T.copy())))
+            lmat = generator_superop(gen).matrix
+            with np.errstate(over="ignore"):  # ||L||_2 n eps overflows at 6e307, as ever
+                fro = _kernel_basis(lmat[None]).fro[0]
+            if rate < 1e154:
+                assert fro == pytest.approx(np.linalg.norm(lmat), rel=1e-13)
+            else:
+                assert fro == exact_norm(lmat)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if rate < 1e154:
+                    stationary_structure(Bath("b", gen))
+                else:  # its flows overflow: refused, naming ||L||_2
+                    with pytest.raises(NoConvergence, match=re.escape(f"||L||_2 {exact_norm(lmat):.3e}") + "$"):
+                        stationary_structure(Bath("b", gen))
+
     def test_null_vectors_are_hermitian(self):
         right, left, _ = basis_of(
             _kernel_basis(generator_superop(device_dephasing_bath(0.3).generator).matrix[None]), 0)
@@ -766,16 +847,17 @@ class TestKernelBasis:
         stacked = _kernel_basis(np.stack(mats))
         assert stacked.dims.tolist() == [1, 2, 2, 3]
         for i, m in enumerate(mats):
-            right, left, scale = basis_of(stacked, i)
-            one_right, one_left, one_scale = basis_of(_kernel_basis(m[None]), 0)
+            right, left, fro = basis_of(stacked, i)
+            one_right, one_left, one_fro = basis_of(_kernel_basis(m[None]), 0)
             assert np.array_equal(right, one_right) and np.array_equal(left, one_left)
-            assert scale == one_scale
+            assert fro == one_fro
 
 
 def per_group_kernel_basis(lmats):
     """Test-side oracle: _kernel_basis as it was before it converted the
     null columns once per side, each kernel-dimension group converting its
-    own columns."""
+    own columns, and with ||L||_2 from a second, values-only SVD, which
+    sets the row clamp and which it returned."""
     real = _real_form(lmats)
     n = real.shape[-1]
     eps = np.finfo(float).eps
@@ -825,10 +907,14 @@ class TestKernelBasisConversion:
         lmats = gen_stack(baths)
         got = _kernel_basis(lmats)
         dims, scales, groups = per_group_kernel_basis(lmats)
-        assert np.array_equal(got.dims, dims) and np.array_equal(got.scales, scales)
-        assert sorted(got.groups) == sorted(groups) == sorted({1, d, d * d})
+        assert np.array_equal(got.dims, dims)
+        assert np.allclose(got.fro, np.linalg.norm(lmats, axis=(1, 2)), rtol=1e-13, atol=0.0)
+        for lmat, fro in zip(lmats, got.fro):
+            assert_decides_as_the_exact_norm(lmat, fro)
+        got_groups = got.groups()
+        assert sorted(got_groups) == sorted(groups) == sorted({1, d, d * d})
         for k, (at, right, left) in groups.items():
-            got_at, got_right, got_left = got.groups[k]
+            got_at, _, got_right, got_left = got_groups[k]
             assert np.array_equal(got_at, at)
             assert got_right.shape == right.shape == (len(at), k, d, d)
             assert np.array_equal(got_right, right) and np.array_equal(got_left, left)

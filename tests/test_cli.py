@@ -447,6 +447,46 @@ def test_console_entry_point(tmp_path):
     assert "heat_rate" in proc.stdout
 
 
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    # only the process entry points freeze what import built; main() runs
+    # in the caller's process and must not move its objects
+    import gc
+
+    before = gc.get_freeze_count()
+    assert cli.main(["run", str(write_config(tmp_path))]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_point_writes_what_main_writes(tmp_path):
+    # `python -m decotherm.cli` freezes the collector first; its files are
+    # the bytes main() writes in process
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in ("device_steady", "gamma_sweep", "two_level_heat"):
+        cfg = os.path.join(configs, f"{name}.json")
+        child, here = tmp_path / f"{name}.child", tmp_path / f"{name}.here"
+        proc = subprocess.run([sys.executable, "-m", "decotherm.cli", "run", cfg, "--output", str(child)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main(["run", cfg, "--output", str(here)]) == 0
+        assert child.read_bytes() == here.read_bytes(), name
+
+
+def test_entry_freezes_then_runs_main(monkeypatch):
+    import gc
+
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    assert cli._entry() == 0
+    assert calls == ["freeze", "main"]
+    # the console script enters there too
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as f:
+        assert 'decotherm = "decotherm.cli:_entry"' in f.read().splitlines()
+
+
 def test_config_runs_never_import_scipy(tmp_path):
     # scipy is a test-only dependency: no committed config may load it
     configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     GRID_GAMMAS,
     GRID_OCCUPATIONS,
+    assert_decides_as_the_exact_norm,
     count_generator_builds,
     count_kernel_solves,
     count_structure_passes,
@@ -25,6 +26,8 @@ from decotherm.baths import (
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
+    _generator_matrices,
+    _kernel_basis,
     apply_generator,
     dephasing_bath,
     left_pump_bath,
@@ -435,6 +438,19 @@ class TestDeviceReports:
             device_report(params[1])
 
 
+def test_residual_checks_decide_as_the_exact_norm_on_the_grid():
+    # every kernel solve of a report on the ROADMAP grid, the Liouvillian
+    # and each bath: ||L||_F clamps the rows ||L||_2 clamps, and the one
+    # residual test passes and fails as tol ||L||_2 does
+    for p in ROADMAP_GRID:
+        assembly = build_device(p)
+        mats = np.concatenate([
+            liouvillian(EvolutionSpec(assembly.hamiltonian, assembly.baths)).matrix[None],
+            _generator_matrices([b.generator for b in assembly.baths], 3)])
+        for lmat, fro in zip(mats, _kernel_basis(mats).fro):
+            assert_decides_as_the_exact_norm(lmat, fro)
+
+
 def test_device_report_across_cold_and_hot_baths():
     # every point of the grid solves: the support of each stationary image
     # comes from the bath's structure, not from a cut on the image's
@@ -517,8 +533,8 @@ class TestDevicePairingCheck:
 
         real = sc._bath_terms
 
-        def shifted(baths, gens, rho, log_rho):
-            terms = real(baths, gens, rho, log_rho)
+        def shifted(baths, gens, rho, log_rho, stacks=None):
+            terms = real(baths, gens, rho, log_rho, stacks)
             return terms._replace(pairing=terms.pairing + 1j * ratio * thermo.IMAG_TOL * terms.magnitude)
 
         monkeypatch.setattr(sc, "_bath_terms", shifted)
