@@ -19,18 +19,21 @@ tol·||L||_2, and one test decides them all (`_first_failure`): from
 ||L||_F first, which the kernel solve keeps, and with ||L||_2 from a
 values-only SVD only where that bound cannot decide.
 
-There is one structure solver, `_stationary_structures`, and it solves all
-the uncached baths of a call in one stacked pass: the projector P, which
-the pass forms and drops, the eigensolve of P(I), both probe passes, the
-blocks, the residual check, log omega_k and J_k are each one numpy call
-for all of them (the products
-over the kernel and block indices, one per kernel dimension present),
-since at d = 3 a call costs more to dispatch than to compute. A pass
-holds `_PASS_ENTRIES`, the one stack budget, which generator builds,
-device report passes and the sampler's state blocks share, so large baths
-go one pass each.
-`stationary_structure` is its one-bath call, and a bath's structure is
-the same, bit for bit, alone or in a stack.
+A call's baths are one stacked set (`_BathSet`): their names, tols,
+generator matrices and stationary structures as block stacks, each built
+once. There is one structure solver, `_stationary_structures`, and it
+solves a set's baths in one stacked pass: the projector P, which the pass
+forms and drops, the eigensolve of P(I), both probe passes, the blocks,
+the residual check, log omega_k and J_k are each one numpy call for all of
+them (the products over the kernel and block indices, one per kernel
+dimension present), since at d = 3 a call costs more to dispatch than to
+compute. A pass holds `_PASS_ENTRIES`, the one stack budget, which
+generator builds, device report passes and the sampler's state blocks
+share, so large baths go one pass each. The device reports build their
+set from rates alone, with no Bath (`scenarios._device_baths`); public
+baths get theirs from `_bath_set`, which caches each bath's
+`StationaryStructure` on it, and `stationary_structure` is its one-bath
+call. A bath's structure is the same, bit for bit, alone or in a stack.
 
 Each generator has one implementation, its closed-form d²×d² matrix,
 built for a list of generators in one batched product per jump count
@@ -49,8 +52,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,10 +226,25 @@ class StationaryStructure:
     logs: np.ndarray | None = None
 
 
-#: A structure pass' own stacks of block structures, by block count m:
-#: stacks[m] = (rows, blocks, conserved, logs), the baths with m blocks, as
-#: `_rows` gives their indices, and their (len, m, d, d) stacks.
-_BlockStacks = dict[int, tuple[slice | np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+#: A bath set's structures as block stacks: one entry (m, rows, kernel,
+#: conserved, blocks, logs) a stack, the baths with m blocks at the indices
+#: rows (`_rows`) and the (len, m, d, d) stacks of their `StationaryStructure`
+#: fields. A bath without blocks (m = 0) has an entry of its own, with its
+#: (1, k, d, d) kernel and conserved operators and no blocks or logs.
+_BlockStacks = list[tuple[int, slice | np.ndarray, np.ndarray, np.ndarray, Any, Any]]
+
+
+class _BathSet(NamedTuple):
+    """A call's baths as one stacked set, each part built once: their names
+    (for error messages), their PropagateToFixedPoint tols, their generator
+    matrices (m, d², d²) and their stationary structures as block stacks.
+    The device reports build one from rates alone, with no Bath
+    (`scenarios._device_baths`); `_bath_set` builds one from public baths."""
+
+    names: Sequence[str]
+    tols: np.ndarray
+    gens: np.ndarray
+    stacks: _BlockStacks
 
 
 class _Kernels(NamedTuple):
@@ -300,7 +319,7 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
     huge = ~(fro < np.inf)  # the squares overflowed: ||L||_2 itself
     if huge.any():
         fro[huge] = np.linalg.svd(real[huge], compute_uv=False)[:, 0]
-    rows = np.where(rows <= (fro * n * eps)[:, None], np.maximum(fro, 1.0)[:, None], rows)
+    rows = np.where(rows <= (fro * (n * eps))[:, None], np.maximum(fro, 1.0)[:, None], rows)
     cols = (mag / rows[:, :, None]).max(axis=1)
     cols[cols <= n * eps] = 1.0
     u, s, vh = np.linalg.svd(real / (rows[:, :, None] * cols[:, None, :]))
@@ -315,8 +334,7 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
     """The bath's stationary structure from the null space of L
-    (`_kernel_basis`), cached on it: the one-bath call of
-    `_stationary_structures`.
+    (`_kernel_basis`), cached on it: the one-bath call of `_bath_set`.
 
     The recurrent space is the support of P(I) under _kernel_basis's rank
     rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for a probe G whose
@@ -326,56 +344,59 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
     sit 1 apart. If there are dim ker L blocks, every n_k = 1 and
     P(I) = sum_k c_k(I) omega_k gives every log omega_k."""
     if bath._structure is None:
-        _stationary_structures([bath], _generator_matrices([bath.generator], bath.dim))
+        _bath_set([bath], _generator_matrices([bath.generator], bath.dim))
     return bath._structure
 
 
-def _stationary_structures(
-    baths: Sequence[Bath], gens: np.ndarray, kernels: _Kernels | None = None
-) -> _BlockStacks | None:
-    """stationary_structure of each bath, from gens, the stack of their
-    generator matrices (`_generator_matrices`), and from kernels, their
-    _kernel_basis if the caller solved them already. Private, so that no
-    other matrix can end up cached on a bath.
-
-    The baths with no cached structure are solved in one pass, each step one
-    numpy call for all of them: at d = 3 the call overhead, not the
-    arithmetic, is what a structure costs. A pass takes as many baths as fit
-    _PASS_ENTRIES (202 at d = 3, 4 at d = 8, one from d = 10 on), since
-    large stacked work arrays cost more than the calls they save, and the
-    passes run in list order. The products over the kernel and block indices
-    (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k), L(omega_k)) run once per kernel
-    dimension present (`_Kernels.groups`); every other step is one call for
-    all the baths of the pass. P lives only for the pass: each structure
-    keeps its operator pairs (`StationaryStructure`). The directions a
-    support of lower rank drops are shifted above the probe's spectrum, so
-    they sort last and stay out of every block, and blocks a bath does not
-    have are masked. A bath's structure is the same, bit for bit, alone or
-    in a stack. NoConvergence names the first failing bath in list order,
-    and the baths before it keep their structures. The baths share one
-    dimension: the callers check it (`dynamics._generators`) or pass one
-    bath, or the device's three.
-
-    When the call solves every bath, distinct, in one pass and each has a
-    block structure, it returns the pass' own stacks of their blocks,
-    conserved operators and logs (`_BlockStacks`), else None."""
+def _bath_set(baths: Sequence[Bath], gens: np.ndarray) -> _BathSet:
+    """The public baths as a `_BathSet`, with gens the stack of their
+    generator matrices. The baths with no cached structure are solved in
+    passes of as many as fit _PASS_ENTRIES (202 at d = 3, 4 at d = 8, one
+    from d = 10 on), since large stacked work arrays cost more than the
+    calls they save, a bath given twice once, and each structure is cached
+    on its bath, formed from the pass' stacks (`_structures`): a bath's
+    structure is the same, bit for bit, alone or in a stack. NoConvergence
+    names the first failing bath in list order, and the baths before it
+    keep their structures. The set's stacks hold the cached structures, one
+    entry a bath (`_stacked`). The baths share one dimension: the callers
+    check it (`dynamics._generators`) or pass one bath."""
+    names = [b.name for b in baths]
+    tols = np.array([b.fixed_point.tol for b in baths])
     todo = list({id(b): i for i, b in enumerate(baths) if b._structure is None}.values())
-    if not todo:
-        return None
-    d = baths[todo[0]].dim
-    n, m = d * d, len(todo)
-    per_pass = max(1, _PASS_ENTRIES // (n * n))
-    fresh = baths
-    if m < len(baths):  # the given kernels are of all the baths: solve anew
-        fresh, gens, kernels = [baths[i] for i in todo], gens[todo], None
-    if m > per_pass:
-        for lo in range(0, m, per_pass):
-            hi = min(lo + per_pass, m)
-            _stationary_structures(fresh[lo:hi], gens[lo:hi],
-                                   None if kernels is None else kernels.part(lo, hi))
-        return None
-    if kernels is None:
-        kernels = _kernel_basis(gens)
+    per_pass = max(1, _PASS_ENTRIES // gens.shape[-1] ** 2)
+    for lo in range(0, len(todo), per_pass):
+        at = todo[lo:lo + per_pass]
+        stacks, solved, error = _stationary_structures([names[i] for i in at], tols[at], gens[at],
+                                                       _kernel_basis(gens[at]))
+        for i, struct in zip(at[:solved], _structures(stacks, len(at))):
+            object.__setattr__(baths[i], "_structure", struct)
+        if error is not None:
+            raise error
+    return _BathSet(names, tols, gens, _stacked([b._structure for b in baths]))
+
+
+def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndarray, kernels: _Kernels
+                           ) -> tuple[_BlockStacks, int, NoConvergence | None]:
+    """The stationary structures of a bath set in one pass, as its block
+    stacks: names and tols are the baths', gens the stack of their generator
+    matrices and kernels their `_kernel_basis`. Also returns how many baths
+    it solved and, if a block's state fails its residual check, the first
+    failing bath's NoConvergence, which the caller raises: the structures
+    before that bath are sound. The one structure solver; the caller keeps
+    a pass within _PASS_ENTRIES.
+
+    Each step is one numpy call for all the baths: at d = 3 the call
+    overhead, not the arithmetic, is what a structure costs. The products
+    over the kernel and block indices (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k),
+    L(omega_k)) run once per kernel dimension present (`_Kernels.groups`);
+    every other step is one call for all the baths of the pass. P lives only
+    for the pass: the stacks keep operator pairs. The directions a support
+    of lower rank drops are shifted above the probe's spectrum, so they sort
+    last and stay out of every block, and blocks a bath does not have are
+    masked. A bath without a block structure keeps R and (N†R)⁻¹ N† as d×d
+    operators."""
+    m, n = gens.shape[:2]
+    d = math.isqrt(n)
     ks = kernels.dims
     groups = kernels.groups()
     proj = np.empty((m, n, n), dtype=complex)
@@ -425,38 +446,49 @@ def _stationary_structures(
     log_lam = np.log(lam, out=np.zeros(lam.shape), where=keep)
     log_p_eye = (vecs * log_lam[:, None, :]) @ vecs_h
     logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
-    conserved = np.zeros(blocks.shape, dtype=complex)
     all_structured = structured.all()
+    # omega_k, and ||L(omega_k)||_F, 0 for the blocks a bath does not have
+    states = images / weights[..., None, None]
+    flows = _apply_each(gens, states)
+    resid = np.sqrt((flows.conj() * flows).real.sum(axis=(-2, -1)))
+    failure = _first_failure(resid if all_structured else np.where(structured[:, None], resid, 0.0),
+                             tols[:, None], gens, kernels.fro)
+    solved, error = m, None
+    if failure is not None:
+        solved, norm = failure
+        error = _residual_failure(names[solved], tols[solved], resid[solved, :ks[solved]], norm,
+                                  "stationary state of a block")
+    stacks = []
+    for i in np.flatnonzero(~structured).tolist():  # R and (N†R)⁻¹ N†, as d×d operators
+        k = ks[i]
+        at, _, right, _ = groups[k]
+        j = bisect.bisect_left(at, i)
+        stacks.append((0, slice(i, i + 1), right[j:j + 1], duals[k][j].reshape(1, k, d, d), None, None))
     for k, (at, rows, _, _) in groups.items():
         if not all_structured:
             at = at[structured[at]]
             rows = _rows(at)
         if len(at):
             adj = proj_conj[rows].swapaxes(-1, -2)
-            conserved[rows, :k] = hermitize(_apply_each(adj, blocks[rows, :k]))
-    # omega_k, and ||L(omega_k)||_F, 0 for the blocks a bath does not have
-    states = images / weights[..., None, None]
-    flows = _apply_each(gens, states)
-    resid = np.sqrt((flows.conj() * flows).real.sum(axis=(-2, -1)))
-    tols = np.array([b.fixed_point.tol for b in fresh])
-    failure = _first_failure(resid if all_structured else np.where(structured[:, None], resid, 0.0),
-                             tols[:, None], gens, kernels.fro)
-    last = m if failure is None else failure[0]
-    for i, k in enumerate(ks[:last].tolist()):
-        if structured[i]:
-            struct = StationaryStructure(states[i, :k], conserved[i, :k], blocks[i, :k], logs[i, :k])
-        else:  # R and (N†R)⁻¹ N† as d×d operators
-            at, _, right, _ = groups[k]
-            j = bisect.bisect_left(at, i)
-            struct = StationaryStructure(right[j], duals[k][j].reshape(k, d, d))
-        object.__setattr__(fresh[i], "_structure", struct)
-    if failure is not None:
-        raise _residual_failure(fresh[last], resid[last, :ks[last]], failure[1],
-                                "stationary state of a block")
-    if m < len(baths) or not all_structured:
-        return None
-    return {k: (rows, blocks[rows, :k], conserved[rows, :k], logs[rows, :k])
-            for k, (_, rows, _, _) in groups.items()}
+            conserved = hermitize(_apply_each(adj, blocks[rows, :k]))  # J_k = P†(Pi_k)
+            stacks.append((k, rows, states[rows, :k], conserved, blocks[rows, :k], logs[rows, :k]))
+    return stacks, solved, error
+
+
+def _structures(stacks: _BlockStacks, count: int) -> list[StationaryStructure]:
+    """The StationaryStructure of each of the count baths of stacks, in order."""
+    out = [None] * count
+    for m, rows, kernel, conserved, blocks, logs in stacks:
+        for j, i in enumerate(np.arange(count)[rows].tolist()):
+            out[i] = StationaryStructure(kernel[j], conserved[j], *((blocks[j], logs[j]) if m else ()))
+    return out
+
+
+def _stacked(structs: Sequence[StationaryStructure]) -> _BlockStacks:
+    """The structures as block stacks of one bath each: `_structures`' inverse."""
+    return [(0 if s.blocks is None else len(s.blocks), slice(i, i + 1), s.kernel[None], s.conserved[None],
+             *((None, None) if s.blocks is None else (s.blocks[None], s.logs[None])))
+            for i, s in enumerate(structs)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -505,17 +537,16 @@ def _first_failure(resid: np.ndarray, bound: float | np.ndarray, lmats: np.ndarr
     return int(at[j]), float(norm[j])
 
 
-def _residual_failure(bath: Bath, resid: np.ndarray, scale: float, what: str,
+def _residual_failure(name: str, tol: float, resid: np.ndarray, scale: float, what: str,
                       size: np.ndarray | None = None) -> NoConvergence:
-    """The NoConvergence of a bath's residuals resid that `_first_failure`
-    failed against tol * ||L||_2 (scale), or against tol * ||L||_2 * size
-    where the bound scales with the size of each image."""
-    tol = bath.fixed_point.tol
+    """The NoConvergence of the residuals resid of the bath name that
+    `_first_failure` failed against tol * ||L||_2 (scale), or against
+    tol * ||L||_2 * size where the bound scales with the size of each image."""
     if size is None or (size == 1.0).all():
-        return NoConvergence(f"{bath.name}: {what} has residual {np.max(resid):.3e} "
+        return NoConvergence(f"{name}: {what} has residual {np.max(resid):.3e} "
                              f"> tol {tol:.1e} * ||L||_2 {scale:.3e}")
     i = np.argmax(resid / size)  # the first NaN, if any
-    return NoConvergence(f"{bath.name}: {what} has residual {resid.flat[i]:.3e} > tol {tol:.1e} "
+    return NoConvergence(f"{name}: {what} has residual {resid.flat[i]:.3e} > tol {tol:.1e} "
                          f"* ||L||_2 {scale:.3e} * max(1, ||B(X)||_F) {size.flat[i]:.3e}")
 
 
@@ -542,24 +573,32 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
         raise InvalidParams(f"stationary map acts on {d}x{d}, got {rho.shape}")
     _require_hermitian(rho, "state")
     struct = stationary_structure(bath)
-    k = len(struct.kernel)
+    return _project(struct.kernel, struct.conserved, generator_superop(bath.generator).matrix,
+                    bath.name, bath.fixed_point.tol, rho)
+
+
+def _project(kernel: np.ndarray, conserved: np.ndarray, gen: np.ndarray, name: str, tol: float,
+             rho: np.ndarray) -> np.ndarray:
+    """stationary_map of a gated operator or stack rho, for the bath name
+    with tol, generator matrix gen and the structure's (kernel, conserved)."""
+    d = rho.shape[-1]
+    k = len(kernel)
     # Tr[C X] = sum_ij C_ij X_ji, one row of coefficients per operator
-    coefs = rho.swapaxes(-1, -2).reshape(-1, d * d) @ struct.conserved.reshape(k, d * d).T
-    out = hermitize((coefs @ struct.kernel.reshape(k, d * d)).reshape(rho.shape))
+    coefs = rho.swapaxes(-1, -2).reshape(-1, d * d) @ conserved.reshape(k, d * d).T
+    out = hermitize((coefs @ kernel.reshape(k, d * d)).reshape(rho.shape))
     tr, tr_out = np.trace(rho, axis1=-2, axis2=-1), np.trace(out, axis1=-2, axis2=-1)
     weight = np.abs(np.diagonal(rho, axis1=-2, axis2=-1).real).sum(axis=-1)
     # a non-finite trace is left to fail the residual check below
     rescale = np.isfinite(tr) & np.isfinite(tr_out) & (tr != 0) & (2.0 * np.abs(tr) >= weight)
     ratio = np.divide(tr, tr_out, out=np.ones(tr.shape, complex), where=rescale)
     out *= ratio.real[..., None, None]
-    gen = generator_superop(bath.generator)
-    resid = np.linalg.norm(gen.apply(out), axis=(-2, -1)).reshape(1, -1)
+    resid = np.linalg.norm(_apply_each(gen[None], out[None])[0], axis=(-2, -1)).reshape(1, -1)
     size = np.maximum(np.linalg.norm(out, axis=(-2, -1)), 1.0).reshape(1, -1)
-    fro = np.linalg.norm(gen.matrix)
-    failure = _first_failure(resid, bath.fixed_point.tol * size, gen.matrix[None],
+    fro = np.linalg.norm(gen)
+    failure = _first_failure(resid, tol * size, gen[None],
                              np.array([fro if fro < np.inf else 0.0]))  # overflowed: no bound
     if failure is not None:
-        raise _residual_failure(bath, resid, failure[1], "kernel projector image", size)
+        raise _residual_failure(name, tol, resid, failure[1], "kernel projector image", size)
     return out
 
 
@@ -619,52 +658,31 @@ def thermal_two_level_bath(
 
 
 @functools.lru_cache(maxsize=None)
-def _three_level_unit(i: int, j: int) -> np.ndarray:
-    """|i><j| of the device, built once and read-only: every JumpTerm of
-    the device's baths keeps a reference to its jump."""
-    m = np.zeros((3, 3), dtype=complex)
-    m[i, j] = 1.0
-    m.flags.writeable = False
-    return m
+def _device_units() -> tuple[np.ndarray, np.ndarray]:
+    """The three-level device's unit jumps |i><j| by bath, left, right and
+    dephasing, in the order of each bath's rates, (3, 2, 3, 3) in the basis
+    (|0>, |L>, |R>), and the generator matrix D of each at rate 1,
+    (3, 2, 9, 9); built once, read-only. A device bath's jumps are fixed, so
+    its generator is linear in its rates, sum_k r_k D_k
+    (`scenarios._device_baths`)."""
+    jumps = np.zeros((6, 3, 3), dtype=complex)
+    jumps[range(6), [1, 0, 2, 0, 1, 2], [0, 1, 0, 2, 1, 2]] = 1.0
+    units = _generator_matrices([LindbladGenerator(3, (JumpTerm(1.0, a),)) for a in jumps], 3)
+    jumps.flags.writeable = units.flags.writeable = False
+    return jumps.reshape(3, 2, 3, 3), units.reshape(3, 2, 9, 9)
 
 
-@functools.lru_cache(maxsize=None)
-def _device_jumps(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The device's unit jumps |i><j| of the level pairs, and their stack,
-    built once and read-only."""
-    units = tuple(_three_level_unit(i, j) for i, j in pairs)
-    stack = np.array(units)
-    stack.flags.writeable = False
-    return units, stack
+def _three_level_bath(kind: int, rates: tuple[float, float], name: str) -> Bath:
+    """The device bath of kind 0, 1 or 2 (left, right, dephasing) with
+    `_device_units` jumps at these rates."""
+    jumps = _device_units()[0][kind]
+    return Bath(name, LindbladGenerator(3, tuple(JumpTerm(r, a) for r, a in zip(rates, jumps))))
 
 
-def _device_bath(name: str, rates: tuple[float, ...], pairs: tuple[tuple[int, int], ...]) -> Bath:
-    """The device bath with the jump |i><j| at each rate, for (i, j) in
-    pairs: the Bath that JumpTerm and LindbladGenerator build, with their
-    refusals, but only the rates are checked. The cached unit jumps are
-    finite, 3×3 and stacked already, and a device report would otherwise
-    check and stack them again for every bath it builds."""
-    for rate in rates:
-        _require_rate(rate)
-    units, stack = _device_jumps(pairs)
-    terms = tuple(_unchecked(JumpTerm, rate=r, jump=u) for r, u in zip(rates, units))
-    return Bath(name, _unchecked(LindbladGenerator, dim=3, terms=terms, jump_stack=stack,
-                                 rate_stack=np.array(rates, dtype=float)))
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls with these fields, without
-    its __post_init__: for parts checked when they were cached."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def _pump_bath(level: int, up: float, down: float, name: str) -> Bath:
-    """A pump of the three-level device, basis (|0>, |L>, |R>): the jump
-    |level><0| at rate up, then |0><level| at rate down."""
-    return _device_bath(name, (up, down), ((level, 0), (0, level)))
+def _require_occupation(what: str, n: float) -> None:
+    """A pump's occupation rule: InvalidParams unless n > 0 (NaN fails)."""
+    if not n > 0:
+        raise InvalidParams(f"{what} must be > 0, got {n}")
 
 
 def left_pump_bath(n_l: float, name: str = "left") -> Bath:
@@ -674,14 +692,12 @@ def left_pump_bath(n_l: float, name: str = "left") -> Bath:
     this implements; the placement is opposite to the usual thermal
     convention and is intentional.
     """
-    if not n_l > 0:
-        raise InvalidParams(f"n_l must be > 0, got {n_l}")
-    return _pump_bath(1, 1.0 + n_l, n_l, name)
+    _require_occupation("n_l", n_l)
+    return _three_level_bath(0, (1.0 + n_l, n_l), name)
 
 
 def right_pump_bath(n_r: float, name: str = "right") -> Bath:
     """Right relaxation bath of the three-level device, basis (|0>, |L>, |R>)."""
-    if not n_r > 0:
-        raise InvalidParams(f"n_r must be > 0, got {n_r}")
-    return _pump_bath(2, n_r, 1.0 + n_r, name)
+    _require_occupation("n_r", n_r)
+    return _three_level_bath(1, (n_r, 1.0 + n_r), name)
 

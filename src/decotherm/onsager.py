@@ -55,7 +55,7 @@ def force(bath: Bath, nu: np.ndarray) -> np.ndarray:
 def force_flow_pairs(baths: Sequence[Bath], nu: np.ndarray) -> list[ForceFlowPair]:
     """(J_b, X_b) of each bath, with J_b the Hermitian part of L_b(nu)."""
     terms = _state_terms(baths, nu)
-    _require_support(baths, terms)
+    _require_support([b.name for b in baths], terms)
     flows = hermitize(terms.flow)
     return [ForceFlowPair(b.name, j, x) for b, j, x in zip(baths, flows, terms.force)]
 

@@ -16,7 +16,12 @@ in the device basis.
 
 Device reports have one implementation, `device_reports`, which runs each
 step once for all the baths of all its points; `device_report` is its
-one-point call and `gamma_sweep` one call over the sweep's points.
+one-point call and `gamma_sweep` one call over the sweep's points. A pass
+builds no Bath: its baths are one stacked set (`baths._BathSet`) of names,
+generator matrices, linear in the rates over the device's cached unit
+generators (`_device_baths`), and the block stacks of one structure pass.
+The public constructors (`build_device`, `left_pump_bath`, ...) build the
+same baths, bit for bit, for callers that want Bath objects.
 """
 
 from __future__ import annotations
@@ -30,11 +35,15 @@ import numpy as np
 from .baths import (
     _PASS_ENTRIES,
     Bath,
-    _device_bath,
-    _generator_matrices,
+    PropagateToFixedPoint,
+    _BathSet,
+    _device_units,
     _kernel_basis,
+    _require_occupation,
+    _require_rate,
     _rows,
     _stationary_structures,
+    _three_level_bath,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
@@ -164,7 +173,7 @@ def device_dephasing_bath(gamma: float, name: str = "dephasing") -> Bath:
     stationary, so the stationary map is the full device-basis pinching:
     the bath's structure has three rank-1 blocks.
     """
-    return _device_bath(name, (gamma, gamma), ((1, 1), (2, 2)))
+    return _three_level_bath(2, (gamma, gamma), name)
 
 
 def build_device(p: DeviceParams) -> DeviceAssembly:
@@ -213,12 +222,13 @@ _REPORTS_PER_PASS = max(1, _PASS_ENTRIES // (4 * 9 * 9))
 def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[DeviceReport | DegenerateKernel]:
     """device_report of each point, every step run once for all the baths
     of all the points of a pass of _REPORTS_PER_PASS reports: one batched
-    generator build, the Liouvillians summed in the order of the baths, one
-    _kernel_basis call on the Liouvillians and the baths, one eigensolve of
-    each steady state for its positivity check and log nu, one stacked
-    structure pass (baths._stationary_structures), one _bath_terms call on
-    the (bath, nu) pairs, whose flows give both the heats and the entropy
-    production, and one stacked apply for the reciprocal coefficients.
+    build of the generator matrices from the rates (`_device_baths`), the
+    Liouvillians summed in the order of the baths, one _kernel_basis call
+    on the Liouvillians and the baths, one eigensolve of each steady state
+    for its positivity check and log nu, one stacked structure pass
+    (baths._stationary_structures), one _bath_terms call on the (bath, nu)
+    pairs, whose flows give both the heats and the entropy production, and
+    one stacked apply for the reciprocal coefficients.
     Each report is the same, bit for bit, alone or in a stack.
 
     A point whose Liouvillian kernel is not one-dimensional has no unique
@@ -237,18 +247,16 @@ def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[Devic
 
 
 def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | DegenerateKernel]:
-    """device_reports of one pass. The baths are stacked by kind, every
-    left bath, every right bath, then the dephasing baths, so that a step
-    reads each kind as one slice; points with a degenerate kernel are set
-    aside and the rest solved again without them."""
+    """device_reports of one pass, on one `baths._BathSet` of the points'
+    baths (`_device_baths`), with no Bath. The baths are stacked by kind,
+    every left bath, every right bath, then the dephasing baths, so that a
+    step reads each kind as one slice; points with a degenerate kernel are
+    set aside and the rest solved again without them."""
+    names, tols, gens = _device_baths(params)
     n = len(params)
-    assemblies = [build_device(p) for p in params]
-    dephased = [i for i, a in enumerate(assemblies) if a.dephasing is not None]
-    dephased_at = _rows(np.array(dephased, dtype=int))  # a slice when they are one run
-    baths = ([a.left for a in assemblies] + [a.right for a in assemblies]
-             + [assemblies[i].dephasing for i in dephased])
-    hams = np.array([a.hamiltonian for a in assemblies])
-    gens = _generator_matrices([b.generator for b in baths], 3)
+    dephased = np.flatnonzero([p.gamma > 0 for p in params])
+    dephased_at = _rows(dephased)  # a slice when they are one run
+    hams = np.array([device_hamiltonian(p) for p in params])
     # summed in the order of each point's baths, as _liouvillian does
     liouv = _commutator(hams)
     liouv += gens[:n]
@@ -263,10 +271,12 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
         return [next(solved) if k == 1 else _degenerate_kernel(k) for k in dims]
     nu, eigs, vecs = _steady_states(liouv, kernels.right[:n, -1], kernels.fro[:n])
     log_nu = Spectrum.of_eigh(eigs, vecs).log
-    stacks = _stationary_structures(baths, gens, kernels.part(n, n + len(baths)))
+    stacks, _, error = _stationary_structures(names, tols, gens, kernels.part(n, n + len(names)))
+    if error is not None:
+        raise error
     point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
-    terms = _bath_terms(baths, gens, nu[point], log_nu[point], stacks)
-    _require_support(baths, terms)
+    terms = _bath_terms(_BathSet(names, tols, gens, stacks), nu[point], log_nu[point])
+    _require_support(names, terms)
     heats = _traces(hams[point], terms.flow)
 
     def per_point(a: np.ndarray) -> np.ndarray:
@@ -280,7 +290,7 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
                              lambda: per_point(terms.magnitude))
     heat_d, m_ld, m_dl = np.zeros((3, n))
     heat_d[dephased_at] = heats[2 * n:]
-    if dephased:
+    if len(dephased):
         m_ld[dephased_at], m_dl[dephased_at] = _reciprocal_coefficients(
             hams[dephased_at], gens[dephased_at], gens[2 * n:], c)
     coherence = nu[:, 1, 2]
@@ -290,6 +300,32 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
                   heat_d.tolist(), x_l.tolist(), m_ld.tolist(), m_dl.tolist(), production.tolist())
     return [DeviceReport(nu_i, coh, q_l, q_r, q_d, xl, -xl, mld, mdl, prod)
             for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns]
+
+
+def _device_baths(params: Sequence[DeviceParams]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The names, PropagateToFixedPoint tols and generator matrices of the
+    points' device baths, stacked left, right, dephasing (the points with
+    gamma > 0), with no Bath. Each point's occupations and rates are checked
+    first, in the order and with the refusals of its baths' constructors.
+    A device bath's jumps are fixed, so its generator is linear in its
+    rates: sum_k r_k D_k over the unit generators (`baths._device_units`),
+    one product for the stack, the same, bit for bit, as generator_superop
+    of the bath its constructor builds."""
+    for p in params:
+        for what, occupation in (("n_l", p.n_l), ("n_r", p.n_r)):
+            _require_occupation(what, occupation)
+            _require_rate(occupation)  # the pump's other rate, 1 + n, is finite with n
+        _require_rate(p.gamma)
+    n = len(params)
+    # each point's (left, right, dephasing) rates, in each bath's order
+    rates = np.array([(1.0 + p.n_l, p.n_l, p.n_r, 1.0 + p.n_r, p.gamma, p.gamma) for p in params],
+                     dtype=float).reshape(n, 3, 2)
+    dephased = np.flatnonzero(rates[:, 2, 0] > 0)
+    names = ["left"] * n + ["right"] * n + ["dephasing"] * len(dephased)
+    kinds = np.repeat([0, 1, 2], [n, n, len(dephased)])
+    rates = np.concatenate([rates[:, 0], rates[:, 1], rates[dephased, 2]])
+    return (names, np.full(len(names), PropagateToFixedPoint.tol),
+            np.einsum("bk,bkij->bij", rates, _device_units()[1][kinds]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,16 +16,18 @@ legitimate thermodynamic answer, not an error.
 
 One per-bath kernel, `_bath_terms`, gives the flux, relative entropy and P
 pairing to the scalar functions, `onsager`, the device reports and
-`sample_thermodynamics`, for all of a call's baths at once: each bath with
-its own state (a device report's (bath, nu) pairs) or all of them with one
-state or one stack of states; every heat is `_traces(H, flow)`. Each of
-those callers first solves all its baths' stationary structures in one
-stacked pass (`baths._stationary_structures`), so the kernel solves
-nothing, and reads the pass' own block stacks where it returns them. The
-scalar functions and `onsager.force_flow_pairs` share one one-state
-entry, `_state_terms`: the state checks, its support log, one build of
-the generator matrices, that pass and the kernel; each caller then
-decides what a support leak means. Every state or Hamiltonian
+`sample_thermodynamics`, for all the baths of a stacked bath set
+(`baths._BathSet`: names, generator matrices and block stacks) at once:
+each bath with its own state (a device report's (bath, nu) pairs) or all
+of them with one state or one stack of states; every heat is
+`_traces(H, flow)`. The device reports build their set from rates
+(`scenarios._device_baths`); the other callers build theirs from public
+baths (`baths._bath_set`), which solves the uncached structures in one
+stacked pass, so the kernel solves nothing. The scalar functions and
+`onsager.force_flow_pairs` share one one-state entry, `_state_terms`: the
+state checks, its support log, one build of the generator matrices, the
+set and the kernel; each caller then decides what a support leak means.
+Every state or Hamiltonian
 argument goes through one of the two gates of `operators`
 (`require_operator`, `require_hamiltonian`) before any numerics; a spec's
 Hamiltonians are checked by its `segments`. A refused argument is
@@ -44,12 +46,10 @@ import numpy as np
 from .baths import (
     _PASS_ENTRIES,
     Bath,
-    _BlockStacks,
-    _rows,
-    _stationary_structures,
+    _bath_set,
+    _BathSet,
+    _project,
     apply_generator,
-    stationary_map,
-    stationary_structure,
 )
 from .dynamics import EvolutionSpec, Trajectory, _generators
 from .errors import InvalidParams, NonRealPairing, SupportViolation
@@ -57,7 +57,7 @@ from .operators import (
     DEFAULT_EIG_CUT,
     Spectrum,
     _apply_each,
-    _groups,
+    _require_hermitian,
     require_hamiltonian,
     require_operator,
 )
@@ -94,35 +94,31 @@ def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
     return float(_traces(h, apply_generator(bath.generator, rho)))
 
 
-def _stationary_log(baths, rho: np.ndarray, stacks: _BlockStacks | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_log(bset: _BathSet, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log B_b(rho) on the support of B_b(rho), and the weight rho carries
-    off that support, for each bath b of baths with its own state or state
+    off that support, for each bath b of the set with its own state or state
     stack rho[b], shape (len(baths), [j,] d, d); a leading axis of length 1
     shares the states between the baths.
 
     With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
     log B(rho) = sum of (log c_k Pi_k + log omega_k) over the c_k above
     DEFAULT_EIG_CUT * max c, with no eigensolve per state: one stacked call
-    per block count for the baths that have it, on the structure pass' own
-    stacks where it returned them (stacks), else on the structures
-    restacked (`operators._groups`). Otherwise the image is eigensolved per
-    state.
+    per block stack of the set (`baths._BlockStacks`). Otherwise the image
+    is eigensolved per state.
     """
     d2 = rho.shape[-1] ** 2
-    shape = (len(baths), *rho.shape[1:])
-    if stacks is None:
-        stacks = _restack(baths)
+    shape = (len(bset.names), *rho.shape[1:])
+    stacks = bset.stacks
     if len(stacks) != 1:
         log_b, leak = np.empty(shape, dtype=complex), np.empty(shape[:-2])
-    for m, (rows, blocks, conserved, logs) in stacks.items():
+    for m, rows, kernel, conserved, blocks, logs in stacks:
         own = rho if len(rho) == 1 else rho[rows]
-        if not m:  # no block structure: each image eigensolved
-            at = np.arange(len(baths))[rows]
-            shared = np.broadcast_to(own, (len(at), *own.shape[1:]))
-            specs = [Spectrum.of(stationary_map(baths[i], x)) for i, x in zip(at, shared)]
-            part = np.array([spec.log for spec in specs])
-            lost = np.array([spec.leak_of(x) for spec, x in zip(specs, shared)])
+        if not m:  # no block structure, one bath: its image eigensolved
+            _require_hermitian(own, "state")  # as stationary_map
+            i = rows.start
+            image = _project(kernel[0], conserved[0], bset.gens[i], bset.names[i], bset.tols[i], own[0])
+            spec = Spectrum.of(image)
+            part, lost = spec.log[None], np.array([spec.leak_of(own[0])])
         else:
             count = len(blocks)
             blocks = blocks.reshape(count, m, d2)
@@ -140,22 +136,6 @@ def _stationary_log(baths, rho: np.ndarray, stacks: _BlockStacks | None = None
             return part, lost
         log_b[rows], leak[rows] = part, lost
     return log_b, leak
-
-
-def _restack(baths) -> _BlockStacks:
-    """The baths' structures as `baths._BlockStacks`, each stack restacked
-    from them; the baths without blocks under m = 0, with no stacks."""
-    structs = [stationary_structure(b) for b in baths]
-    stacks = {}
-    for m, at in _groups([0 if s.blocks is None else len(s.blocks) for s in structs]).items():
-        rows = _rows(np.array(at))
-        if not m:
-            stacks[m] = (rows, None, None, None)
-        else:
-            stacks[m] = (rows, np.array([structs[i].blocks for i in at]),
-                         np.array([structs[i].conserved for i in at]),
-                         np.array([structs[i].logs for i in at]))
-    return stacks
 
 
 class _BathTerms(NamedTuple):
@@ -191,18 +171,15 @@ class _BathTerms(NamedTuple):
         return np.einsum("...ij,...ji->...", np.abs(self.flow), mag)
 
 
-def _bath_terms(baths, gens: np.ndarray, rho: np.ndarray, log_rho: np.ndarray,
-                stacks: _BlockStacks | None = None) -> _BathTerms:
-    """The per-bath kernel, for all the baths at once: one flow L_b(rho)
-    from gens, the stack of their generator matrices, one log B_b(rho) from
-    each bath's stationary structure, which the caller has solved (stacks:
-    its block stacks, as the structure pass or `_restack` gives them), and
-    one support leak. Each bath b has its own state or state stack rho[b],
-    with its support log log_rho[b] (a leading axis of length 1 shares
-    them); bath b's terms are the same, bit for bit, as in a call for b
-    alone."""
-    flow = _apply_each(gens, rho)
-    log_b, leak = _stationary_log(baths, rho, stacks)
+def _bath_terms(bset: _BathSet, rho: np.ndarray, log_rho: np.ndarray) -> _BathTerms:
+    """The per-bath kernel, for all the baths of a set at once: one flow
+    L_b(rho) from the set's generator matrices, one log B_b(rho) from its
+    block stacks, and one support leak. Each bath b has its own state or
+    state stack rho[b], with its support log log_rho[b] (a leading axis of
+    length 1 shares them); bath b's terms are the same, bit for bit, as in
+    a call for b alone."""
+    flow = _apply_each(bset.gens, rho)
+    log_b, leak = _stationary_log(bset, rho)
     force = log_b - log_rho
     pairing = np.einsum("...ij,...ji->...", flow, force)
     return _BathTerms(flow, force, pairing, leak, leak <= SUPPORT_TOL, rho, log_rho, log_b)
@@ -212,20 +189,20 @@ def _state_terms(baths, rho: np.ndarray) -> _BathTerms:
     """_bath_terms of one state rho for each of the baths: the one-state
     entry of the scalar functions and `onsager.force_flow_pairs`. It gates
     rho, checks that the baths have its dimension, builds their generator
-    matrices once, takes the support log of rho and solves their stationary
-    structures in one pass; the caller decides what a support leak means."""
+    matrices once, takes the support log of rho and builds their set
+    (`baths._bath_set`), which solves their structures in one pass; the
+    caller decides what a support leak means."""
     gens = _generators(baths, require_operator(rho, "state"))
     log_rho = Spectrum.of(rho).log
-    stacks = _stationary_structures(baths, gens)
-    return _bath_terms(baths, gens, rho[None], log_rho[None], stacks)
+    return _bath_terms(_bath_set(baths, gens), rho[None], log_rho[None])
 
 
-def _require_support(baths, terms: _BathTerms) -> None:
-    """SupportViolation for the first bath whose state leaks off its support."""
+def _require_support(names, terms: _BathTerms) -> None:
+    """SupportViolation for the first bath, by names, whose state leaks off its support."""
     bad = np.flatnonzero(~terms.ok)
     if len(bad):
         raise SupportViolation(
-            f"state has weight {terms.leak[bad[0]]:.3e} outside supp(B(rho)) for bath {baths[bad[0]].name}"
+            f"state has weight {terms.leak[bad[0]]:.3e} outside supp(B(rho)) for bath {names[bad[0]]}"
         )
 
 
@@ -274,7 +251,7 @@ def relative_entropy_to_bath(rho: np.ndarray, bath: Bath) -> float:
 def entropy_flux(bath: Bath, rho: np.ndarray) -> float:
     """Phi_b = -Tr[L_b(rho) log B_b(rho)], positive into the system."""
     terms = _state_terms([bath], rho)
-    _require_support([bath], terms)
+    _require_support([bath.name], terms)
     return float(terms.flux[0])
 
 
@@ -282,7 +259,7 @@ def entropy_production(rho: np.ndarray, baths) -> float:
     """P = sum_b Tr[L_b(rho) X_b] >= 0, with the force
     X_b = log B_b(rho) - log rho."""
     terms = _state_terms(baths, rho)
-    _require_support(baths, terms)
+    _require_support([b.name for b in baths], terms)
     # from a complex zero: an empty pairing sums to 0.0, not to the int 0
     return float(_production(sum(terms.pairing, np.complex128(0)), abs(terms.pairing).sum(),
                              lambda: terms.magnitude.sum()))
@@ -385,8 +362,8 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     fluxes = {name: np.empty(n) for name in names}
     rel = {name: np.empty(n) for name in names}
     gens = _generators(spec.baths, d)
-    _stationary_structures(spec.baths, gens)
-    stacks = [_restack([bath]) for bath in spec.baths]  # once, not per block
+    _bath_set(spec.baths, gens)  # solves every structure, in one pass where they fit
+    sets = [_bath_set([bath], gens[i:i + 1]) for i, bath in enumerate(spec.baths)]  # once, not per block
     block = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, n, block):
         sl = slice(lo, lo + block)
@@ -394,10 +371,10 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
         energy_[sl] = _traces(h, rho)
         entropy[sl], log_rho = _entropy_and_log(rho)
         held = []  # the block's terms, until its pairing is known
-        for i, (bath, name) in enumerate(zip(spec.baths, names)):
+        for i, name in enumerate(names):
             # one bath at a time: a block's flows and logs for every bath at
             # once would not fit the cache at d = 3
-            terms = _bath_terms([bath], gens[i:i + 1], rho[None], log_rho[None], stacks[i])
+            terms = _bath_terms(sets[i], rho[None], log_rho[None])
             bath_ok = terms.ok[0]
             heats[name][sl] = _traces(h, terms.flow[0])
             fluxes[name][sl] = np.where(bath_ok, terms.flux[0], math.nan)

@@ -96,19 +96,18 @@ def _wrap_everywhere(monkeypatch, name, make):
 
 
 def count_structure_passes(monkeypatch):
-    """Wrap every module's baths._stationary_structures; the returned list
-    gets, per call that found a bath without a cached structure, the number
-    of such baths, after checking that the call solved them all."""
+    """Wrap every module's baths._stationary_structures, the one structure
+    pass; the returned list gets, per pass, the number of baths it solved,
+    after checking that it gave each of them a structure."""
     passes = []
 
     def make(real):
-        def counting(baths, gens, kernels=None):
-            fresh = {id(b) for b in baths if b._structure is None}
-            out = real(baths, gens, kernels)
-            if fresh:
-                assert all(b._structure is not None for b in baths)
-                passes.append(len(fresh))
-            return out
+        def counting(names, tols, gens, kernels):
+            stacks, solved, error = real(names, tols, gens, kernels)
+            rows = [np.arange(len(names))[r] for _, r, *_ in stacks]
+            assert sorted(np.concatenate(rows).tolist()) == list(range(len(names)))
+            passes.append(len(names))
+            return stacks, solved, error
         return counting
 
     _wrap_everywhere(monkeypatch, "_stationary_structures", make)

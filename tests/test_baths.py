@@ -34,12 +34,13 @@ from decotherm.baths import (
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
+    _bath_set,
+    _device_units,
     _generator_matrices,
     _kernel_basis,
     _pass_constants,
     _rows,
     _stationary_structures,
-    _three_level_unit,
     apply_generator,
     dephasing_bath,
     generator_superop,
@@ -53,7 +54,14 @@ from decotherm.baths import (
 from decotherm.errors import InvalidParams, NoConvergence
 from decotherm.dynamics import EvolutionSpec, liouvillian
 from decotherm.operators import _groups, _herm_index, _herm_operators, _real_form, assert_density_matrix
-from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device, device_dephasing_bath, device_report
+from decotherm.scenarios import (
+    DEFAULT_DEVICE,
+    DeviceParams,
+    _device_baths,
+    build_device,
+    device_dephasing_bath,
+    device_report,
+)
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -155,9 +163,13 @@ class TestGeneratorSuperop:
         for _ in range(100):
             n_l, n_r = 10.0 ** rng.uniform(-12.0, 6.0, 2)
             gamma = 10.0 ** rng.uniform(-2.0, 2.0)
-            for bath in (left_pump_bath(n_l), right_pump_bath(n_r), device_dephasing_bath(gamma)):
+            baths = (left_pump_bath(n_l), right_pump_bath(n_r), device_dephasing_bath(gamma))
+            # and the device reports' matrices, linear in the rates
+            _, _, linear = _device_baths([DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma)])
+            for bath, lin in zip(baths, linear):
                 closed = generator_superop(bath.generator).matrix
                 assert np.array_equal(closed, self.oracle(bath.generator))
+                assert lin.tobytes() == closed.tobytes()
 
     def test_random_d16(self, rng):
         gen = LindbladGenerator(
@@ -317,7 +329,7 @@ class TestPumpBaths:
         for bath, image in ((left_pump_bath(n), left), (right_pump_bath(n), right)):
             assert np.max(np.abs(stationary_map(bath, rho) - image)) <= 1e-14
             # the log keeps the cold n/(1+2n) population on the support
-            (log_b,), (leak,) = thermo._stationary_log([bath], rho[None])
+            (log_b,), (leak,) = thermo._stationary_log(_bath_set([bath], gen_stack([bath])), rho[None])
             assert np.max(np.abs(log_b - np.diag(np.log(np.diagonal(image))))) <= 1e-13
             assert abs(leak) <= 1e-15
 
@@ -494,7 +506,7 @@ class TestStationaryStructure:
         rho = ginibre_state(rng, d, mix=0.1)
         probs = np.einsum("jk,kl,lj->j", basis.conj().T, rho, basis).real
         pinched_log = (basis * np.log(probs)) @ basis.conj().T
-        (log_b,), (leak,) = thermo._stationary_log([bath], rho[None])
+        (log_b,), (leak,) = thermo._stationary_log(_bath_set([bath], gen_stack([bath])), rho[None])
         assert np.max(np.abs(log_b - pinched_log)) <= 1e-12
         assert abs(leak) <= 1e-14
 
@@ -588,20 +600,18 @@ def assert_stacked_equals_one_bath(make_baths):
     """One stacked pass over fresh baths from make_baths() gives each bath
     the structure that its one-bath call gives, bit for bit."""
     stacked = make_baths()
-    stacks = _stationary_structures(stacked, gen_stack(stacked))
+    gens = gen_stack(stacked)
+    bset = _bath_set(stacked, gens)
     structs = [b._structure for b in stacked]
-    if all(s.blocks is not None for s in structs) and len(stacked) <= _PASS_ENTRIES // stacked[0].dim**4:
-        # one pass, every bath with blocks: the pass' own stacks are the
-        # structures restacked, bit for bit
-        restacked = thermo._restack(stacked)
-        assert sorted(stacks) == sorted(restacked)
-        for m, (rows, *arrays) in stacks.items():
-            want_rows, *want = restacked[m]
-            assert np.array_equal(np.arange(len(stacked))[rows], np.arange(len(stacked))[want_rows])
-            for got, exp in zip(arrays, want):
-                assert got.shape == exp.shape and np.array_equal(got, exp)
-    else:
-        assert stacks is None
+    if len(stacked) <= _PASS_ENTRIES // stacked[0].dim**4:
+        # one pass: read through _stationary_log, its own stacks give each
+        # bath the log and leak that the set's cached structures give
+        stacks, solved, error = _stationary_structures(bset.names, bset.tols, gens, _kernel_basis(gens))
+        assert solved == len(stacked) and error is None
+        rho = ginibre_state(np.random.default_rng(0), stacked[0].dim)[None]
+        got = thermo._stationary_log(bset._replace(stacks=stacks), rho)
+        want = thermo._stationary_log(bset, rho)
+        assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
     for bath, struct, alone in zip(stacked, structs, make_baths()):
         want_all = _structure_arrays(stationary_structure(alone))
         for got, want in zip(_structure_arrays(struct), want_all):
@@ -638,8 +648,8 @@ def random_dense_baths(seed, d=16):
 
 
 class TestStackedStructures:
-    """_stationary_structures solves a list of baths in one pass; each
-    bath's structure is the one its own call gives."""
+    """_bath_set solves a list of baths in one structure pass; each bath's
+    structure is the one its own call gives."""
 
     def test_device_grid(self):
         occupations = (1e-14, 1e-8, 1e-2, 1.0, 1e2, 1e4, 1e6)
@@ -672,14 +682,15 @@ class TestStackedStructures:
         # B(rho) = |0><0| for every state: log B(rho) = 0, and rho leaks
         # what it holds off |0>
         rho = ginibre_state(rng, 3)
-        (log_b,), (leak,) = thermo._stationary_log([decay_bath()], rho[None])
+        bath = decay_bath()
+        (log_b,), (leak,) = thermo._stationary_log(_bath_set([bath], gen_stack([bath])), rho[None])
         assert np.max(np.abs(log_b)) <= 1e-14
         assert leak == pytest.approx(1.0 - rho[0, 0].real, abs=1e-14)
 
     def test_cached_baths_are_not_solved_again(self):
         baths = [left_pump_bath(0.6), device_dephasing_bath(0.3)]
         first = [stationary_structure(baths[0])]
-        _stationary_structures(baths + baths, gen_stack(baths + baths))
+        _bath_set(baths + baths, gen_stack(baths + baths))
         structs = [b._structure for b in baths + baths]
         assert structs[0] is first[0] and structs[2] is first[0] and structs[3] is structs[1]
 
@@ -692,7 +703,7 @@ class TestStackedStructures:
         stack = [right_pump_bath(0.2), strangled(left_pump_bath(0.6), "left"),
                  strangled(right_pump_bath(0.7), "right")]
         with pytest.raises(NoConvergence) as stacked:
-            _stationary_structures(stack, gen_stack(stack))
+            _bath_set(stack, gen_stack(stack))
         assert str(stacked.value) == str(alone.value)
         assert str(stacked.value).startswith("left: stationary state of a block has residual")
         # the baths before the failing one keep their structures, as one by one
@@ -708,7 +719,7 @@ class TestStackedStructures:
 
         def solve(stack):
             stacks.clear()
-            _stationary_structures(stack, gen_stack(stack))
+            _bath_set(stack, gen_stack(stack))
             return list(stacks)
 
         assert solve(list(build_device(DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)).baths)) == [3]
@@ -819,8 +830,7 @@ class TestKernelBasis:
         for rate in (1e150, 1e300, 6e307):
             gen = LindbladGenerator(2, (JumpTerm(rate, sm), JumpTerm(rate / 3, sm.T.copy())))
             lmat = generator_superop(gen).matrix
-            with np.errstate(over="ignore"):  # ||L||_2 n eps overflows at 6e307, as ever
-                fro = _kernel_basis(lmat[None]).fro[0]
+            fro = _kernel_basis(lmat[None]).fro[0]
             if rate < 1e154:
                 assert fro == pytest.approx(np.linalg.norm(lmat), rel=1e-13)
             else:
@@ -942,10 +952,17 @@ class TestCachedConstants:
         assert _pass_constants(d)[1] is probe
 
     def test_device_units(self):
-        for i, j in itertools.product(range(3), range(3)):
-            m = _three_level_unit(i, j)
-            assert np.array_equal(m, unit(i, j))
-            self.assert_read_only(m)
+        # the unit jumps of the left, right and dephasing baths, in rate
+        # order, and the generator matrix of each at rate 1
+        jumps, units = _device_units()
+        pairs = (((1, 0), (0, 1)), ((2, 0), (0, 2)), ((1, 1), (2, 2)))
+        for kind, k in itertools.product(range(3), range(2)):
+            assert np.array_equal(jumps[kind, k], unit(*pairs[kind][k]))
+            gen = LindbladGenerator(3, (JumpTerm(1.0, unit(*pairs[kind][k])),))
+            assert units[kind, k].tobytes() == generator_superop(gen).matrix.tobytes()
+        for a in (jumps, units):
+            self.assert_read_only(a)
+        assert _device_units()[1] is units
 
     def test_device_baths_built_in_a_row_share_no_writable_array(self):
         def arrays(assembly):

@@ -273,7 +273,7 @@ class TestDeviceRuns:
 
         import decotherm.scenarios as sc
 
-        monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, silent_pumps))
+        monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, silent_pumps))
         path = write_config(
             tmp_path, scenario="gamma-sweep",
             params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2,

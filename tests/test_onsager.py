@@ -128,15 +128,15 @@ class TestNessEntropyProduction:
         magnitude = float(thermo._state_terms(assembly.baths, nu).magnitude.sum())
         real_log = thermo._stationary_log
 
-        def shifted_log(baths, rho, stacks, s):
-            log_b, leak = real_log(baths, rho, stacks)
-            return log_b + 1j * s * np.stack([flows[b.name] for b in baths]), leak
+        def shifted_log(bset, rho, s):
+            log_b, leak = real_log(bset, rho)
+            return log_b + 1j * s * np.stack([flows[name] for name in bset.names]), leak
 
         for ratio, raises in ((0.5, False), (2.0, True)):
             s = ratio * thermo.IMAG_TOL * magnitude / weight
             monkeypatch.setattr(
                 thermo, "_stationary_log",
-                lambda baths, rho, stacks=None, s=s: shifted_log(baths, rho, stacks, s)
+                lambda bset, rho, s=s: shifted_log(bset, rho, s)
             )
             if raises:
                 with pytest.raises(NonRealPairing):

@@ -29,6 +29,7 @@ from decotherm.baths import (
     _generator_matrices,
     _kernel_basis,
     apply_generator,
+    generator_superop,
     dephasing_bath,
     left_pump_bath,
     right_pump_bath,
@@ -54,6 +55,7 @@ from decotherm.scenarios import (
     DeviceParams,
     DeviceReport,
     TwoLevelDecoherenceParams,
+    _device_baths,
     bloch_state,
     build_device,
     device_report,
@@ -240,12 +242,18 @@ class TestDeviceReportSinglePass:
 
     @pytest.mark.parametrize("gamma, builds", [(0.3, 3), (0.0, 2)])
     def test_one_generator_build_per_bath(self, monkeypatch, gamma, builds):
+        import decotherm.scenarios as sc
+
+        device_report(DeviceParams(**DEFAULT_DEVICE))  # builds the cached unit generators
         calls = count_generator_builds(monkeypatch)
+        sets = []
+        real = sc._device_baths
+        monkeypatch.setattr(sc, "_device_baths", lambda params: sets.append(real(params)) or sets[-1])
         device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
-        built = [g for gens in calls for g in gens]
-        assert len(calls) == 1  # one batched build
-        assert len(built) == builds
-        assert len(set(map(id, built))) == builds  # one build of each bath's generator
+        assert calls == []  # no generator built from jump operators
+        assert len(sets) == 1  # one batched build
+        names, _, gens = sets[0]
+        assert len(names) == len(gens) == builds  # one matrix for each bath
 
     @pytest.mark.parametrize("gamma, n_baths", [(0.3, 3), (0.0, 2)])
     def test_one_structure_pass(self, monkeypatch, gamma, n_baths):
@@ -310,33 +318,34 @@ class TestGammaSweep:
             gamma_sweep(base, [1.0, 0.5])
 
 
-def replace_baths_at(gamma, make_baths):
-    """build_device, except that the point with dephasing rate gamma gets
-    the baths make_baths(assembly)."""
+def replace_baths_at(gamma, edit):
+    """scenarios._device_baths, except that edit(tols, gens, i, n) changes
+    the bath set of a pass of n points at each point i with dephasing rate
+    gamma (its left and right baths are i and n + i)."""
     import decotherm.scenarios as sc
 
-    real = sc.build_device
+    real = sc._device_baths
 
-    def build(p):
-        assembly = real(p)
-        if p.gamma != gamma:
-            return assembly
-        return sc.DeviceAssembly(assembly.hamiltonian, make_baths(assembly))
+    def build(params):
+        names, tols, gens = real(params)
+        for i, p in enumerate(params):
+            if p.gamma == gamma:
+                edit(tols, gens, i, len(params))
+        return names, tols, gens
 
     return build
 
 
-def silent_pumps(assembly):
+def silent_pumps(tols, gens, i, n):
     """Zero-rate pumps: the Liouvillian of H and the dephasing alone has a
     kernel of dimension 2 or more, so the point has no unique steady state."""
-    silent = LindbladGenerator(3, tuple(JumpTerm(0.0, t.jump) for t in assembly.left.generator.terms))
-    return (Bath("left", silent), Bath("right", silent), assembly.dephasing)
+    gens[[i, n + i]] = 0.0
 
 
 def test_gamma_sweep_flags_failures_and_continues(monkeypatch):
     import decotherm.scenarios as sc
 
-    monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, silent_pumps))
+    monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, silent_pumps))
     base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
     points = sc.gamma_sweep(base, [0.0, 0.5, 1.0])
     assert points[1].report is None and "not unique" in points[1].failure
@@ -352,11 +361,10 @@ def test_gamma_sweep_raises_on_no_convergence(monkeypatch):
     # raises, naming the first failing bath, as a one-point call does
     import decotherm.scenarios as sc
 
-    def strangled_left(assembly):
-        left = Bath("left", assembly.left.generator, PropagateToFixedPoint(tol=0.0))
-        return (left, *assembly.baths[1:])
+    def strangled_left(tols, gens, i, n):
+        tols[i] = 0.0  # as PropagateToFixedPoint(tol=0.0)
 
-    monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, strangled_left))
+    monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, strangled_left))
     base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
     with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
         sc.gamma_sweep(base, [0.0, 0.5, 1.0])
@@ -392,6 +400,66 @@ ROADMAP_GRID = [
 class TestDeviceReports:
     """device_reports stacks every step over all the points of a pass; each
     report is the one its one-point call gives, bit for bit."""
+
+    def test_generators_are_the_public_baths_on_the_grid(self):
+        # linear in the rates, byte for byte (signed zeros too) the
+        # generator_superop of the constructors' baths, one point alone and
+        # in passes of 50
+        def public(points):
+            baths = [build_device(p).baths for p in points]
+            ordered = [b[0] for b in baths] + [b[1] for b in baths] + [b[2] for b in baths if len(b) > 2]
+            return [generator_superop(b.generator).matrix for b in ordered]
+
+        for p in ROADMAP_GRID:
+            got = _device_baths([p])[2]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in public([p])]
+        for lo in range(0, len(ROADMAP_GRID), 50):
+            points = ROADMAP_GRID[lo:lo + 50]
+            names, tols, got = _device_baths(points)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in public(points)]
+            assert names == [b.name for b in (*(build_device(p).left for p in points),
+                                              *(build_device(p).right for p in points),
+                                              *(build_device(p).dephasing for p in points if p.gamma > 0))]
+            assert np.array_equal(tols, np.full(len(names), PropagateToFixedPoint().tol))
+
+    def test_one_point_report_builds_no_bath(self, monkeypatch):
+        import decotherm.scenarios as sc
+
+        p = DeviceParams(**DEFAULT_DEVICE)
+        want = device_report(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a device report built a bath")
+
+        monkeypatch.setattr(sc, "build_device", refuse)
+        monkeypatch.setattr(Bath, "__init__", refuse)
+        assert_same_report(device_report(p), want)
+
+    @pytest.mark.parametrize("field, value, message", [
+        *((f, v, f"{f} must be > 0, got {v}") for f in ("n_l", "n_r") for v in (0, -1, math.nan)),
+        ("n_l", math.inf, "jump rate must be finite and >= 0, got inf"),
+        ("n_r", math.inf, "jump rate must be finite and >= 0, got inf"),
+        ("gamma", math.inf, "jump rate must be finite and >= 0, got inf"),
+    ])
+    def test_refusals_keep_their_text_and_order(self, field, value, message):
+        # the constructors' messages, alone and as the 3rd point of 5 with
+        # later points that fail otherwise: the first failing point raises
+        bad = DeviceParams(**{**DEFAULT_DEVICE, field: value})
+        later = DeviceParams(**{**DEFAULT_DEVICE, "n_r": 0.0})
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            device_report(bad)
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            device_reports([DeviceParams(**DEFAULT_DEVICE)] * 2 + [bad, later, later])
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_l": math.inf, "n_r": 0.0}, "jump rate must be finite and >= 0, got inf"),
+        ({"n_l": math.nan, "n_r": math.inf}, "n_l must be > 0, got nan"),
+        ({"n_r": -1.0, "gamma": math.inf}, "n_r must be > 0, got -1.0"),
+    ])
+    def test_refusals_in_bath_order_within_a_point(self, fields, message):
+        # left, then right, then dephasing, as the constructors run
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            device_report(DeviceParams(**{**DEFAULT_DEVICE, **fields}))
 
     def test_grid_stacked_equals_one_point(self):
         stacked = device_reports(ROADMAP_GRID, c=0.7)
@@ -429,7 +497,7 @@ class TestDeviceReports:
 
         params = [DeviceParams(**{**DEFAULT_DEVICE, "gamma": g}) for g in (0.1, 0.5, 0.9)]
         alone = [device_report(params[0]), None, device_report(params[2])]
-        monkeypatch.setattr(sc, "build_device", replace_baths_at(0.5, silent_pumps))
+        monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, silent_pumps))
         out = device_reports(params)
         assert isinstance(out[1], DegenerateKernel) and "not unique" in str(out[1])
         assert_same_report(out[0], alone[0])
@@ -533,8 +601,8 @@ class TestDevicePairingCheck:
 
         real = sc._bath_terms
 
-        def shifted(baths, gens, rho, log_rho, stacks=None):
-            terms = real(baths, gens, rho, log_rho, stacks)
+        def shifted(bset, rho, log_rho):
+            terms = real(bset, rho, log_rho)
             return terms._replace(pairing=terms.pairing + 1j * ratio * thermo.IMAG_TOL * terms.magnitude)
 
         monkeypatch.setattr(sc, "_bath_terms", shifted)

@@ -718,8 +718,8 @@ class TestSamplerPairingCheck:
         # each point's sum i*ratio*IMAG_TOL times the summed scale
         real = thermo._bath_terms
 
-        def shifted(baths, gens, rho, log_rho, stacks=None):
-            terms = real(baths, gens, rho, log_rho, stacks)
+        def shifted(bset, rho, log_rho):
+            terms = real(bset, rho, log_rho)
             return terms._replace(pairing=terms.pairing + 1j * ratio * thermo.IMAG_TOL * terms.magnitude)
 
         monkeypatch.setattr(thermo, "_bath_terms", shifted)
