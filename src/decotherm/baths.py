@@ -20,20 +20,21 @@ tol·||L||_2, and one test decides them all (`_first_failure`): from
 values-only SVD only where that bound cannot decide.
 
 A call's baths are one stacked set (`_BathSet`): their names, tols,
-generator matrices and stationary structures as block stacks, each built
-once. There is one structure solver, `_stationary_structures`, and it
-solves a set's baths in one stacked pass: the projector P, which the pass
-forms and drops, the eigensolve of P(I), both probe passes, the blocks,
-the residual check, log omega_k and J_k are each one numpy call for all of
-them (the products over the kernel and block indices, one per kernel
-dimension present), since at d = 3 a call costs more to dispatch than to
-compute. A pass holds `_PASS_ENTRIES`, the one stack budget, which
-generator builds, device report passes and the sampler's state blocks
-share, so large baths go one pass each. The device reports build their
-set from rates alone, with no Bath (`scenarios._device_baths`); public
-baths get theirs from `_bath_set`, which caches each bath's
-`StationaryStructure` on it, and `stationary_structure` is its one-bath
-call. A bath's structure is the same, bit for bit, alone or in a stack.
+generator matrices and stationary structures, each built once. A structure
+has one form, the block stack `StationaryStructure` (m, rows, kernel,
+conserved, blocks, logs): the baths with m blocks at the rows of a set,
+with a leading bath axis on each array. There is one structure solver,
+`_stationary_structures`, and it solves a set's baths in one stacked pass:
+the projector P, which the pass forms and drops, the eigensolve of P(I),
+both probe passes, the blocks, the residual check, log omega_k and J_k are
+each one numpy call for all of them (the products over the kernel and
+block indices, one per kernel dimension present), since at d = 3 a call
+costs more to dispatch than to compute. The device reports stack the baths
+of a report pass, built from rates alone with no Bath
+(`scenarios._device_baths`). A public bath is solved in a pass of its own
+(`stationary_structure`) and caches the one entry it returns, rows =
+slice(0, 1); `_bath_set` relabels the cached entries to their rows in a
+set. A bath's structure is the same, bit for bit, alone or in a stack.
 
 Each generator has one implementation, its closed-form d²×d² matrix,
 built for a list of generators in one batched product per jump count
@@ -54,7 +55,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,13 +79,13 @@ ORTHONORMAL_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 #: Entries per stacked array (2**14 complex entries are 256 KiB), the one
-#: stack budget: of the d²×d² matrices of a structure pass, a generator
-#: build or a device report pass (`scenarios._REPORTS_PER_PASS`), and of
-#: the sampler's state blocks, small next to the trajectory they read.
-#: Below it a pass is bound by call overhead and stacking pays: three baths
-#: took 0.52× their one-by-one time at d = 3 and 0.93× at d = 8. Above it
-#: the stacked work arrays fall out of cache (1.09× at d = 10, 1.20× at
-#: d = 16).
+#: stack budget: of the d²×d² matrices of a generator build or of a device
+#: report pass (`scenarios._REPORTS_PER_PASS`), the one structure pass that
+#: stacks baths, and of the sampler's state blocks, small next to the
+#: trajectory they read. Below it a pass is bound by call overhead and
+#: stacking pays: the structures of three baths took 0.52× their one-by-one
+#: time at d = 3 and 0.93× at d = 8. Above it the stacked work arrays fall
+#: out of cache (1.09× at d = 10, 1.20× at d = 16).
 _PASS_ENTRIES = 2**14
 
 
@@ -150,8 +151,7 @@ def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray
     (i, j, l, m) layout: no d²×d² array but the output. Each generator's
     matrix is the same, bit for bit, built alone or in a stack. A pass
     builds as many generators as fit _PASS_ENTRIES (202 at d = 3, one from
-    d = 12 on), as the structure passes do: above it the stacked products
-    fall out of cache.
+    d = 12 on): above it the stacked products fall out of cache.
     """
     per_pass = max(1, _PASS_ENTRIES // d**4)
     if len(gens) > per_pass:
@@ -209,42 +209,39 @@ class Bath:
         return self.generator.dim
 
 
-@dataclass(frozen=True, eq=False)
-class StationaryStructure:
-    """The projector onto ker L as k pairs of d×d operators, (k, d, d)
-    stacks with B(X) = sum_k Tr[conserved_k X] kernel_k. When
-    every n_k = 1, kernel_k is the block state omega_k and conserved_k is
-    J_k = P†(Pi_k), and blocks and logs hold the block projectors Pi_k and
-    log omega_k on V_k; else kernel holds the right null operators R,
-    conserved the rows of (N†R)⁻¹ N†, and blocks and logs are None. No
-    d²×d² matrix is kept: k d² entries against d⁴, nor ||L||: a residual
-    check needs L itself (`_first_failure`)."""
+class StationaryStructure(NamedTuple):
+    """The projector onto ker L of one or more baths as k pairs of d×d
+    operators each, B(X) = sum_k Tr[conserved_k X] kernel_k: the baths at
+    the indices rows (`_rows`) of a set, each with m blocks, and their
+    (len, k, d, d) stacks. When every n_k = 1 (m = k > 0), kernel_k is the
+    block state omega_k and conserved_k is J_k = P†(Pi_k), and blocks and
+    logs hold the block projectors Pi_k and log omega_k on V_k; else (m = 0,
+    one bath) kernel holds the right null operators R, conserved the rows
+    of (N†R)⁻¹ N†, and blocks and logs are None. No d²×d² matrix is kept:
+    k d² entries against d⁴, nor ||L||: a residual check needs L itself
+    (`_first_failure`). A public bath caches the one entry of its own pass,
+    rows = slice(0, 1)."""
 
+    m: int
+    rows: slice | np.ndarray
     kernel: np.ndarray
     conserved: np.ndarray
     blocks: np.ndarray | None = None
     logs: np.ndarray | None = None
 
 
-#: A bath set's structures as block stacks: one entry (m, rows, kernel,
-#: conserved, blocks, logs) a stack, the baths with m blocks at the indices
-#: rows (`_rows`) and the (len, m, d, d) stacks of their `StationaryStructure`
-#: fields. A bath without blocks (m = 0) has an entry of its own, with its
-#: (1, k, d, d) kernel and conserved operators and no blocks or logs.
-_BlockStacks = list[tuple[int, slice | np.ndarray, np.ndarray, np.ndarray, Any, Any]]
-
-
 class _BathSet(NamedTuple):
     """A call's baths as one stacked set, each part built once: their names
     (for error messages), their PropagateToFixedPoint tols, their generator
-    matrices (m, d², d²) and their stationary structures as block stacks.
+    matrices (m, d², d²) and their stationary structures, whose rows cover
+    the baths.
     The device reports build one from rates alone, with no Bath
     (`scenarios._device_baths`); `_bath_set` builds one from public baths."""
 
     names: Sequence[str]
     tols: np.ndarray
     gens: np.ndarray
-    stacks: _BlockStacks
+    stacks: list[StationaryStructure]
 
 
 class _Kernels(NamedTuple):
@@ -334,7 +331,8 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
     """The bath's stationary structure from the null space of L
-    (`_kernel_basis`), cached on it: the one-bath call of `_bath_set`.
+    (`_kernel_basis`): the one entry (rows = slice(0, 1)) of a structure
+    pass of its own, cached on it.
 
     The recurrent space is the support of P(I) under _kernel_basis's rank
     rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for a probe G whose
@@ -350,40 +348,30 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
 
 def _bath_set(baths: Sequence[Bath], gens: np.ndarray) -> _BathSet:
     """The public baths as a `_BathSet`, with gens the stack of their
-    generator matrices. The baths with no cached structure are solved in
-    passes of as many as fit _PASS_ENTRIES (202 at d = 3, 4 at d = 8, one
-    from d = 10 on), since large stacked work arrays cost more than the
-    calls they save, a bath given twice once, and each structure is cached
-    on its bath, formed from the pass' stacks (`_structures`): a bath's
-    structure is the same, bit for bit, alone or in a stack. NoConvergence
-    names the first failing bath in list order, and the baths before it
-    keep their structures. The set's stacks hold the cached structures, one
-    entry a bath (`_stacked`). The baths share one dimension: the callers
-    check it (`dynamics._generators`) or pass one bath."""
+    generator matrices. A bath with no cached structure is solved in a pass
+    of its own, in list order, and caches its entry, so NoConvergence names
+    the first failing bath and the baths before it keep their structures;
+    the set's stacks are the cached entries, relabelled to the bath's row.
+    The baths share one dimension: the callers check it
+    (`dynamics._generators`) or pass one bath."""
     names = [b.name for b in baths]
     tols = np.array([b.fixed_point.tol for b in baths])
-    todo = list({id(b): i for i, b in enumerate(baths) if b._structure is None}.values())
-    per_pass = max(1, _PASS_ENTRIES // gens.shape[-1] ** 2)
-    for lo in range(0, len(todo), per_pass):
-        at = todo[lo:lo + per_pass]
-        stacks, solved, error = _stationary_structures([names[i] for i in at], tols[at], gens[at],
-                                                       _kernel_basis(gens[at]))
-        for i, struct in zip(at[:solved], _structures(stacks, len(at))):
-            object.__setattr__(baths[i], "_structure", struct)
-        if error is not None:
-            raise error
-    return _BathSet(names, tols, gens, _stacked([b._structure for b in baths]))
+    for i, bath in enumerate(baths):
+        if bath._structure is None:
+            at = slice(i, i + 1)
+            [struct] = _stationary_structures(names[at], tols[at], gens[at], _kernel_basis(gens[at]))
+            object.__setattr__(bath, "_structure", struct)
+    stacks = [b._structure._replace(rows=slice(i, i + 1)) for i, b in enumerate(baths)]
+    return _BathSet(names, tols, gens, stacks)
 
 
 def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndarray, kernels: _Kernels
-                           ) -> tuple[_BlockStacks, int, NoConvergence | None]:
+                           ) -> list[StationaryStructure]:
     """The stationary structures of a bath set in one pass, as its block
     stacks: names and tols are the baths', gens the stack of their generator
-    matrices and kernels their `_kernel_basis`. Also returns how many baths
-    it solved and, if a block's state fails its residual check, the first
-    failing bath's NoConvergence, which the caller raises: the structures
-    before that bath are sound. The one structure solver; the caller keeps
-    a pass within _PASS_ENTRIES.
+    matrices and kernels their `_kernel_basis`. If a block's state fails its
+    residual check, raises the first failing bath's NoConvergence. The one
+    structure solver; the caller keeps a pass within _PASS_ENTRIES.
 
     Each step is one numpy call for all the baths: at d = 3 the call
     overhead, not the arithmetic, is what a structure costs. The products
@@ -408,7 +396,7 @@ def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndar
         r = right.reshape(len(at), k, n).conj().swapaxes(-1, -2)
         dual = np.linalg.solve(nh @ r, nh)
         proj[rows] = r @ dual
-        duals[k] = dual
+        duals[k] = dual.reshape(len(at), k, d, d)
     proj_conj = proj.conj()
     adj = proj_conj.swapaxes(-1, -2)  # P†
     cut = n * _EPS
@@ -453,17 +441,15 @@ def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndar
     resid = np.sqrt((flows.conj() * flows).real.sum(axis=(-2, -1)))
     failure = _first_failure(resid if all_structured else np.where(structured[:, None], resid, 0.0),
                              tols[:, None], gens, kernels.fro)
-    solved, error = m, None
     if failure is not None:
-        solved, norm = failure
-        error = _residual_failure(names[solved], tols[solved], resid[solved, :ks[solved]], norm,
-                                  "stationary state of a block")
+        i, norm = failure
+        raise _residual_failure(names[i], tols[i], resid[i, :ks[i]], norm, "stationary state of a block")
     stacks = []
     for i in np.flatnonzero(~structured).tolist():  # R and (N†R)⁻¹ N†, as d×d operators
         k = ks[i]
         at, _, right, _ = groups[k]
         j = bisect.bisect_left(at, i)
-        stacks.append((0, slice(i, i + 1), right[j:j + 1], duals[k][j].reshape(1, k, d, d), None, None))
+        stacks.append(StationaryStructure(0, slice(i, i + 1), right[j:j + 1], duals[k][j:j + 1]))
     for k, (at, rows, _, _) in groups.items():
         if not all_structured:
             at = at[structured[at]]
@@ -471,24 +457,9 @@ def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndar
         if len(at):
             adj = proj_conj[rows].swapaxes(-1, -2)
             conserved = hermitize(_apply_each(adj, blocks[rows, :k]))  # J_k = P†(Pi_k)
-            stacks.append((k, rows, states[rows, :k], conserved, blocks[rows, :k], logs[rows, :k]))
-    return stacks, solved, error
-
-
-def _structures(stacks: _BlockStacks, count: int) -> list[StationaryStructure]:
-    """The StationaryStructure of each of the count baths of stacks, in order."""
-    out = [None] * count
-    for m, rows, kernel, conserved, blocks, logs in stacks:
-        for j, i in enumerate(np.arange(count)[rows].tolist()):
-            out[i] = StationaryStructure(kernel[j], conserved[j], *((blocks[j], logs[j]) if m else ()))
-    return out
-
-
-def _stacked(structs: Sequence[StationaryStructure]) -> _BlockStacks:
-    """The structures as block stacks of one bath each: `_structures`' inverse."""
-    return [(0 if s.blocks is None else len(s.blocks), slice(i, i + 1), s.kernel[None], s.conserved[None],
-             *((None, None) if s.blocks is None else (s.blocks[None], s.logs[None])))
-            for i, s in enumerate(structs)]
+            stacks.append(StationaryStructure(k, rows, states[rows, :k], conserved, blocks[rows, :k],
+                                              logs[rows, :k]))
+    return stacks
 
 
 @functools.lru_cache(maxsize=None)
@@ -573,7 +544,7 @@ def stationary_map(bath: Bath, rho: np.ndarray) -> np.ndarray:
         raise InvalidParams(f"stationary map acts on {d}x{d}, got {rho.shape}")
     _require_hermitian(rho, "state")
     struct = stationary_structure(bath)
-    return _project(struct.kernel, struct.conserved, generator_superop(bath.generator).matrix,
+    return _project(struct.kernel[0], struct.conserved[0], generator_superop(bath.generator).matrix,
                     bath.name, bath.fixed_point.tol, rho)
 
 

@@ -159,7 +159,8 @@ def _default_timestep(segs: Sequence[tuple[float, np.ndarray]], baths: Sequence[
 def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     """Vectorized matrix of the full right-hand side (static H only):
     -i(I ⊗ H - Hᵀ ⊗ I) plus each bath's generator_superop; the spec's
-    segments check H before anything is built."""
+    segments check H before anything is built, and a sum that overflows is
+    refused (InvalidParams)."""
     if spec.is_schedule:
         raise InvalidParams("liouvillian needs a static Hamiltonian; propagate the schedule instead")
     return _liouvillian(spec.segments[0][1], _generators(spec.baths, spec.dim))
@@ -180,10 +181,13 @@ def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
 
 
 def _liouvillian(h: np.ndarray, gens: np.ndarray) -> SuperOperator:
-    """-i(I ⊗ H - Hᵀ ⊗ I) plus the built generator matrices gens, in order."""
+    """-i(I ⊗ H - Hᵀ ⊗ I) plus the built generator matrices gens, in order;
+    InvalidParams if the sum overflows (rates near the float maximum)."""
     mat = _commutator(h)
-    for g in gens:
-        mat += g
+    with np.errstate(over="ignore"):  # require_finite refuses what overflows
+        for g in gens:
+            mat += g
+    require_finite(mat, "Liouvillian")
     return SuperOperator(h.shape[0], mat)
 
 
@@ -334,7 +338,8 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
             break
         t_next = segs[i + 1][0] if i + 1 < len(segs) else np.inf
         lc = _commutator(h)
-        lc += diss
+        with np.errstate(over="ignore"):  # require_finite refuses what overflows
+            lc += diss
         require_finite(lc, "Liouvillian")
         lr = _real_form(lc)
         k_last = int(np.searchsorted(times, t_next, side="right")) - 1

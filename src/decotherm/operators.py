@@ -59,11 +59,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def herm_defect(a: np.ndarray) -> float:
-    """Max absolute entrywise deviation of A from A†."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def _require_hermitian(a: np.ndarray, what: str) -> None:
     """InvalidParams unless one operator (d, d), or each operator of a stack
     (n, d, d), deviates from its adjoint by at most HERM_TOL max(1, max|X|),
@@ -309,12 +304,10 @@ def _herm_operators(x: np.ndarray) -> np.ndarray:
 
 
 def assert_density_matrix(rho: np.ndarray, what: str = "state") -> None:
-    """InvalidParams unless rho is a state: Hermitian (HERM_TOL), of unit
-    trace and positive (STATE_TOL)."""
+    """InvalidParams unless rho is a state: Hermitian (`_require_hermitian`),
+    of unit trace and positive (STATE_TOL)."""
     require_operator(rho, what)
-    defect = herm_defect(rho)
-    if defect > HERM_TOL:
-        raise InvalidParams(f"{what}: Hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
+    _require_hermitian(rho, what)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > STATE_TOL:
         raise InvalidParams(f"{what}: trace {tr} deviates from 1 by more than {STATE_TOL:.1e}")

@@ -259,10 +259,11 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     hams = np.array([device_hamiltonian(p) for p in params])
     # summed in the order of each point's baths, as _liouvillian does
     liouv = _commutator(hams)
-    liouv += gens[:n]
-    liouv += gens[n:2 * n]
-    liouv[dephased_at] += gens[2 * n:]
-    require_finite(liouv, "Liouvillian")  # rates can overflow; Hermiticity holds by construction
+    with np.errstate(over="ignore"):  # rates can overflow: require_finite refuses the sum
+        liouv += gens[:n]
+        liouv += gens[n:2 * n]
+        liouv[dephased_at] += gens[2 * n:]
+    require_finite(liouv, "Liouvillian")  # Hermiticity holds by construction
     kernels = _kernel_basis(np.concatenate([liouv, gens]))
     dims = kernels.dims[:n].tolist()
     if dims.count(1) < n:
@@ -271,9 +272,7 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
         return [next(solved) if k == 1 else _degenerate_kernel(k) for k in dims]
     nu, eigs, vecs = _steady_states(liouv, kernels.right[:n, -1], kernels.fro[:n])
     log_nu = Spectrum.of_eigh(eigs, vecs).log
-    stacks, _, error = _stationary_structures(names, tols, gens, kernels.part(n, n + len(names)))
-    if error is not None:
-        raise error
+    stacks = _stationary_structures(names, tols, gens, kernels.part(n, n + len(names)))
     point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
     terms = _bath_terms(_BathSet(names, tols, gens, stacks), nu[point], log_nu[point])
     _require_support(names, terms)

@@ -17,20 +17,22 @@ legitimate thermodynamic answer, not an error.
 One per-bath kernel, `_bath_terms`, gives the flux, relative entropy and P
 pairing to the scalar functions, `onsager`, the device reports and
 `sample_thermodynamics`, for all the baths of a stacked bath set
-(`baths._BathSet`: names, generator matrices and block stacks) at once:
-each bath with its own state (a device report's (bath, nu) pairs) or all
-of them with one state or one stack of states; every heat is
-`_traces(H, flow)`. The device reports build their set from rates
+(`baths._BathSet`: names, generator matrices and stationary structures)
+at once: each bath with its own state (a device report's (bath, nu)
+pairs) or all of them with one state or one stack of states; every heat
+is `_traces(H, flow)`. The device reports build their set from rates
 (`scenarios._device_baths`); the other callers build theirs from public
-baths (`baths._bath_set`), which solves the uncached structures in one
-stacked pass, so the kernel solves nothing. The scalar functions and
-`onsager.force_flow_pairs` share one one-state entry, `_state_terms`: the
-state checks, its support log, one build of the generator matrices, the
-set and the kernel; each caller then decides what a support leak means.
+baths (`baths._bath_set`), which solves each uncached structure in a pass
+of its own and caches it on its bath, so the kernel solves nothing. The
+scalar functions and `onsager.force_flow_pairs` share one one-state
+entry, `_state_terms`: the state checks, Hermiticity among them, its
+support log, one build of the generator matrices, the set and the
+kernel; each caller then decides what a support leak means.
 Every state or Hamiltonian
 argument goes through one of the two gates of `operators`
-(`require_operator`, `require_hamiltonian`) before any numerics; a spec's
-Hamiltonians are checked by its `segments`. A refused argument is
+(`require_operator`, `require_hamiltonian`) before any numerics, a state
+of the one-state entries also through `operators._require_hermitian`; a
+spec's Hamiltonians are checked by its `segments`. A refused argument is
 InvalidParams; a support leak where a finite answer is needed
 (SupportViolation) and an imaginary P (NonRealPairing) are NumericalFailures.
 """
@@ -103,8 +105,8 @@ def _stationary_log(bset: _BathSet, rho: np.ndarray) -> tuple[np.ndarray, np.nda
     With every n_k = 1, B(rho) = sum_k c_k omega_k with c_k = Tr[J_k rho], so
     log B(rho) = sum of (log c_k Pi_k + log omega_k) over the c_k above
     DEFAULT_EIG_CUT * max c, with no eigensolve per state: one stacked call
-    per block stack of the set (`baths._BlockStacks`). Otherwise the image
-    is eigensolved per state.
+    per block stack of the set (`baths.StationaryStructure`). Otherwise the
+    image is eigensolved per state.
     """
     d2 = rho.shape[-1] ** 2
     shape = (len(bset.names), *rho.shape[1:])
@@ -188,11 +190,14 @@ def _bath_terms(bset: _BathSet, rho: np.ndarray, log_rho: np.ndarray) -> _BathTe
 def _state_terms(baths, rho: np.ndarray) -> _BathTerms:
     """_bath_terms of one state rho for each of the baths: the one-state
     entry of the scalar functions and `onsager.force_flow_pairs`. It gates
-    rho, checks that the baths have its dimension, builds their generator
-    matrices once, takes the support log of rho and builds their set
-    (`baths._bath_set`), which solves their structures in one pass; the
-    caller decides what a support leak means."""
-    gens = _generators(baths, require_operator(rho, "state"))
+    rho, Hermitian to `operators._require_hermitian` whatever the baths'
+    structures, checks that the baths have its dimension, builds their
+    generator matrices once, takes the support log of rho and builds their
+    set (`baths._bath_set`), which solves each uncached structure in a pass
+    of its own; the caller decides what a support leak means."""
+    d = require_operator(rho, "state")
+    _require_hermitian(rho, "state")
+    gens = _generators(baths, d)
     log_rho = Spectrum.of(rho).log
     return _bath_terms(_bath_set(baths, gens), rho[None], log_rho[None])
 
@@ -329,8 +334,10 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     The states are processed in blocks of baths._PASS_ENTRIES // d² points:
     one stacked eigensolve of the states, one _bath_terms call for all the
     baths, and traces as einsums. The baths' generator matrices are built
-    once per call, and their stationary structures are solved in one pass
-    before the first block.
+    once per call, and each uncached stationary structure is solved in a
+    pass of its own before the first block. Only a bath without blocks gates
+    the states' Hermiticity (`_stationary_log`): `propagate` returns them
+    exactly Hermitian.
 
     The work rate reflects the piecewise-constant schedule: zero except at
     the first grid point at or after a switch, where the impulsive energy
@@ -362,7 +369,6 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     fluxes = {name: np.empty(n) for name in names}
     rel = {name: np.empty(n) for name in names}
     gens = _generators(spec.baths, d)
-    _bath_set(spec.baths, gens)  # solves every structure, in one pass where they fit
     sets = [_bath_set([bath], gens[i:i + 1]) for i, bath in enumerate(spec.baths)]  # once, not per block
     block = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, n, block):

@@ -1,6 +1,5 @@
 """Lindblad generators, bath constructors, and stationary maps."""
 
-import dataclasses
 import decimal
 import itertools
 import re
@@ -13,6 +12,7 @@ from conftest import (
     SX,
     SZ,
     assert_decides_as_the_exact_norm,
+    count_structure_passes,
     count_svds,
     exact_norm,
     dissipator_oracle,
@@ -61,6 +61,7 @@ from decotherm.scenarios import (
     build_device,
     device_dephasing_bath,
     device_report,
+    device_reports,
 )
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -72,12 +73,12 @@ def unit(i, j, d=3):
     return m
 
 
-def projector_of(struct):
-    """Test-side P = sum_k |kernel_k>><<conserved_k| of a structure, so that
-    P vec(X) = vec(sum_k Tr[conserved_k X] kernel_k)."""
+def projector_of(struct, j=0):
+    """Test-side P = sum_k |kernel_k>><<conserved_k| of bath j of a
+    structure, so that P vec(X) = vec(sum_k Tr[conserved_k X] kernel_k)."""
     n = struct.kernel.shape[-1] ** 2
-    return sum((np.outer(vectorize(w), vectorize(c.T)) for w, c in zip(struct.kernel, struct.conserved)),
-               np.zeros((n, n), dtype=complex))
+    pairs = zip(struct.kernel[j], struct.conserved[j])
+    return sum((np.outer(vectorize(w), vectorize(c.T)) for w, c in pairs), np.zeros((n, n), dtype=complex))
 
 
 class TestApplyGenerator:
@@ -411,9 +412,9 @@ class TestStationaryMapGeneral:
         rho = ginibre_state(rng, 3)
         struct = stationary_structure(bath)
         plant = struct.kernel.copy()
-        plant[0, 0, 1] += 1e-9
-        plant[0, 1, 0] += 1e-9
-        object.__setattr__(bath, "_structure", dataclasses.replace(struct, kernel=plant))
+        plant[0, 0, 0, 1] += 1e-9
+        plant[0, 0, 1, 0] += 1e-9
+        object.__setattr__(bath, "_structure", struct._replace(kernel=plant))
         with pytest.raises(NoConvergence, match=r"^left: kernel projector image has residual .* "
                                                 r"> tol 1\.0e-12 \* \|\|L\|\|_2 [0-9.e+-]+$"):
             stationary_map(bath, rho)
@@ -496,10 +497,10 @@ class TestStationaryStructure:
         basis, _ = np.linalg.qr(random_complex(rng, d))
         bath = dephasing_bath([basis[:, j] for j in range(d)], 0.05)
         struct = stationary_structure(bath)
-        assert struct.blocks.shape == (d, d, d)
+        assert struct.blocks.shape == (1, d, d, d)
         # each block is one basis projector, and its stationary state is that
         # projector, whose log is zero
-        overlaps = np.einsum("jk,mkl,lj->mj", basis.conj().T, struct.blocks, basis).real
+        overlaps = np.einsum("jk,mkl,lj->mj", basis.conj().T, struct.blocks[0], basis).real
         assert np.allclose(np.sort(overlaps, axis=1)[:, -1], 1.0, atol=1e-12)
         assert np.allclose(overlaps.sum(axis=0), 1.0, atol=1e-12)
         assert np.max(np.abs(struct.logs)) <= 1e-12
@@ -565,14 +566,25 @@ class TestStructureOperators:
         for bath in structure_baths(rng):
             struct = stationary_structure(bath)
             d2 = bath.dim ** 2
-            k = len(struct.kernel)
-            assert struct.kernel.shape == struct.conserved.shape == (k, bath.dim, bath.dim)
-            for f in dataclasses.fields(struct):
-                value = getattr(struct, f.name)
+            k = struct.kernel.shape[1]
+            assert struct.rows == slice(0, 1)
+            assert struct.kernel.shape == struct.conserved.shape == (1, k, bath.dim, bath.dim)
+            for name, value in struct._asdict().items():
                 value = getattr(value, "matrix", value)  # a SuperOperator counts by its matrix
                 if isinstance(value, np.ndarray):
-                    assert value.shape != (d2, d2), (bath.name, f.name)
-                    assert value.size <= k * d2, (bath.name, f.name)
+                    assert value.shape[-2:] != (d2, d2), (bath.name, name)
+                    assert value.size <= k * d2, (bath.name, name)
+
+    def test_no_cached_d16_array_holds_d4_entries(self, rng):
+        # neither an array of the structure nor an array it is a view of:
+        # the pass' d²×d² projector and work arrays are dropped with it
+        for bath in structure_baths(rng):
+            if bath.dim != 16:
+                continue
+            for name, value in stationary_structure(bath)._asdict().items():
+                while isinstance(value, np.ndarray):
+                    assert value.size < 16**4, (bath.name, name)
+                    value = value.base
 
     def test_images_match_an_svd_kernel_projector(self, rng):
         for bath in structure_baths(rng):
@@ -592,33 +604,31 @@ class TestStructureOperators:
                 assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * scale, bath.name
 
 
-def _structure_arrays(struct):
-    return projector_of(struct), struct.kernel, struct.conserved, struct.blocks, struct.logs
-
-
 def assert_stacked_equals_one_bath(make_baths):
-    """One stacked pass over fresh baths from make_baths() gives each bath
-    the structure that its one-bath call gives, bit for bit."""
-    stacked = make_baths()
-    gens = gen_stack(stacked)
-    bset = _bath_set(stacked, gens)
-    structs = [b._structure for b in stacked]
-    if len(stacked) <= _PASS_ENTRIES // stacked[0].dim**4:
-        # one pass: read through _stationary_log, its own stacks give each
-        # bath the log and leak that the set's cached structures give
-        stacks, solved, error = _stationary_structures(bset.names, bset.tols, gens, _kernel_basis(gens))
-        assert solved == len(stacked) and error is None
-        rho = ginibre_state(np.random.default_rng(0), stacked[0].dim)[None]
-        got = thermo._stationary_log(bset._replace(stacks=stacks), rho)
-        want = thermo._stationary_log(bset, rho)
-        assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
-    for bath, struct, alone in zip(stacked, structs, make_baths()):
-        want_all = _structure_arrays(stationary_structure(alone))
-        for got, want in zip(_structure_arrays(struct), want_all):
-            assert (got is None) == (want is None), bath.name
-            if want is not None:
-                assert got.shape == want.shape and np.array_equal(got, want), bath.name
-    return structs
+    """One structure pass over the stack of the baths of make_baths() gives
+    each bath's slice the entry that the bath's own pass caches on it, bit
+    for bit, and the same logs through `thermo._stationary_log`. Returns
+    the cached entries."""
+    baths = make_baths()
+    gens = gen_stack(baths)
+    names, tols = [b.name for b in baths], np.array([b.fixed_point.tol for b in baths])
+    stacks = _stationary_structures(names, tols, gens, _kernel_basis(gens))
+    bset = _bath_set(baths, gens)  # each bath solved and cached in a pass of its own
+    rho = ginibre_state(np.random.default_rng(0), baths[0].dim)[None]
+    got = thermo._stationary_log(bset._replace(stacks=stacks), rho)
+    want = thermo._stationary_log(bset, rho)
+    assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+    index = np.arange(len(baths))
+    for entry in stacks:
+        for j, i in enumerate(index[entry.rows].tolist()):
+            own = baths[i]._structure
+            assert own.rows == slice(0, 1) and own.m == entry.m, names[i]
+            assert np.array_equal(projector_of(entry, j), projector_of(own)), names[i]
+            for got, want in zip(entry[2:], own[2:]):
+                assert (got is None) == (want is None), names[i]
+                if want is not None:
+                    assert got[j:j + 1].shape == want.shape and np.array_equal(got[j:j + 1], want), names[i]
+    return [b._structure for b in baths]
 
 
 def rank_two_block_bath(name="block"):
@@ -648,8 +658,8 @@ def random_dense_baths(seed, d=16):
 
 
 class TestStackedStructures:
-    """_bath_set solves a list of baths in one structure pass; each bath's
-    structure is the one its own call gives."""
+    """A structure pass over a stack of baths gives each bath the entry of
+    its own pass, which a public bath caches."""
 
     def test_device_grid(self):
         occupations = (1e-14, 1e-8, 1e-2, 1.0, 1e2, 1e4, 1e6)
@@ -659,11 +669,10 @@ class TestStackedStructures:
             structs = assert_stacked_equals_one_bath(lambda: list(build_device(p).baths))
             assert all(s.blocks is not None for s in structs)
 
-    # at d = 8 the three share one pass; at d = 16 each has its own
     @pytest.mark.parametrize("d, seed", [(8, 1), (8, 2), (16, 1), (16, 2), (16, 3)])
     def test_dense(self, d, seed):
         structs = assert_stacked_equals_one_bath(lambda: random_dense_baths(seed, d))
-        assert [len(s.blocks) for s in structs] == [1, 1, d]
+        assert [s.m for s in structs] == [1, 1, d]
 
     def test_rank_two_block_beside_unit_blocks(self):
         structs = assert_stacked_equals_one_bath(lambda: [
@@ -675,10 +684,10 @@ class TestStackedStructures:
             device_dephasing_bath(0.3), decay_bath(), rank_two_block_bath(), right_pump_bath(2.0)])
         decay = structs[1]
         ground = unit(0, 0)
-        assert decay.blocks.shape == (1, 3, 3)
-        assert np.max(np.abs(decay.blocks[0] - ground)) <= 1e-15
-        assert np.max(np.abs(decay.conserved[0] - np.eye(3))) <= 1e-14
-        assert np.max(np.abs(decay.logs[0])) <= 1e-15
+        assert decay.blocks.shape == (1, 1, 3, 3)
+        assert np.max(np.abs(decay.blocks[0, 0] - ground)) <= 1e-15
+        assert np.max(np.abs(decay.conserved[0, 0] - np.eye(3))) <= 1e-14
+        assert np.max(np.abs(decay.logs[0, 0])) <= 1e-15
         # B(rho) = |0><0| for every state: log B(rho) = 0, and rho leaks
         # what it holds off |0>
         rho = ginibre_state(rng, 3)
@@ -687,12 +696,16 @@ class TestStackedStructures:
         assert np.max(np.abs(log_b)) <= 1e-14
         assert leak == pytest.approx(1.0 - rho[0, 0].real, abs=1e-14)
 
-    def test_cached_baths_are_not_solved_again(self):
+    def test_cached_baths_are_not_solved_again(self, monkeypatch):
         baths = [left_pump_bath(0.6), device_dephasing_bath(0.3)]
-        first = [stationary_structure(baths[0])]
-        _bath_set(baths + baths, gen_stack(baths + baths))
-        structs = [b._structure for b in baths + baths]
-        assert structs[0] is first[0] and structs[2] is first[0] and structs[3] is structs[1]
+        first = stationary_structure(baths[0])
+        passes = count_structure_passes(monkeypatch)
+        bset = _bath_set(baths + baths, gen_stack(baths + baths))
+        assert passes == [1]  # the dephasing bath, once
+        assert baths[0]._structure is first
+        # the set reads each cached entry at its own row
+        assert [s.rows for s in bset.stacks] == [slice(i, i + 1) for i in range(4)]
+        assert bset.stacks[2].kernel is first.kernel and bset.stacks[3].kernel is bset.stacks[1].kernel
 
     def test_first_failing_bath_is_named(self):
         def strangled(base, name):
@@ -710,24 +723,28 @@ class TestStackedStructures:
         assert [b._structure is not None for b in stack] == [True, False, False]
 
     def test_passes_hold_at_most_pass_entries(self, monkeypatch):
-        # one pass for a device's baths; from d = 10 on, one bath per pass
-        from decotherm import baths
+        # a public bath is solved in a pass of its own; a device report pass
+        # stacks the baths of _REPORTS_PER_PASS points, within the budget
+        from decotherm import scenarios
 
-        stacks = []
-        real = baths._kernel_basis
-        monkeypatch.setattr(baths, "_kernel_basis", lambda m: stacks.append(len(m)) or real(m))
+        passes = count_structure_passes(monkeypatch)
 
         def solve(stack):
-            stacks.clear()
+            passes.clear()
             _bath_set(stack, gen_stack(stack))
-            return list(stacks)
+            return list(passes)
 
-        assert solve(list(build_device(DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)).baths)) == [3]
+        assert solve(list(build_device(DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)).baths)) == [1, 1, 1]
         rng = np.random.default_rng(8)
         d8 = [Bath(f"b{j}", LindbladGenerator(8, (JumpTerm(0.5, random_complex(rng, 8)),)))
               for j in range(5)]
-        assert solve(d8) == [4, 1]
+        assert solve(d8) == [1] * 5
         assert solve(random_dense_baths(1)) == [1, 1, 1]
+        per = scenarios._REPORTS_PER_PASS
+        assert 4 * 81 * per <= _PASS_ENTRIES  # a Liouvillian and three baths a report
+        passes.clear()
+        device_reports([DeviceParams(1.5, 1.0, 0.4, 0.6, 0.2, 0.3)] * (per + 1))
+        assert passes == [3 * per, 3]
 
     def test_baths_of_different_dimensions(self):
         baths = [left_pump_bath(0.6), dephasing_bath(Z_BASIS, 0.5)]
@@ -1039,7 +1056,7 @@ class TestStationaryMapRefusesNonHermitian:
         """stationary_map's arithmetic without its gates and residual check,
         as it read before the Hermiticity gate."""
         struct = stationary_structure(bath)
-        d, k = bath.dim, len(struct.kernel)
+        d, k = bath.dim, struct.kernel.shape[1]
         coefs = x.swapaxes(-1, -2).reshape(-1, d * d) @ struct.conserved.reshape(k, d * d).T
         img = (coefs @ struct.kernel.reshape(k, d * d)).reshape(x.shape)
         out = 0.5 * (img + img.swapaxes(-1, -2).conj())

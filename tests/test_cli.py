@@ -545,7 +545,7 @@ def test_only_operators_raises_a_non_finite_entry():
 
 
 def test_stack_budget_is_assigned_in_one_module():
-    # the structure passes, the device report passes and the sampler's
+    # the generator builds, the device report passes and the sampler's
     # state blocks share one 2**14-entry budget, baths._PASS_ENTRIES
     src = os.path.dirname(os.path.abspath(cli.__file__))
     assigning = set()

@@ -246,12 +246,14 @@ class TestPropagate:
         assert traj.dt == default_timestep(spec.hamiltonian, spec.baths)
 
     @pytest.mark.parametrize("rho0, message", [
-        (np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex), "Hermiticity defect"),
+        (np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex), "deviates from Hermiticity"),
         (np.eye(2, dtype=complex), "trace"),
         (np.diag([1.5, -0.5]).astype(complex), "eigenvalue"),
     ])
     def test_initial_state_must_be_a_state(self, rho0, message):
-        with pytest.raises(InvalidParams, match=f"^initial state: {message}"):
+        # the Hermiticity message is operators._require_hermitian's, with no colon
+        sep = " " if message.startswith("deviates") else ": "
+        with pytest.raises(InvalidParams, match=f"^initial state{sep}{message}"):
             propagate(rho0, EvolutionSpec(SZ.copy(), (), t_max=1.0, dt=0.1))
 
     def test_schedule_must_start_at_zero(self):
@@ -557,6 +559,15 @@ class TestSteadyState:
         lmat[4, 5] = bad
         with pytest.raises(InvalidParams):
             steady_state(SuperOperator(3, lmat))
+
+    def test_overflowing_rates_are_refused_without_a_warning(self):
+        # each bath's generator is finite and only their sum overflows; the
+        # suite turns a RuntimeWarning from decotherm into an error
+        spec = device_spec(n_l=8e307, n_r=8e307)
+        with pytest.raises(InvalidParams, match="^Liouvillian has a non-finite entry$"):
+            steady_state(liouvillian(spec))
+        with pytest.raises(InvalidParams, match="^Liouvillian has a non-finite entry$"):
+            propagate(np.eye(3, dtype=complex) / 3, EvolutionSpec(spec.hamiltonian, spec.baths, 1.0, 0.1))
 
     @pytest.mark.parametrize("kernel, message", [
         (np.diag([1.0, -1.0]), "traceless"), (np.diag([2.0, -1.0]), "eigenvalue"),

@@ -579,6 +579,14 @@ def test_non_finite_parameters_rejected(case):
         make()
 
 
+@pytest.mark.parametrize("n_l, n_r, gamma", [(8e307, 8e307, 0.3), (1e308, 0.2, 1e308)])
+def test_overflowing_liouvillian_is_refused_without_a_warning(n_l, n_r, gamma):
+    # the rates are finite and their Liouvillian's sum overflows; the suite
+    # turns a RuntimeWarning from decotherm into an error
+    with pytest.raises(InvalidParams, match="^Liouvillian has a non-finite entry$"):
+        device_report(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
+
+
 def summed_magnitude(p):
     """The summed _BathTerms.magnitude of a device point at its steady state:
     the scale of the pairing's rounding that NonRealPairing is relative to."""

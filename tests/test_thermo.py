@@ -34,7 +34,7 @@ from decotherm.baths import (
     thermal_two_level_bath,
 )
 from decotherm.dynamics import EvolutionSpec, Trajectory, default_timestep, liouvillian, propagate
-from decotherm.operators import HERM_TOL, assert_density_matrix, herm_defect
+from decotherm.operators import HERM_TOL, assert_density_matrix
 from decotherm.errors import (
     InvalidParams,
     NoConvergence,
@@ -126,7 +126,7 @@ class TestHamiltonianGate:
         h = rotated_hamiltonian(rng, s)
         assert np.linalg.norm(h, 2) == pytest.approx(4.0 * s, rel=1e-12)
         if s >= 1e7:  # an absolute HERM_TOL would refuse its rounding
-            assert herm_defect(h) > HERM_TOL
+            assert np.abs(h - h.conj().T).max() > HERM_TOL
         run_energy, run_heat, run_segments = self.gates(h)
         assert run_energy() == pytest.approx(2.5 * s, rel=1e-12)  # Tr[H] / 4
         assert math.isfinite(run_heat())
@@ -339,6 +339,24 @@ def test_state_of_another_dimension_than_the_bath(call):
         call(left_pump_bath(0.6), np.eye(2, dtype=complex) / 2)
 
 
+#: the one-state entries: the callers of thermo._state_terms and onsager.force
+ONE_STATE_ENTRIES = {**STATE_TERMS_CALLERS, "force": lambda baths, rho: force(baths[0], rho)}
+
+
+@pytest.mark.parametrize("make_bath", [
+    lambda: left_pump_bath(0.6),
+    lambda: Bath("block", LindbladGenerator(3, (JumpTerm(0.4, np.diag([1.0, 1.0, 0.0]).astype(complex)),))),
+], ids=["blocks", "rank_two_block"])
+@pytest.mark.parametrize("entry", ONE_STATE_ENTRIES)
+def test_non_hermitian_state_is_refused_whatever_the_structure(entry, make_bath):
+    # 1e-3 above the diagonal only: the pump bath has a block structure and
+    # the rank-two block bath has none, and both refuse the state
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho[0, 1] = 1e-3
+    with pytest.raises(InvalidParams, match="^state deviates from Hermiticity by 1.000e-03"):
+        ONE_STATE_ENTRIES[entry]([make_bath()], rho)
+
+
 class TestSampleThermodynamics:
     def test_unitary_only(self):
         spec = EvolutionSpec(SZ.copy(), (), t_max=1.0, dt=0.01)
@@ -418,31 +436,33 @@ class TestSampleThermodynamics:
         built = [g for gens in builds for g in gens]
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
 
-    def test_one_structure_pass_per_call(self, monkeypatch, rng):
+    def test_one_structure_pass_per_uncached_bath(self, monkeypatch, rng):
+        # each public bath is solved in a pass of its own, once: a cached
+        # bath takes no pass
         from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
 
         passes = count_structure_passes(monkeypatch)
         assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
         rho = ginibre_state(rng, 3)
         entropy_production(rho, assembly.baths)  # through thermo._state_terms
-        assert passes == [3]
+        assert passes == [1, 1, 1]
         entropy_production(rho, assembly.baths)
         entropy_flux(assembly.left, rho)
         relative_entropy_to_bath(rho, assembly.dephasing)
         force_flow_pairs(assembly.baths, rho)
-        assert passes == [3]  # every bath cached: no pass at all
+        assert passes == [1, 1, 1]  # every bath cached: no pass at all
         force_flow_pairs(build_device(DeviceParams(**DEFAULT_DEVICE)).baths, rho)
-        assert passes == [3, 3]
+        assert passes == [1] * 6
 
         assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
         spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
         traj = propagate(np.eye(3, dtype=complex) / 3, spec)
         assert len(traj) > 2 * (_PASS_ENTRIES // 9)  # three blocks
-        assert passes == [3, 3]
+        assert passes == [1] * 6
         sample_thermodynamics(traj, spec)
-        assert passes == [3, 3, 3]
+        assert passes == [1] * 9
         sample_thermodynamics(traj, spec)
-        assert passes == [3, 3, 3]
+        assert passes == [1] * 9
 
     def test_spec_of_another_dimension_than_the_states(self):
         from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device

@@ -7,7 +7,8 @@ token that is not a docstring.
     python tools/code_lines.py [PATH ...]
 
 Each PATH is a module or a directory, searched for *.py; the default is
-src/decotherm. Prints each module's count and the total. Standard library
+src/decotherm. Prints each module's code lines beside its physical lines
+(its newlines, as `wc -l` counts them), then both totals. Standard library
 only (tokenize and ast).
 """
 
@@ -52,12 +53,14 @@ def code_lines(source: str) -> int:
 def main(argv: list[str]) -> int:
     paths = [Path(p) for p in argv] or [Path(__file__).resolve().parents[1] / "src" / "decotherm"]
     files = sorted(f for p in paths for f in ([p] if p.is_file() else p.rglob("*.py")))
-    total = 0
+    totals = [0, 0]
+    print("  code   lines  module")
     for f in files:
-        count = code_lines(f.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {f}")
-    print(f"{total:6d}  total")
+        source = f.read_text(encoding="utf-8")
+        counts = code_lines(source), source.count("\n")
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{counts[0]:6d}  {counts[1]:6d}  {f}")
+    print(f"{totals[0]:6d}  {totals[1]:6d}  total")
     return 0
 
 
