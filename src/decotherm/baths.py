@@ -4,7 +4,7 @@ A bath is a generator. Its stationary map B(rho) = lim_{t->inf} exp(t L)(rho)
 is the spectral projector onto ker L, exact because the kernel of a
 Lindblad generator is semisimple, and ker L = ⊕_k (M_{n_k} ⊗ omega_k) over
 blocks V_k with omega_k faithful (Baumgartner & Narnhofer, J. Phys. A 41,
-395303 (2008)). Every bath built here has n_k = 1, so
+395303 (2008)). Every bath the constructors build has n_k = 1, so
 B(rho) = sum_k Tr[J_k rho] omega_k with conserved J_k, and
 `stationary_structure` gives log B(rho) without an eigensolve per state.
 A structure keeps B as k pairs of d×d operators and no d²×d² matrix:
@@ -23,18 +23,17 @@ A call's baths are one stacked set (`_BathSet`): their names, tols,
 generator matrices and stationary structures, each built once. A structure
 has one form, the block stack `StationaryStructure` (m, rows, kernel,
 conserved, blocks, logs): the baths with m blocks at the rows of a set,
-with a leading bath axis on each array. There is one structure solver,
-`_stationary_structures`, and it solves a set's baths in one stacked pass:
-the projector P, which the pass forms and drops, the eigensolve of P(I),
-both probe passes, the blocks, the residual check, log omega_k and J_k are
-each one numpy call for all of them (the products over the kernel and
-block indices, one per kernel dimension present), since at d = 3 a call
-costs more to dispatch than to compute. The device reports stack the baths
-of a report pass, built from rates alone with no Bath
-(`scenarios._device_baths`). A public bath is solved in a pass of its own
-(`stationary_structure`) and caches the one entry it returns, rows =
-slice(0, 1); `_bath_set` relabels the cached entries to their rows in a
-set. A bath's structure is the same, bit for bit, alone or in a stack.
+with a leading bath axis on each array. The device baths' structures are
+known in closed form from their two rates (`_device_structures`): a pump
+has two blocks and the dephasing bath is the pinching. The device reports
+build them for a report pass with no Bath (`scenarios._device_baths`), and
+the device bath constructors cache the same entry on the bath they build
+(`_three_level_bath`); either way each block state goes through the block
+residual check against its generator (`_require_blocks`). Every other
+bath is solved by the structure solver, `_solve_structure`, one bath a
+call, the first time a call needs it (`stationary_structure`), and caches
+the one entry it returns, rows = slice(0, 1); `_bath_set` relabels the
+cached entries to their rows in a set.
 
 Each generator has one implementation, its closed-form d²×d² matrix,
 built for a list of generators in one batched product per jump count
@@ -51,7 +50,6 @@ so a dephasing bath at rate gamma kills off-diagonals at rate 2*gamma.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -80,12 +78,12 @@ _EPS = float(np.finfo(float).eps)
 
 #: Entries per stacked array (2**14 complex entries are 256 KiB), the one
 #: stack budget: of the d²×d² matrices of a generator build or of a device
-#: report pass (`scenarios._REPORTS_PER_PASS`), the one structure pass that
-#: stacks baths, and of the sampler's state blocks, small next to the
-#: trajectory they read. Below it a pass is bound by call overhead and
-#: stacking pays: the structures of three baths took 0.52× their one-by-one
-#: time at d = 3 and 0.93× at d = 8. Above it the stacked work arrays fall
-#: out of cache (1.09× at d = 10, 1.20× at d = 16).
+#: report pass (`scenarios._REPORTS_PER_PASS`), and of the sampler's state
+#: blocks, small next to the trajectory they read. Below it a pass is bound
+#: by call overhead and stacking pays: stacked structure passes of three
+#: baths took 0.52× their one-by-one time at d = 3 and 0.93× at d = 8.
+#: Above it the stacked work arrays fall out of cache (1.09× at d = 10,
+#: 1.20× at d = 16).
 _PASS_ENTRIES = 2**14
 
 
@@ -212,18 +210,18 @@ class Bath:
 class StationaryStructure(NamedTuple):
     """The projector onto ker L of one or more baths as k pairs of d×d
     operators each, B(X) = sum_k Tr[conserved_k X] kernel_k: the baths at
-    the indices rows (`_rows`) of a set, each with m blocks, and their
+    the rows (a slice) of a set, each with m blocks, and their
     (len, k, d, d) stacks. When every n_k = 1 (m = k > 0), kernel_k is the
     block state omega_k and conserved_k is J_k = P†(Pi_k), and blocks and
     logs hold the block projectors Pi_k and log omega_k on V_k; else (m = 0,
     one bath) kernel holds the right null operators R, conserved the rows
     of (N†R)⁻¹ N†, and blocks and logs are None. No d²×d² matrix is kept:
     k d² entries against d⁴, nor ||L||: a residual check needs L itself
-    (`_first_failure`). A public bath caches the one entry of its own pass,
-    rows = slice(0, 1)."""
+    (`_first_failure`). A public bath caches the one entry of its own solve
+    or of its closed form, rows = slice(0, 1)."""
 
     m: int
-    rows: slice | np.ndarray
+    rows: slice
     kernel: np.ndarray
     conserved: np.ndarray
     blocks: np.ndarray | None = None
@@ -254,27 +252,6 @@ class _Kernels(NamedTuple):
     fro: np.ndarray  # (m,) ||L||_F of each matrix, ||L||_2 where that overflows
     right: np.ndarray
     left: np.ndarray
-
-    def part(self, start: int, stop: int) -> "_Kernels":
-        """The kernels of the matrices start..stop - 1, numbered from 0."""
-        return _Kernels(*(a[start:stop] for a in self))
-
-    def groups(self) -> dict[int, tuple[np.ndarray, slice | np.ndarray, np.ndarray, np.ndarray]]:
-        """The kernels grouped by dimension k (`operators._groups`), so that
-        a product over the kernel index runs on one group at a time with no
-        restacking: groups[k] = (at, rows, right, left), the indices of the
-        matrices with a k-dimensional kernel, the same as `_rows` gives
-        them, and their right and left null vectors, (len(at), k, d, d)
-        stacks. A BLAS product picks its kernel by shape (a 1×1 N†R is a
-        dot product, a padded one a GEMM), so padding to a common k would
-        round a matrix's results one way alone and another way in a stack."""
-        k_max = self.right.shape[1]
-        out = {}
-        for k, at in _groups(self.dims.tolist()).items():
-            at = np.array(at)
-            rows = _rows(at)
-            out[k] = (at, rows, self.right[rows, k_max - k:], self.left[rows, k_max - k:])
-        return out
 
 
 def _kernel_basis(lmats: np.ndarray) -> _Kernels:
@@ -330,9 +307,10 @@ def _kernel_basis(lmats: np.ndarray) -> _Kernels:
 
 
 def stationary_structure(bath: Bath) -> StationaryStructure:
-    """The bath's stationary structure from the null space of L
-    (`_kernel_basis`): the one entry (rows = slice(0, 1)) of a structure
-    pass of its own, cached on it.
+    """The bath's stationary structure, the one entry (rows = slice(0, 1))
+    cached on it: a device bath's is built in closed form from its rates
+    when the bath is (`_three_level_bath`), any other's is solved from the
+    null space of L (`_solve_structure`) on first use.
 
     The recurrent space is the support of P(I) under _kernel_basis's rank
     rule. On it P†(G) = sum_k Tr[G omega_k] Pi_k, so for a probe G whose
@@ -348,57 +326,47 @@ def stationary_structure(bath: Bath) -> StationaryStructure:
 
 def _bath_set(baths: Sequence[Bath], gens: np.ndarray) -> _BathSet:
     """The public baths as a `_BathSet`, with gens the stack of their
-    generator matrices. A bath with no cached structure is solved in a pass
-    of its own, in list order, and caches its entry, so NoConvergence names
-    the first failing bath and the baths before it keep their structures;
-    the set's stacks are the cached entries, relabelled to the bath's row.
+    generator matrices. A bath with no cached structure is solved, in list
+    order, and caches its entry, so NoConvergence names the first failing
+    bath and the baths before it keep their structures; the set's stacks
+    are the cached entries, relabelled to the bath's row.
     The baths share one dimension: the callers check it
     (`dynamics._generators`) or pass one bath."""
     names = [b.name for b in baths]
     tols = np.array([b.fixed_point.tol for b in baths])
     for i, bath in enumerate(baths):
         if bath._structure is None:
-            at = slice(i, i + 1)
-            [struct] = _stationary_structures(names[at], tols[at], gens[at], _kernel_basis(gens[at]))
-            object.__setattr__(bath, "_structure", struct)
+            object.__setattr__(bath, "_structure", _solve_structure(names[i], tols[i], gens[i:i + 1]))
     stacks = [b._structure._replace(rows=slice(i, i + 1)) for i, b in enumerate(baths)]
     return _BathSet(names, tols, gens, stacks)
 
 
-def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndarray, kernels: _Kernels
-                           ) -> list[StationaryStructure]:
-    """The stationary structures of a bath set in one pass, as its block
-    stacks: names and tols are the baths', gens the stack of their generator
-    matrices and kernels their `_kernel_basis`. If a block's state fails its
-    residual check, raises the first failing bath's NoConvergence. The one
-    structure solver; the caller keeps a pass within _PASS_ENTRIES.
+def _solve_structure(name: str, tol: float, gen: np.ndarray) -> StationaryStructure:
+    """The stationary structure of one bath, name with tol and generator
+    matrix gen (1, d², d²), from the null space of L (`_kernel_basis`): the
+    structure solver. Raises NoConvergence naming the bath if a block's
+    state fails the residual check (`_require_blocks`) or the kernel's left
+    and right null vectors pair to a singular matrix.
 
-    Each step is one numpy call for all the baths: at d = 3 the call
-    overhead, not the arithmetic, is what a structure costs. The products
-    over the kernel and block indices (P = R (N†R)⁻¹ N†, J_k = P†(Pi_k),
-    L(omega_k)) run once per kernel dimension present (`_Kernels.groups`);
-    every other step is one call for all the baths of the pass. P lives only
-    for the pass: the stacks keep operator pairs. The directions a support
-    of lower rank drops are shifted above the probe's spectrum, so they sort
-    last and stay out of every block, and blocks a bath does not have are
-    masked. A bath without a block structure keeps R and (N†R)⁻¹ N† as d×d
-    operators."""
-    m, n = gens.shape[:2]
+    P = R (N†R)⁻¹ N† lives only for the call: the entry keeps operator
+    pairs. The directions a support of lower rank drops are shifted above
+    the probe's spectrum, so they sort last and stay out of every block. A
+    bath without a block structure keeps R and (N†R)⁻¹ N† as d×d
+    operators. Each step keeps the entry's leading bath axis of length 1."""
+    n = gen.shape[-1]
     d = math.isqrt(n)
-    ks = kernels.dims
-    groups = kernels.groups()
-    proj = np.empty((m, n, n), dtype=complex)
-    duals = {}  # (N†R)⁻¹ N† of each kernel dimension, read for a bath without blocks
-    for k, (at, rows, right, left) in groups.items():
-        # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
-        # the row N† of a left null vector that of X
-        nh = left.reshape(len(at), k, n)
-        r = right.reshape(len(at), k, n).conj().swapaxes(-1, -2)
+    kernels = _kernel_basis(gen)
+    k = int(kernels.dims[0])
+    # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
+    # the row N† of a left null vector that of X
+    nh = kernels.left.reshape(1, k, n)
+    r = kernels.right.reshape(1, k, n).conj().swapaxes(-1, -2)
+    try:
         dual = np.linalg.solve(nh @ r, nh)
-        proj[rows] = r @ dual
-        duals[k] = dual.reshape(len(at), k, d, d)
-    proj_conj = proj.conj()
-    adj = proj_conj.swapaxes(-1, -2)  # P†
+    except np.linalg.LinAlgError:
+        raise NoConvergence(f"{name}: the null vectors of L pair to a singular matrix") from None
+    proj = r @ dual
+    adj = proj.conj().swapaxes(-1, -2)  # P†
     cut = n * _EPS
     eye, probe = _pass_constants(d)
     p_eye = hermitize(_apply_each(proj, eye))
@@ -418,53 +386,61 @@ def _stationary_structures(names: Sequence[str], tols: np.ndarray, gens: np.ndar
             comp = np.where(inside, comp, eye * shift[:, None, None])
         g, x = np.linalg.eigh(comp)
         steps = g[:, 1:] - g[:, :-1] > cut * np.abs(g * ranked).max(axis=-1, keepdims=True)
-        label = np.zeros((m, d), dtype=int)
+        label = np.zeros((1, d), dtype=int)
         label[:, 1:] = steps.cumsum(axis=-1)
         label *= ranked
         w = vecs @ x
         if not final_pass:
             probe = (w * label[:, None, :]) @ dagger(w)  # sum_k k Pi_k
-    structured = label.max(axis=-1) + 1 == ks
-    kmax = int(ks.max())
-    member = (label[:, None, :] == np.arange(kmax)[:, None]) & ranked[:, None, :]
+    if label.max() + 1 != k:  # some n_k > 1: R and (N†R)⁻¹ N†, as d×d operators
+        return StationaryStructure(0, slice(0, 1), kernels.right, dual.reshape(1, k, d, d))
+    member = (label[:, None, :] == np.arange(k)[:, None]) & ranked[:, None, :]
     blocks = (w[:, None] * member[:, :, None, :]) @ dagger(w)[:, None]
     images = blocks @ p_eye[:, None] @ blocks  # c_k(I) omega_k
-    exists = (np.arange(kmax) < ks[:, None]) & structured[:, None]
-    weights = np.where(exists, images.trace(axis1=2, axis2=3).real, 1.0)
+    weights = images.trace(axis1=2, axis2=3).real
     log_lam = np.log(lam, out=np.zeros(lam.shape), where=keep)
     log_p_eye = (vecs * log_lam[:, None, :]) @ vecs_h
     logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
-    all_structured = structured.all()
-    # omega_k, and ||L(omega_k)||_F, 0 for the blocks a bath does not have
-    states = images / weights[..., None, None]
-    flows = _apply_each(gens, states)
-    resid = np.sqrt((flows.conj() * flows).real.sum(axis=(-2, -1)))
-    failure = _first_failure(resid if all_structured else np.where(structured[:, None], resid, 0.0),
-                             tols[:, None], gens, kernels.fro)
-    if failure is not None:
-        i, norm = failure
-        raise _residual_failure(names[i], tols[i], resid[i, :ks[i]], norm, "stationary state of a block")
-    stacks = []
-    for i in np.flatnonzero(~structured).tolist():  # R and (N†R)⁻¹ N†, as d×d operators
-        k = ks[i]
-        at, _, right, _ = groups[k]
-        j = bisect.bisect_left(at, i)
-        stacks.append(StationaryStructure(0, slice(i, i + 1), right[j:j + 1], duals[k][j:j + 1]))
-    for k, (at, rows, _, _) in groups.items():
-        if not all_structured:
-            at = at[structured[at]]
-            rows = _rows(at)
-        if len(at):
-            adj = proj_conj[rows].swapaxes(-1, -2)
-            conserved = hermitize(_apply_each(adj, blocks[rows, :k]))  # J_k = P†(Pi_k)
-            stacks.append(StationaryStructure(k, rows, states[rows, :k], conserved, blocks[rows, :k],
-                                              logs[rows, :k]))
-    return stacks
+    conserved = hermitize(_apply_each(adj, blocks))  # J_k = P†(Pi_k)
+    entry = StationaryStructure(k, slice(0, 1), images / weights[..., None, None], conserved, blocks, logs)
+    _require_blocks(_BathSet([name], np.array([tol]), gen, [entry]), kernels.fro)
+    return entry
+
+
+def _require_blocks(bset: _BathSet, fro: np.ndarray) -> None:
+    """The block residual check of a set whose stacks all have blocks: the
+    NoConvergence of its first bath, in row order, with a block state
+    omega_k whose residual ||L(omega_k)||_F exceeds tol ||L||_2
+    (`_first_failure`); fro is ||L||_F of each of the set's generator
+    matrices. Every block structure goes through it, solved or in closed
+    form."""
+    for _, rows, kernel, *_ in bset.stacks:
+        names, tols, gens = bset.names[rows], bset.tols[rows], bset.gens[rows]
+        resid = _frobenius(_apply_each(gens, kernel))
+        failure = _first_failure(resid, tols[:, None], gens, fro[rows])
+        if failure is not None:
+            i, norm = failure
+            raise _residual_failure(names[i], tols[i], resid[i], norm, "stationary state of a block")
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """||a||_F of each matrix of a stack (..., p, q). Where the squares
+    overflow (entries past ~1e154; einsum does not warn), from each matrix
+    scaled by its largest entry, so that a residual of 1e200 is a number,
+    not a warning."""
+    squares = np.einsum("...ij,...ij->...", a, a.conj()).real
+    if np.isfinite(squares).all():
+        return np.sqrt(squares)
+    top = np.abs(a).max(axis=(-2, -1))
+    # a norm past the float range is inf, and one of an inf entry inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = a / np.where(top > 0, top, 1.0)[..., None, None]
+        return top * np.sqrt(np.einsum("...ij,...ij->...", unit, unit.conj()).real)
 
 
 @functools.lru_cache(maxsize=None)
 def _pass_constants(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The identity and the first probe of a structure pass of dimension d,
+    """The identity and the first probe of the structure solver at dimension d,
     read-only. The probe has distinct diagonal and neighbour couplings of
     phase 1 rad: no basis of rational phases gives two blocks the same
     expectation."""
@@ -563,9 +539,9 @@ def _project(kernel: np.ndarray, conserved: np.ndarray, gen: np.ndarray, name: s
     rescale = np.isfinite(tr) & np.isfinite(tr_out) & (tr != 0) & (2.0 * np.abs(tr) >= weight)
     ratio = np.divide(tr, tr_out, out=np.ones(tr.shape, complex), where=rescale)
     out *= ratio.real[..., None, None]
-    resid = np.linalg.norm(_apply_each(gen[None], out[None])[0], axis=(-2, -1)).reshape(1, -1)
-    size = np.maximum(np.linalg.norm(out, axis=(-2, -1)), 1.0).reshape(1, -1)
-    fro = np.linalg.norm(gen)
+    resid = _frobenius(_apply_each(gen[None], out[None])[0]).reshape(1, -1)
+    size = np.maximum(_frobenius(out), 1.0).reshape(1, -1)
+    fro = _frobenius(gen)
     failure = _first_failure(resid, tol * size, gen[None],
                              np.array([fro if fro < np.inf else 0.0]))  # overflowed: no bound
     if failure is not None:
@@ -643,11 +619,64 @@ def _device_units() -> tuple[np.ndarray, np.ndarray]:
     return jumps.reshape(3, 2, 3, 3), units.reshape(3, 2, 9, 9)
 
 
+def _device_set(names: Sequence[str], kinds: np.ndarray, rates: np.ndarray) -> _BathSet:
+    """The device baths of kinds (b,) (0, 1 and 2 for left, right and
+    dephasing, ascending) at rates (b, 2), in the order of each bath's
+    `_device_units` jumps, as a `_BathSet` with no Bath: each generator is
+    linear in its rates, sum_k r_k D_k over the unit generators, one product
+    for the stack and the same, bit for bit, as generator_superop of the
+    bath its constructor builds; each structure is in closed form
+    (`_device_structures`). The caller runs the block residual check
+    (`_require_blocks`) where its errors are due."""
+    gens = np.einsum("bk,bkij->bij", rates, _device_units()[1][kinds])
+    return _BathSet(names, np.full(len(names), PropagateToFixedPoint.tol), gens,
+                    _device_structures(kinds, rates))
+
+
+def _device_structures(kinds: np.ndarray, rates: np.ndarray) -> list[StationaryStructure]:
+    """The stationary structures of device baths in closed form from their
+    rates, as `_device_set` takes them: one entry for the pumps, the first
+    rows, and one for the dephasing baths after them, every J_k = Pi_k,
+    the blocks in the order the structure solver finds them.
+
+    A pump between |0> and |x>, at rate a into x and b out of it, has the
+    blocks {|0>, |x>} and {|y>}, with omega_1 = (b |0><0| + a |x><x|)/(a + b)
+    and omega_2 = |y><y|; a and b are divided by the larger first, so that
+    no rate overflows their sum, and log omega_1 is formed from the logs of
+    its two populations. A dephasing bath at a rate > 0 is the pinching:
+    omega_k = Pi_k = |k><k| and log omega_k = 0."""
+    count, pumps = len(kinds), int(np.count_nonzero(kinds < 2))
+    at, x = np.arange(pumps), kinds[:pumps] + 1  # |x>: |L> for a left pump, |R> for a right one
+    into, out = (rates[:pumps] / rates[:pumps].max(axis=1, keepdims=True)).T
+    pops = np.stack([out, into]) / (into + out)
+    # the diagonals of Pi_k, omega_k and log omega_k, each matrix diagonal
+    diag = np.zeros((3, count, 3, 3))
+    diag[:2, :pumps, 0, 0] = diag[:2, at, 0, x] = diag[:2, at, 1, 3 - x] = 1.0
+    diag[:2, pumps:] = np.eye(3)
+    diag[1, :pumps, 0, 0], diag[1, at, 0, x] = pops
+    diag[2, :pumps, 0, 0], diag[2, at, 0, x] = np.log(pops)
+    mats = np.zeros((3, count, 3, 9), dtype=complex)
+    mats[..., ::4] = diag
+    blocks, kernel, logs = mats.reshape(3, count, 3, 3, 3)
+    return [StationaryStructure(m, rows, kernel[rows, :m], blocks[rows, :m], blocks[rows, :m], logs[rows, :m])
+            for m, rows in ((2, slice(0, pumps)), (3, slice(pumps, count))) if rows.stop > rows.start]
+
+
 def _three_level_bath(kind: int, rates: tuple[float, float], name: str) -> Bath:
     """The device bath of kind 0, 1 or 2 (left, right, dephasing) with
-    `_device_units` jumps at these rates."""
+    `_device_units` jumps at these rates, and its structure in closed form
+    (`_device_structures`), checked against its generator matrix
+    (`_require_blocks`) as a report checks it, cached on it. Where that
+    matrix is not finite, and for a dephasing bath at rate 0, whose
+    generator is 0, the structure is left to the structure solver."""
     jumps = _device_units()[0][kind]
-    return Bath(name, LindbladGenerator(3, tuple(JumpTerm(r, a) for r, a in zip(rates, jumps))))
+    generator = LindbladGenerator(3, tuple(JumpTerm(r, a) for r, a in zip(rates, jumps)))
+    bset = _device_set([name], np.array([kind]), np.array([rates], dtype=float))
+    # a generator past the float range is refused where it is used
+    if not (rates[0] > 0 and np.isfinite(bset.gens).all()):
+        return Bath(name, generator)
+    _require_blocks(bset, _frobenius(bset.gens))
+    return Bath(name, generator, _structure=bset.stacks[0])
 
 
 def _require_occupation(what: str, n: float) -> None:

@@ -42,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .baths import Bath, _generator_matrices, _first_failure, _kernel_basis
+from .baths import Bath, _first_failure, _frobenius, _generator_matrices, _kernel_basis
 from .errors import (
     DegenerateKernel,
     InvalidParams,
@@ -433,7 +433,3 @@ def _steady_states(
         )
     return nu, eigs, vecs
 
-
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """||a||_F of each operator of a stack (m, d, d)."""
-    return np.sqrt(np.einsum("...ij,...ij->...", a, a.conj()).real)

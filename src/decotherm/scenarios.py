@@ -19,9 +19,11 @@ step once for all the baths of all its points; `device_report` is its
 one-point call and `gamma_sweep` one call over the sweep's points. A pass
 builds no Bath: its baths are one stacked set (`baths._BathSet`) of names,
 generator matrices, linear in the rates over the device's cached unit
-generators (`_device_baths`), and the block stacks of one structure pass.
-The public constructors (`build_device`, `left_pump_bath`, ...) build the
-same baths, bit for bit, for callers that want Bath objects.
+generators, and stationary structures in closed form from the same rates
+(`_device_baths`), so a pass solves no bath's structure and solves the
+kernels of its Liouvillians alone. The public constructors
+(`build_device`, `left_pump_bath`, ...) build the same baths, and cache
+the same structures, bit for bit, for callers that want Bath objects.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ import numpy as np
 from .baths import (
     _PASS_ENTRIES,
     Bath,
-    PropagateToFixedPoint,
     _BathSet,
-    _device_units,
+    _device_set,
+    _frobenius,
     _kernel_basis,
+    _require_blocks,
     _require_occupation,
     _require_rate,
     _rows,
-    _stationary_structures,
     _three_level_bath,
     dephasing_bath,
     left_pump_bath,
@@ -222,20 +224,21 @@ _REPORTS_PER_PASS = max(1, _PASS_ENTRIES // (4 * 9 * 9))
 def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[DeviceReport | DegenerateKernel]:
     """device_report of each point, every step run once for all the baths
     of all the points of a pass of _REPORTS_PER_PASS reports: one batched
-    build of the generator matrices from the rates (`_device_baths`), the
-    Liouvillians summed in the order of the baths, one _kernel_basis call
-    on the Liouvillians and the baths, one eigensolve of each steady state
-    for its positivity check and log nu, one stacked structure pass
-    (baths._stationary_structures), one _bath_terms call on the (bath, nu)
-    pairs, whose flows give both the heats and the entropy production, and
-    one stacked apply for the reciprocal coefficients.
+    build of the generator matrices and the closed-form structures from the
+    rates (`_device_baths`), the Liouvillians summed in the order of the
+    baths, one _kernel_basis call on the Liouvillians alone, one eigensolve
+    of each steady state for its positivity check and log nu, one block
+    residual check of the structures (baths._require_blocks), one
+    _bath_terms call on the (bath, nu) pairs, whose flows give both the
+    heats and the entropy production, and one stacked apply for the
+    reciprocal coefficients.
     Each report is the same, bit for bit, alone or in a stack.
 
     A point whose Liouvillian kernel is not one-dimensional has no unique
     steady state: its entry is that DegenerateKernel instead of a report,
     and the other points are still solved. Any other failure raises for the
     whole call: the earliest step at which a point fails raises the error
-    that point's one-point call gives (in the structure pass and the
+    that point's one-point call gives (in the block residual check and the
     support check, for the first failing bath in the order left baths,
     right baths, dephasing baths).
     """
@@ -252,7 +255,8 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     every left bath, every right bath, then the dephasing baths, so that a
     step reads each kind as one slice; points with a degenerate kernel are
     set aside and the rest solved again without them."""
-    names, tols, gens = _device_baths(params)
+    bset = _device_baths(params)
+    gens = bset.gens
     n = len(params)
     dephased = np.flatnonzero([p.gamma > 0 for p in params])
     dephased_at = _rows(dephased)  # a slice when they are one run
@@ -264,18 +268,18 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
         liouv += gens[n:2 * n]
         liouv[dephased_at] += gens[2 * n:]
     require_finite(liouv, "Liouvillian")  # Hermiticity holds by construction
-    kernels = _kernel_basis(np.concatenate([liouv, gens]))
-    dims = kernels.dims[:n].tolist()
+    kernels = _kernel_basis(liouv)
+    dims = kernels.dims.tolist()
     if dims.count(1) < n:
         alive = [p for p, k in zip(params, dims) if k == 1]
         solved = iter(_device_pass(alive, c) if alive else ())
         return [next(solved) if k == 1 else _degenerate_kernel(k) for k in dims]
-    nu, eigs, vecs = _steady_states(liouv, kernels.right[:n, -1], kernels.fro[:n])
+    nu, eigs, vecs = _steady_states(liouv, kernels.right[:, -1], kernels.fro)
     log_nu = Spectrum.of_eigh(eigs, vecs).log
-    stacks = _stationary_structures(names, tols, gens, kernels.part(n, n + len(names)))
+    _require_blocks(bset, _frobenius(gens))
     point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
-    terms = _bath_terms(_BathSet(names, tols, gens, stacks), nu[point], log_nu[point])
-    _require_support(names, terms)
+    terms = _bath_terms(bset, nu[point], log_nu[point])
+    _require_support(bset.names, terms)
     heats = _traces(hams[point], terms.flow)
 
     def per_point(a: np.ndarray) -> np.ndarray:
@@ -301,15 +305,13 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
             for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns]
 
 
-def _device_baths(params: Sequence[DeviceParams]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The names, PropagateToFixedPoint tols and generator matrices of the
-    points' device baths, stacked left, right, dephasing (the points with
-    gamma > 0), with no Bath. Each point's occupations and rates are checked
-    first, in the order and with the refusals of its baths' constructors.
-    A device bath's jumps are fixed, so its generator is linear in its
-    rates: sum_k r_k D_k over the unit generators (`baths._device_units`),
-    one product for the stack, the same, bit for bit, as generator_superop
-    of the bath its constructor builds."""
+def _device_baths(params: Sequence[DeviceParams]) -> _BathSet:
+    """The points' device baths as one `baths._BathSet` (`_device_set`),
+    stacked left, right, dephasing (the points with gamma > 0), with no
+    Bath: generator matrices linear in the rates, and the stationary
+    structures in closed form from them. Each point's occupations and rates
+    are checked first, in the order and with the refusals of its baths'
+    constructors."""
     for p in params:
         for what, occupation in (("n_l", p.n_l), ("n_r", p.n_r)):
             _require_occupation(what, occupation)
@@ -323,8 +325,7 @@ def _device_baths(params: Sequence[DeviceParams]) -> tuple[list[str], np.ndarray
     names = ["left"] * n + ["right"] * n + ["dephasing"] * len(dephased)
     kinds = np.repeat([0, 1, 2], [n, n, len(dephased)])
     rates = np.concatenate([rates[:, 0], rates[:, 1], rates[dephased, 2]])
-    return (names, np.full(len(names), PropagateToFixedPoint.tol),
-            np.einsum("bk,bkij->bij", rates, _device_units()[1][kinds]))
+    return _device_set(names, kinds, rates)
 
 
 @dataclass(frozen=True, eq=False)

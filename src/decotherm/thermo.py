@@ -22,8 +22,9 @@ at once: each bath with its own state (a device report's (bath, nu)
 pairs) or all of them with one state or one stack of states; every heat
 is `_traces(H, flow)`. The device reports build their set from rates
 (`scenarios._device_baths`); the other callers build theirs from public
-baths (`baths._bath_set`), which solves each uncached structure in a pass
-of its own and caches it on its bath, so the kernel solves nothing. The
+baths (`baths._bath_set`), which solves each uncached structure on its
+own and caches it on its bath (a device bath carries its structure from
+its construction), so the kernel solves nothing. The
 scalar functions and `onsager.force_flow_pairs` share one one-state
 entry, `_state_terms`: the state checks, Hermiticity among them, its
 support log, one build of the generator matrices, the set and the
@@ -193,8 +194,8 @@ def _state_terms(baths, rho: np.ndarray) -> _BathTerms:
     rho, Hermitian to `operators._require_hermitian` whatever the baths'
     structures, checks that the baths have its dimension, builds their
     generator matrices once, takes the support log of rho and builds their
-    set (`baths._bath_set`), which solves each uncached structure in a pass
-    of its own; the caller decides what a support leak means."""
+    set (`baths._bath_set`), which solves each uncached structure on its
+    own; the caller decides what a support leak means."""
     d = require_operator(rho, "state")
     _require_hermitian(rho, "state")
     gens = _generators(baths, d)
@@ -334,8 +335,8 @@ def sample_thermodynamics(traj: Trajectory, spec: EvolutionSpec) -> ThermoSample
     The states are processed in blocks of baths._PASS_ENTRIES // d² points:
     one stacked eigensolve of the states, one _bath_terms call for all the
     baths, and traces as einsums. The baths' generator matrices are built
-    once per call, and each uncached stationary structure is solved in a
-    pass of its own before the first block. Only a bath without blocks gates
+    once per call, and each uncached stationary structure is solved on its
+    own before the first block. Only a bath without blocks gates
     the states' Hermiticity (`_stationary_log`): `propagate` returns them
     exactly Hermitian.
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from decotherm.baths import _first_failure
+from decotherm.baths import Bath, _first_failure
 from decotherm.operators import SuperOperator, _real_form, require_operator
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,23 +95,27 @@ def _wrap_everywhere(monkeypatch, name, make):
             monkeypatch.setattr(module, name, wrapped)
 
 
-def count_structure_passes(monkeypatch):
-    """Wrap every module's baths._stationary_structures, the one structure
-    pass; the returned list gets, per pass, the number of baths it solved,
-    after checking that it gave each of them a structure."""
-    passes = []
+def count_structure_solves(monkeypatch):
+    """Wrap every module's baths._solve_structure, the structure solver,
+    which solves one bath a call; the returned list gets the name of each
+    bath it solved."""
+    solved = []
 
     def make(real):
-        def counting(names, tols, gens, kernels):
-            stacks = real(names, tols, gens, kernels)
-            rows = [np.arange(len(names))[s.rows] for s in stacks]
-            assert sorted(np.concatenate(rows).tolist()) == list(range(len(names)))
-            passes.append(len(names))
-            return stacks
+        def counting(name, tol, gen):
+            solved.append(name)
+            return real(name, tol, gen)
         return counting
 
-    _wrap_everywhere(monkeypatch, "_stationary_structures", make)
-    return passes
+    _wrap_everywhere(monkeypatch, "_solve_structure", make)
+    return solved
+
+
+def uncached(bath):
+    """The bath as Bath(name, generator): a bath that caches no structure,
+    so the structure solver solves it, where a public device bath carries
+    its structure in closed form from its rates."""
+    return Bath(bath.name, bath.generator)
 
 
 def count_generator_builds(monkeypatch):

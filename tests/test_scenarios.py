@@ -1,9 +1,11 @@
 """Two-level decoherence heat and the three-level device reproductions."""
 
 import dataclasses
+import decimal
 import itertools
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,9 @@ from conftest import (
     assert_decides_as_the_exact_norm,
     count_generator_builds,
     count_kernel_solves,
-    count_structure_passes,
+    count_structure_solves,
     ginibre_state,
+    log_on_support,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from decotherm.baths import (
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
+    _device_units,
     _generator_matrices,
     _kernel_basis,
     apply_generator,
@@ -64,7 +68,7 @@ from decotherm.scenarios import (
     two_level_decoherence_heat,
     two_level_hamiltonian,
 )
-from decotherm.thermo import heat_rate
+from decotherm.thermo import _traces, heat_rate
 
 
 def brute_force_heat(gamma, e, x, z):
@@ -252,16 +256,16 @@ class TestDeviceReportSinglePass:
         device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
         assert calls == []  # no generator built from jump operators
         assert len(sets) == 1  # one batched build
-        names, _, gens = sets[0]
+        names, gens = sets[0].names, sets[0].gens
         assert len(names) == len(gens) == builds  # one matrix for each bath
 
-    @pytest.mark.parametrize("gamma, n_baths", [(0.3, 3), (0.0, 2)])
-    def test_one_structure_pass(self, monkeypatch, gamma, n_baths):
-        passes = count_structure_passes(monkeypatch)
+    @pytest.mark.parametrize("gamma", [0.3, 0.0])
+    def test_one_kernel_solve_and_no_structure_solve(self, monkeypatch, gamma):
+        solved = count_structure_solves(monkeypatch)
         solves = count_kernel_solves(monkeypatch)
         device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": gamma}))
-        assert passes == [n_baths]
-        assert solves == [1 + n_baths]  # the Liouvillian and the baths, one stack
+        assert solved == []  # the baths' structures are in closed form from their rates
+        assert solves == [1]  # the Liouvillian alone
 
     def test_default_device(self):
         self.assert_same_as_composed(DeviceParams(**DEFAULT_DEVICE))
@@ -321,17 +325,18 @@ class TestGammaSweep:
 def replace_baths_at(gamma, edit):
     """scenarios._device_baths, except that edit(tols, gens, i, n) changes
     the bath set of a pass of n points at each point i with dephasing rate
-    gamma (its left and right baths are i and n + i)."""
+    gamma (its left and right baths are i and n + i), after the set's
+    structures are built from the rates."""
     import decotherm.scenarios as sc
 
     real = sc._device_baths
 
     def build(params):
-        names, tols, gens = real(params)
+        bset = real(params)
         for i, p in enumerate(params):
             if p.gamma == gamma:
-                edit(tols, gens, i, len(params))
-        return names, tols, gens
+                edit(bset.tols, bset.gens, i, len(params))
+        return bset
 
     return build
 
@@ -361,10 +366,12 @@ def test_gamma_sweep_raises_on_no_convergence(monkeypatch):
     # raises, naming the first failing bath, as a one-point call does
     import decotherm.scenarios as sc
 
-    def strangled_left(tols, gens, i, n):
-        tols[i] = 0.0  # as PropagateToFixedPoint(tol=0.0)
+    def leaking_left(tols, gens, i, n):
+        # a right pump's unit generator at rate 1e-6 added to the left
+        # bath's: omega_1, built from the left rates, leaks |0> into |R>
+        gens[i] += 1e-6 * _device_units()[1][1, 0]
 
-    monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, strangled_left))
+    monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, leaking_left))
     base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
     with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
         sc.gamma_sweep(base, [0.0, 0.5, 1.0])
@@ -411,11 +418,11 @@ class TestDeviceReports:
             return [generator_superop(b.generator).matrix for b in ordered]
 
         for p in ROADMAP_GRID:
-            got = _device_baths([p])[2]
+            got = _device_baths([p]).gens
             assert [g.tobytes() for g in got] == [w.tobytes() for w in public([p])]
         for lo in range(0, len(ROADMAP_GRID), 50):
             points = ROADMAP_GRID[lo:lo + 50]
-            names, tols, got = _device_baths(points)
+            names, tols, got, _ = _device_baths(points)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in public(points)]
             assert names == [b.name for b in (*(build_device(p).left for p in points),
                                               *(build_device(p).right for p in points),
@@ -478,19 +485,18 @@ class TestDeviceReports:
         for p, got in zip(params, device_reports(params, c=1.3)):
             assert_same_report(got, device_report(p, c=1.3))
 
-    def test_one_kernel_solve_and_structure_pass_per_chunk(self, monkeypatch):
+    def test_one_kernel_solve_per_chunk_and_no_structure_solve(self, monkeypatch):
         import decotherm.scenarios as sc
 
         per = sc._REPORTS_PER_PASS
         params = [DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0 if i % 4 == 0 else 0.3})
                   for i in range(2 * per + 7)]
-        passes = count_structure_passes(monkeypatch)
+        solved = count_structure_solves(monkeypatch)
         solves = count_kernel_solves(monkeypatch)
         device_reports(params)
         chunks = [params[lo:lo + per] for lo in range(0, len(params), per)]
-        n_baths = [sum(3 if p.gamma > 0 else 2 for p in chunk) for chunk in chunks]
-        assert passes == n_baths
-        assert solves == [len(chunk) + n for chunk, n in zip(chunks, n_baths)]
+        assert solved == []
+        assert solves == [len(chunk) for chunk in chunks]  # the chunk's Liouvillians
 
     def test_degenerate_point_is_flagged(self, monkeypatch):
         import decotherm.scenarios as sc
@@ -526,6 +532,49 @@ def test_device_report_across_cold_and_hot_baths():
     for n_l, n_r, gamma in itertools.product(GRID_OCCUPATIONS, GRID_OCCUPATIONS, GRID_GAMMAS):
         report = device_report(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
         assert np.isfinite(report.entropy_production), (n_l, n_r, gamma)
+
+
+def closed_form_log_image(bath, rho):
+    """Test-side log B_b(rho) of a device bath, whose image of rho is
+    diagonal: a pump's keeps rho_00 + rho_xx in the ratio b : a of its rates
+    out of and into |x>, the dephasing bath's is the diagonal of rho. Each
+    entry is formed and logged at 28 digits, so that a subnormal one keeps
+    its log."""
+    diag = [decimal.Decimal(float(v)) for v in np.diagonal(rho).real]
+    if bath.name != "dephasing":
+        a, b = (decimal.Decimal(float(r)) for r in bath.generator.rate_stack)
+        x = 1 if bath.name == "left" else 2
+        kept = diag[0] + diag[x]
+        diag[0], diag[x] = kept * b / (a + b), kept * a / (a + b)
+    return np.diag([float(v.ln()) for v in diag]).astype(complex)
+
+
+@pytest.mark.parametrize("n_l", [1e-16, 1e-15, 5e-324])
+def test_cold_left_bath_below_the_range_reports(n_l):
+    # below the range's 1e-14 the structure solver lost the left bath's cold
+    # population and the report raised SupportViolation; the closed form keeps
+    # it, and P is the one recomputed from the closed-form images
+    p = DeviceParams(1.5, 1.0, 0.4, n_l, 1.0, 1.0)
+    report = device_report(p)
+    nu = report.nu
+    want = sum(_traces(apply_generator(b.generator, nu), closed_form_log_image(b, nu) - log_on_support(nu))
+               for b in build_device(p).baths)
+    assert report.entropy_production == pytest.approx(want, rel=1e-14)
+
+
+def test_device_reports_across_the_float_range():
+    # every point gives a finite report or a DecothermError, never a warning
+    # or a builtin exception; the Liouvillian sums refuse an overflow
+    values = (5e-324, 1e-200, 1e-15, 1.0, 1e6, 1e200, 8e307, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_l, n_r, gamma in itertools.product(values, values, (0.0, *values)):
+            try:
+                report = device_report(DeviceParams(1.5, 1.0, 0.4, n_l, n_r, gamma))
+            except DecothermError:
+                continue
+            assert np.isfinite(report.nu).all() and np.isfinite(report.entropy_production)
+            assert report.entropy_production >= 0.0, (n_l, n_r, gamma)
 
 
 NAN = math.nan

@@ -12,9 +12,10 @@ from conftest import (
     SX,
     SZ,
     count_generator_builds,
-    count_structure_passes,
+    count_structure_solves,
     ginibre_state,
     random_complex,
+    uncached,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -437,32 +438,39 @@ class TestSampleThermodynamics:
         assert sorted(map(id, built)) == sorted(id(b.generator) for b in assembly.baths)
 
     def test_one_structure_pass_per_uncached_bath(self, monkeypatch, rng):
-        # each public bath is solved in a pass of its own, once: a cached
-        # bath takes no pass
+        # each uncached bath is solved on its own, once: a cached bath, and
+        # a public device bath, which carries its structure in closed form
+        # from its rates, takes no solve
         from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
 
-        passes = count_structure_passes(monkeypatch)
-        assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
+        def wrapped():
+            return tuple(uncached(b) for b in build_device(DeviceParams(**DEFAULT_DEVICE)).baths)
+
+        solved = count_structure_solves(monkeypatch)
+        baths = wrapped()
         rho = ginibre_state(rng, 3)
-        entropy_production(rho, assembly.baths)  # through thermo._state_terms
-        assert passes == [1, 1, 1]
-        entropy_production(rho, assembly.baths)
-        entropy_flux(assembly.left, rho)
-        relative_entropy_to_bath(rho, assembly.dephasing)
-        force_flow_pairs(assembly.baths, rho)
-        assert passes == [1, 1, 1]  # every bath cached: no pass at all
-        force_flow_pairs(build_device(DeviceParams(**DEFAULT_DEVICE)).baths, rho)
-        assert passes == [1] * 6
+        entropy_production(rho, baths)  # through thermo._state_terms
+        assert solved == ["left", "right", "dephasing"]
+        entropy_production(rho, baths)
+        entropy_flux(baths[0], rho)
+        relative_entropy_to_bath(rho, baths[2])
+        force_flow_pairs(baths, rho)
+        assert len(solved) == 3  # every bath cached: no solve at all
+        force_flow_pairs(wrapped(), rho)
+        assert len(solved) == 6
 
         assembly = build_device(DeviceParams(**DEFAULT_DEVICE))
-        spec = EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4)
+        spec = EvolutionSpec(assembly.hamiltonian, wrapped(), t_max=0.4, dt=1e-4)
         traj = propagate(np.eye(3, dtype=complex) / 3, spec)
         assert len(traj) > 2 * (_PASS_ENTRIES // 9)  # three blocks
-        assert passes == [1] * 6
+        assert len(solved) == 6
         sample_thermodynamics(traj, spec)
-        assert passes == [1] * 9
+        assert len(solved) == 9
         sample_thermodynamics(traj, spec)
-        assert passes == [1] * 9
+        assert len(solved) == 9
+        entropy_production(rho, assembly.baths)
+        sample_thermodynamics(traj, EvolutionSpec(assembly.hamiltonian, assembly.baths, t_max=0.4, dt=1e-4))
+        assert len(solved) == 9
 
     def test_spec_of_another_dimension_than_the_states(self):
         from decotherm.scenarios import DEFAULT_DEVICE, DeviceParams, build_device
