@@ -149,7 +149,9 @@ def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray
     (i, j, l, m) layout: no d²×d² array but the output. Each generator's
     matrix is the same, bit for bit, built alone or in a stack. A pass
     builds as many generators as fit _PASS_ENTRIES (202 at d = 3, one from
-    d = 12 on): above it the stacked products fall out of cache.
+    d = 12 on): above it the stacked products fall out of cache. A matrix
+    with an entry past the float range (a rate near the float maximum) is
+    refused (InvalidParams).
     """
     per_pass = max(1, _PASS_ENTRIES // d**4)
     if len(gens) > per_pass:
@@ -168,16 +170,18 @@ def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray
         # K from the same products 2 r_k conj(A_k) A_k as the kron term,
         # halved (exact), so that a diagonal entry cancels exactly where it
         # should (a diagonal jump)
-        rc = (2.0 * rates)[..., None, None] * jumps.conj()
-        mat = np.matmul(rc.transpose(0, 2, 3, 1)[:, :, None], jumps.transpose(0, 2, 1, 3)[:, None])
-        k = np.einsum("gkji,gkjl->gil", rc, jumps)
-        k *= 0.5
-        mat[:, diag, :, diag, :] -= k  # I ⊗ K
-        mat[:, :, diag, :, diag] -= k.swapaxes(-1, -2)  # Kᵀ ⊗ I
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+            rc = (2.0 * rates)[..., None, None] * jumps.conj()
+            mat = np.matmul(rc.transpose(0, 2, 3, 1)[:, :, None], jumps.transpose(0, 2, 1, 3)[:, None])
+            k = np.einsum("gkji,gkjl->gil", rc, jumps)
+            k *= 0.5
+            mat[:, diag, :, diag, :] -= k  # I ⊗ K
+            mat[:, :, diag, :, diag] -= k.swapaxes(-1, -2)  # Kᵀ ⊗ I
         if len(at) == len(gens):
             out = mat
         else:
             out[at] = mat
+    require_finite(out, "generator matrix")
     return out.reshape(len(gens), d * d, d * d)
 
 
@@ -240,6 +244,17 @@ class _BathSet(NamedTuple):
     tols: np.ndarray
     gens: np.ndarray
     stacks: list[StationaryStructure]
+
+
+def _take(bset: _BathSet, keep: np.ndarray) -> _BathSet:
+    """The baths of a set where the mask keep holds, as a set: each block
+    stack keeps its kept baths, at their rows in the new set. The stacks
+    are in row order, as both set builders give them."""
+    at, ends = np.flatnonzero(keep), np.cumsum(keep)  # ends[i]: the kept baths up to and with i
+    stacks = [StationaryStructure(s.m, slice(ends[s.rows.stop - 1] - mine.sum(), ends[s.rows.stop - 1]),
+                                  *(None if a is None else a[mine] for a in s[2:]))
+              for s in bset.stacks if (mine := keep[s.rows]).any()]
+    return _BathSet([bset.names[i] for i in at], bset.tols[at], bset.gens[at], stacks)
 
 
 class _Kernels(NamedTuple):

@@ -19,6 +19,11 @@ MAX_GRID_ENTRIES points × d² is refused.
 Steady states are the null vector of the vectorized Liouvillian, from the
 same SVD null-space helper that gives each bath's kernel projector;
 long-time propagation is kept only as a cross-check in the test suite.
+The Liouvillian step (`_liouvillian`, each model's generators summed in
+bath order by `_by_point`) and the steady-state step (`_steady_states`)
+work on stacks of models: `liouvillian` and `steady_state` run them on a
+stack of one, `propagate` builds each segment's Liouvillian with the
+first, and the steady pass of `thermo` runs both on a stack of many.
 
 Both run in real arithmetic. A Lindblad map sends Hermitian operators to
 Hermitian ones, so in the orthonormal Hermitian basis of `operators` it is
@@ -163,7 +168,8 @@ def liouvillian(spec: EvolutionSpec) -> SuperOperator:
     refused (InvalidParams)."""
     if spec.is_schedule:
         raise InvalidParams("liouvillian needs a static Hamiltonian; propagate the schedule instead")
-    return _liouvillian(spec.segments[0][1], _generators(spec.baths, spec.dim))
+    gens = _generators(spec.baths, spec.dim)
+    return SuperOperator(spec.dim, _liouvillian(spec.segments[0][1][None], gens, np.zeros(len(gens), int))[0])
 
 
 def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
@@ -180,15 +186,26 @@ def _generators(baths: Sequence[Bath], d: int) -> np.ndarray:
     return _generator_matrices([b.generator for b in baths], d)
 
 
-def _liouvillian(h: np.ndarray, gens: np.ndarray) -> SuperOperator:
-    """-i(I ⊗ H - Hᵀ ⊗ I) plus the built generator matrices gens, in order;
-    InvalidParams if the sum overflows (rates near the float maximum)."""
-    mat = _commutator(h)
+def _liouvillian(hams: np.ndarray, gens: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """The Liouvillian matrix of each model p of a stack: -i(I ⊗ H - Hᵀ ⊗ I)
+    of its Hamiltonian hams[p] plus the built generator matrices gens[b] of
+    its baths, those with point[b] = p, in bath order (`_by_point`);
+    InvalidParams if a sum overflows (rates near the float maximum)."""
     with np.errstate(over="ignore"):  # require_finite refuses what overflows
-        for g in gens:
-            mat += g
-    require_finite(mat, "Liouvillian")
-    return SuperOperator(h.shape[0], mat)
+        lmats = _by_point(_commutator(hams), gens, point)
+    require_finite(lmats, "Liouvillian")
+    return lmats
+
+
+def _by_point(out: np.ndarray, a: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """out[p] plus the entries a[b] of the baths b with point[b] = p, added
+    one bath at a time in bath order, in place; returns out. The one sum
+    over each model's baths: of its Liouvillian (`_liouvillian`) and of its
+    entropy production (`thermo._point_production`). A model's sum is the
+    same, bit for bit, whatever other models share the stack."""
+    for b, p in enumerate(point.tolist()):
+        out[p] += a[b]
+    return out
 
 
 def _commutator(h: np.ndarray) -> np.ndarray:
@@ -328,7 +345,8 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     times = np.arange(n_total + 1) * dt
 
     # The dissipator sum_b L_b is the Liouvillian of H = 0.
-    diss = _liouvillian(np.zeros((d, d), dtype=complex), _generators(spec.baths, d)).matrix
+    diss = _liouvillian(np.zeros((1, d, d), dtype=complex), _generators(spec.baths, d),
+                        np.zeros(len(spec.baths), int))[0]
     coords = np.empty((n_total + 1, d * d))
     coords[0] = _herm_coords(rho0)
     v = coords[0]
@@ -337,11 +355,7 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
         if t_now >= times[-1]:
             break
         t_next = segs[i + 1][0] if i + 1 < len(segs) else np.inf
-        lc = _commutator(h)
-        with np.errstate(over="ignore"):  # require_finite refuses what overflows
-            lc += diss
-        require_finite(lc, "Liouvillian")
-        lr = _real_form(lc)
+        lr = _real_form(_liouvillian(h[None], diss[None], np.zeros(1, int))[0])
         k_last = int(np.searchsorted(times, t_next, side="right")) - 1
         if k_last > k:
             if t_now > times[k]:  # resume off the grid, just after a switch
@@ -379,11 +393,10 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     Liouvillian.
     """
     _require_liouvillian(liouv.matrix)
-    lmat = liouv.matrix[None]
-    kernels = _kernel_basis(lmat)
-    if kernels.dims[0] != 1:
-        raise _degenerate_kernel(kernels.dims[0])
-    return _steady_states(lmat, kernels.right[:, -1], kernels.fro)[0][0]
+    dims, nu, _, _ = _steady_states(liouv.matrix[None])
+    if dims[0] != 1:
+        raise _degenerate_kernel(dims[0])
+    return nu[0]
 
 
 def _require_liouvillian(lmat: np.ndarray) -> None:
@@ -404,16 +417,21 @@ def _degenerate_kernel(k: int) -> DegenerateKernel:
     return DegenerateKernel(f"Liouvillian kernel has dimension {k}; stationary set is not unique")
 
 
-def _steady_states(
-    lmats: np.ndarray, kernel: np.ndarray, fro: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """steady_state of each finite Liouvillian matrix of a stack (m, n, n)
-    with a one-dimensional kernel, from its kernel vector kernel[i] and
-    ||L||_F fro[i] (`_kernel_basis`), which decides the residual check
-    where it can (`baths._first_failure`), with each state's eigensolve
-    (ascending), which serves both the positivity check and, through
-    Spectrum.of_eigh, its log. Each check runs on the whole stack and raises
-    for the first state that fails it."""
+def _steady_states(lmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The steady-state step of a stack of finite Liouvillian matrices
+    (m, n, n): one kernel solve (`_kernel_basis`), then steady_state of each
+    matrix whose kernel is one-dimensional, from its kernel vector and
+    ||L||_F, which decides the residual check where it can
+    (`baths._first_failure`), with each state's eigensolve (ascending),
+    which serves both the positivity check and, through Spectrum.of_eigh,
+    its log. The other matrices are set aside, their DegenerateKernel left
+    to the caller. Each check runs on the whole stack and raises for the
+    first state that fails it. Returns every matrix's kernel dimension,
+    then (nu, eigs, vecs) of those solved, in stack order."""
+    kernels = _kernel_basis(lmats)
+    solved = kernels.dims == 1
+    at = slice(None) if solved.all() else solved  # all of them: views, no copies
+    lmats, kernel = lmats[at], kernels.right[at, -1]
     tr = kernel.trace(axis1=1, axis2=2).real  # Hermitian, so the trace is real
     if (np.abs(tr) < TRACELESS_TOL * _frobenius(kernel)).any():
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")
@@ -425,11 +443,11 @@ def _steady_states(
         lam_min = low[np.argmax(low < -STATE_TOL)]
         raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -{STATE_TOL:.0e}")
     resid = _frobenius(_apply_each(lmats, nu))
-    failure = _first_failure(resid[:, None], STEADY_RESID_TOL, lmats, fro)
+    failure = _first_failure(resid[:, None], STEADY_RESID_TOL, lmats, kernels.fro[at])
     if failure is not None:
         i, norm = failure
         raise NoConvergence(
             f"steady-state residual {resid[i]:.3e} exceeds {STEADY_RESID_TOL:.0e} * ||L||_2 {norm:.3e}"
         )
-    return nu, eigs, vecs
+    return kernels.dims, nu, eigs, vecs
 

@@ -16,14 +16,18 @@ in the device basis.
 
 Device reports have one implementation, `device_reports`, which runs each
 step once for all the baths of all its points; `device_report` is its
-one-point call and `gamma_sweep` one call over the sweep's points. A pass
-builds no Bath: its baths are one stacked set (`baths._BathSet`) of names,
-generator matrices, linear in the rates over the device's cached unit
-generators, and stationary structures in closed form from the same rates
-(`_device_baths`), so a pass solves no bath's structure and solves the
-kernels of its Liouvillians alone. The public constructors
-(`build_device`, `left_pump_bath`, ...) build the same baths, and cache
-the same structures, bit for bit, for callers that want Bath objects.
+one-point call and `gamma_sweep` one call over the sweep's points. The
+steady-state steps (Liouvillians, kernel solve, steady states, per-bath
+terms, heats and P) are the one steady pass of any model,
+`thermo._steady_pass`; a device pass keeps only its own steps around it.
+Before it: the points' baths as one stacked set (`baths._BathSet`) with
+no Bath, generator matrices linear in the rates over the device's cached
+unit generators and stationary structures in closed form from the same
+rates (`_device_baths`), and the block residual check of those
+structures. After it: x_l from log nu and the reciprocal coefficients.
+The public constructors (`build_device`, `left_pump_bath`, ...) build the
+same baths, and cache the same structures, bit for bit, for callers that
+want Bath objects.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .baths import (
     _BathSet,
     _device_set,
     _frobenius,
-    _kernel_basis,
     _require_blocks,
     _require_occupation,
     _require_rate,
@@ -50,11 +53,10 @@ from .baths import (
     left_pump_bath,
     right_pump_bath,
 )
-from .dynamics import _commutator, _degenerate_kernel, _steady_states
+from .dynamics import _degenerate_kernel
 from .errors import DegenerateKernel, InvalidParams
 from .onsager import COHERENCE_TOL, _reciprocal_coefficients
-from .operators import Spectrum, require_finite
-from .thermo import _bath_terms, _production, _require_support, _traces, heat_rate
+from .thermo import _steady_pass, heat_rate
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -107,7 +109,8 @@ def two_level_dephasing_assembly(p: TwoLevelDecoherenceParams) -> tuple[np.ndarr
 
 
 def two_level_decoherence_heat(p: TwoLevelDecoherenceParams) -> float:
-    """Heat rate of the dephasing bath on rho(x, z); equals -gamma*E*x."""
+    """Heat rate of the dephasing bath on rho(x, z); equals -gamma*E*x.
+    InvalidParams where that is past the float range (heat_rate)."""
     h, bath, rho = two_level_dephasing_assembly(p)
     return heat_rate(h, bath, rho)
 
@@ -225,13 +228,13 @@ def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[Devic
     """device_report of each point, every step run once for all the baths
     of all the points of a pass of _REPORTS_PER_PASS reports: one batched
     build of the generator matrices and the closed-form structures from the
-    rates (`_device_baths`), the Liouvillians summed in the order of the
-    baths, one _kernel_basis call on the Liouvillians alone, one eigensolve
-    of each steady state for its positivity check and log nu, one block
-    residual check of the structures (baths._require_blocks), one
-    _bath_terms call on the (bath, nu) pairs, whose flows give both the
-    heats and the entropy production, and one stacked apply for the
-    reciprocal coefficients.
+    rates (`_device_baths`), one block residual check of the structures
+    (baths._require_blocks), the steady pass (`thermo._steady_pass`: the
+    Liouvillians, one _kernel_basis call on them alone, one eigensolve of
+    each steady state for its positivity check and log nu, one _bath_terms
+    call on the (bath, nu) pairs, whose flows give both the heats and the
+    entropy production), and one stacked apply for the reciprocal
+    coefficients.
     Each report is the same, bit for bit, alone or in a stack.
 
     A point whose Liouvillian kernel is not one-dimensional has no unique
@@ -250,48 +253,28 @@ def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[Devic
 
 
 def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | DegenerateKernel]:
-    """device_reports of one pass, on one `baths._BathSet` of the points'
-    baths (`_device_baths`), with no Bath. The baths are stacked by kind,
-    every left bath, every right bath, then the dephasing baths, so that a
-    step reads each kind as one slice; points with a degenerate kernel are
-    set aside and the rest solved again without them."""
+    """device_reports of one pass, with no Bath: the device steps around
+    the one steady pass of `thermo._steady_pass`. The points' baths are one
+    `baths._BathSet` (`_device_baths`), stacked by kind, every left bath,
+    every right bath, then the dephasing baths, so that a step reads each
+    kind as one slice; their closed-form structures go through the block
+    residual check (`baths._require_blocks`) first. After the pass come the
+    device's own columns: x_l from log nu and the reciprocal coefficients."""
     bset = _device_baths(params)
     gens = bset.gens
+    if np.isfinite(gens).all():  # else the pass refuses the Liouvillian first
+        _require_blocks(bset, _frobenius(gens))
     n = len(params)
     dephased = np.flatnonzero([p.gamma > 0 for p in params])
-    dephased_at = _rows(dephased)  # a slice when they are one run
     hams = np.array([device_hamiltonian(p) for p in params])
-    # summed in the order of each point's baths, as _liouvillian does
-    liouv = _commutator(hams)
-    with np.errstate(over="ignore"):  # rates can overflow: require_finite refuses the sum
-        liouv += gens[:n]
-        liouv += gens[n:2 * n]
-        liouv[dephased_at] += gens[2 * n:]
-    require_finite(liouv, "Liouvillian")  # Hermiticity holds by construction
-    kernels = _kernel_basis(liouv)
-    dims = kernels.dims.tolist()
-    if dims.count(1) < n:
-        alive = [p for p, k in zip(params, dims) if k == 1]
-        solved = iter(_device_pass(alive, c) if alive else ())
-        return [next(solved) if k == 1 else _degenerate_kernel(k) for k in dims]
-    nu, eigs, vecs = _steady_states(liouv, kernels.right[:, -1], kernels.fro)
-    log_nu = Spectrum.of_eigh(eigs, vecs).log
-    _require_blocks(bset, _frobenius(gens))
     point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
-    terms = _bath_terms(bset, nu[point], log_nu[point])
-    _require_support(bset.names, terms)
-    heats = _traces(hams[point], terms.flow)
-
-    def per_point(a: np.ndarray) -> np.ndarray:
-        """The sum over each point's baths of a per-bath column, in order."""
-        out = a[:n] + a[n:2 * n]
-        out[dephased_at] += a[2 * n:]
-        return out
-
-    # sum_b Tr[L_b(nu) X_b], from 0 as sum()
-    production = _production(per_point(0.0 + terms.pairing), per_point(abs(terms.pairing)),
-                             lambda: per_point(terms.magnitude))
+    dims, nu, log_nu, heats, production = _steady_pass(hams, bset, point)
+    if len(nu) < n:  # the pass's entries are the solved points' and their baths'
+        solved = dims == 1
+        gens, hams, n = gens[solved[point]], hams[solved], len(nu)
+        dephased = (np.cumsum(solved) - 1)[dephased[solved[dephased]]]
     heat_d, m_ld, m_dl = np.zeros((3, n))
+    dephased_at = _rows(dephased)  # a slice when they are one run
     heat_d[dephased_at] = heats[2 * n:]
     if len(dephased):
         m_ld[dephased_at], m_dl[dephased_at] = _reciprocal_coefficients(
@@ -301,8 +284,9 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
                    (log_nu[:, 1, 2] + log_nu[:, 2, 1]).real)
     columns = zip(nu, coherence.tolist(), heats[:n].tolist(), heats[n:2 * n].tolist(),
                   heat_d.tolist(), x_l.tolist(), m_ld.tolist(), m_dl.tolist(), production.tolist())
-    return [DeviceReport(nu_i, coh, q_l, q_r, q_d, xl, -xl, mld, mdl, prod)
-            for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns]
+    reports = iter([DeviceReport(nu_i, coh, q_l, q_r, q_d, xl, -xl, mld, mdl, prod)
+                    for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns])
+    return [next(reports) if k == 1 else _degenerate_kernel(k) for k in dims.tolist()]
 
 
 def _device_baths(params: Sequence[DeviceParams]) -> _BathSet:

@@ -14,8 +14,15 @@ Relative entropy to a bath's stationary set returns +inf when the state
 has support outside the support of its stationary image; that is a
 legitimate thermodynamic answer, not an error.
 
+The steady-state bookkeeping of any stack of models is one private pass,
+`_steady_pass`: the Liouvillians and steady states of `dynamics`, then
+each bath's terms at its model's steady state, its heat, and each model's
+P, summed over the model's baths by `dynamics._by_point` as
+`entropy_production` sums it. The device reports run it between their own
+steps (`scenarios._device_pass`).
+
 One per-bath kernel, `_bath_terms`, gives the flux, relative entropy and P
-pairing to the scalar functions, `onsager`, the device reports and
+pairing to the scalar functions, `onsager`, the steady pass and
 `sample_thermodynamics`, for all the baths of a stacked bath set
 (`baths._BathSet`: names, generator matrices and stationary structures)
 at once: each bath with its own state (a device report's (bath, nu)
@@ -52,9 +59,10 @@ from .baths import (
     _bath_set,
     _BathSet,
     _project,
+    _take,
     apply_generator,
 )
-from .dynamics import EvolutionSpec, Trajectory, _generators
+from .dynamics import EvolutionSpec, Trajectory, _by_point, _generators, _liouvillian, _steady_states
 from .errors import InvalidParams, NonRealPairing, SupportViolation
 from .operators import (
     DEFAULT_EIG_CUT,
@@ -92,9 +100,14 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def heat_rate(h: np.ndarray, bath: Bath, rho: np.ndarray) -> float:
-    """Q_b = Tr[H L_b(rho)], positive into the system."""
+    """Q_b = Tr[H L_b(rho)], positive into the system. InvalidParams where
+    it is not finite: H and the bath's rates overflow it (or the
+    generator matrix) past the float range."""
     require_operator(rho, "state", require_hamiltonian(h, "hamiltonian"))
-    return float(_traces(h, apply_generator(bath.generator, rho)))
+    heat = float(_traces(h, apply_generator(bath.generator, rho)))
+    if not math.isfinite(heat):
+        raise InvalidParams(f"heat rate {heat} of bath {bath.name} is past the float range")
+    return heat
 
 
 def _stationary_log(bset: _BathSet, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +279,46 @@ def entropy_production(rho: np.ndarray, baths) -> float:
     X_b = log B_b(rho) - log rho."""
     terms = _state_terms(baths, rho)
     _require_support([b.name for b in baths], terms)
-    # from a complex zero: an empty pairing sums to 0.0, not to the int 0
-    return float(_production(sum(terms.pairing, np.complex128(0)), abs(terms.pairing).sum(),
-                             lambda: terms.magnitude.sum()))
+    return float(_point_production(terms, np.zeros(len(baths), int), 1)[0])
+
+
+def _point_production(terms: _BathTerms, point: np.ndarray, n: int) -> np.ndarray:
+    """P of each of n models from its baths' terms, those with point[b] = p:
+    `_production` of their pairings, of the pairings' moduli and of their
+    magnitudes, each summed from 0 in bath order (`dynamics._by_point`), so
+    that no baths sum to 0.0."""
+    def total(a: np.ndarray) -> np.ndarray:
+        return _by_point(np.zeros(n, a.dtype), a, point)
+
+    return _production(total(terms.pairing), total(abs(terms.pairing)), lambda: total(terms.magnitude))
+
+
+def _steady_pass(hams: np.ndarray, bset: _BathSet, point: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The steady-state bookkeeping of a stack of n models, whatever their
+    baths: model p has the Hamiltonian hams[p] and the baths b of the set
+    with point[b] = p, in set order. Each step runs once for the stack:
+    the Liouvillians (`dynamics._liouvillian`), one kernel solve and the
+    steady states nu (`dynamics._steady_states`), log nu from each steady
+    state's eigensolve, one `_bath_terms` call on the (bath, nu) pairs,
+    the support check, each bath's heat Tr[H L_b(nu)] and each model's P
+    (`_point_production`). Returns every model's kernel dimension, then
+    (nu, log_nu, heats, production) of the models solved: the steady state,
+    its log and P of each, in stack order, and the heat of each of their
+    baths, in set order.
+
+    A model whose kernel is not one-dimensional is set aside after the
+    kernel solve, with its baths: its dims entry tells its DegenerateKernel.
+    Any other failure raises the error of the first failing model, or bath
+    in set order, at the earliest failing step. Each model's entries are
+    the same, bit for bit, alone or in a stack."""
+    dims, nu, eigs, vecs = _steady_states(_liouvillian(hams, bset.gens, point))
+    log_nu = Spectrum.of_eigh(eigs, vecs).log
+    if len(nu) < len(dims):  # the set-aside models' baths leave the set
+        kept = (dims == 1)[point]
+        bset, hams, point = _take(bset, kept), hams[dims == 1], (np.cumsum(dims == 1) - 1)[point[kept]]
+    terms = _bath_terms(bset, nu[point], log_nu[point])
+    _require_support(bset.names, terms)
+    return dims, nu, log_nu, _traces(hams[point], terms.flow), _point_production(terms, point, len(hams))
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,11 +62,14 @@ from decotherm.operators import _groups, _herm_index, _herm_operators, _real_for
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
+    TwoLevelDecoherenceParams,
     _device_baths,
     build_device,
     device_dephasing_bath,
+    device_hamiltonian,
     device_report,
     device_reports,
+    two_level_decoherence_heat,
 )
 
 Z_BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -184,6 +187,23 @@ class TestGeneratorSuperop:
         ref = self.oracle(gen)
         err = np.linalg.norm(generator_superop(gen).matrix - ref) / np.linalg.norm(ref)
         assert err <= 1e-14
+
+    @pytest.mark.parametrize("call", [
+        lambda: liouvillian(EvolutionSpec(device_hamiltonian(FAST_DEVICE), build_device(FAST_DEVICE).baths)),
+        lambda: two_level_decoherence_heat(TwoLevelDecoherenceParams(1.7e308, 1.0, 0.5)),
+        lambda: liouvillian(EvolutionSpec(np.eye(2, dtype=complex), (thermal_two_level_bath(1.0, 1.0, 8e307),))),
+    ], ids=["device", "two-level-heat", "thermal"])
+    def test_matrix_past_the_float_range_is_refused(self, call):
+        # 2 r_k overflows for a rate above ~9e307: the build refuses the
+        # matrix (InvalidParams) and warns nothing on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="^generator matrix has a non-finite entry$"):
+                call()
+
+
+#: (n_L, n_R, gamma) = (1e308, 0.2, 1e308): rates whose doubles overflow
+FAST_DEVICE = DeviceParams(1.5, 1.0, 0.4, 1e308, 0.2, 1e308)
 
 
 class TestDephasingBath:

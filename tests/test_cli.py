@@ -273,13 +273,15 @@ class TestDeviceRuns:
 
         import decotherm.scenarios as sc
 
-        monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, silent_pumps))
+        build = replace_baths_at(0.5, silent_pumps)
+        monkeypatch.setattr(sc, "_device_baths", build)
         path = write_config(
             tmp_path, scenario="gamma-sweep",
             params={"e_l": 1.5, "e_r": 1.0, "v": 0.4, "n_l": 0.6, "n_r": 0.2,
                     "gammas": [0.0, 0.5, 1.0]},
         )
         assert cli.run(str(path)) == 0
+        assert build.edited == [(1, 3)]
         assert "gamma-sweep: 2/3 points solved" in capsys.readouterr().out
         rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
         assert [row[:2] for row in rows] == [["0", "1"], ["0.5", "0"], ["1", "1"]]
@@ -526,6 +528,20 @@ def test_library_imports_only_stdlib_numpy_and_itself():
                 continue
             for module in modules:
                 assert module.split(".")[0] in allowed, f"{name} imports {module}"
+
+
+def test_scenarios_imports_no_steady_pass_step():
+    # the device reports run the one steady pass, thermo._steady_pass: a
+    # device copy of one of its steps would have to import one of these
+    steps = {"_kernel_basis", "_steady_states", "_commutator", "_bath_terms", "_require_support",
+             "_traces", "_production"}
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    with open(os.path.join(src, "scenarios.py")) as f:
+        tree = ast.parse(f.read(), "scenarios.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_steady_pass" in imported
+    assert not imported & steps, sorted(imported & steps)
 
 
 def test_only_operators_raises_a_non_finite_entry():

@@ -325,8 +325,8 @@ class TestPropagate:
         spec = EvolutionSpec(h, baths, t_max=1.0, dt=1e-3)
         rho0 = ginibre_state(rng, d)
         traj = propagate(rho0, spec)
-        diss = dynamics._liouvillian(np.zeros((d, d), dtype=complex),
-                                     dynamics._generators(spec.baths, d)).matrix
+        gens = dynamics._generators(spec.baths, d)
+        diss = dynamics._liouvillian(np.zeros((1, d, d), dtype=complex), gens, np.zeros(len(gens), int))[0]
         lc = dynamics._commutator(spec.segments[0][1])
         lc += diss
         p = _expm(_real_form(lc) * spec.dt)

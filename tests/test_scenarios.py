@@ -323,10 +323,12 @@ class TestGammaSweep:
 
 
 def replace_baths_at(gamma, edit):
-    """scenarios._device_baths, except that edit(tols, gens, i, n) changes
-    the bath set of a pass of n points at each point i with dephasing rate
-    gamma (its left and right baths are i and n + i), after the set's
-    structures are built from the rates."""
+    """scenarios._device_baths, which the device pass reads from scenarios,
+    except that edit(tols, gens, i, n) changes the bath set of a pass of n
+    points at each point i with dephasing rate gamma (its left and right
+    baths are i and n + i), after the set's structures are built from the
+    rates and before anything reads the set. build.edited gets the (i, n)
+    of each edit, so that a test can assert its seam was used."""
     import decotherm.scenarios as sc
 
     real = sc._device_baths
@@ -336,8 +338,10 @@ def replace_baths_at(gamma, edit):
         for i, p in enumerate(params):
             if p.gamma == gamma:
                 edit(bset.tols, bset.gens, i, len(params))
+                build.edited.append((i, len(params)))
         return bset
 
+    build.edited = []
     return build
 
 
@@ -350,9 +354,11 @@ def silent_pumps(tols, gens, i, n):
 def test_gamma_sweep_flags_failures_and_continues(monkeypatch):
     import decotherm.scenarios as sc
 
-    monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, silent_pumps))
+    build = replace_baths_at(0.5, silent_pumps)
+    monkeypatch.setattr(sc, "_device_baths", build)
     base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
     points = sc.gamma_sweep(base, [0.0, 0.5, 1.0])
+    assert build.edited == [(1, 3)]
     assert points[1].report is None and "not unique" in points[1].failure
     assert points[0].report is not None and points[2].report is not None
     monkeypatch.undo()
@@ -371,12 +377,14 @@ def test_gamma_sweep_raises_on_no_convergence(monkeypatch):
         # bath's: omega_1, built from the left rates, leaks |0> into |R>
         gens[i] += 1e-6 * _device_units()[1][1, 0]
 
-    monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, leaking_left))
+    build = replace_baths_at(0.5, leaking_left)
+    monkeypatch.setattr(sc, "_device_baths", build)
     base = DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.0})
     with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
         sc.gamma_sweep(base, [0.0, 0.5, 1.0])
     with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
         sc.device_report(DeviceParams(**{**DEFAULT_DEVICE, "gamma": 0.5}))
+    assert build.edited == [(1, 3), (0, 1)]
 
 
 def test_gamma_sweep_is_one_stacked_call(monkeypatch):
@@ -503,8 +511,12 @@ class TestDeviceReports:
 
         params = [DeviceParams(**{**DEFAULT_DEVICE, "gamma": g}) for g in (0.1, 0.5, 0.9)]
         alone = [device_report(params[0]), None, device_report(params[2])]
-        monkeypatch.setattr(sc, "_device_baths", replace_baths_at(0.5, silent_pumps))
+        build = replace_baths_at(0.5, silent_pumps)
+        monkeypatch.setattr(sc, "_device_baths", build)
+        solves = count_kernel_solves(monkeypatch)
         out = device_reports(params)
+        assert build.edited == [(1, 3)]
+        assert solves == [3]  # the degenerate point is set aside, not solved again without it
         assert isinstance(out[1], DegenerateKernel) and "not unique" in str(out[1])
         assert_same_report(out[0], alone[0])
         assert_same_report(out[2], alone[2])
@@ -652,17 +664,20 @@ class TestDevicePairingCheck:
 
     @staticmethod
     def shift_pairing(monkeypatch, ratio):
-        # each bath's pairing picks up i*ratio*IMAG_TOL times its own scale,
-        # each point's sum i*ratio*IMAG_TOL times the summed scale
-        import decotherm.scenarios as sc
-
-        real = sc._bath_terms
+        """Each bath's pairing picks up i*ratio*IMAG_TOL times its own scale,
+        each point's sum i*ratio*IMAG_TOL times the summed scale, in the
+        _bath_terms that the steady pass (thermo._steady_pass) reads; the
+        returned list gets the number of baths of each shifted call."""
+        calls = []
+        real = thermo._bath_terms
 
         def shifted(bset, rho, log_rho):
             terms = real(bset, rho, log_rho)
+            calls.append(len(bset.names))
             return terms._replace(pairing=terms.pairing + 1j * ratio * thermo.IMAG_TOL * terms.magnitude)
 
-        monkeypatch.setattr(sc, "_bath_terms", shifted)
+        monkeypatch.setattr(thermo, "_bath_terms", shifted)
+        return calls
 
     @staticmethod
     def count_magnitude_reads(monkeypatch):
@@ -677,12 +692,13 @@ class TestDevicePairingCheck:
         p = DeviceParams(**DEFAULT_DEVICE)
         expected = device_report(p).entropy_production
         magnitude = summed_magnitude(p)
-        self.shift_pairing(monkeypatch, ratio)
+        calls = self.shift_pairing(monkeypatch, ratio)
         if raises:
             with pytest.raises(NonRealPairing, match=re.escape(f"> tol 1.0e-10 * {magnitude:.3e}")):
                 device_report(p)
         else:
             assert device_report(p).entropy_production == expected
+        assert calls == [3]  # the report's one call, on its three baths
 
     @pytest.mark.parametrize("ratio, raises", [(0.5, False), (2.0, True)])
     def test_gamma_sweep_bound(self, monkeypatch, ratio, raises):
@@ -690,7 +706,7 @@ class TestDevicePairingCheck:
         gammas = [0.0, 0.5, 1.0, 20.0]
         expected = [pt.report.entropy_production for pt in gamma_sweep(base, gammas)]
         magnitudes = [summed_magnitude(dataclasses.replace(base, gamma=g)) for g in gammas]
-        self.shift_pairing(monkeypatch, ratio)
+        calls = self.shift_pairing(monkeypatch, ratio)
         if raises:
             # the point with the largest imaginary part is named, as before
             worst = max(magnitudes)
@@ -699,6 +715,7 @@ class TestDevicePairingCheck:
         else:
             got = [pt.report.entropy_production for pt in gamma_sweep(base, gammas)]
             assert got == expected
+        assert calls == [11]  # the sweep's one call: 4 left, 4 right and 3 dephasing baths
 
     def test_default_report_forms_no_magnitude(self, monkeypatch):
         reads = self.count_magnitude_reads(monkeypatch)

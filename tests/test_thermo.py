@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ from conftest import (
     SX,
     SZ,
     count_generator_builds,
+    count_kernel_solves,
     count_structure_solves,
     ginibre_state,
     random_complex,
+    random_hermitian,
     uncached,
 )
 from hypothesis import given, settings
@@ -25,6 +28,8 @@ from decotherm import thermo
 from decotherm.baths import (
     _PASS_ENTRIES,
     Bath,
+    _bath_set,
+    _generator_matrices,
     JumpTerm,
     LindbladGenerator,
     PropagateToFixedPoint,
@@ -34,9 +39,17 @@ from decotherm.baths import (
     stationary_structure,
     thermal_two_level_bath,
 )
-from decotherm.dynamics import EvolutionSpec, Trajectory, default_timestep, liouvillian, propagate
+from decotherm.dynamics import (
+    EvolutionSpec,
+    Trajectory,
+    default_timestep,
+    liouvillian,
+    propagate,
+    steady_state,
+)
 from decotherm.operators import HERM_TOL, assert_density_matrix
 from decotherm.errors import (
+    DegenerateKernel,
     InvalidParams,
     NoConvergence,
     NonRealPairing,
@@ -56,11 +69,13 @@ from decotherm.scenarios import (
     TwoLevelDecoherenceParams,
     bloch_state,
     build_device,
+    two_level_decoherence_heat,
     two_level_dephasing_assembly,
     two_level_hamiltonian,
 )
 from decotherm.thermo import (
     ThermoSample,
+    _steady_pass,
     energy,
     entropy_balance_residuals,
     entropy_flux,
@@ -170,6 +185,16 @@ class TestHeatRate:
             assert abs(q) == pytest.approx(gamma * e * abs(x), rel=1e-12)
             # sign fixed by the brute-force oracle with Hermitian sigma_x
             assert q == pytest.approx(-gamma * e * x, rel=1e-12)
+
+    def test_heat_past_the_float_range_is_refused(self):
+        # -gamma E x = -5e315 overflows the trace: a refusal, not a silent -inf
+        p = TwoLevelDecoherenceParams(1e16, 1e300, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="heat rate -inf of bath dephasing is past the float range"):
+                two_level_decoherence_heat(p)
+            with pytest.raises(InvalidParams, match="past the float range"):
+                heat_rate(*two_level_dephasing_assembly(p))
 
 
 class TestVonNeumannEntropy:
@@ -299,6 +324,113 @@ class TestEntropyProduction:
     def test_no_baths_produce_nothing(self, rng):
         p = entropy_production(ginibre_state(rng, 3), [])
         assert p == 0.0 and type(p) is float
+
+
+def random_model(rng, d, fast):
+    """A random model of dimension d: a Hamiltonian and three baths a, b, c
+    of two random jumps each, the bath named fast at rates near 1e3."""
+    baths = tuple(Bath(name, LindbladGenerator(d, tuple(
+        JumpTerm(r * (1e3 if name == fast else 1.0), random_complex(rng, d) / d)
+        for r in rng.uniform(0.5, 1.5, 2)))) for name in "abc")
+    return random_hermitian(rng, d), baths
+
+
+def dense_d16_model(seed):
+    """A model built as perfbench's dense_d16 builds its model: H of norm 1,
+    two baths of four jumps of norm 1 whose stiffness bounds 4 sum_k r_k
+    are 1, and a dephasing bath in a random basis at stiffness 0.5."""
+    rng = np.random.default_rng(seed)
+    d = 16
+    baths = []
+    for name in ("hot", "cold"):
+        jumps = [a / np.linalg.norm(a, 2) for a in (random_complex(rng, d) for _ in range(4))]
+        rates = rng.uniform(0.5, 1.5, 4)
+        rates /= 4.0 * rates.sum()
+        baths.append(Bath(name, LindbladGenerator(d, tuple(JumpTerm(r, a) for r, a in zip(rates, jumps)))))
+    basis, _ = np.linalg.qr(random_complex(rng, d))
+    baths.append(dephasing_bath([basis[:, j] for j in range(d)], 0.5 / (4.0 * d)))
+    h = random_hermitian(rng, d)
+    return h / np.linalg.norm(h, 2), tuple(baths)
+
+
+class TestSteadyPass:
+    """thermo._steady_pass on general models, not only the device: each
+    model's steady state, heats and P are the same, bit for bit, alone or
+    stacked with other models in either bath order, and they are those of
+    steady_state, heat_rate and entropy_production."""
+
+    @staticmethod
+    def run(models, order):
+        """The pass over models [(H, baths)], its set holding the baths
+        order [(model, bath index)] in that order; returns each model's
+        (nu, heats by bath index, P)."""
+        baths = [models[p][1][j] for p, j in order]
+        gens = _generator_matrices([b.generator for b in baths], models[0][0].shape[0])
+        point = np.array([p for p, _ in order])
+        dims, nu, _, heats, production = _steady_pass(np.stack([h for h, _ in models]),
+                                                      _bath_set(baths, gens), point)
+        assert (dims == 1).all()
+        by_model = [[None] * len(b) for _, b in models]
+        for (p, j), q in zip(order, heats):
+            by_model[p][j] = q
+        return [(nu[p], np.array(by_model[p]), production[p]) for p in range(len(models))]
+
+    def assert_alone_stacked_public(self, models):
+        count = len(models)
+        alone = [self.run([m], [(0, j) for j in range(3)])[0] for m in models]
+        by_model = self.run(models, [(p, j) for p in range(count) for j in range(3)])
+        by_kind = self.run(models, [(p, j) for j in range(3) for p in range(count)])
+        for (h, baths), one, *stacked in zip(models, alone, by_model, by_kind):
+            for got in stacked:
+                for a, b in zip(got, one):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            nu, heats, production = one
+            public = steady_state(liouvillian(EvolutionSpec(h, baths)))
+            assert np.abs(nu - public).max() <= 1e-13 * np.abs(public).max()
+            for q, bath in zip(heats, baths):
+                want = heat_rate(h, bath, public)
+                assert abs(q - want) <= 1e-13 * abs(want), (bath.name, q, want)
+            want = entropy_production(public, baths)
+            assert abs(production - want) <= 1e-13 * abs(want), (production, want)
+
+    def test_random_d4_models(self):
+        rng = np.random.default_rng(4)
+        self.assert_alone_stacked_public([random_model(rng, 4, fast) for fast in "abca"])
+
+    def test_dense_d16_models(self):
+        self.assert_alone_stacked_public([dense_d16_model(seed) for seed in range(1, 6)])
+
+    def test_degenerate_model_is_set_aside(self, monkeypatch):
+        # H diagonal in the dephasing basis, beside a bath of rate 0 (no
+        # block structure: every state is stationary): a kernel of dimension
+        # 4; the models around it keep their entries, from one kernel solve
+        rng = np.random.default_rng(8)
+        basis = list(np.eye(4))
+        still = Bath("b", LindbladGenerator(4, (JumpTerm(0.0, random_complex(rng, 4)),)))
+        dead = (np.diag([0.1, 0.4, 0.9, 1.6]).astype(complex),
+                (dephasing_bath(basis, 1.0, "a"), still, dephasing_bath(basis, 0.5, "c")))
+        assert stationary_structure(still).m == 0
+        models = [random_model(rng, 4, "a"), dead, random_model(rng, 4, "c")]
+        alone = [self.run([m], [(0, j) for j in range(3)])[0] for m in (models[0], models[2])]
+        solves = count_kernel_solves(monkeypatch)
+        for order in ([(p, j) for p in range(3) for j in range(3)], [(p, j) for j in range(3) for p in range(3)]):
+            baths = [models[p][1][j] for p, j in order]
+            bset = _bath_set(baths, _generator_matrices([b.generator for b in baths], 4))
+            solves.clear()
+            dims, nu, log_nu, heats, production = _steady_pass(
+                np.stack([h for h, _ in models]), bset, np.array([p for p, _ in order]))
+            assert solves == [3]
+            assert dims.tolist() == [1, 4, 1]
+            assert len(nu) == len(log_nu) == len(production) == 2 and len(heats) == 6
+            kept = [(p, j) for p, j in order if p != 1]  # the heats' baths, in set order
+            for i, p in enumerate((0, 2)):
+                want_nu, want_heats, want_p = alone[i]
+                assert nu[i].tobytes() == want_nu.tobytes()
+                assert production[i].tobytes() == want_p.tobytes()
+                got = np.array([q for (m, j), q in sorted(zip(kept, heats)) if m == p])
+                assert got.tobytes() == want_heats.tobytes()
+        with pytest.raises(DegenerateKernel, match="dimension 4"):
+            steady_state(liouvillian(EvolutionSpec(*dead)))
 
 
 #: the callers of thermo._state_terms, the one one-state entry
