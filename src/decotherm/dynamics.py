@@ -199,12 +199,20 @@ def _liouvillian(hams: np.ndarray, gens: np.ndarray, point: np.ndarray) -> np.nd
 
 def _by_point(out: np.ndarray, a: np.ndarray, point: np.ndarray) -> np.ndarray:
     """out[p] plus the entries a[b] of the baths b with point[b] = p, added
-    one bath at a time in bath order, in place; returns out. The one sum
-    over each model's baths: of its Liouvillian (`_liouvillian`) and of its
-    entropy production (`thermo._point_production`). A model's sum is the
-    same, bit for bit, whatever other models share the stack."""
-    for b, p in enumerate(point.tolist()):
-        out[p] += a[b]
+    in bath order, in place; returns out. Scalars go through ufunc.at,
+    which adds them one by one in index order; a run of matrices on
+    consecutive points p0, p0 + 1, ... is one slice add (three for a device
+    pass, whose baths are stacked by kind). The one sum over each model's
+    baths: of its Liouvillian (`_liouvillian`) and of its entropy
+    production (`thermo._point_production`). A model's sum is the same, bit
+    for bit, whatever other models share the stack."""
+    if a.ndim == 1:
+        np.add.at(out, point, a)
+        return out
+    pts = point.tolist()
+    starts = [b for b in range(len(pts)) if b == 0 or pts[b] != pts[b - 1] + 1]  # each run's first bath
+    for b0, b1 in zip(starts, [*starts[1:], len(pts)]):
+        out[pts[b0]:pts[b0] + b1 - b0] += a[b0:b1]
     return out
 
 
@@ -393,10 +401,10 @@ def steady_state(liouv: SuperOperator) -> np.ndarray:
     Liouvillian.
     """
     _require_liouvillian(liouv.matrix)
-    dims, nu, _, _ = _steady_states(liouv.matrix[None])
+    dims, *solved = _steady_states(liouv.matrix[None])
     if dims[0] != 1:
         raise _degenerate_kernel(dims[0])
-    return nu[0]
+    return solved[0][0]
 
 
 def _require_liouvillian(lmat: np.ndarray) -> None:
@@ -417,21 +425,21 @@ def _degenerate_kernel(k: int) -> DegenerateKernel:
     return DegenerateKernel(f"Liouvillian kernel has dimension {k}; stationary set is not unique")
 
 
-def _steady_states(lmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _steady_states(lmats: np.ndarray) -> tuple[np.ndarray, ...]:
     """The steady-state step of a stack of finite Liouvillian matrices
-    (m, n, n): one kernel solve (`_kernel_basis`), then steady_state of each
-    matrix whose kernel is one-dimensional, from its kernel vector and
-    ||L||_F, which decides the residual check where it can
+    (m, n, n): one kernel solve (`_kernel_basis`), then, if every kernel is
+    one-dimensional, steady_state of each matrix, from its kernel vector
+    and ||L||_F, which decides the residual check where it can
     (`baths._first_failure`), with each state's eigensolve (ascending),
     which serves both the positivity check and, through Spectrum.of_eigh,
-    its log. The other matrices are set aside, their DegenerateKernel left
-    to the caller. Each check runs on the whole stack and raises for the
-    first state that fails it. Returns every matrix's kernel dimension,
-    then (nu, eigs, vecs) of those solved, in stack order."""
+    its log. Each check runs on the whole stack and raises for the first
+    state that fails it. Returns every matrix's kernel dimension, then
+    (nu, eigs, vecs) in stack order; the dimensions alone if one is not 1,
+    the DegenerateKernel being the caller's."""
     kernels = _kernel_basis(lmats)
-    solved = kernels.dims == 1
-    at = slice(None) if solved.all() else solved  # all of them: views, no copies
-    lmats, kernel = lmats[at], kernels.right[at, -1]
+    if (kernels.dims != 1).any():
+        return kernels.dims,
+    kernel = kernels.right[:, -1]
     tr = kernel.trace(axis1=1, axis2=2).real  # Hermitian, so the trace is real
     if (np.abs(tr) < TRACELESS_TOL * _frobenius(kernel)).any():
         raise NonPositiveSolution("kernel vector is traceless; no stationary state")
@@ -443,7 +451,7 @@ def _steady_states(lmats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         lam_min = low[np.argmax(low < -STATE_TOL)]
         raise NonPositiveSolution(f"kernel vector has eigenvalue {lam_min:.3e} < -{STATE_TOL:.0e}")
     resid = _frobenius(_apply_each(lmats, nu))
-    failure = _first_failure(resid[:, None], STEADY_RESID_TOL, lmats, kernels.fro[at])
+    failure = _first_failure(resid[:, None], STEADY_RESID_TOL, lmats, kernels.fro)
     if failure is not None:
         i, norm = failure
         raise NoConvergence(

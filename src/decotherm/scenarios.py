@@ -47,7 +47,6 @@ from .baths import (
     _require_blocks,
     _require_occupation,
     _require_rate,
-    _rows,
     _three_level_bath,
     dephasing_bath,
     left_pump_bath,
@@ -243,7 +242,8 @@ def device_reports(params: Sequence[DeviceParams], c: float = 1.0) -> list[Devic
     whole call: the earliest step at which a point fails raises the error
     that point's one-point call gives (in the block residual check and the
     support check, for the first failing bath in the order left baths,
-    right baths, dephasing baths).
+    right baths, dephasing baths). The block residual check comes before
+    the kernel solve, so a degenerate point whose bath fails it raises.
     """
     params = list(params)
     out: list[DeviceReport | DegenerateKernel] = []
@@ -258,35 +258,35 @@ def _device_pass(params: list[DeviceParams], c: float) -> list[DeviceReport | De
     `baths._BathSet` (`_device_baths`), stacked by kind, every left bath,
     every right bath, then the dephasing baths, so that a step reads each
     kind as one slice; their closed-form structures go through the block
-    residual check (`baths._require_blocks`) first. After the pass come the
-    device's own columns: x_l from log nu and the reciprocal coefficients."""
+    residual check (`baths._require_blocks`) first. Where the pass stops at
+    a degenerate kernel, the other points run again without those. After
+    the pass come the device's own columns: x_l from log nu and the
+    reciprocal coefficients."""
     bset = _device_baths(params)
-    gens = bset.gens
-    if np.isfinite(gens).all():  # else the pass refuses the Liouvillian first
-        _require_blocks(bset, _frobenius(gens))
+    if np.isfinite(bset.gens).all():  # else the pass refuses the Liouvillian first
+        _require_blocks(bset, _frobenius(bset.gens))
     n = len(params)
     dephased = np.flatnonzero([p.gamma > 0 for p in params])
     hams = np.array([device_hamiltonian(p) for p in params])
     point = np.array([*range(n), *range(n), *dephased])  # the point of each bath
-    dims, nu, log_nu, heats, production = _steady_pass(hams, bset, point)
-    if len(nu) < n:  # the pass's entries are the solved points' and their baths'
-        solved = dims == 1
-        gens, hams, n = gens[solved[point]], hams[solved], len(nu)
-        dephased = (np.cumsum(solved) - 1)[dephased[solved[dephased]]]
+    dims, *solved = _steady_pass(hams, bset, point)
+    if not solved:  # the points with a one-dimensional kernel solved again alone
+        alive = [p for p, k in zip(params, dims.tolist()) if k == 1]
+        reports = iter(_device_pass(alive, c) if alive else ())
+        return [next(reports) if k == 1 else _degenerate_kernel(k) for k in dims.tolist()]
+    nu, log_nu, heats, production = solved
     heat_d, m_ld, m_dl = np.zeros((3, n))
-    dephased_at = _rows(dephased)  # a slice when they are one run
-    heat_d[dephased_at] = heats[2 * n:]
+    heat_d[dephased] = heats[2 * n:]
     if len(dephased):
-        m_ld[dephased_at], m_dl[dephased_at] = _reciprocal_coefficients(
-            hams[dephased_at], gens[dephased_at], gens[2 * n:], c)
+        m_ld[dephased], m_dl[dephased] = _reciprocal_coefficients(
+            hams[dephased], bset.gens[dephased], bset.gens[2 * n:], c)
     coherence = nu[:, 1, 2]
     x_l = np.where(np.abs(coherence) <= COHERENCE_TOL, math.nan,
                    (log_nu[:, 1, 2] + log_nu[:, 2, 1]).real)
     columns = zip(nu, coherence.tolist(), heats[:n].tolist(), heats[n:2 * n].tolist(),
                   heat_d.tolist(), x_l.tolist(), m_ld.tolist(), m_dl.tolist(), production.tolist())
-    reports = iter([DeviceReport(nu_i, coh, q_l, q_r, q_d, xl, -xl, mld, mdl, prod)
-                    for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns])
-    return [next(reports) if k == 1 else _degenerate_kernel(k) for k in dims.tolist()]
+    return [DeviceReport(nu_i, coh, q_l, q_r, q_d, xl, -xl, mld, mdl, prod)
+            for nu_i, coh, q_l, q_r, q_d, xl, mld, mdl, prod in columns]
 
 
 def _device_baths(params: Sequence[DeviceParams]) -> _BathSet:

@@ -59,7 +59,6 @@ from .baths import (
     _bath_set,
     _BathSet,
     _project,
-    _take,
     apply_generator,
 )
 from .dynamics import EvolutionSpec, Trajectory, _by_point, _generators, _liouvillian, _steady_states
@@ -287,10 +286,8 @@ def _point_production(terms: _BathTerms, point: np.ndarray, n: int) -> np.ndarra
     `_production` of their pairings, of the pairings' moduli and of their
     magnitudes, each summed from 0 in bath order (`dynamics._by_point`), so
     that no baths sum to 0.0."""
-    def total(a: np.ndarray) -> np.ndarray:
-        return _by_point(np.zeros(n, a.dtype), a, point)
-
-    return _production(total(terms.pairing), total(abs(terms.pairing)), lambda: total(terms.magnitude))
+    pairing, size = (_by_point(np.zeros(n, a.dtype), a, point) for a in (terms.pairing, abs(terms.pairing)))
+    return _production(pairing, size, lambda: _by_point(np.zeros(n), terms.magnitude, point))
 
 
 def _steady_pass(hams: np.ndarray, bset: _BathSet, point: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -302,20 +299,19 @@ def _steady_pass(hams: np.ndarray, bset: _BathSet, point: np.ndarray) -> tuple[n
     state's eigensolve, one `_bath_terms` call on the (bath, nu) pairs,
     the support check, each bath's heat Tr[H L_b(nu)] and each model's P
     (`_point_production`). Returns every model's kernel dimension, then
-    (nu, log_nu, heats, production) of the models solved: the steady state,
-    its log and P of each, in stack order, and the heat of each of their
-    baths, in set order.
+    (nu, log_nu, heats, production): the steady state, its log and P of
+    each model, in stack order, and the heat of each bath, in set order.
 
-    A model whose kernel is not one-dimensional is set aside after the
-    kernel solve, with its baths: its dims entry tells its DegenerateKernel.
+    If a model's kernel is not one-dimensional the pass stops after the
+    kernel solve and returns the dimensions alone: the caller sets those
+    models aside (DegenerateKernel) and runs the pass again without them.
     Any other failure raises the error of the first failing model, or bath
     in set order, at the earliest failing step. Each model's entries are
     the same, bit for bit, alone or in a stack."""
-    dims, nu, eigs, vecs = _steady_states(_liouvillian(hams, bset.gens, point))
-    log_nu = Spectrum.of_eigh(eigs, vecs).log
-    if len(nu) < len(dims):  # the set-aside models' baths leave the set
-        kept = (dims == 1)[point]
-        bset, hams, point = _take(bset, kept), hams[dims == 1], (np.cumsum(dims == 1) - 1)[point[kept]]
+    dims, *solved = _steady_states(_liouvillian(hams, bset.gens, point))
+    if not solved:
+        return dims,
+    nu, log_nu = solved[0], Spectrum.of_eigh(*solved[1:]).log
     terms = _bath_terms(bset, nu[point], log_nu[point])
     _require_support(bset.names, terms)
     return dims, nu, log_nu, _traces(hams[point], terms.flow), _point_production(terms, point, len(hams))

@@ -44,7 +44,6 @@ from decotherm.baths import (
     _kernel_basis,
     _pass_constants,
     _require_blocks,
-    _rows,
     _solve_structure,
     apply_generator,
     dephasing_bath,
@@ -1018,9 +1017,8 @@ def per_group_kernel_basis(lmats):
     groups = {}
     for k, at in _groups(ks.tolist()).items():
         at = np.array(at)
-        pick = _rows(at)
-        groups[k] = (at, _herm_operators(vh[pick, n - k:]),
-                     _herm_operators(u[pick, :, n - k:].swapaxes(-1, -2)))
+        groups[k] = (at, _herm_operators(vh[at, n - k:]),
+                     _herm_operators(u[at, :, n - k:].swapaxes(-1, -2)))
     return ks, scale, groups
 
 

@@ -387,6 +387,37 @@ def test_gamma_sweep_raises_on_no_convergence(monkeypatch):
     assert build.edited == [(1, 3), (0, 1)]
 
 
+def test_block_check_comes_before_the_steady_pass(monkeypatch):
+    # the closed-form structures of every point of a pass are checked
+    # before the steady pass: a point whose kernel is degenerate and whose
+    # left bath fails the block check raises that NoConvergence for the
+    # whole call, before any kernel solve, instead of a DegenerateKernel
+    import decotherm.scenarios as sc
+
+    def silent_and_tilted(tols, gens, i, n):
+        # silent pumps, and a left generator rho -> w Tr[w rho] with
+        # w = |L><L| - |R><R|: it annihilates the kernel of H and the
+        # dephasing (|0><0| and |L><L| + |R><R|), which stays degenerate,
+        # but not the left bath's block states
+        silent_pumps(tols, gens, i, n)
+        w = np.diag([0.0, 1.0, -1.0]).ravel()
+        gens[i] += 1e-6 * np.outer(w, w)
+
+    build = replace_baths_at(0.5, silent_and_tilted)
+    monkeypatch.setattr(sc, "_device_baths", build)
+    solves = count_kernel_solves(monkeypatch)
+    params = [DeviceParams(**{**DEFAULT_DEVICE, "gamma": g}) for g in (0.0, 0.5, 1.0)]
+    with pytest.raises(NoConvergence, match="^left: stationary state of a block has residual"):
+        sc.device_reports(params)
+    assert build.edited == [(1, 3)] and solves == []
+    # without the block check the point is a DegenerateKernel entry
+    checked = []
+    monkeypatch.setattr(sc, "_require_blocks", lambda bset, fro: checked.append(len(bset.names)))
+    out = sc.device_reports(params)
+    assert checked == [8, 5] and solves == [3, 2]
+    assert isinstance(out[1], DegenerateKernel) and "dimension 2" in str(out[1])
+
+
 def test_gamma_sweep_is_one_stacked_call(monkeypatch):
     import decotherm.scenarios as sc
 
@@ -516,7 +547,7 @@ class TestDeviceReports:
         solves = count_kernel_solves(monkeypatch)
         out = device_reports(params)
         assert build.edited == [(1, 3)]
-        assert solves == [3]  # the degenerate point is set aside, not solved again without it
+        assert solves == [3, 2]  # the degenerate point is set aside, the others solved again without it
         assert isinstance(out[1], DegenerateKernel) and "not unique" in str(out[1])
         assert_same_report(out[0], alone[0])
         assert_same_report(out[2], alone[2])
