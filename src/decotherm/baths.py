@@ -36,8 +36,8 @@ the one entry it returns, rows = slice(0, 1); `_bath_set` relabels the
 cached entries to their rows in a set.
 
 Each generator has one implementation, its closed-form d²×d² matrix,
-built for a list of generators in one batched product per jump count
-(`_generator_matrices`; `generator_superop` is its one-generator call);
+built one generator at a time into one stack (`_generator_matrices`;
+`generator_superop` is its one-generator call);
 flows, stationary images and residuals all act through
 `operators._apply_each`, for one matrix as `SuperOperator.apply`.
 
@@ -61,7 +61,6 @@ from .errors import InvalidParams, NoConvergence
 from .operators import (
     SuperOperator,
     _apply_each,
-    _groups,
     _herm_operators,
     _real_form,
     _require_hermitian,
@@ -77,13 +76,11 @@ ORTHONORMAL_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 #: Entries per stacked array (2**14 complex entries are 256 KiB), the one
-#: stack budget: of the d²×d² matrices of a generator build or of a device
-#: report pass (`scenarios._REPORTS_PER_PASS`), and of the sampler's state
-#: blocks, small next to the trajectory they read. Below it a pass is bound
-#: by call overhead and stacking pays: stacked structure passes of three
-#: baths took 0.52× their one-by-one time at d = 3 and 0.93× at d = 8.
-#: Above it the stacked work arrays fall out of cache (1.09× at d = 10,
-#: 1.20× at d = 16).
+#: stack budget: of the d²×d² matrices of a device report pass
+#: (`scenarios._REPORTS_PER_PASS`) and of the sampler's state blocks
+#: (`thermo.sample_thermodynamics`), small next to the trajectory they
+#: read. Below it a pass is bound by call overhead, so stacking pays; above
+#: it the stacked work arrays fall out of cache.
 _PASS_ENTRIES = 2**14
 
 
@@ -142,45 +139,28 @@ def generator_superop(gen: LindbladGenerator) -> SuperOperator:
 
 def _generator_matrices(gens: Sequence[LindbladGenerator], d: int) -> np.ndarray:
     """generator_superop's matrix of each generator of dimension d, as one
-    stack (m, d², d²): one batched build per jump count.
+    stack (m, d², d²), each built on its own into its slot.
 
-    The kron term is one batched BLAS product, entry (i, j, l, m) the sum
-    over k of 2 r_k conj(A_k)[i, l] A_k[j, m], written straight into the
-    (i, j, l, m) layout: no d²×d² array but the output. Each generator's
-    matrix is the same, bit for bit, built alone or in a stack. A pass
-    builds as many generators as fit _PASS_ENTRIES (202 at d = 3, one from
-    d = 12 on): above it the stacked products fall out of cache. A matrix
-    with an entry past the float range (a rate near the float maximum) is
-    refused (InvalidParams).
+    The kron term is one batched BLAS product over the generator's jumps,
+    entry (i, j, l, m) the sum over k of 2 r_k conj(A_k)[i, l] A_k[j, m],
+    written straight into the (i, j, l, m) layout: no d²×d² array but the
+    output. A matrix with an entry past the float range (a rate near the
+    float maximum) is refused (InvalidParams).
     """
-    per_pass = max(1, _PASS_ENTRIES // d**4)
-    if len(gens) > per_pass:
-        out = np.empty((len(gens), d * d, d * d), dtype=complex)
-        for lo in range(0, len(gens), per_pass):
-            out[lo:lo + per_pass] = _generator_matrices(gens[lo:lo + per_pass], d)
-        return out
     out = np.empty((len(gens), d, d, d, d), dtype=complex)
     diag = np.arange(d)
-    for at in _groups([len(g.rate_stack) for g in gens]).values():
-        if len(at) == 1:
-            rates, jumps = gens[at[0]].rate_stack[None], gens[at[0]].jump_stack[None]
-        else:
-            rates = np.array([gens[i].rate_stack for i in at])
-            jumps = np.array([gens[i].jump_stack for i in at])
-        # K from the same products 2 r_k conj(A_k) A_k as the kron term,
-        # halved (exact), so that a diagonal entry cancels exactly where it
-        # should (a diagonal jump)
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
-            rc = (2.0 * rates)[..., None, None] * jumps.conj()
-            mat = np.matmul(rc.transpose(0, 2, 3, 1)[:, :, None], jumps.transpose(0, 2, 1, 3)[:, None])
-            k = np.einsum("gkji,gkjl->gil", rc, jumps)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+        for mat, gen in zip(out, gens):
+            jumps = gen.jump_stack
+            rc = (2.0 * gen.rate_stack)[:, None, None] * jumps.conj()
+            np.matmul(rc.transpose(1, 2, 0)[:, None], jumps.transpose(1, 0, 2)[None], out=mat)
+            # K from the same products 2 r_k conj(A_k) A_k as the kron term,
+            # halved (exact), so that a diagonal entry cancels exactly where
+            # it should (a diagonal jump)
+            k = np.einsum("kji,kjl->il", rc, jumps)
             k *= 0.5
-            mat[:, diag, :, diag, :] -= k  # I ⊗ K
-            mat[:, :, diag, :, diag] -= k.swapaxes(-1, -2)  # Kᵀ ⊗ I
-        if len(at) == len(gens):
-            out = mat
-        else:
-            out[at] = mat
+            mat[diag, :, diag, :] -= k  # I ⊗ K
+            mat[:, diag, :, diag] -= k.T  # Kᵀ ⊗ I
     require_finite(out.view(np.float64), "generator matrix")  # the float view: same test, half the cost
     return out.reshape(len(gens), d * d, d * d)
 
@@ -356,57 +336,57 @@ def _solve_structure(name: str, tol: float, gen: np.ndarray) -> StationaryStruct
     pairs. The directions a support of lower rank drops are shifted above
     the probe's spectrum, so they sort last and stay out of every block. A
     bath without a block structure keeps R and (N†R)⁻¹ N† as d×d
-    operators. Each step keeps the entry's leading bath axis of length 1."""
+    operators. Only the returned entry has the leading bath axis, of
+    length 1."""
     n = gen.shape[-1]
     d = math.isqrt(n)
     kernels = _kernel_basis(gen)
     k = int(kernels.dims[0])
     # vec(X) of a Hermitian X is the row-major flattening of conj(X), and
     # the row N† of a left null vector that of X
-    nh = kernels.left.reshape(1, k, n)
-    r = kernels.right.reshape(1, k, n).conj().swapaxes(-1, -2)
+    nh = kernels.left[0].reshape(k, n)
+    r = kernels.right[0].reshape(k, n).conj().T
     try:
         dual = np.linalg.solve(nh @ r, nh)
     except np.linalg.LinAlgError:
         raise NoConvergence(f"{name}: the null vectors of L pair to a singular matrix") from None
-    proj = r @ dual
-    adj = proj.conj().swapaxes(-1, -2)  # P†
+    proj = SuperOperator(d, r @ dual)
+    adj = proj.adjoint()  # P†
     cut = n * _EPS
     eye, probe = _pass_constants(d)
-    p_eye = hermitize(_apply_each(proj, eye))
+    p_eye = hermitize(proj.apply(eye))
     lam, vecs = np.linalg.eigh(p_eye)
     vecs_h = dagger(vecs)
-    keep = lam > cut * lam[:, -1:]
+    keep = lam > cut * lam[-1]
     # eigh sorts ascending: a support of rank r is the last r columns of
     # vecs, and once the dropped ones are shifted above the probe's spectrum
     # the first r eigenpairs of each compressed probe are the support's
-    ranked = np.arange(d) < keep.sum(axis=1)[:, None]
-    inside = keep[:, :, None] & keep[:, None, :]
-    full_support = inside.all()
+    ranked = np.arange(d) < keep.sum()
     for final_pass in (False, True):
-        comp = vecs_h @ hermitize(_apply_each(adj, probe)) @ vecs
-        if not full_support:
+        comp = vecs_h @ hermitize(adj.apply(probe)) @ vecs
+        if not keep.all():
             shift = 2.0 * np.linalg.norm(comp, axis=(-2, -1)) + 1.0
-            comp = np.where(inside, comp, eye * shift[:, None, None])
+            comp = np.where(keep[:, None] & keep, comp, eye * shift)
         g, x = np.linalg.eigh(comp)
-        steps = g[:, 1:] - g[:, :-1] > cut * np.abs(g * ranked).max(axis=-1, keepdims=True)
-        label = np.zeros((1, d), dtype=int)
-        label[:, 1:] = steps.cumsum(axis=-1)
+        steps = g[1:] - g[:-1] > cut * np.abs(g * ranked).max()
+        label = np.zeros(d, dtype=int)
+        label[1:] = steps.cumsum()
         label *= ranked
         w = vecs @ x
         if not final_pass:
-            probe = (w * label[:, None, :]) @ dagger(w)  # sum_k k Pi_k
+            probe = (w * label) @ dagger(w)  # sum_k k Pi_k
     if label.max() + 1 != k:  # some n_k > 1: R and (N†R)⁻¹ N†, as d×d operators
         return StationaryStructure(0, slice(0, 1), kernels.right, dual.reshape(1, k, d, d))
-    member = (label[:, None, :] == np.arange(k)[:, None]) & ranked[:, None, :]
-    blocks = (w[:, None] * member[:, :, None, :]) @ dagger(w)[:, None]
-    images = blocks @ p_eye[:, None] @ blocks  # c_k(I) omega_k
-    weights = images.trace(axis1=2, axis2=3).real
+    member = (label == np.arange(k)[:, None]) & ranked
+    blocks = (w * member[:, None, :]) @ dagger(w)
+    images = blocks @ p_eye @ blocks  # c_k(I) omega_k
+    weights = images.trace(axis1=1, axis2=2).real
     log_lam = np.log(lam, out=np.zeros(lam.shape), where=keep)
-    log_p_eye = (vecs * log_lam[:, None, :]) @ vecs_h
-    logs = blocks @ log_p_eye[:, None] @ blocks - np.log(weights)[..., None, None] * blocks
-    conserved = hermitize(_apply_each(adj, blocks))  # J_k = P†(Pi_k)
-    entry = StationaryStructure(k, slice(0, 1), images / weights[..., None, None], conserved, blocks, logs)
+    log_p_eye = (vecs * log_lam) @ vecs_h
+    logs = blocks @ log_p_eye @ blocks - np.log(weights)[:, None, None] * blocks
+    conserved = hermitize(adj.apply(blocks))  # J_k = P†(Pi_k)
+    entry = StationaryStructure(k, slice(0, 1), *(a[None] for a in (
+        images / weights[:, None, None], conserved, blocks, logs)))
     _require_blocks(_BathSet([name], np.array([tol]), gen, [entry]), kernels.fro)
     return entry
 
@@ -554,13 +534,19 @@ def _project(kernel: np.ndarray, conserved: np.ndarray, gen: np.ndarray, name: s
 def thermal_occupation(beta: float, energy: float) -> float:
     """Bose factor 1/(exp(beta*energy) - 1), as exp(-x) / (1 - exp(-x)):
     overflow-safe, and with 1 - exp(-x) from expm1 it keeps full precision
-    for hot baths, where beta*energy is small."""
+    for hot baths, where beta*energy is small. Below beta*energy ~ 5.6e-309
+    (subnormal, or 0 where the product underflows) the factor is past the
+    float range and is refused (InvalidParams)."""
     if not beta > 0:
         raise InvalidParams(f"beta must be > 0, got {beta}")
     if not energy > 0:
         raise InvalidParams(f"occupation needs a positive level splitting, got {energy}")
     x = beta * energy
-    return float(np.exp(-x) / -np.expm1(-x))
+    with np.errstate(over="ignore", divide="ignore"):  # past the float range: refused below
+        n = float(np.exp(-x) / -np.expm1(-x))
+    if n == np.inf:
+        raise InvalidParams(f"occupation at beta*energy = {x:.3e} is past the float range")
+    return n
 
 
 def dephasing_bath(basis: Sequence[np.ndarray], gamma: float, name: str = "dephasing") -> Bath:

@@ -146,15 +146,19 @@ class Trajectory:
 
 
 def default_timestep(hamiltonian: Union[np.ndarray, Schedule], baths: Sequence[Bath]) -> float:
-    """DT_SAFETY / max(segments' ||H||_2, dissipator stiffness bound 4*sum r_k ||A_k||²)."""
+    """DT_SAFETY / max(segments' ||H||_2, dissipator stiffness bound 4*sum r_k ||A_k||²);
+    a bound past the float range is refused (InvalidParams)."""
     return _default_timestep(EvolutionSpec(hamiltonian, baths).segments, baths)
 
 
 def _default_timestep(segs: Sequence[tuple[float, np.ndarray]], baths: Sequence[Bath]) -> float:
     """default_timestep of a spec's checked segments."""
     h_norm = max(float(np.linalg.norm(h, 2)) for _, h in segs)
-    stiff = sum((4.0 * r * float(np.linalg.norm(a, 2))**2 for b in baths
-                 for r, a in zip(b.generator.rate_stack, b.generator.jump_stack)), 0.0)
+    with np.errstate(over="ignore"):  # past the float range: refused below
+        stiff = sum((4.0 * r * np.linalg.norm(a, 2)**2 for b in baths
+                     for r, a in zip(b.generator.rate_stack, b.generator.jump_stack)), 0.0)
+    if not stiff < np.inf:
+        raise InvalidParams("dissipator stiffness bound 4*sum r_k ||A_k||² is past the float range")
     scale = max(h_norm, stiff)
     if scale <= 0.0:
         return 1.0  # free evolution of nothing; any step is exact
@@ -327,7 +331,8 @@ def propagate(rho0: np.ndarray, spec: EvolutionSpec) -> Trajectory:
     steps on either side, each the action exp(L tau) v on the current
     state (`_expm_action`), with no d²×d² expm.
     The spec's segments check its Hamiltonians first. Raises InvalidParams
-    for a non-finite Liouvillian (overflowing rates) and, before allocating
+    for a non-finite Liouvillian or default step's stiffness bound
+    (overflowing rates) and, before allocating
     anything, for a grid of more than MAX_GRID_ENTRIES points × d²;
     StateInvariantViolated if the trace drifts by more than TRACE_DRIFT_TOL.
     """

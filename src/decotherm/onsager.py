@@ -25,6 +25,7 @@ from .operators import (
     SuperOperator,
     _apply_each,
     hermitize,
+    require_finite,
     require_hamiltonian,
     require_operator,
 )
@@ -76,14 +77,18 @@ def linear_response(baths: Sequence[Bath], c: float = 1.0) -> LinearResponse:
     build of the baths' generator matrices (`dynamics._generators`, which
     refuses baths of different dimensions). Each unordered pair is one
     product, and its mirror is the adjoint, so M_{a,b} = M_{b,a}† holds
-    exactly."""
+    exactly. A product with an entry past the float range (rates near
+    ~1e154) is refused (InvalidParams)."""
     mats = _generators(baths, baths[0].dim if baths else 0)
     adjoints = mats.conj().swapaxes(-1, -2)
     prods = {}
-    for i in range(len(mats)):
-        for j in range(i, len(mats)):
-            prods[i, j] = mats[i] @ adjoints[j]
-            prods[i, j] *= c
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite refuses what overflows
+        for i in range(len(mats)):
+            for j in range(i, len(mats)):
+                prods[i, j] = mats[i] @ adjoints[j]
+                prods[i, j] *= c
+    for prod in prods.values():
+        require_finite(prod, "linear response")
     pairs = {
         (b.name, a.name): SuperOperator(b.dim, prods[i, j] if i <= j else prods[j, i].conj().T)
         for i, b in enumerate(baths)

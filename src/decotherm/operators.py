@@ -193,15 +193,6 @@ def _apply_each(mats: np.ndarray, a: np.ndarray) -> np.ndarray:
     return images.reshape(len(mats), *lead[1:], d, d).swapaxes(-1, -2)
 
 
-def _groups(counts: list[int]) -> dict[int, list[int]]:
-    """The one grouping of a stack by a per-item count: the ascending
-    indices of each count present, by ascending count."""
-    groups: dict[int, list[int]] = {}
-    for i, count in enumerate(counts):
-        groups.setdefault(count, []).append(i)
-    return dict(sorted(groups.items()))
-
-
 # ---------------------------------------------------------------------------
 # Hermitian coordinates
 # ---------------------------------------------------------------------------

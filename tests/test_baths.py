@@ -28,7 +28,6 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decotherm import baths as baths_module
 from decotherm import thermo
 from decotherm.baths import (
     _PASS_ENTRIES,
@@ -57,7 +56,7 @@ from decotherm.baths import (
 )
 from decotherm.errors import InvalidParams, NoConvergence
 from decotherm.dynamics import EvolutionSpec, liouvillian
-from decotherm.operators import _groups, _herm_index, _herm_operators, _real_form, assert_density_matrix
+from decotherm.operators import _herm_index, _herm_operators, _real_form, assert_density_matrix
 from decotherm.scenarios import (
     DEFAULT_DEVICE,
     DeviceParams,
@@ -270,6 +269,16 @@ class TestThermalBath:
         for x in xs:
             want = bose_oracle(float(x))
             assert abs(thermal_occupation(float(x), 1.0) - want) <= 4 * np.finfo(float).eps * want, x
+
+    def test_occupation_past_the_float_range_is_refused(self):
+        # a subnormal beta*E below ~5.6e-309 puts 1/(beta*E) past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (5e-324, 1e-310):
+                with pytest.raises(InvalidParams, match="past the float range"):
+                    thermal_occupation(beta, 1.0)
+            with pytest.raises(InvalidParams, match="past the float range"):
+                thermal_two_level_bath(1.0, 5e-324, 1.0)
 
     def test_gibbs_annihilated(self):
         bath = thermal_two_level_bath(e_excited=1.0, beta=1.0, rate_scale=1.0)
@@ -1015,8 +1024,8 @@ def per_group_kernel_basis(lmats):
     vh /= cols[:, None, :]
     u /= rows[:, :, None]
     groups = {}
-    for k, at in _groups(ks.tolist()).items():
-        at = np.array(at)
+    for k in sorted(set(ks.tolist())):
+        at = np.flatnonzero(ks == k)
         groups[k] = (at, _herm_operators(vh[at, n - k:]),
                      _herm_operators(u[at, :, n - k:].swapaxes(-1, -2)))
     return ks, scale, groups
@@ -1113,35 +1122,35 @@ class TestCachedConstants:
 
 
 class TestGeneratorPasses:
-    """_generator_matrices builds _PASS_ENTRIES // d⁴ generators a pass, and
-    each matrix is the one its own build gives, bit for bit."""
+    """Each matrix of a list _generator_matrices builds is the one its own
+    build gives, bit for bit."""
 
     @staticmethod
-    def count_passes(monkeypatch):
-        calls = []
-        real = baths_module._groups
-        monkeypatch.setattr(baths_module, "_groups", lambda counts: calls.append(len(counts)) or real(counts))
-        return calls
+    def assert_each_its_own(gens, d):
+        stacked = _generator_matrices(gens, d)
+        assert all(np.array_equal(s, _generator_matrices([g], d)[0]) for s, g in zip(stacked, gens))
+        return stacked
 
-    def test_d16_one_generator_a_pass(self, monkeypatch):
-        gens = [b.generator for b in random_dense_baths(5)]
-        alone = [_generator_matrices([g], 16)[0] for g in gens]
-        calls = self.count_passes(monkeypatch)
-        stacked = _generator_matrices(gens, 16)
-        assert calls == [1, 1, 1]
-        assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+    def test_d16_one_generator_a_pass(self):
+        self.assert_each_its_own([b.generator for b in random_dense_baths(5)], 16)
 
-    def test_d3_passes_of_pass_entries(self, monkeypatch):
-        per_pass = _PASS_ENTRIES // 3**4
+    def test_d3_device_list(self):
         gens = []
-        for n in np.geomspace(1e-12, 1e6, per_pass + 3):
+        for n in np.geomspace(1e-12, 1e6, 69):
             gens += [b.generator for b in build_device(DeviceParams(1.5, 1.0, 0.4, n, n, n)).baths]
-        gens = gens[:per_pass + 5]
-        alone = [_generator_matrices([g], 3)[0] for g in gens]
-        calls = self.count_passes(monkeypatch)
-        stacked = _generator_matrices(gens, 3)
-        assert calls == [per_pass, 5]
-        assert all(np.array_equal(s, a) for s, a in zip(stacked, alone))
+        self.assert_each_its_own(gens, 3)
+
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_mixed_jump_counts(self, d):
+        # 0, 1, 2 and d jumps in one list: the empty generator, a decay, a
+        # device-like pump and a dephasing bath, whose unit jumps make the
+        # per-term oracle exact
+        gens = [LindbladGenerator(d, ()), LindbladGenerator(d, (JumpTerm(0.7, unit(0, 1, d)),)),
+                LindbladGenerator(d, (JumpTerm(1.6, unit(1, 0, d)), JumpTerm(0.6, unit(0, 1, d)))),
+                dephasing_bath(list(np.eye(d)), 0.3).generator]
+        stacked = self.assert_each_its_own(gens, d)
+        for mat, gen in zip(stacked, gens):
+            assert np.array_equal(mat, TestGeneratorSuperop.oracle(gen))
 
 
 class TestStationaryMapRefusesNonHermitian:

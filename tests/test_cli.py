@@ -561,8 +561,8 @@ def test_only_operators_raises_a_non_finite_entry():
 
 
 def test_stack_budget_is_assigned_in_one_module():
-    # the generator builds, the device report passes and the sampler's
-    # state blocks share one 2**14-entry budget, baths._PASS_ENTRIES
+    # the device report passes and the sampler's state blocks share one
+    # 2**14-entry budget, baths._PASS_ENTRIES
     src = os.path.dirname(os.path.abspath(cli.__file__))
     assigning = set()
     for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):

@@ -1,5 +1,7 @@
 """Propagation, Liouvillian assembly, steady states."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import (
@@ -238,6 +240,19 @@ class TestPropagate:
         assert dt == pytest.approx(0.0025 / 16.8, rel=1e-12)
         # nothing to scale: any step is exact
         assert default_timestep(np.zeros((2, 2), dtype=complex), ()) == 1.0
+
+    @pytest.mark.parametrize("rate, entry", [(8e307, 1.0), (1.7e308, 1.0), (1.0, 1e160)])
+    def test_stiffness_bound_past_the_float_range_is_refused(self, rate, entry):
+        # 4 r ||A||² overflows: refused, not a step of 0.0 or an
+        # OverflowError of ||A||², by propagate too
+        jump = np.array([[0, entry], [0, 0]], dtype=complex)
+        bath = Bath("b", LindbladGenerator(2, (JumpTerm(rate, jump),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: default_timestep(SZ.copy(), (bath,)),
+                         lambda: propagate(bloch_state(0.5), EvolutionSpec(SZ.copy(), (bath,), t_max=1.0))):
+                with pytest.raises(InvalidParams, match="stiffness bound .* past the float range"):
+                    call()
 
     def test_default_dt_is_default_timestep(self):
         spec = device_spec()

@@ -1,6 +1,7 @@
 """Flows, forces, linear-response super-operators, reciprocity."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,13 @@ class TestLinearResponse:
     def test_bath_dimension_mismatch(self):
         with pytest.raises(InvalidParams):
             linear_response([left_pump_bath(0.6), dephasing_bath(Z_BASIS, 1.0)])
+
+    def test_product_past_the_float_range_is_refused(self):
+        # the generator's entries, ~3e154, are finite; their products are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParams, match="^linear response has a non-finite entry$"):
+                linear_response([thermal_two_level_bath(1.0, 1.0, 1e154)])
 
     def test_repeated_bath_name(self):
         # the pairs are keyed by name: two baths named "bath" gave one pair, not four
